@@ -45,9 +45,9 @@ int main() {
     const ResilientSolveResult r1 = classic.solve(b);
 
     SimCluster c2(part, cost);
-    DistPipelinedOptions piped_opts;
+    ResilienceOptions piped_opts;
     DistPipelinedPcg piped(a, precond, c2, piped_opts);
-    const DistPipelinedResult r2 = piped.solve(b);
+    const ResilientSolveResult r2 = piped.solve(b);
 
     const double it1 = 1e3 * r1.modeled_time /
                        static_cast<double>(r1.executed_iterations);

@@ -1,9 +1,7 @@
 // Service-layer throughput: solves/sec through SolveService at 1–16
 // concurrent clients, over mixed matrix sizes, cold (prepare included —
 // every client pays assembly + factorization) vs warm (one prepared handle
-// shared through the plan cache). Also measures the multi-RHS batched
-// kernel against the same solves run independently, isolating the
-// shared-SpMV-sweep win.
+// shared through the plan cache).
 //
 // Hand-rolled measurement loop (no google-benchmark dependency), but the
 // output rows follow the library's console format —
@@ -18,7 +16,6 @@
 
 #include "common/timer.hpp"
 #include "service/solve_service.hpp"
-#include "xp/experiment.hpp"
 
 namespace {
 
@@ -110,57 +107,6 @@ void bench_throughput(const Problem& problem, int clients, bool warm) {
          static_cast<double>(total_solves) / real_s);
 }
 
-void bench_batched(const Problem& problem, std::size_t k) {
-  SolveService service;
-  const SolveSpec spec = make_spec(problem);
-  const PrepareResult prep = service.prepare(spec);
-  const CsrMatrix& a = prep.handle->matrix();
-
-  std::vector<Vector> batch;
-  const Vector base = xp::make_rhs(a);
-  for (std::size_t j = 0; j < k; ++j) {
-    Vector b = base;
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b[i] += static_cast<real_t>(j) * static_cast<real_t>(i % 3);
-    batch.push_back(std::move(b));
-  }
-
-  const std::string stem = "BM_ServiceBatched/" + std::string(problem.label) +
-                           "/k:" + std::to_string(k);
-  {
-    double real_s = 0;
-    const double cpu0 = cpu_ms_now();
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      RunSpec run;
-      run.rhs_batch = batch;
-      WallTimer timer;
-      const std::vector<SolveReport> reports =
-          service.solve_batched(*prep.handle, run);
-      real_s += timer.seconds();
-      if (reports.size() != k) std::fprintf(stderr, "warning: short batch\n");
-    }
-    const double cpu_ms = cpu_ms_now() - cpu0;
-    report(stem + "/shared_sweeps", 1000.0 * real_s, cpu_ms, kRepetitions,
-           static_cast<double>(kRepetitions * k) / real_s);
-  }
-  {
-    double real_s = 0;
-    const double cpu0 = cpu_ms_now();
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      WallTimer timer;
-      for (const Vector& b : batch) {
-        RunSpec run;
-        run.rhs = b;
-        (void)service.solve(*prep.handle, run);
-      }
-      real_s += timer.seconds();
-    }
-    const double cpu_ms = cpu_ms_now() - cpu0;
-    report(stem + "/independent", 1000.0 * real_s, cpu_ms, kRepetitions,
-           static_cast<double>(kRepetitions * k) / real_s);
-  }
-}
-
 } // namespace
 
 int main() {
@@ -169,7 +115,6 @@ int main() {
       bench_throughput(problem, clients, /*warm=*/false);
       bench_throughput(problem, clients, /*warm=*/true);
     }
-    bench_batched(problem, 8);
   }
   return 0;
 }

@@ -161,10 +161,6 @@ struct SolverEntry {
   /// the residual-replacement machinery for detection, so only
   /// "resilient-pcg" qualifies today.
   bool supports_sdc = false;
-  /// Whether multi-RHS batched solves (RunSpec::rhs_batch through
-  /// SolveService::solve_batched) are implemented — the fused per-RHS
-  /// recurrences sharing each SpMV sweep exist for "pcg" only.
-  bool supports_batched_rhs = false;
   /// Whether the shrink and rejoin recovery rungs (the "shrink" policy
   /// preset: RecoveryPolicy::shrink_on_unrecoverable / rejoin) are
   /// implemented — the solver must provide the resilience engine's

@@ -55,16 +55,15 @@ const Preconditioner& resolve_precond(const SolveContext& ctx,
   return *owned;
 }
 
-IterationCallback iteration_adapter(SolverObserver* observer) {
-  if (!observer) return {};
-  return [observer](index_t j, real_t relres) {
-    observer->on_iteration(j, relres);
-  };
-}
-
 // ------------------------------------------------- sequential solvers ----
 
-SolveReport run_pcg(const SolveContext& ctx) {
+/// pcg_solve and pipelined_pcg_solve share one signature and one result.
+using SequentialSolve = PcgResult (*)(const CsrMatrix&,
+                                      std::span<const real_t>,
+                                      std::span<real_t>, const Preconditioner*,
+                                      const PcgOptions&, SolverObserver*);
+
+SolveReport run_sequential(const SolveContext& ctx, SequentialSolve solve) {
   const SolveSpec& spec = ctx.spec;
   std::unique_ptr<Preconditioner> owned;
   const Preconditioner& precond = resolve_precond(ctx, nullptr, owned);
@@ -74,9 +73,7 @@ SolveReport run_pcg(const SolveContext& ctx) {
   PcgOptions opts;
   opts.rtol = spec.rtol;
   opts.max_iterations = spec.max_iterations;
-  WallTimer timer;
-  const PcgResult res = pcg_solve(ctx.a, ctx.b, x, &precond, opts,
-                                  iteration_adapter(ctx.observer));
+  const PcgResult res = solve(ctx.a, ctx.b, x, &precond, opts, ctx.observer);
 
   SolveReport report;
   report.converged = res.converged;
@@ -84,44 +81,19 @@ SolveReport run_pcg(const SolveContext& ctx) {
   report.executed_iterations = res.iterations;
   report.final_relres = res.final_relres;
   report.flops = res.flops;
-  report.wall_seconds = timer.seconds();
   report.x = std::move(x);
   return report;
+}
+
+SolveReport run_pcg(const SolveContext& ctx) {
+  return run_sequential(ctx, pcg_solve);
 }
 
 SolveReport run_pipelined(const SolveContext& ctx) {
-  const SolveSpec& spec = ctx.spec;
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner& precond = resolve_precond(ctx, nullptr, owned);
-  Vector x(static_cast<std::size_t>(ctx.a.rows()), 0);
-  if (!spec.x0.empty()) vec_copy(spec.x0, x);
-
-  PipelinedPcgOptions opts;
-  opts.rtol = spec.rtol;
-  opts.max_iterations = spec.max_iterations;
-  WallTimer timer;
-  const PipelinedPcgResult res = pipelined_pcg_solve(
-      ctx.a, ctx.b, x, &precond, opts, iteration_adapter(ctx.observer));
-
-  SolveReport report;
-  report.converged = res.converged;
-  report.iterations = res.iterations;
-  report.executed_iterations = res.iterations;
-  report.final_relres = res.final_relres;
-  report.flops = res.flops;
-  report.wall_seconds = timer.seconds();
-  report.x = std::move(x);
-  return report;
+  return run_sequential(ctx, pipelined_pcg_solve);
 }
 
 // ------------------------------------------------ distributed solvers ----
-
-/// Residual-accuracy metrics shared by the distributed drivers.
-void finish_distributed(const SolveContext& ctx, SolveReport& report) {
-  report.nodes = ctx.spec.nodes;
-  report.drift = residual_drift(ctx.a, ctx.b, report.x, report.r);
-  report.true_relres = true_relative_residual(ctx.a, ctx.b, report.x);
-}
 
 CostParams cluster_cost(const SolveContext& ctx) {
   return ctx.spec.calibrated_cost ? xp::calibrated_cost(ctx.a, ctx.spec.nodes)
@@ -151,14 +123,10 @@ const BlockRowPartition& resolve_partition(
   return *local;
 }
 
-SolveReport run_resilient(const SolveContext& ctx) {
-  const SolveSpec& spec = ctx.spec;
-  std::optional<BlockRowPartition> local_part;
-  const BlockRowPartition& part = resolve_partition(ctx, local_part);
-  SimCluster cluster(part, cluster_model(ctx));
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner& precond = resolve_precond(ctx, &part, owned);
-
+/// The one SolveSpec -> ResilienceOptions mapping both distributed solvers
+/// consume; fields a solver does not implement are rejected by
+/// validate_spec before they get here.
+ResilienceOptions resilience_options(const SolveSpec& spec) {
   ResilienceOptions opts;
   opts.strategy = spec.strategy;
   opts.interval = spec.interval;
@@ -173,6 +141,21 @@ SolveReport run_resilient(const SolveContext& ctx) {
   opts.extra_failures = spec.failures;
   opts.sdc_events = spec.sdc_events;
   opts.sdc_threshold = spec.sdc_threshold;
+  return opts;
+}
+
+/// Shared body of the distributed drivers: build the cluster, the
+/// preconditioner and the solver (borrowing the prepared plans when they
+/// match this solve's phi), run `solve` on it, and report — including the
+/// residual-accuracy metrics.
+template <typename Solver, typename Solve>
+SolveReport run_distributed(const SolveContext& ctx, Solve solve) {
+  std::optional<BlockRowPartition> local_part;
+  const BlockRowPartition& part = resolve_partition(ctx, local_part);
+  SimCluster cluster(part, cluster_model(ctx));
+  std::unique_ptr<Preconditioner> owned;
+  const Preconditioner& precond = resolve_precond(ctx, &part, owned);
+  const ResilienceOptions opts = resilience_options(ctx.spec);
 
   // Shared plans ride along only when they match this solve (same phi);
   // otherwise the solver builds its own, exactly as before.
@@ -182,25 +165,8 @@ SolveReport run_resilient(const SolveContext& ctx) {
   if (plan != nullptr && ctx.prepared->aspmv != nullptr &&
       ctx.prepared->aspmv->phi() == opts.phi)
     aug = ctx.prepared->aspmv;
-  ResilientPcg solver(ctx.a, precond, cluster, opts, plan, aug);
-  if (SolverObserver* obs = ctx.observer) {
-    solver.set_progress_callback(
-        [obs](index_t j, real_t relres) { obs->on_iteration(j, relres); });
-    solver.set_failure_callback(
-        [obs](const FailureEvent& e) { obs->on_failure(e); });
-    solver.set_recovery_callback(
-        [obs](const RecoveryRecord& rec) { obs->on_recovery(rec); });
-    // SDC injections surface as on_failure events with cause = sdc, so one
-    // observer hook sees the full fault timeline.
-    solver.set_sdc_callback([obs](const SdcRecord& rec) {
-      FailureEvent e;
-      e.iteration = rec.event.iteration;
-      e.ranks = {rec.rank};
-      e.cause = FailureCause::sdc;
-      obs->on_failure(e);
-    });
-  }
-  ResilientSolveResult res = solver.solve(ctx.b, spec.x0);
+  Solver solver(ctx.a, precond, cluster, opts, plan, aug);
+  ResilientSolveResult res = solve(solver);
 
   SolveReport report;
   report.converged = res.converged;
@@ -208,66 +174,26 @@ SolveReport run_resilient(const SolveContext& ctx) {
   report.executed_iterations = res.executed_iterations;
   report.final_relres = res.final_relres;
   report.modeled_time = res.modeled_time;
-  report.wall_seconds = res.wall_seconds;
   report.recoveries = std::move(res.recoveries);
   report.sdc = std::move(res.sdc);
   report.x = std::move(res.x);
   report.r = std::move(res.r);
-  finish_distributed(ctx, report);
+  report.nodes = ctx.spec.nodes;
+  report.drift = residual_drift(ctx.a, ctx.b, report.x, report.r);
+  report.true_relres = true_relative_residual(ctx.a, ctx.b, report.x);
   return report;
 }
 
+SolveReport run_resilient(const SolveContext& ctx) {
+  return run_distributed<ResilientPcg>(ctx, [&](ResilientPcg& solver) {
+    return solver.solve(ctx.b, ctx.spec.x0, ctx.observer);
+  });
+}
+
 SolveReport run_dist_pipelined(const SolveContext& ctx) {
-  const SolveSpec& spec = ctx.spec;
-  std::optional<BlockRowPartition> local_part;
-  const BlockRowPartition& part = resolve_partition(ctx, local_part);
-  SimCluster cluster(part, cluster_model(ctx));
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner& precond = resolve_precond(ctx, &part, owned);
-
-  DistPipelinedOptions opts;
-  opts.rtol = spec.rtol;
-  if (spec.max_iterations > 0) opts.max_iterations = spec.max_iterations;
-  opts.strategy = spec.strategy;
-  opts.interval = spec.interval;
-  opts.phi = spec.phi;
-  opts.queue_capacity = spec.queue_capacity;
-  opts.precond_formulation = spec.formulation;
-  opts.spare_nodes = spec.spare_nodes;
-  opts.residual_replacement = spec.residual_replacement;
-  opts.policy = recovery_policy_from_string(spec.recovery_policy);
-  opts.extra_failures = spec.failures;
-
-  const SpmvPlan* plan =
-      ctx.prepared != nullptr ? ctx.prepared->spmv : nullptr;
-  const AspmvPlan* aug = nullptr;
-  if (plan != nullptr && ctx.prepared->aspmv != nullptr &&
-      ctx.prepared->aspmv->phi() == opts.phi)
-    aug = ctx.prepared->aspmv;
-  DistPipelinedPcg solver(ctx.a, precond, cluster, opts, plan, aug);
-  if (SolverObserver* obs = ctx.observer) {
-    solver.set_progress_callback(
-        [obs](index_t j, real_t relres) { obs->on_iteration(j, relres); });
-    solver.set_failure_callback(
-        [obs](const FailureEvent& e) { obs->on_failure(e); });
-    solver.set_recovery_callback(
-        [obs](const RecoveryRecord& rec) { obs->on_recovery(rec); });
-  }
-  WallTimer timer;
-  DistPipelinedResult res = solver.solve(ctx.b);
-
-  SolveReport report;
-  report.converged = res.converged;
-  report.iterations = res.trajectory_iterations;
-  report.executed_iterations = res.executed_iterations;
-  report.final_relres = res.final_relres;
-  report.modeled_time = res.modeled_time;
-  report.wall_seconds = timer.seconds();
-  report.recoveries = std::move(res.recoveries);
-  report.x = std::move(res.x);
-  report.r = std::move(res.r);
-  finish_distributed(ctx, report);
-  return report;
+  return run_distributed<DistPipelinedPcg>(ctx, [&](DistPipelinedPcg& solver) {
+    return solver.solve(ctx.b, ctx.observer);
+  });
 }
 
 } // namespace
@@ -276,7 +202,7 @@ Registry<SolverEntry>& solver_registry() {
   static Registry<SolverEntry>* reg = [] {
     auto* r = new Registry<SolverEntry>("solver");
     r->add("pcg", "sequential preconditioned CG (paper Alg. 1)",
-           SolverEntry{.run = run_pcg, .supports_batched_rhs = true});
+           SolverEntry{.run = run_pcg});
     r->add("pipelined",
            "sequential pipelined PCG (Ghysels & Vanroose, one fused "
            "reduction)",
@@ -323,7 +249,11 @@ SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
                             << " does not match matrix dimension "
                             << a.rows());
 
+  // The one wall-clock measurement of a solve: everything the driver does,
+  // per-solve setup included (a prepared handle has amortized its share).
+  const WallTimer timer;
   SolveReport report = entry.run(SolveContext{a, b, spec, observer, prepared});
+  report.wall_seconds = timer.seconds();
   report.solver = spec.solver;
   report.precond = spec.precond;
   report.matrix = name;
@@ -336,9 +266,6 @@ SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
 
 SolveReport solve(const SolveSpec& spec, SolverObserver* observer) {
   validate_spec(spec);
-  if (!spec.rhs_batch.empty())
-    throw Error("batched right-hand sides (rhs_batch) are solved through "
-                "SolveService::solve_batched, not esrp::solve");
 
   // Resolve the problem: borrowed matrix or registry-built one.
   TestProblem built;

@@ -52,7 +52,6 @@ bool RunSpec::owns_x0() const { return points_into(x0, x0_storage_); }
 RunSpec::RunSpec(const RunSpec& other)
     : rhs(other.rhs),
       x0(other.x0),
-      rhs_batch(other.rhs_batch),
       failures(other.failures),
       sdc_events(other.sdc_events),
       sdc_threshold(other.sdc_threshold),
@@ -68,7 +67,6 @@ RunSpec::RunSpec(const RunSpec& other)
 RunSpec::RunSpec(RunSpec&& other) noexcept
     : rhs(other.rhs),
       x0(other.x0),
-      rhs_batch(std::move(other.rhs_batch)),
       failures(std::move(other.failures)),
       sdc_events(std::move(other.sdc_events)),
       sdc_threshold(other.sdc_threshold),
@@ -95,7 +93,6 @@ RunSpec& RunSpec::operator=(RunSpec&& other) noexcept {
   poison(x0_storage_);
   rhs = other.rhs;
   x0 = other.x0;
-  rhs_batch = std::move(other.rhs_batch);
   failures = std::move(other.failures);
   sdc_events = std::move(other.sdc_events);
   sdc_threshold = other.sdc_threshold;
@@ -179,22 +176,6 @@ void validate_spec(const SolveSpec& spec) {
               "api/solve_spec.hpp)");
   }
 #endif
-
-  if (!spec.rhs_batch.empty()) {
-    if (!solver.supports_batched_rhs)
-      invalid("\"" + spec.solver +
-              "\" does not support batched right-hand sides (rhs_batch); "
-              "use \"pcg\" through SolveService::solve_batched");
-    if (!spec.rhs.empty())
-      invalid("set either `rhs` (single system) or `rhs_batch` (batched "
-              "systems), not both");
-    for (std::size_t i = 0; i < spec.rhs_batch.size(); ++i) {
-      if (spec.rhs_batch[i].empty())
-        invalid("rhs_batch[" + std::to_string(i) + "] is empty");
-      if (spec.rhs_batch[i].size() != spec.rhs_batch.front().size())
-        invalid("rhs_batch vectors must all have the same length");
-    }
-  }
 
   if (!(spec.rtol > 0)) invalid("rtol must be positive");
   if (spec.max_iterations < 0) invalid("max_iterations must be >= 0");

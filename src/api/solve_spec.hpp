@@ -1,12 +1,12 @@
 // The unified solver front door: one declarative `SolveSpec` describing the
 // whole experiment grid point — problem x solver x preconditioner x
 // resilience strategy x failure schedule x threads, all as plain data — and
-// one `SolveReport` subsuming the per-solver result structs
-// (`PcgResult`, `PipelinedPcgResult`, `ResilientSolveResult`,
-// `DistPipelinedResult`). `esrp::solve(spec)` (api/solve.hpp) dispatches
-// through the string-keyed registries in api/registry.hpp, so a new solver,
-// preconditioner, or matrix generator becomes reachable from the CLI, the
-// examples, and the experiment harness by registering one factory.
+// one `SolveReport` subsuming the sequential (`PcgResult`) and distributed
+// (`ResilientSolveResult`) solver results. `esrp::solve(spec)`
+// (api/solve.hpp) dispatches through the string-keyed registries in
+// api/registry.hpp, so a new solver, preconditioner, or matrix generator
+// becomes reachable from the CLI, the examples, and the experiment harness
+// by registering one factory.
 //
 // The spec is decomposed into three sub-structs along the service layer's
 // prepare/solve split (service/solve_service.hpp):
@@ -15,7 +15,7 @@
 //                  its partition shape, and the preconditioner factorization.
 //   SolverConfig — how to iterate: solver choice, tolerances, resilience
 //                  strategy, and cost-accounting knobs.
-//   RunSpec      — what varies per solve: right-hand side(s), initial
+//   RunSpec      — what varies per solve: right-hand side, initial
 //                  guess, fault schedule, and the thread budget.
 //
 // `SolveSpec` remains the flat all-in-one type (it inherits all three), so
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/observer.hpp" // SolverObserver, re-exported for the facade
 #include "common/types.hpp"
 #include "common/vec.hpp"
 #include "netsim/failure.hpp"
@@ -77,9 +78,10 @@ struct ProblemSpec {
 
 /// How to iterate on a prepared problem: solver choice, convergence
 /// criteria, the resilience strategy, and cost-model accounting knobs.
-/// Changing these never forces a re-factorization (except `phi` and a
-/// distributed/sequential solver switch, which shape the prepared plans —
-/// the plan cache keys on those two derived facts).
+/// Only `phi` and a distributed/sequential solver switch shape the prepared
+/// artifacts, but the plan cache keys on every field: SolveService::solve
+/// replays the prepared config, so a cached handle must carry exactly the
+/// requested one.
 struct SolverConfig {
   /// Solver registry key: "pcg", "pipelined", "resilient-pcg",
   /// "dist-pipelined".
@@ -115,7 +117,7 @@ struct SolverConfig {
   std::string recovery_policy = "ladder";
 };
 
-/// The per-solve inputs: right-hand side(s), initial guess, fault schedule,
+/// The per-solve inputs: right-hand side, initial guess, fault schedule,
 /// and the thread budget. Cheap to build per run; never cached.
 ///
 /// `rhs` and `x0` are borrowed spans by default. `take_rhs` / `take_x0`
@@ -132,13 +134,6 @@ struct RunSpec {
   /// Initial guess; empty = zero vector. Borrowed unless take_x0
   /// transferred ownership.
   std::span<const real_t> x0;
-
-  /// Batched right-hand sides for `SolveService::solve_batched`: k systems
-  /// A x_i = b_i sharing every SpMV sweep (CsrMatrix::spmv_multi). Owned.
-  /// Mutually exclusive with `rhs`; only solvers whose registry entry sets
-  /// `supports_batched_rhs` accept a non-empty batch, and the facade
-  /// esrp::solve rejects it (batching is a service-layer feature).
-  std::vector<Vector> rhs_batch;
 
   /// Failure schedule: each event fires once at its iteration. Events must
   /// be fully specified (iteration >= 0, non-empty ranks) with pairwise
@@ -219,7 +214,10 @@ struct SolveReport {
   real_t final_relres = 0;
   double flops = 0;        ///< total flops (sequential solvers)
   double modeled_time = 0; ///< cluster modeled time [s]
-  double wall_seconds = 0; ///< host wall time (reference only)
+  /// Host wall time of the driver call (reference only), measured once in
+  /// detail::run_resolved: per-solve setup included on the facade path,
+  /// the setup a prepared handle amortizes excluded on the service path.
+  double wall_seconds = 0;
 
   std::vector<RecoveryRecord> recoveries;
   std::vector<SdcRecord> sdc; ///< one record per injected bit-flip
@@ -234,27 +232,6 @@ struct SolveReport {
   double recovery_modeled_time() const;
   /// True iff any recovery fell back to a scratch restart.
   bool restarted_from_scratch() const;
-};
-
-/// Observer hooks shared by every solver behind the facade (replacing the
-/// solver-specific `IterationCallback` / `IterationHook` one-offs). All
-/// defaults are no-ops; override what you need.
-class SolverObserver {
-public:
-  virtual ~SolverObserver() = default;
-
-  /// Every convergence check: (trajectory iteration j, ||r||_2 / ||b||_2)
-  /// — once per executed iteration body plus the final (converging) check,
-  /// identically across all registered solvers. After a recovery, j jumps
-  /// back — the rollback.
-  virtual void on_iteration(index_t /*iteration*/, real_t /*relres*/) {}
-
-  /// A failure event fired (before any recovery work).
-  virtual void on_failure(const FailureEvent& /*event*/) {}
-
-  /// A recovery completed (reconstruction, checkpoint restore, or scratch
-  /// restart — see the record).
-  virtual void on_recovery(const RecoveryRecord& /*record*/) {}
 };
 
 /// Check every invariant of a spec that can be checked without building the

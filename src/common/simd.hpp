@@ -159,10 +159,10 @@ inline real_t lane_ordered_sum(Vec4 a) {
 /// Lane-ordered dot product of x[lo..hi) · y[lo..hi): 4 lane accumulators
 /// over the stride-4 main loop, combined by lane_ordered_sum, then the tail
 /// (hi - lo) mod 4 elements folded serially onto the sum. This is THE
-/// canonical reduction kernel — vec_dot, vec_dot2/3, CsrMatrix::spmv_dot /
-/// spmv_multi_dot and SellMatrix::spmv_dot all produce their per-chunk
-/// partials with exactly this function (or this shape), which is what makes
-/// them mutually bitwise consistent.
+/// canonical reduction kernel — vec_dot, vec_dot2/3, CsrMatrix::spmv_dot
+/// and SellMatrix::spmv_dot all produce their per-chunk partials with
+/// exactly this function (or this shape), which is what makes them mutually
+/// bitwise consistent.
 inline real_t simd_dot_chunk(const real_t* x, const real_t* y, index_t lo,
                              index_t hi) {
   Vec4 acc = Vec4::zero();

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/fused.hpp"
-#include "common/timer.hpp"
 #include "core/reconstruction.hpp"
 #include "parallel/parallel.hpp"
 
@@ -361,9 +360,21 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   return true;
 }
 
-void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result) {
+void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result,
+                              SolverObserver* observer) {
   static_assert(sizeof(real_t) == sizeof(std::uint64_t),
                 "bit-flip injection assumes 64-bit reals");
+  // One observer hook sees the full fault timeline: a flip surfaces as an
+  // on_failure event with cause = sdc, naming the corrupted entry's owner.
+  auto report = [&](const SdcRecord& rec) {
+    result.sdc.push_back(rec);
+    if (observer == nullptr) return;
+    FailureEvent event;
+    event.iteration = rec.event.iteration;
+    event.ranks = {rec.rank};
+    event.cause = FailureCause::sdc;
+    observer->on_failure(event);
+  };
   for (std::size_t k = 0; k < opts_.sdc_events.size(); ++k) {
     const SdcEvent& e = opts_.sdc_events[k];
     if (sdc_fired_[k] || !e.enabled() || e.iteration != j) continue;
@@ -376,8 +387,7 @@ void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result) {
       SdcRecord rec;
       rec.event = e;
       rec.rank = resilience_.corrupt_redundant_state(e);
-      result.sdc.push_back(rec);
-      if (sdc_callback_) sdc_callback_(rec);
+      report(rec);
       continue;
     }
     const BlockRowPartition& cp = cluster_->partition();
@@ -394,20 +404,19 @@ void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result) {
     SdcRecord rec;
     rec.event = e;
     rec.rank = owner;
-    result.sdc.push_back(rec);
-    if (sdc_callback_) sdc_callback_(rec);
+    report(rec);
   }
 }
 
 ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
-                                         std::span<const real_t> x0) {
+                                         std::span<const real_t> x0,
+                                         SolverObserver* observer) {
   const BlockRowPartition& part = cluster_->partition();
   const index_t n = a_->rows();
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
   ESRP_CHECK(x0.empty() || static_cast<index_t>(x0.size()) == n);
   const index_t T = opts_.interval;
 
-  WallTimer timer;
   const double model_t0 = cluster_->modeled_time();
   ResilientSolveResult result;
 
@@ -416,7 +425,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
   z_ = std::make_unique<DistVector>(part);
   p_ = std::make_unique<DistVector>(part);
   ap_ = std::make_unique<DistVector>(part);
-  resilience_.begin_solve(*cluster_);
+  resilience_.begin_solve(*cluster_, observer);
   beta_dstar_ = 0;
   sdc_fired_.assign(opts_.sdc_events.size(), 0);
 
@@ -455,16 +464,16 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
   while (true) {
     result.final_relres = rnorm / bnorm;
-    // The sequential solvers' callback contract: the observer sees the
+    // The sequential solvers' observer contract: on_iteration sees the
     // converging check and every executed body, but not the bare
-    // iteration-cap exit (their loop bound ends without a final callback).
+    // iteration-cap exit (their loop bound ends without a final call).
     if (result.final_relres < opts_.rtol) {
-      if (progress_) progress_(j, result.final_relres);
+      if (observer) observer->on_iteration(j, result.final_relres);
       result.converged = true;
       break;
     }
     if (executed >= opts_.max_iterations) break;
-    if (progress_) progress_(j, result.final_relres);
+    if (observer) observer->on_iteration(j, result.final_relres);
 
     if (hook_) hook_(j, *x_, *r_, *z_, *p_);
 
@@ -525,7 +534,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
     // --- SDC injection (scenario lab): the flip lands after the SpMV, so
     // a corrupted p desynchronizes the x update from the r update and the
     // damage is observable as recursive-vs-true residual drift. ---
-    if (!opts_.sdc_events.empty()) inject_sdc(j, result);
+    if (!opts_.sdc_events.empty()) inject_sdc(j, result, observer);
 
     // --- CG updates (Alg. 3 lines 13-18) ---
     const real_t pap = dot(*p_, *ap_);
@@ -592,7 +601,6 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
   result.trajectory_iterations = j;
   result.executed_iterations = executed;
   result.modeled_time = cluster_->modeled_time() - model_t0;
-  result.wall_seconds = timer.seconds();
   result.x = x_->gather_global();
   result.r = r_->gather_global();
   return result;

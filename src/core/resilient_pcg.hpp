@@ -11,7 +11,7 @@
 // core/reconstruction.hpp). The Strategy enum and the shared
 // ResilienceOptions / RecoveryRecord types live in resilience/options.hpp;
 // the pipelined solver (pipelined/dist_pipelined_pcg.hpp) consumes the very
-// same surface.
+// same surface and returns the same ResilientSolveResult.
 //
 // Failure model (paper §4/§5): at the marked iteration the affected ranks
 // zero all their dynamic data (vector slices and scalars) and then act as
@@ -32,6 +32,7 @@
 #include "comm/aspmv_plan.hpp"
 #include "comm/exchange.hpp"
 #include "comm/spmv_plan.hpp"
+#include "common/observer.hpp"
 #include "core/reconstruction.hpp"
 #include "netsim/cluster.hpp"
 #include "netsim/dist_vector.hpp"
@@ -42,19 +43,6 @@
 #include "sparse/csr.hpp"
 
 namespace esrp {
-
-struct ResilientSolveResult {
-  bool converged = false;
-  index_t trajectory_iterations = 0; ///< iteration index at convergence
-  index_t executed_iterations = 0;   ///< bodies executed incl. redone ones
-  real_t final_relres = 0;
-  double modeled_time = 0;           ///< cluster modeled time of this solve
-  double wall_seconds = 0;           ///< host wall time (reference only)
-  std::vector<RecoveryRecord> recoveries;
-  std::vector<SdcRecord> sdc;        ///< one record per injected bit-flip
-  Vector x; ///< gathered solution
-  Vector r; ///< gathered recursive residual (for the drift metric, Eq. 2)
-};
 
 /// Hook invoked at the top of every iteration body (before the SpMV phase):
 /// (j, x, r, z, p). Used by tests to snapshot the exact solver state.
@@ -81,33 +69,17 @@ public:
                const AspmvPlan* shared_aug = nullptr);
 
   /// Solve A x = b from the zero initial guess (or `x0` when given).
+  /// `observer` (may be null) sees on_iteration(j, ||r||_2 / ||b||_2) once
+  /// per executed iteration body plus the final converging check — not on a
+  /// bare iteration-cap exit, matching the sequential solvers — and
+  /// on_failure / on_recovery around every failure event. An injected SDC
+  /// bit-flip is reported as on_failure with cause = FailureCause::sdc and
+  /// the corrupted entry's owner as the single rank.
   ResilientSolveResult solve(std::span<const real_t> b,
-                             std::span<const real_t> x0 = {});
+                             std::span<const real_t> x0 = {},
+                             SolverObserver* observer = nullptr);
 
   void set_iteration_hook(IterationHook hook) { hook_ = std::move(hook); }
-
-  /// Lightweight progress callback (j, ||r||_2 / ||b||_2), invoked once
-  /// per executed iteration body plus the final converging check — and not
-  /// on a bare iteration-cap exit — matching the sequential solvers'
-  /// IterationCallback contract. The facade's SolverObserver::on_iteration
-  /// rides on this.
-  void set_progress_callback(std::function<void(index_t, real_t)> cb) {
-    progress_ = std::move(cb);
-  }
-  /// Invoked when a failure event fires, before any recovery work.
-  void set_failure_callback(std::function<void(const FailureEvent&)> cb) {
-    resilience_.set_failure_callback(std::move(cb));
-  }
-  /// Invoked after each completed recovery (reconstruction, restore, or
-  /// scratch restart) with the finished record.
-  void set_recovery_callback(std::function<void(const RecoveryRecord&)> cb) {
-    resilience_.set_recovery_callback(std::move(cb));
-  }
-  /// Invoked when an SdcEvent fires (the bit has just been flipped; the
-  /// record's detection fields are filled in later as checks run).
-  void set_sdc_callback(std::function<void(const SdcRecord&)> cb) {
-    sdc_callback_ = std::move(cb);
-  }
 
   const ResilienceOptions& options() const { return opts_; }
   const SpmvPlan& spmv_plan() const { return *plan_; }
@@ -140,8 +112,10 @@ private:
   void initialize_state(std::span<const real_t> b, std::span<const real_t> x0);
 
   /// Fire any not-yet-injected SdcEvent scheduled for iteration `j`:
-  /// flip the bit in the owner's slice and append a record to `result`.
-  void inject_sdc(index_t j, ResilientSolveResult& result);
+  /// flip the bit in the owner's slice, append a record to `result`, and
+  /// report it to `observer` (may be null) as an sdc-cause failure.
+  void inject_sdc(index_t j, ResilientSolveResult& result,
+                  SolverObserver* observer);
 
   /// The SolverState contract with the resilience engine: live vectors
   /// {x, r, z, p}, scratch {ap}, scalars {beta}.
@@ -198,8 +172,6 @@ private:
   real_t beta_dstar_ = 0; ///< the paper's beta**, captured at mT
 
   IterationHook hook_;
-  std::function<void(index_t, real_t)> progress_;
-  std::function<void(const SdcRecord&)> sdc_callback_;
   std::vector<char> sdc_fired_; ///< one-shot flags, parallel to sdc_events
 };
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
 
 #include "comm/aspmv_plan.hpp"
 #include "comm/exchange.hpp"
@@ -36,7 +37,7 @@ ResilienceEngine::Config pipelined_engine_config() {
 DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
                                    const Preconditioner& precond,
                                    SimCluster& cluster,
-                                   DistPipelinedOptions opts,
+                                   ResilienceOptions opts,
                                    const SpmvPlan* shared_plan,
                                    const AspmvPlan* shared_aug)
     : a_(&a),
@@ -78,7 +79,8 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
   ESRP_CHECK(opts_.rtol > 0 && opts_.inner_rtol > 0);
 }
 
-DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
+ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
+                                             SolverObserver* observer) {
   const BlockRowPartition& part = cluster_->partition();
   const index_t n = a_->rows();
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
@@ -183,7 +185,7 @@ DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
     });
   };
 
-  DistPipelinedResult result;
+  ResilientSolveResult result;
   DistVector x(part), r(part), u(part), w(part), m(part), nv(part);
   DistVector z(part), q(part), s(part), p(part);
   real_t gamma_prev = 0, alpha_prev = 0;
@@ -214,7 +216,7 @@ DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
     gamma_prev = alpha_prev = 0;
   };
   initialize();
-  resilience_.begin_solve(*cluster_);
+  resilience_.begin_solve(*cluster_, observer);
 
   // Recovery-ladder hooks: this solver supplies reconstruct and restart
   // only. It leaves `repartition` and `rejoin` unset, so the engine skips
@@ -296,7 +298,7 @@ DistPipelinedResult DistPipelinedPcg::solve(std::span<const real_t> b) {
     result.final_relres = std::sqrt(rr) / bnorm;
     // Before the convergence break: observers see the converging relres,
     // matching every other solver behind the facade.
-    if (progress_) progress_(j, result.final_relres);
+    if (observer) observer->on_iteration(j, result.final_relres);
     if (result.final_relres < opts_.rtol) {
       result.converged = true;
       break;

@@ -25,11 +25,11 @@
 // residual replacement, and initial guesses.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <optional>
+#include <span>
 
-#include "core/resilient_pcg.hpp" // RecoveryRecord, shared result plumbing
+#include "comm/aspmv_plan.hpp"
+#include "comm/spmv_plan.hpp"
+#include "common/observer.hpp"
 #include "netsim/cluster.hpp"
 #include "netsim/dist_vector.hpp"
 #include "precond/preconditioner.hpp"
@@ -38,24 +38,6 @@
 #include "sparse/csr.hpp"
 
 namespace esrp {
-
-/// The shared resilience surface (strategy, interval, phi, queue capacity,
-/// failure schedule incl. extra_failures, inner-solve parameters, rtol,
-/// max_iterations) with the pipelined solver's historical default interval.
-struct DistPipelinedOptions : ResilienceOptions {
-  DistPipelinedOptions() { interval = 20; }
-};
-
-struct DistPipelinedResult {
-  bool converged = false;
-  index_t trajectory_iterations = 0;
-  index_t executed_iterations = 0;
-  real_t final_relres = 0;
-  double modeled_time = 0;
-  std::vector<RecoveryRecord> recoveries;
-  Vector x;
-  Vector r;
-};
 
 class DistPipelinedPcg {
 public:
@@ -66,23 +48,15 @@ public:
   /// and match `opts.phi` (aug). Plans are deterministic functions of those
   /// inputs, so borrowed and per-call-built plans solve bitwise identically.
   DistPipelinedPcg(const CsrMatrix& a, const Preconditioner& precond,
-                   SimCluster& cluster, DistPipelinedOptions opts,
+                   SimCluster& cluster, ResilienceOptions opts,
                    const SpmvPlan* shared_plan = nullptr,
                    const AspmvPlan* shared_aug = nullptr);
 
-  DistPipelinedResult solve(std::span<const real_t> b);
-
-  /// Same observer surface as ResilientPcg (see core/resilient_pcg.hpp):
-  /// per-iteration progress, failure, and recovery callbacks.
-  void set_progress_callback(std::function<void(index_t, real_t)> cb) {
-    progress_ = std::move(cb);
-  }
-  void set_failure_callback(std::function<void(const FailureEvent&)> cb) {
-    resilience_.set_failure_callback(std::move(cb));
-  }
-  void set_recovery_callback(std::function<void(const RecoveryRecord&)> cb) {
-    resilience_.set_recovery_callback(std::move(cb));
-  }
+  /// Solve A x = b from the zero initial guess. `observer` (may be null)
+  /// gets the same hooks as ResilientPcg::solve (core/resilient_pcg.hpp).
+  /// The result's `sdc` stays empty: this solver injects no bit-flips.
+  ResilientSolveResult solve(std::span<const real_t> b,
+                             SolverObserver* observer = nullptr);
 
   const ResilienceOptions& options() const { return opts_; }
   /// Introspection for tests, mirroring ResilientPcg.
@@ -93,11 +67,10 @@ private:
   const CsrMatrix* a_;
   const Preconditioner* precond_;
   SimCluster* cluster_;
-  DistPipelinedOptions opts_;
+  ResilienceOptions opts_;
   const SpmvPlan* shared_plan_ = nullptr;  ///< borrowed; may be null
   const AspmvPlan* shared_aug_ = nullptr;  ///< borrowed; may be null
   ResilienceEngine resilience_;
-  std::function<void(index_t, real_t)> progress_;
 };
 
 } // namespace esrp

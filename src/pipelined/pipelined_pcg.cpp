@@ -7,18 +7,17 @@
 
 namespace esrp {
 
-PipelinedPcgResult pipelined_pcg_solve(const CsrMatrix& a,
-                                       std::span<const real_t> b,
-                                       std::span<real_t> x,
-                                       const Preconditioner* precond,
-                                       const PipelinedPcgOptions& opts,
-                                       const IterationCallback& on_iteration) {
+PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
+                              std::span<real_t> x,
+                              const Preconditioner* precond,
+                              const PcgOptions& opts,
+                              SolverObserver* observer) {
   const index_t n = a.rows();
   ESRP_CHECK(a.rows() == a.cols());
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
   ESRP_CHECK(static_cast<index_t>(x.size()) == n);
 
-  PipelinedPcgResult result;
+  PcgResult result;
   const index_t max_iter =
       opts.max_iterations > 0 ? opts.max_iterations : 10 * std::max<index_t>(n, 1);
   const real_t bnorm = vec_norm2(b);
@@ -56,7 +55,7 @@ PipelinedPcgResult pipelined_pcg_solve(const CsrMatrix& a,
     result.flops += 6.0 * static_cast<double>(n);
 
     result.final_relres = std::sqrt(rr) / bnorm;
-    if (on_iteration) on_iteration(j, result.final_relres);
+    if (observer) observer->on_iteration(j, result.final_relres);
     if (result.final_relres < opts.rtol) {
       result.converged = true;
       result.iterations = j;

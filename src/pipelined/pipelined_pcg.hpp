@@ -19,32 +19,22 @@
 
 #include <span>
 
+#include "common/observer.hpp"
 #include "common/types.hpp"
 #include "common/vec.hpp"
 #include "precond/preconditioner.hpp"
-#include "solver/pcg.hpp" // IterationCallback
+#include "solver/pcg.hpp" // PcgOptions, PcgResult
 #include "sparse/csr.hpp"
 
 namespace esrp {
 
-struct PipelinedPcgOptions {
-  real_t rtol = 1e-8;
-  index_t max_iterations = 0; ///< 0 = 10 * dim
-};
-
-struct PipelinedPcgResult {
-  bool converged = false;
-  index_t iterations = 0;
-  real_t final_relres = 0;
-  double flops = 0;
-};
-
-/// Sequential reference implementation. `precond` may be nullptr.
-/// `on_iteration` (may be empty) is invoked once per iteration with
-/// (j, ||r||/||b||), matching pcg_solve's callback contract.
-PipelinedPcgResult pipelined_pcg_solve(
-    const CsrMatrix& a, std::span<const real_t> b, std::span<real_t> x,
-    const Preconditioner* precond, const PipelinedPcgOptions& opts = {},
-    const IterationCallback& on_iteration = {});
+/// Sequential reference implementation, with pcg_solve's signature and
+/// contracts: `precond` may be nullptr, `observer` (may be null) sees
+/// on_iteration(j, ||r||/||b||) once per iteration.
+PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
+                              std::span<real_t> x,
+                              const Preconditioner* precond,
+                              const PcgOptions& opts = {},
+                              SolverObserver* observer = nullptr);
 
 } // namespace esrp

@@ -31,8 +31,10 @@ ResilienceEngine::ResilienceEngine(ResilienceOptions opts,
   }
 }
 
-void ResilienceEngine::begin_solve(SimCluster& cluster) {
+void ResilienceEngine::begin_solve(SimCluster& cluster,
+                                   SolverObserver* observer) {
   cluster_ = &cluster;
+  observer_ = observer;
   queue_.clear();
   snapshots_.clear();
   last_recoverable_ = -1;
@@ -184,7 +186,7 @@ index_t ResilienceEngine::recover(const FailureEvent& event, index_t j_fail,
                                   const Client& client,
                                   RecoveryRecord& record) {
   ESRP_CHECK(cluster_ != nullptr && client.state && client.restart);
-  if (on_failure_) on_failure_(event);
+  if (observer_) observer_->on_failure(event);
   const std::span<const rank_t> failed = event.ranks;
   record.failed_at = j_fail;
   record.ranks_lost = static_cast<index_t>(failed.size());
@@ -287,7 +289,7 @@ index_t ResilienceEngine::recover(const FailureEvent& event, index_t j_fail,
   record.restored_to = resume;
   record.wasted_iterations = j_fail - resume;
   record.modeled_time = cluster_->modeled_time() - t0;
-  if (on_recovery_) on_recovery_(record);
+  if (observer_) observer_->on_recovery(record);
   return resume;
 }
 
@@ -320,7 +322,7 @@ bool ResilienceEngine::try_rejoin(index_t j, const Client& client,
   record.ranks_rejoined = static_cast<index_t>(retired_.size());
   retired_.clear();
   record.modeled_time = cluster_->modeled_time() - t0;
-  if (on_recovery_) on_recovery_(record);
+  if (observer_) observer_->on_recovery(record);
   return true;
 }
 

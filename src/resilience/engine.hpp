@@ -11,7 +11,8 @@
 //     (reconstruct → older snapshot → checkpoint → shrink → scratch, plus
 //     the rejoin rung at storage stages) over checksum-verified redundant
 //     state, the no-spare repartitioning path, bounded retry for cascading
-//     events, and the RecoveryRecord + failure/recovery callback plumbing.
+//     events, and the RecoveryRecord + SolverObserver failure/recovery
+//     notifications.
 //
 // A solver participates through the SolverState concept
 // (resilience/solver_state.hpp) plus a small Client of hooks for the steps
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "comm/exchange.hpp" // RedundantCopy
+#include "common/observer.hpp"
 #include "netsim/cluster.hpp"
 #include "netsim/failure.hpp"
 #include "resilience/checkpoint_store.hpp"
@@ -113,10 +115,12 @@ public:
   Strategy strategy() const { return opts_.strategy; }
   const std::vector<FailureEvent>& events() const { return events_; }
 
-  /// Reset the per-solve state (queue, snapshots, event bookkeeping) and
-  /// bind the cluster recoveries charge against. The IMCR checkpoint
-  /// deliberately persists across solves, like the pre-engine solver.
-  void begin_solve(SimCluster& cluster);
+  /// Reset the per-solve state (queue, snapshots, event bookkeeping), bind
+  /// the cluster recoveries charge against, and bind the solve's observer
+  /// (may be null), which sees on_failure / on_recovery for every event.
+  /// The IMCR checkpoint deliberately persists across solves, like the
+  /// pre-engine solver.
+  void begin_solve(SimCluster& cluster, SolverObserver* observer = nullptr);
 
   // --- failure schedule --------------------------------------------------
   /// The first unfired event scheduled for iteration j, marked fired; null
@@ -163,7 +167,7 @@ public:
 
   // --- recovery ----------------------------------------------------------
   /// Run the full §4 protocol for one event at iteration j_fail as a
-  /// policy-driven ladder: fire the failure callback, lose the failed
+  /// policy-driven ladder: notify the observer's on_failure, lose the failed
   /// ranks' dynamic data (live state, snapshots, redundant copies), then
   /// walk the rungs the RecoveryPolicy enables —
   ///   reconstruct → older snapshot → checkpoint → shrink → scratch —
@@ -174,14 +178,14 @@ public:
   /// bounded-retry counter (RecoveryPolicy::max_attempts recoveries with
   /// no storage progress) forces the scratch rung instead of thrashing.
   /// Returns the iteration to resume from; `record` is filled with the
-  /// outcome (also appended via the recovery callback).
+  /// outcome (also passed to the observer's on_recovery).
   index_t recover(const FailureEvent& event, index_t j_fail,
                   const Client& client, RecoveryRecord& record);
 
   /// Rejoin rung: when the policy allows it, retired ranks exist, the
   /// client can re-expand, and j is a storage-cadence iteration, rebuild
-  /// onto the original full cluster and emit a rung=rejoin record (also
-  /// via the recovery callback). The strategy state (queue, snapshots,
+  /// onto the original full cluster and emit a rung=rejoin record (also to
+  /// the observer's on_recovery). The strategy state (queue, snapshots,
   /// checkpoint) is dropped — the following storage stages replenish it on
   /// the re-expanded partition. Call at the top of the storage phase.
   bool try_rejoin(index_t j, const Client& client, RecoveryRecord& record);
@@ -198,13 +202,6 @@ public:
   /// rank holding the corrupted bytes, or -1 when there is nothing to
   /// corrupt yet (no copy / no checkpoint / entry not redundantly held).
   rank_t corrupt_redundant_state(const SdcEvent& e);
-
-  void set_failure_callback(std::function<void(const FailureEvent&)> cb) {
-    on_failure_ = std::move(cb);
-  }
-  void set_recovery_callback(std::function<void(const RecoveryRecord&)> cb) {
-    on_recovery_ = std::move(cb);
-  }
 
 private:
   const StateSnapshot* find_snapshot(index_t tag) const;
@@ -227,7 +224,8 @@ private:
 
   ResilienceOptions opts_;
   Config cfg_;
-  SimCluster* cluster_ = nullptr; ///< bound by begin_solve
+  SimCluster* cluster_ = nullptr;       ///< bound by begin_solve
+  SolverObserver* observer_ = nullptr;  ///< bound by begin_solve; may be null
   RedundancyQueue queue_;
   std::vector<StateSnapshot> snapshots_; ///< oldest first
   index_t last_recoverable_ = -1;
@@ -239,8 +237,6 @@ private:
   /// store_checkpoint, or scratch restart); > policy.max_attempts forces
   /// the scratch rung.
   int retry_count_ = 0;
-  std::function<void(const FailureEvent&)> on_failure_;
-  std::function<void(const RecoveryRecord&)> on_recovery_;
 };
 
 } // namespace esrp

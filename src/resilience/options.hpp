@@ -1,8 +1,9 @@
 // Solver-agnostic resilience vocabulary: the strategy enum, the shared
-// options block every resilient solver consumes, and the per-recovery
-// record the engine hands back. Extracted from core/resilient_pcg.hpp so
-// that the classic and the pipelined distributed solvers (and any future
-// one) share one resilience surface instead of re-declaring subsets.
+// options block every resilient solver consumes, the per-recovery record
+// the engine hands back, and the result every distributed solver returns.
+// Extracted from core/resilient_pcg.hpp so that the classic and the
+// pipelined distributed solvers (and any future one) share one resilience
+// surface instead of re-declaring subsets.
 //
 // Strategies (and where they live):
 //   none — no protection. A failure without recoverable redundant state
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "common/vec.hpp"
 #include "core/reconstruction.hpp" // PrecondFormulation
 #include "netsim/failure.hpp"
 
@@ -185,6 +187,19 @@ struct SdcRecord {
   bool detected = false;
   index_t detected_at = -1; ///< iteration of the flagging residual check
   real_t discrepancy = 0;  ///< largest relative residual-norm gap observed
+};
+
+/// The result of every distributed solver (ResilientPcg, DistPipelinedPcg).
+struct ResilientSolveResult {
+  bool converged = false;
+  index_t trajectory_iterations = 0; ///< iteration index at convergence
+  index_t executed_iterations = 0;   ///< bodies executed incl. redone ones
+  real_t final_relres = 0;
+  double modeled_time = 0;           ///< cluster modeled time of this solve
+  std::vector<RecoveryRecord> recoveries;
+  std::vector<SdcRecord> sdc;        ///< one record per injected bit-flip
+  Vector x; ///< gathered solution
+  Vector r; ///< gathered recursive residual (for the drift metric, Eq. 2)
 };
 
 } // namespace esrp

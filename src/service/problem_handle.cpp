@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -27,6 +28,8 @@ std::uint64_t matrix_content_hash(const CsrMatrix& a) {
 std::string ProblemHandle::content_key(const ProblemSpec& problem,
                                        const SolverConfig& config) {
   std::ostringstream key;
+  // Round-trip precision: two distinct real parameters never share a key.
+  key << std::setprecision(17);
   if (problem.matrix_data != nullptr) {
     const CsrMatrix& a = *problem.matrix_data;
     key << "data:" << a.rows() << "x" << a.cols() << ":nnz=" << a.nnz()
@@ -43,8 +46,21 @@ std::string ProblemHandle::content_key(const ProblemSpec& problem,
   // single-domain factorization. nodes/phi only shape the former.
   const bool distributed = solver_registry().get(config.solver).distributed;
   key << "|dist=" << (distributed ? 1 : 0);
-  if (distributed)
-    key << ",nodes=" << problem.nodes << ",phi=" << config.phi;
+  if (distributed) key << ",nodes=" << problem.nodes;
+  // SolveService::solve replays the handle's config, so every SolverConfig
+  // field enters the key: a hit must hand back the configuration that was
+  // asked for, not merely compatible artifacts.
+  key << "|solver=" << config.solver << ",rtol=" << config.rtol
+      << ",maxit=" << config.max_iterations
+      << ",calibrated=" << config.calibrated_cost
+      << ",shape=" << config.cluster_shape
+      << ",strategy=" << to_string(config.strategy)
+      << ",T=" << config.interval << ",phi=" << config.phi
+      << ",queue=" << config.queue_capacity
+      << ",formulation=" << static_cast<int>(config.formulation)
+      << ",spares=" << config.spare_nodes
+      << ",rr=" << config.residual_replacement
+      << ",policy=" << config.recovery_policy;
   return key.str();
 }
 

@@ -36,7 +36,9 @@ namespace esrp {
 class ProblemHandle {
 public:
   /// The cache key for (problem, config): a readable string covering every
-  /// field the prepared artifacts depend on. Registry-built matrices key on
+  /// field the prepared artifacts depend on, plus every SolverConfig field
+  /// (solve() replays the handle's config, so a hit must carry exactly the
+  /// requested one). Registry-built matrices key on
   /// their spec string; caller-supplied matrix_data keys on shape, nnz, and
   /// an FNV-1a hash of the raw row/column/value bytes, so two different
   /// matrices never collide on shape alone (plan_cache_test pins this).

@@ -5,10 +5,7 @@
 #include "api/registry.hpp"
 #include "api/solve.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
-#include "common/vec.hpp"
 #include "parallel/parallel.hpp"
-#include "solver/batched_pcg.hpp"
 
 namespace esrp {
 
@@ -72,9 +69,6 @@ SolveSpec SolveService::assemble(const ProblemHandle& handle,
 
 SolveReport SolveService::solve(const ProblemHandle& handle, const RunSpec& run,
                                 SolverObserver* observer) const {
-  if (!run.rhs_batch.empty())
-    throw Error("RunSpec::rhs_batch is solved through "
-                "SolveService::solve_batched, not solve()");
   const SolveSpec spec = assemble(handle, run);
   validate_spec(spec);
   const std::span<const real_t> b =
@@ -83,67 +77,6 @@ SolveReport SolveService::solve(const ProblemHandle& handle, const RunSpec& run,
   const PreparedParts parts = handle.parts();
   return detail::run_resolved(spec, handle.matrix(), handle.name(), b,
                               observer, &parts);
-}
-
-std::vector<SolveReport> SolveService::solve_batched(
-    const ProblemHandle& handle, const RunSpec& run) const {
-  const SolveSpec spec = assemble(handle, run);
-  validate_spec(spec); // enforces rhs_batch shape + solver capability
-  if (spec.rhs_batch.empty())
-    throw Error("solve_batched needs RunSpec::rhs_batch (use solve() for a "
-                "single right-hand side)");
-
-  const CsrMatrix& a = handle.matrix();
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  const std::size_t k = spec.rhs_batch.size();
-  for (const Vector& b : spec.rhs_batch)
-    ESRP_CHECK_MSG(b.size() == n,
-                   "rhs_batch entries must match the matrix dimension");
-  ESRP_CHECK_MSG(spec.x0.empty() || spec.x0.size() == n,
-                 "x0 must be empty or match the matrix dimension");
-
-  const ThreadBudget budget(resolve_budget(run.threads));
-
-  // One solution buffer per system; a non-empty x0 seeds every system, the
-  // same guess the corresponding single-RHS solves would use.
-  std::vector<Vector> xs(k, Vector(n, 0));
-  if (!spec.x0.empty())
-    for (Vector& x : xs) vec_copy(spec.x0, x);
-
-  std::vector<std::span<const real_t>> b_spans;
-  std::vector<std::span<real_t>> x_spans;
-  b_spans.reserve(k);
-  x_spans.reserve(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    b_spans.emplace_back(spec.rhs_batch[j]);
-    x_spans.emplace_back(xs[j]);
-  }
-
-  PcgOptions opts;
-  opts.rtol = spec.rtol;
-  opts.max_iterations = spec.max_iterations;
-  WallTimer timer;
-  BatchedPcgResult res =
-      batched_pcg_solve(a, b_spans, x_spans, &handle.precond(), opts);
-  const double wall = timer.seconds();
-
-  std::vector<SolveReport> reports(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    SolveReport& report = reports[j];
-    report.solver = spec.solver;
-    report.precond = spec.precond;
-    report.matrix = handle.name();
-    report.rows = a.rows();
-    report.nnz = a.nnz();
-    report.converged = res.per_rhs[j].converged;
-    report.iterations = res.per_rhs[j].iterations;
-    report.executed_iterations = res.per_rhs[j].iterations;
-    report.final_relres = res.per_rhs[j].final_relres;
-    report.flops = res.per_rhs[j].flops;
-    report.wall_seconds = wall; // the batch ran as one; every report gets it
-    report.x = std::move(xs[j]);
-  }
-  return reports;
 }
 
 std::future<SolveReport> SolveService::submit(

@@ -14,11 +14,6 @@
 // as esrp::solve, injecting the prepared parts, so a service-routed solve
 // is bitwise identical to the facade (tests/service/service_parity_test).
 //
-// Batched solves: solve_batched() takes RunSpec::rhs_batch (k right-hand
-// sides) and runs the fused multi-RHS PCG (solver/batched_pcg.hpp) that
-// shares each SpMV sweep across the batch; per-RHS trajectories are
-// bitwise identical to k independent solve() calls.
-//
 // Sessions: submit() multiplexes solves onto up to max_sessions service
 // worker threads, each applying a per-session ThreadBudget
 // (parallel/parallel.hpp) instead of mutating the process-global thread
@@ -85,14 +80,6 @@ public:
   /// any number of threads may solve against the same handle.
   SolveReport solve(const ProblemHandle& handle, const RunSpec& run,
                     SolverObserver* observer = nullptr) const;
-
-  /// Run RunSpec::rhs_batch (k >= 1 right-hand sides) through the fused
-  /// multi-RHS kernel, sharing each SpMV sweep across the batch. Requires a
-  /// solver registered with supports_batched_rhs ("pcg"). Returns one
-  /// report per rhs, in batch order; each converges independently and is
-  /// bitwise identical to the corresponding single-RHS solve().
-  std::vector<SolveReport> solve_batched(const ProblemHandle& handle,
-                                         const RunSpec& run) const;
 
   /// Enqueue a solve on the session workers and return its future. The
   /// handle is held by shared_ptr for the duration (safe against cache

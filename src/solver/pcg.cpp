@@ -9,8 +9,7 @@ namespace esrp {
 
 PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
                     std::span<real_t> x, const Preconditioner* precond,
-                    const PcgOptions& opts,
-                    const IterationCallback& on_iteration) {
+                    const PcgOptions& opts, SolverObserver* observer) {
   const index_t n = a.rows();
   ESRP_CHECK(a.rows() == a.cols());
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
@@ -57,7 +56,7 @@ PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
 
   for (index_t j = 0; j < max_iter; ++j) {
     result.final_relres = rnorm / bnorm;
-    if (on_iteration) on_iteration(j, result.final_relres);
+    if (observer) observer->on_iteration(j, result.final_relres);
     if (result.final_relres < opts.rtol) {
       result.converged = true;
       result.iterations = j;

@@ -4,9 +4,9 @@
 // solver behind the examples that do not involve the simulated cluster.
 #pragma once
 
-#include <functional>
 #include <span>
 
+#include "common/observer.hpp"
 #include "common/types.hpp"
 #include "common/vec.hpp"
 #include "precond/preconditioner.hpp"
@@ -21,6 +21,7 @@ struct PcgOptions {
                                ///< floating-point drift)
 };
 
+/// The result of every sequential solver (pcg_solve, pipelined_pcg_solve).
 struct PcgResult {
   bool converged = false;
   index_t iterations = 0;
@@ -28,14 +29,12 @@ struct PcgResult {
   double flops = 0; ///< total floating-point work, for the cost model
 };
 
-/// Observer invoked once per iteration with (j, ||r||/||b||); may be empty.
-using IterationCallback = std::function<void(index_t, real_t)>;
-
 /// Solve A x = b with PCG. `x` carries the initial guess in and the solution
-/// out. `precond` may be nullptr (identity).
+/// out. `precond` may be nullptr (identity). `observer` (may be null) sees
+/// on_iteration(j, ||r||/||b||) once per iteration, converging check included.
 PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
                     std::span<real_t> x, const Preconditioner* precond,
                     const PcgOptions& opts = {},
-                    const IterationCallback& on_iteration = {});
+                    SolverObserver* observer = nullptr);
 
 } // namespace esrp

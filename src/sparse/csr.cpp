@@ -104,94 +104,6 @@ real_t CsrMatrix::spmv_dot(std::span<const real_t> x,
                          });
 }
 
-namespace {
-
-/// Shared-sweep row kernel of the multi-RHS SpMV: for each row, stream the
-/// nnz once and accumulate all k products, vectorizing lane-per-RHS (the
-/// batch dimension is contiguous in `acc`, so stripes of kSimdLanes RHS
-/// share one broadcast of the matrix value). Per RHS the additions happen in
-/// the same nnz order as spmv_rows — the lane split only decides which
-/// accumulator an addition lands in — so each output is bitwise identical to
-/// the single-RHS kernel.
-void multi_rows(const CsrMatrix& a, index_t row_begin, index_t row_end,
-                std::span<const std::span<const real_t>> xs,
-                std::span<const std::span<real_t>> ys, std::span<real_t> acc) {
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.values();
-  const std::size_t k = xs.size();
-  for (index_t i = row_begin; i < row_end; ++i) {
-    const auto b = static_cast<std::size_t>(row_ptr[i]);
-    const auto e = static_cast<std::size_t>(row_ptr[i + 1]);
-    for (std::size_t j = 0; j < k; ++j) acc[j] = 0;
-    for (std::size_t nz = b; nz < e; ++nz) {
-      const real_t v = values[nz];
-      const auto c = static_cast<std::size_t>(col_idx[nz]);
-      const Vec4 vv = Vec4::broadcast(v);
-      std::size_t j = 0;
-      for (; j + static_cast<std::size_t>(kSimdLanes) <= k;
-           j += static_cast<std::size_t>(kSimdLanes)) {
-        const Vec4 xv =
-            Vec4::set(xs[j][c], xs[j + 1][c], xs[j + 2][c], xs[j + 3][c]);
-        (Vec4::load(acc.data() + j) + vv * xv).store(acc.data() + j);
-      }
-      for (; j < k; ++j) acc[j] += v * xs[j][c];
-    }
-    for (std::size_t j = 0; j < k; ++j)
-      ys[j][static_cast<std::size_t>(i)] = acc[j];
-  }
-}
-
-} // namespace
-
-void CsrMatrix::spmv_multi(std::span<const std::span<const real_t>> xs,
-                           std::span<const std::span<real_t>> ys) const {
-  ESRP_CHECK(xs.size() == ys.size());
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    ESRP_CHECK(static_cast<index_t>(xs[j].size()) == cols_);
-    ESRP_CHECK(static_cast<index_t>(ys[j].size()) == rows_);
-  }
-  if (xs.empty()) return;
-  const index_t grain = std::max<index_t>(256, adaptive_grain(rows_, 8));
-  parallel_for(index_t{0}, rows_, grain, [&](index_t lo, index_t hi) {
-    std::vector<real_t> acc(xs.size());
-    multi_rows(*this, lo, hi, xs, ys, acc);
-  });
-}
-
-void CsrMatrix::spmv_multi_dot(std::span<const std::span<const real_t>> xs,
-                               std::span<const std::span<real_t>> ys,
-                               std::span<real_t> dots) const {
-  ESRP_CHECK_MSG(rows_ == cols_, "spmv_multi_dot requires a square matrix");
-  ESRP_CHECK(xs.size() == ys.size() && dots.size() == xs.size());
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    ESRP_CHECK(static_cast<index_t>(xs[j].size()) == cols_);
-    ESRP_CHECK(static_cast<index_t>(ys[j].size()) == rows_);
-  }
-  if (xs.empty()) return;
-  // Same structure as spmv_dot, vector-valued: rows chunked by the fixed
-  // kReduceGrain, each chunk's per-RHS dot partial produced by the
-  // lane-ordered simd_dot_chunk, partials combined componentwise in index
-  // order — per RHS exactly the reduction spmv_dot performs, hence bitwise
-  // parity.
-  using Partial = std::vector<real_t>;
-  Partial total = parallel_reduce(
-      index_t{0}, rows_, kReduceGrain, Partial(xs.size(), real_t{0}),
-      [&](index_t lo, index_t hi) {
-        Partial part(xs.size(), real_t{0});
-        std::vector<real_t> acc(xs.size());
-        multi_rows(*this, lo, hi, xs, ys, acc);
-        for (std::size_t j = 0; j < xs.size(); ++j)
-          part[j] = simd_dot_chunk(xs[j].data(), ys[j].data(), lo, hi);
-        return part;
-      },
-      [](Partial a, Partial b) {
-        for (std::size_t j = 0; j < a.size(); ++j) a[j] += b[j];
-        return a;
-      });
-  for (std::size_t j = 0; j < xs.size(); ++j) dots[j] = total[j];
-}
-
 void CsrMatrix::spmv_rows(index_t row_begin, index_t row_end,
                           std::span<const real_t> x,
                           std::span<real_t> y) const {

@@ -69,24 +69,6 @@ public:
   /// thread count (see common/fused.hpp for the determinism contract).
   real_t spmv_dot(std::span<const real_t> x, std::span<real_t> y) const;
 
-  /// Multi-RHS SpMV: ys[j] := A xs[j] for all j, streaming each matrix row
-  /// once for the whole batch (the batched-solve sweep sharing). Each
-  /// per-RHS product is computed row-exactly — the same accumulation order
-  /// as spmv(xs[j], ys[j]) — so every ys[j] is bitwise identical to the
-  /// single-RHS kernel at any thread count.
-  void spmv_multi(std::span<const std::span<const real_t>> xs,
-                  std::span<const std::span<real_t>> ys) const;
-
-  /// Multi-RHS fused SpMV + dot: ys[j] := A xs[j] and dots[j] = <xs[j],
-  /// ys[j]>, one pass over the matrix rows for the whole batch. Rows are
-  /// chunked by kReduceGrain with one independent accumulator per RHS
-  /// combined in index order, so each dots[j] is bitwise identical to
-  /// spmv_dot(xs[j], ys[j]) at every thread count — the contract the
-  /// batched PCG's per-RHS parity rests on. Requires a square matrix.
-  void spmv_multi_dot(std::span<const std::span<const real_t>> xs,
-                      std::span<const std::span<real_t>> ys,
-                      std::span<real_t> dots) const;
-
   /// y := A[row_begin:row_end, :] x — the node-local part of a distributed
   /// SpMV; `y` has row_end - row_begin entries.
   void spmv_rows(index_t row_begin, index_t row_end, std::span<const real_t> x,

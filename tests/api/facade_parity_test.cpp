@@ -74,7 +74,7 @@ TEST_F(FacadeParity, SequentialPipelined) {
 
     const BlockJacobiPreconditioner precond(a_, /*max_block_size=*/10);
     Vector x(b_.size(), 0);
-    const PipelinedPcgResult direct = pipelined_pcg_solve(a_, b_, x, &precond);
+    const PcgResult direct = pipelined_pcg_solve(a_, b_, x, &precond);
 
     SolveSpec spec;
     spec.matrix_data = &a_;
@@ -145,8 +145,8 @@ TEST_F(FacadeParity, DistPipelined) {
     const BlockRowPartition part(a_.rows(), nodes);
     SimCluster cluster(part, xp::calibrated_cost(a_, nodes));
     const BlockJacobiPreconditioner precond(a_, part, 10);
-    DistPipelinedPcg solver(a_, precond, cluster, DistPipelinedOptions{});
-    const DistPipelinedResult direct = solver.solve(b_);
+    DistPipelinedPcg solver(a_, precond, cluster, ResilienceOptions{});
+    const ResilientSolveResult direct = solver.solve(b_);
 
     SolveSpec spec;
     spec.matrix_data = &a_;

@@ -6,7 +6,9 @@
 #include <string>
 
 #include "api/registry.hpp"
+#include "api/solve.hpp"
 #include "common/error.hpp"
+#include "service/solve_service.hpp"
 
 namespace esrp {
 namespace {
@@ -76,6 +78,23 @@ TEST(BuiltinRegistries, SolverKeys) {
   EXPECT_TRUE(solver_registry().get("dist-pipelined").distributed);
   EXPECT_FALSE(solver_registry().get("pcg").distributed);
   EXPECT_FALSE(solver_registry().get("pipelined").distributed);
+}
+
+// SolveReport::wall_seconds is measured once, around the registered
+// driver: every solver reports it, on the facade and the service path.
+TEST(BuiltinRegistries, EverySolverReportsWallTime) {
+  SolveService service;
+  for (const std::string& key : solver_registry().keys()) {
+    SCOPED_TRACE(key);
+    SolveSpec spec;
+    spec.matrix = "poisson2d:8,8";
+    spec.solver = key;
+    spec.precond = "block-jacobi";
+    spec.nodes = 4;
+    EXPECT_GT(solve(spec).wall_seconds, 0);
+    const PrepareResult prep = service.prepare(spec);
+    EXPECT_GT(service.solve(*prep.handle, spec).wall_seconds, 0);
+  }
 }
 
 TEST(BuiltinRegistries, PrecondKeys) {

@@ -112,28 +112,5 @@ TEST(RunSpecLifetimeTest, AggregateSlicesToItsBases) {
   EXPECT_EQ(run.rhs.data(), spec.rhs.data());
 }
 
-TEST(RunSpecLifetimeTest, ValidateRejectsBatchOnNonBatchedSolver) {
-  const CsrMatrix a = laplace1d(16);
-  SolveSpec spec;
-  spec.matrix_data = &a;
-  spec.solver = "resilient-pcg"; // no supports_batched_rhs
-  spec.precond = "block-jacobi";
-  spec.nodes = 4;
-  spec.rhs_batch.emplace_back(16, 1.0);
-  EXPECT_THROW(validate_spec(spec), Error);
-}
-
-TEST(RunSpecLifetimeTest, ValidateRejectsRhsAndBatchTogether) {
-  const CsrMatrix a = laplace1d(16);
-  const Vector b(16, 1.0);
-  SolveSpec spec;
-  spec.matrix_data = &a;
-  spec.solver = "pcg";
-  spec.precond = "jacobi";
-  spec.rhs = b;
-  spec.rhs_batch.emplace_back(16, 1.0);
-  EXPECT_THROW(validate_spec(spec), Error);
-}
-
 } // namespace
 } // namespace esrp

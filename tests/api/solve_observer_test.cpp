@@ -1,13 +1,19 @@
 // SolverObserver semantics across the facade: on_iteration fires once per
 // executed iteration body, on_failure/on_recovery bracket every failure
 // event, and the rollback is visible as a decrease in the observed
-// iteration numbers.
+// iteration numbers. The solvers take the observer directly, so an observer
+// handed straight to ResilientPcg / DistPipelinedPcg must record exactly
+// the sequence the facade forwards.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "api/solve.hpp"
+#include "core/resilient_pcg.hpp"
+#include "netsim/cluster.hpp"
 #include "netsim/failure.hpp"
+#include "pipelined/dist_pipelined_pcg.hpp"
+#include "precond/block_jacobi.hpp"
 #include "sparse/generators.hpp"
 #include "xp/experiment.hpp"
 
@@ -33,6 +39,28 @@ public:
   std::vector<RecoveryRecord> recoveries;
 };
 
+/// Exact equality of two recorded hook sequences (same trajectory bits).
+void expect_same_sequence(const RecordingObserver& direct,
+                          const RecordingObserver& facade) {
+  EXPECT_EQ(direct.iterations, facade.iterations);
+  EXPECT_EQ(direct.relres_values, facade.relres_values);
+  ASSERT_EQ(direct.failures.size(), facade.failures.size());
+  for (std::size_t k = 0; k < direct.failures.size(); ++k) {
+    EXPECT_EQ(direct.failures[k].iteration, facade.failures[k].iteration);
+    EXPECT_EQ(direct.failures[k].ranks, facade.failures[k].ranks);
+    EXPECT_EQ(direct.failures[k].cause, facade.failures[k].cause);
+  }
+  ASSERT_EQ(direct.recoveries.size(), facade.recoveries.size());
+  for (std::size_t k = 0; k < direct.recoveries.size(); ++k) {
+    EXPECT_EQ(direct.recoveries[k].failed_at, facade.recoveries[k].failed_at);
+    EXPECT_EQ(direct.recoveries[k].restored_to,
+              facade.recoveries[k].restored_to);
+    EXPECT_EQ(direct.recoveries[k].rung, facade.recoveries[k].rung);
+    EXPECT_EQ(direct.recoveries[k].modeled_time,
+              facade.recoveries[k].modeled_time);
+  }
+}
+
 class SolveObserver : public ::testing::Test {
 protected:
   SolveObserver() : a_(poisson2d(12, 12)), b_(xp::make_rhs(a_)) {}
@@ -42,6 +70,18 @@ protected:
     spec.matrix_data = &a_;
     spec.rhs = b_;
     return spec;
+  }
+
+  /// The ResilienceOptions the facade derives from `spec`.
+  static ResilienceOptions options_for(const SolveSpec& spec) {
+    ResilienceOptions opts;
+    opts.strategy = spec.strategy;
+    opts.interval = spec.interval;
+    opts.phi = spec.phi;
+    opts.residual_replacement = spec.residual_replacement;
+    opts.extra_failures = spec.failures;
+    opts.sdc_events = spec.sdc_events;
+    return opts;
   }
 
   CsrMatrix a_;
@@ -131,6 +171,88 @@ TEST_F(SolveObserver, DistPipelinedReportsRecovery) {
   EXPECT_EQ(static_cast<index_t>(obs.iterations.size()),
             report.executed_iterations + 1);
   EXPECT_LT(obs.relres_values.back(), spec.rtol);
+}
+
+
+TEST_F(SolveObserver, DirectResilientPcgObserverMatchesFacade) {
+  SolveSpec spec = base_spec();
+  spec.solver = "resilient-pcg";
+  spec.precond = "block-jacobi";
+  spec.nodes = 6;
+  spec.strategy = Strategy::esrp;
+  spec.interval = 5;
+  spec.phi = 2;
+  spec.failures.push_back(FailureEvent{13, contiguous_ranks(1, 2, 6)});
+  spec.failures.push_back(FailureEvent{24, contiguous_ranks(4, 1, 6)});
+
+  RecordingObserver facade;
+  const SolveReport report = solve(spec, &facade);
+  ASSERT_TRUE(report.converged);
+  ASSERT_EQ(facade.failures.size(), 2u);
+
+  const BlockRowPartition part(a_.rows(), spec.nodes);
+  SimCluster cluster(part, xp::calibrated_cost(a_, spec.nodes));
+  const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
+  ResilientPcg solver(a_, precond, cluster, options_for(spec));
+  RecordingObserver direct;
+  const ResilientSolveResult res = solver.solve(b_, {}, &direct);
+  ASSERT_TRUE(res.converged);
+  expect_same_sequence(direct, facade);
+}
+
+TEST_F(SolveObserver, DirectDistPipelinedObserverMatchesFacade) {
+  SolveSpec spec = base_spec();
+  spec.solver = "dist-pipelined";
+  spec.precond = "block-jacobi";
+  spec.nodes = 6;
+  spec.strategy = Strategy::imcr;
+  spec.interval = 5;
+  spec.phi = 2;
+  spec.failures.push_back(FailureEvent{11, contiguous_ranks(1, 2, 6)});
+
+  RecordingObserver facade;
+  const SolveReport report = solve(spec, &facade);
+  ASSERT_TRUE(report.converged);
+  ASSERT_EQ(facade.recoveries.size(), 1u);
+
+  const BlockRowPartition part(a_.rows(), spec.nodes);
+  SimCluster cluster(part, xp::calibrated_cost(a_, spec.nodes));
+  const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
+  DistPipelinedPcg solver(a_, precond, cluster, options_for(spec));
+  RecordingObserver direct;
+  const ResilientSolveResult res = solver.solve(b_, &direct);
+  ASSERT_TRUE(res.converged);
+  expect_same_sequence(direct, facade);
+}
+
+// The solver itself reports an injected bit-flip as an sdc-cause failure
+// naming the corrupted entry's owner — no facade wrapper involved.
+TEST_F(SolveObserver, DirectResilientPcgReportsSdcAsFailure) {
+  SolveSpec spec = base_spec();
+  spec.solver = "resilient-pcg";
+  spec.precond = "block-jacobi";
+  spec.nodes = 6;
+  spec.residual_replacement = 5;
+  spec.sdc_events.push_back(SdcEvent{12, "p", 30, 51});
+
+  const BlockRowPartition part(a_.rows(), spec.nodes);
+  SimCluster cluster(part, xp::calibrated_cost(a_, spec.nodes));
+  const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
+  ResilientPcg solver(a_, precond, cluster, options_for(spec));
+  RecordingObserver direct;
+  const ResilientSolveResult res = solver.solve(b_, {}, &direct);
+  ASSERT_EQ(res.sdc.size(), 1u);
+  ASSERT_EQ(direct.failures.size(), 1u);
+  EXPECT_EQ(direct.failures[0].cause, FailureCause::sdc);
+  EXPECT_EQ(direct.failures[0].iteration, 12);
+  EXPECT_EQ(direct.failures[0].ranks,
+            std::vector<rank_t>{part.owner(30)});
+  EXPECT_EQ(direct.failures[0].ranks[0], res.sdc[0].rank);
+  EXPECT_TRUE(direct.recoveries.empty());
+
+  RecordingObserver facade;
+  (void)solve(spec, &facade);
+  expect_same_sequence(direct, facade);
 }
 
 } // namespace

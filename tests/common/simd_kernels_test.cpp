@@ -190,32 +190,6 @@ TEST(SimdKernels, SpmvAndSpmvDotMatchScalarRowReference) {
   }
 }
 
-TEST(SimdKernels, SpmvMultiDotMatchesSingleRhsKernels) {
-  ThreadCountGuard guard;
-  const CsrMatrix a = poisson2d(60, 60);
-  const auto n = static_cast<std::size_t>(a.rows());
-  // 5 RHS: one full lane stripe plus a tail RHS.
-  constexpr std::size_t kRhs = 5;
-  std::vector<Vector> xs, ys_multi, ys_single;
-  for (std::size_t j = 0; j < kRhs; ++j) {
-    xs.push_back(random_vector(n, 20 + j));
-    ys_multi.emplace_back(n, 0);
-    ys_single.emplace_back(n, 0);
-  }
-  for (const int threads : {1, 4}) {
-    set_num_threads(threads);
-    std::vector<std::span<const real_t>> xspans(xs.begin(), xs.end());
-    std::vector<std::span<real_t>> yspans(ys_multi.begin(), ys_multi.end());
-    Vector dots(kRhs, 0);
-    a.spmv_multi_dot(xspans, yspans, dots);
-    for (std::size_t j = 0; j < kRhs; ++j) {
-      const real_t single = a.spmv_dot(xs[j], ys_single[j]);
-      ASSERT_TRUE(bits_eq(dots[j], single)) << "rhs " << j;
-      expect_bits_eq(ys_multi[j], ys_single[j]);
-    }
-  }
-}
-
 TEST(SimdKernels, ElementwiseKernelsMatchScalarLoops) {
   ThreadCountGuard guard;
   const std::size_t n = kBig;

@@ -137,7 +137,7 @@ TEST_F(FusedSolverParity, SequentialPipelinedMatchesPreFusionPin) {
                    << "rows=" << matrix->rows() << " threads=" << g.threads);
       set_num_threads(g.threads);
       Vector x(b->size(), 0);
-      const PipelinedPcgResult r = pipelined_pcg_solve(*matrix, *b, x, &precond);
+      const PcgResult r = pipelined_pcg_solve(*matrix, *b, x, &precond);
       EXPECT_EQ(g.converged, r.converged);
       EXPECT_EQ(g.iterations, r.iterations);
       EXPECT_EQ(g.final_relres, r.final_relres);
@@ -214,7 +214,7 @@ TEST_F(FusedSolverParity, DistPipelinedMatchesPreFusionPin) {
       const BlockRowPartition part(small_.rows(), nodes);
       SimCluster cluster(part, xp::calibrated_cost(small_, nodes));
       const BlockJacobiPreconditioner precond(small_, part, 10);
-      DistPipelinedOptions opts;
+      ResilienceOptions opts;
       if (with_failure) {
         opts.strategy = Strategy::imcr;
         opts.interval = 10;
@@ -222,7 +222,7 @@ TEST_F(FusedSolverParity, DistPipelinedMatchesPreFusionPin) {
         opts.failure = FailureEvent{17, contiguous_ranks(1, 3, nodes)};
       }
       DistPipelinedPcg solver(small_, precond, cluster, opts);
-      const DistPipelinedResult r = solver.solve(b_small_);
+      const ResilientSolveResult r = solver.solve(b_small_);
       EXPECT_EQ(g.converged, r.converged);
       EXPECT_EQ(g.iterations, r.trajectory_iterations);
       EXPECT_EQ(g.final_relres, r.final_relres);
@@ -271,7 +271,7 @@ TEST_F(FusedSolverParity, FusedFlopAccountingMatchesUnfusedFormula) {
   EXPECT_EQ(spmv + 4 * n + j * (spmv + 12 * n), pcg.flops);
 
   Vector xp2(b.size(), 0);
-  const PipelinedPcgResult pipe = pipelined_pcg_solve(a, b, xp2, nullptr);
+  const PcgResult pipe = pipelined_pcg_solve(a, b, xp2, nullptr);
   ASSERT_TRUE(pipe.converged);
   const double jp = static_cast<double>(pipe.iterations);
   EXPECT_EQ(2 * spmv + (jp + 1) * 6 * n + jp * (spmv + 16 * n), pipe.flops);

@@ -27,26 +27,26 @@ struct System {
       : a(std::move(m)), b(xp::make_rhs(a)), part(a.rows(), nodes) {}
 };
 
-DistPipelinedResult run(System& s, const DistPipelinedOptions& opts,
+ResilientSolveResult run(System& s, const ResilienceOptions& opts,
                         SimCluster* cluster_out = nullptr) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   DistPipelinedPcg solver(s.a, precond, cluster, opts);
-  DistPipelinedResult res = solver.solve(s.b);
+  ResilientSolveResult res = solver.solve(s.b);
   if (cluster_out) *cluster_out = cluster;
   return res;
 }
 
 TEST(DistPipelinedEsrp, FailureFreeRunFollowsSameTrajectory) {
   System s(poisson2d(12, 12), 8);
-  const DistPipelinedResult ref = run(s, DistPipelinedOptions{});
+  const ResilientSolveResult ref = run(s, ResilienceOptions{});
 
   for (index_t T : {1, 5, 20}) {
-    DistPipelinedOptions opts;
+    ResilienceOptions opts;
     opts.strategy = Strategy::esrp;
     opts.interval = T;
     opts.phi = 2;
-    const DistPipelinedResult res = run(s, opts);
+    const ResilientSolveResult res = run(s, opts);
     ASSERT_TRUE(res.converged) << "T=" << T;
     EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
     // Storage stages only disseminate copies; the arithmetic is untouched.
@@ -56,18 +56,18 @@ TEST(DistPipelinedEsrp, FailureFreeRunFollowsSameTrajectory) {
 
 TEST(DistPipelinedEsrp, RecoversToFailureFreeTrajectory) {
   System s(poisson2d(12, 12), 8);
-  const DistPipelinedResult ref = run(s, DistPipelinedOptions{});
+  const ResilientSolveResult ref = run(s, ResilienceOptions{});
   ASSERT_TRUE(ref.converged);
   ASSERT_GT(ref.trajectory_iterations, 25);
 
   for (index_t T : {1, 5, 10}) {
-    DistPipelinedOptions opts;
+    ResilienceOptions opts;
     opts.strategy = Strategy::esrp;
     opts.interval = T;
     opts.phi = 2;
     opts.failure.iteration = 17;
     opts.failure.ranks = {2, 3};
-    const DistPipelinedResult res = run(s, opts);
+    const ResilientSolveResult res = run(s, opts);
     ASSERT_TRUE(res.converged) << "T=" << T;
     ASSERT_EQ(res.recoveries.size(), 1u);
     EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -82,13 +82,13 @@ TEST(DistPipelinedEsrp, RollsBackToFirstStorageIteration) {
   // Leading copy pairing (ref. [16]): snapshot t needs copies t and t+1,
   // so the rollback target is the *first* storage iteration of the stage.
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
   opts.failure.iteration = 17; // stage at (10, 11): target 10
   opts.failure.ranks = {1, 2};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_EQ(res.recoveries[0].restored_to, 10);
@@ -99,13 +99,13 @@ TEST(DistPipelinedEsrp, RollsBackToFirstStorageIteration) {
 
 TEST(DistPipelinedEsrp, ClassicEsrIntervalOneRollsBackOneIteration) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 1;
   opts.phi = 1;
   opts.failure.iteration = 20;
   opts.failure.ranks = {4};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -117,17 +117,17 @@ TEST(DistPipelinedEsrp, ClassicEsrIntervalOneRollsBackOneIteration) {
 
 TEST(DistPipelinedEsrp, TwoEventScheduleBothRecover) {
   System s(poisson2d(12, 12), 8);
-  const DistPipelinedResult ref = run(s, DistPipelinedOptions{});
+  const ResilientSolveResult ref = run(s, ResilienceOptions{});
   ASSERT_GT(ref.trajectory_iterations, 30);
 
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
   opts.failure.iteration = 13;
   opts.failure.ranks = {1, 2};
   opts.extra_failures.push_back(FailureEvent{28, {5, 6}});
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -143,13 +143,13 @@ TEST(DistPipelinedEsrp, TwoEventScheduleBothRecover) {
 
 TEST(DistPipelinedEsrp, PhiTwoSurvivesContiguousBlockOfTwo) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
   opts.failure.iteration = 22;
   opts.failure.ranks = contiguous_ranks(5, 2, 8); // psi = phi
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -159,13 +159,13 @@ TEST(DistPipelinedEsrp, PhiTwoSurvivesContiguousBlockOfTwo) {
 
 TEST(DistPipelinedEsrp, FailureBeforeFirstStageRestartsFromScratch) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 1;
   opts.failure.iteration = 5; // first stage completes at iteration 11
   opts.failure.ranks = {0};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -174,14 +174,14 @@ TEST(DistPipelinedEsrp, FailureBeforeFirstStageRestartsFromScratch) {
 
 TEST(DistPipelinedEsrp, StorageStagesChargeRedundancyTraffic) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
   opts.failure.iteration = 17;
   opts.failure.ranks = {3};
   SimCluster cluster(s.part);
-  const DistPipelinedResult res = run(s, opts, &cluster);
+  const ResilientSolveResult res = run(s, opts, &cluster);
   ASSERT_TRUE(res.converged);
   // The dedicated p-copy dissemination (the pipelined SpMV input is m, so
   // nothing rides the regular exchange) and the recovery gathers.
@@ -192,17 +192,17 @@ TEST(DistPipelinedEsrp, StorageStagesChargeRedundancyTraffic) {
 
 TEST(DistPipelinedEsrp, MatrixFormulationRecoversOnSameTrajectory) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions base;
+  ResilienceOptions base;
   base.strategy = Strategy::esrp;
   base.interval = 10;
   base.phi = 2;
   base.failure.iteration = 17;
   base.failure.ranks = {1, 2};
-  const DistPipelinedResult inv = run(s, base);
+  const ResilientSolveResult inv = run(s, base);
 
-  DistPipelinedOptions mat = base;
+  ResilienceOptions mat = base;
   mat.precond_formulation = PrecondFormulation::matrix;
-  const DistPipelinedResult res = run(s, mat);
+  const ResilientSolveResult res = run(s, mat);
   ASSERT_TRUE(inv.converged && res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -215,7 +215,7 @@ TEST(DistPipelinedEsrp, MatrixFormulationRecoversOnSameTrajectory) {
 /// driver routes the same direct API, so the facade solve is bitwise equal.
 TEST(DistPipelinedEsrp, FacadeDrivenEsrpSolveMatchesDirectApi) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
@@ -225,7 +225,7 @@ TEST(DistPipelinedEsrp, FacadeDrivenEsrpSolveMatchesDirectApi) {
   SimCluster cluster(s.part, xp::calibrated_cost(s.a, 8));
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   DistPipelinedPcg solver(s.a, precond, cluster, opts);
-  const DistPipelinedResult direct = solver.solve(s.b);
+  const ResilientSolveResult direct = solver.solve(s.b);
   ASSERT_TRUE(direct.converged);
   ASSERT_EQ(direct.recoveries.size(), 2u);
 

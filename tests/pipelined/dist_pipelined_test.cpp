@@ -19,7 +19,7 @@ struct System {
       : a(std::move(m)), b(xp::make_rhs(a)), part(a.rows(), nodes) {}
 };
 
-DistPipelinedResult run(System& s, DistPipelinedOptions opts,
+ResilientSolveResult run(System& s, ResilienceOptions opts,
                         CostParams cost = CostParams{}) {
   SimCluster cluster(s.part, cost);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
@@ -29,20 +29,20 @@ DistPipelinedResult run(System& s, DistPipelinedOptions opts,
 
 TEST(DistPipelined, ConvergesToCorrectSolution) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
-  const DistPipelinedResult res = run(s, opts);
+  ResilienceOptions opts;
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   EXPECT_LT(true_relative_residual(s.a, s.b, res.x), 1e-7);
 }
 
 TEST(DistPipelined, MatchesSequentialPipelinedTrajectory) {
   System s(poisson2d(10, 10), 5);
-  DistPipelinedOptions opts;
-  const DistPipelinedResult dist = run(s, opts);
+  ResilienceOptions opts;
+  const ResilientSolveResult dist = run(s, opts);
 
   BlockJacobiPreconditioner seq_p(s.a, s.part, 10);
   Vector x(s.b.size(), 0);
-  const PipelinedPcgResult seq = pipelined_pcg_solve(s.a, s.b, x, &seq_p);
+  const PcgResult seq = pipelined_pcg_solve(s.a, s.b, x, &seq_p);
   ASSERT_TRUE(dist.converged && seq.converged);
   EXPECT_NEAR(static_cast<double>(dist.trajectory_iterations),
               static_cast<double>(seq.iterations), 2);
@@ -56,7 +56,7 @@ TEST(DistPipelined, HidesReductionLatency) {
   System s(poisson2d(16, 16), 16);
   CostParams slow;
   slow.alpha_s = 1e-3; // 1 ms latency: reduction-bound regime
-  const DistPipelinedResult piped = run(s, DistPipelinedOptions{}, slow);
+  const ResilientSolveResult piped = run(s, ResilienceOptions{}, slow);
 
   SimCluster cluster(s.part, slow);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
@@ -75,17 +75,17 @@ TEST(DistPipelined, HidesReductionLatency) {
 
 TEST(DistPipelined, ImcrCheckpointRecoversExactly) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions plain;
-  const DistPipelinedResult ref = run(s, plain);
+  ResilienceOptions plain;
+  const ResilientSolveResult ref = run(s, plain);
   ASSERT_GT(ref.trajectory_iterations, 25);
 
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 2;
   opts.failure.iteration = 17;
   opts.failure.ranks = {2, 3};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -98,13 +98,13 @@ TEST(DistPipelined, ImcrCheckpointRecoversExactly) {
 
 TEST(DistPipelined, ImcrSurvivesContiguousBlockEqualToPhi) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 3;
   opts.failure.iteration = 22;
   opts.failure.ranks = contiguous_ranks(5, 3, 8); // psi = phi block
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -113,13 +113,13 @@ TEST(DistPipelined, ImcrSurvivesContiguousBlockEqualToPhi) {
 
 TEST(DistPipelined, ImcrAllBuddiesDeadFallsBackToRestart) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 1; // single buddy: killing rank s and s+1 destroys both copies
   opts.failure.iteration = 22;
   opts.failure.ranks = {4, 5};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -127,10 +127,10 @@ TEST(DistPipelined, ImcrAllBuddiesDeadFallsBackToRestart) {
 
 TEST(DistPipelined, FailureWithoutCheckpointRestarts) {
   System s(poisson2d(12, 12), 8);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.failure.iteration = 15;
   opts.failure.ranks = {1};
-  const DistPipelinedResult res = run(s, opts);
+  const ResilientSolveResult res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -142,7 +142,7 @@ TEST(DistPipelined, NoSpareRecoveryRejected) {
   System s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.spare_nodes = false;
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
@@ -152,7 +152,7 @@ TEST(DistPipelined, ResidualReplacementRejected) {
   System s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.residual_replacement = 10;
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
 }
@@ -161,7 +161,7 @@ TEST(DistPipelined, DuplicateEventIterationsRejected) {
   System s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
-  DistPipelinedOptions opts;
+  ResilienceOptions opts;
   opts.failure.iteration = 5;
   opts.failure.ranks = {0};
   opts.extra_failures.push_back(FailureEvent{5, {1}});

@@ -17,7 +17,7 @@ TEST(PipelinedPcg, SolvesLaplaceToTolerance) {
   const CsrMatrix a = laplace1d(60);
   const Vector b(60, 1);
   Vector x(60, 0);
-  const PipelinedPcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
+  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
   ASSERT_TRUE(res.converged);
   Vector ax(60);
   a.spmv(x, ax);
@@ -31,7 +31,7 @@ TEST(PipelinedPcg, MatchesClassicPcgIterationCount) {
   const Vector b(225, 1);
   Vector x1(225, 0), x2(225, 0);
   const PcgResult classic = pcg_solve(a, b, x1, nullptr);
-  const PipelinedPcgResult piped = pipelined_pcg_solve(a, b, x2, nullptr);
+  const PcgResult piped = pipelined_pcg_solve(a, b, x2, nullptr);
   ASSERT_TRUE(classic.converged && piped.converged);
   EXPECT_NEAR(static_cast<double>(piped.iterations),
               static_cast<double>(classic.iterations), 3);
@@ -44,9 +44,9 @@ TEST(PipelinedPcg, MatchesDenseSolve) {
   Vector b(30);
   for (auto& v : b) v = rng.uniform(-1, 1);
   Vector x(30, 0);
-  PipelinedPcgOptions opts;
+  PcgOptions opts;
   opts.rtol = 1e-12;
-  const PipelinedPcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
+  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
   ASSERT_TRUE(res.converged);
   const Vector x_ref = dense_solve(DenseMatrix::from_csr(a), b);
   for (std::size_t i = 0; i < 30; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
@@ -59,8 +59,8 @@ TEST(PipelinedPcg, PreconditioningReducesIterations) {
   for (auto& v : b) v = rng.uniform(-1, 1);
   BlockJacobiPreconditioner p(a, 10);
   Vector x1(b.size(), 0), x2(b.size(), 0);
-  const PipelinedPcgResult plain = pipelined_pcg_solve(a, b, x1, nullptr);
-  const PipelinedPcgResult prec = pipelined_pcg_solve(a, b, x2, &p);
+  const PcgResult plain = pipelined_pcg_solve(a, b, x1, nullptr);
+  const PcgResult prec = pipelined_pcg_solve(a, b, x2, &p);
   ASSERT_TRUE(plain.converged && prec.converged);
   EXPECT_LT(prec.iterations, plain.iterations);
 }
@@ -69,7 +69,7 @@ TEST(PipelinedPcg, ZeroRhsGivesZeroSolution) {
   const CsrMatrix a = laplace1d(8);
   const Vector b(8, 0);
   Vector x(8, 3);
-  const PipelinedPcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
+  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   for (real_t v : x) EXPECT_DOUBLE_EQ(v, 0);
 }
@@ -78,9 +78,9 @@ TEST(PipelinedPcg, MaxIterationCapHonored) {
   const CsrMatrix a = poisson2d(20, 20);
   const Vector b(400, 1);
   Vector x(400, 0);
-  PipelinedPcgOptions opts;
+  PcgOptions opts;
   opts.max_iterations = 4;
-  const PipelinedPcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
+  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 4);
 }

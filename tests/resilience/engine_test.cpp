@@ -347,20 +347,23 @@ TEST_F(EngineFixture, CallbacksFireAroundRecovery) {
   ResilienceOptions opts;
   opts.failure = FailureEvent{4, {1}};
   ResilienceEngine engine = make_engine(opts);
-  int failures = 0;
-  int recoveries = 0;
-  engine.set_failure_callback([&](const FailureEvent& e) {
-    ++failures;
-    EXPECT_EQ(e.iteration, 4);
-  });
-  engine.set_recovery_callback([&](const RecoveryRecord& rec) {
-    ++recoveries;
-    EXPECT_TRUE(rec.restarted_from_scratch);
-  });
+  struct Counter final : SolverObserver {
+    void on_failure(const FailureEvent& e) override {
+      ++failures;
+      EXPECT_EQ(e.iteration, 4);
+    }
+    void on_recovery(const RecoveryRecord& rec) override {
+      ++recoveries;
+      EXPECT_TRUE(rec.restarted_from_scratch);
+    }
+    int failures = 0;
+    int recoveries = 0;
+  } counter;
+  engine.begin_solve(cluster_, &counter);
   RecoveryRecord record;
   engine.recover(*engine.pending_event(4), 4, solver_.client(), record);
-  EXPECT_EQ(failures, 1);
-  EXPECT_EQ(recoveries, 1);
+  EXPECT_EQ(counter.failures, 1);
+  EXPECT_EQ(counter.recoveries, 1);
 }
 
 TEST_F(EngineFixture, AllRanksFailingLandsOnScratchDeterministically) {

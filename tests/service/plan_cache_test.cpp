@@ -172,6 +172,60 @@ TEST(PlanCacheTest, EvictionKeepsLiveHandlesAlive) {
   (void)second;
 }
 
+// SolveService::solve replays the handle's config, so a cache hit across
+// different SolverConfigs would silently run the first config. Every config
+// field keys the cache: these prepares miss, and each solve reports the
+// solver and strategy that were asked for.
+TEST(PlanCacheTest, EverySolverConfigFieldEntersTheKey) {
+  SolveService service;
+  ProblemSpec problem = laplace_problem("laplace1d:64");
+
+  const PrepareResult pcg = service.prepare(problem, pcg_config());
+  SolverConfig pipelined = pcg_config();
+  pipelined.solver = "pipelined";
+  const PrepareResult piped = service.prepare(problem, pipelined);
+  EXPECT_FALSE(piped.cache_hit);
+  EXPECT_NE(pcg.handle.get(), piped.handle.get());
+  EXPECT_EQ(service.solve(*pcg.handle, RunSpec{}).solver, "pcg");
+  EXPECT_EQ(service.solve(*piped.handle, RunSpec{}).solver, "pipelined");
+
+  problem.precond = "block-jacobi";
+  problem.nodes = 4;
+  SolverConfig none;
+  none.solver = "resilient-pcg";
+  none.interval = 5;
+  SolverConfig esrp = none;
+  esrp.strategy = Strategy::esrp;
+  const PrepareResult plain = service.prepare(problem, none);
+  const PrepareResult resilient = service.prepare(problem, esrp);
+  EXPECT_FALSE(resilient.cache_hit);
+  EXPECT_EQ(resilient.handle->config().strategy, Strategy::esrp);
+  RunSpec run;
+  run.failures.push_back(FailureEvent{12, {1}});
+  const SolveReport recovered = service.solve(*resilient.handle, run);
+  const SolveReport restarted = service.solve(*plain.handle, run);
+  ASSERT_EQ(recovered.recoveries.size(), 1u);
+  ASSERT_EQ(restarted.recoveries.size(), 1u);
+  EXPECT_EQ(recovered.recoveries[0].rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(restarted.recoveries[0].rung, RecoveryRung::scratch);
+
+  // Fields that shape no prepared artifact key the cache all the same.
+  const std::string base = ProblemHandle::content_key(problem, esrp);
+  SolverConfig other = esrp;
+  other.rtol = 1e-9;
+  EXPECT_NE(ProblemHandle::content_key(problem, other), base);
+  other = esrp;
+  other.interval = 7;
+  EXPECT_NE(ProblemHandle::content_key(problem, other), base);
+  other = esrp;
+  other.recovery_policy = "exact";
+  EXPECT_NE(ProblemHandle::content_key(problem, other), base);
+  other = esrp;
+  other.cluster_shape = "slow-links:factor=2";
+  EXPECT_NE(ProblemHandle::content_key(problem, other), base);
+  EXPECT_EQ(ProblemHandle::content_key(problem, esrp), base);
+}
+
 TEST(PlanCacheTest, UnknownSolverKeyThrows) {
   EXPECT_THROW(ProblemHandle::content_key(laplace_problem("laplace1d:16"),
                                           SolverConfig{.solver = "nope"}),

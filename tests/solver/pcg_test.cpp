@@ -119,18 +119,21 @@ TEST(Pcg, TightToleranceReachesNearMachinePrecision) {
   EXPECT_LT(res.final_relres, 1e-14);
 }
 
-TEST(Pcg, IterationCallbackSeesMonotoneIterationNumbers) {
+TEST(Pcg, ObserverSeesMonotoneIterationNumbers) {
   const CsrMatrix a = laplace1d(30);
   const Vector b(30, 1);
   Vector x(30, 0);
-  index_t last = -1;
-  bool monotone = true;
-  pcg_solve(a, b, x, nullptr, {}, [&](index_t j, real_t relres) {
-    monotone = monotone && (j == last + 1) && relres >= 0;
-    last = j;
-  });
-  EXPECT_TRUE(monotone);
-  EXPECT_GE(last, 0);
+  struct Monotone final : SolverObserver {
+    void on_iteration(index_t j, real_t relres) override {
+      monotone = monotone && (j == last + 1) && relres >= 0;
+      last = j;
+    }
+    index_t last = -1;
+    bool monotone = true;
+  } obs;
+  pcg_solve(a, b, x, nullptr, {}, &obs);
+  EXPECT_TRUE(obs.monotone);
+  EXPECT_GE(obs.last, 0);
 }
 
 TEST(Pcg, FlopsAccountingIsPositiveAndGrowsWithIterations) {

@@ -13,7 +13,11 @@
 #                                            # real-time deltas; a >15%
 #                                            # regression on a fused-kernel
 #                                            # measurement (name matching
-#                                            # /Fused/) is a SUMMARY FAIL
+#                                            # /Fused/) is a SUMMARY FAIL;
+#                                            # baseline rows absent from the
+#                                            # new run print as "removed",
+#                                            # and a removed /Fused/ row
+#                                            # fails as well
 #   tools/run_benches.sh --baseline auto     # same, but resolve the baseline
 #                                            # to the newest committed
 #                                            # BENCH_*.json (git ls-files);
@@ -68,7 +72,7 @@ while [[ $# -gt 0 ]]; do
         exit 2
       fi
       ;;
-    -h|--help) sed -n '2,26p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,32p' "$0"; exit 0 ;;
     *) echo "unknown option: $1 (try --help)" >&2; exit 2 ;;
   esac
 done
@@ -174,9 +178,14 @@ echo "perf snapshot: $bench_json"
 
 # Baseline compare: per-measurement real-time deltas against a previous
 # BENCH_<stamp>.json. Only the fused-kernel measurements (BM_*Fused*) gate
-# the run — they guard the PR 4 fusion wins — and only regressions beyond
-# 15% fail; everything else is informational (timings on shared runners are
+# the run — they guard the fusion wins — and only regressions beyond 15%
+# fail; everything else is informational (timings on shared runners are
 # noisy, which is also why the CI hook runs this step as non-blocking).
+# Baseline rows missing from the new snapshot print as "removed"; a removed
+# gated row fails too, so renaming or deleting it cannot disarm the gate.
+# A snapshot does not record which bench produced a row, so an --only run
+# compared against a baseline must include bench_micro_kernels, the bench
+# that emits the gated rows.
 if [[ -n "$baseline" ]]; then
   echo "--- baseline compare: $(basename "$baseline") -> $(basename "$bench_json")"
   regress_tmp=$(mktemp)
@@ -190,6 +199,7 @@ if [[ -n "$baseline" ]]; then
       sub(/,.*/, "", line)
       t = line + 0
       if (file_idx == 1) {
+        if (!(name in base)) base_order[++nb] = name
         base[name] = t
       } else if (!(name in cur)) {
         cur[name] = t
@@ -209,10 +219,21 @@ if [[ -n "$baseline" ]]; then
         if (name ~ /Fused/ && delta > 15)
           printf "%s %+0.1f%%\n", name, delta >> regress_file
       }
+      for (k = 1; k <= nb; ++k) {
+        name = base_order[k]
+        if (name in cur) continue
+        printf "%-52s %14.2f %14s %9s\n", name, base[name], "-", "removed"
+        if (name ~ /Fused/)
+          printf "%s removed\n", name >> regress_file
+      }
     }' "$baseline" "$bench_json"
   if [[ -s "$regress_tmp" ]]; then
     while read -r name delta; do
-      echo "FAIL bench-compare ($name regressed $delta vs baseline, limit +15%)" | tee -a "$out_dir/SUMMARY"
+      if [[ "$delta" == removed ]]; then
+        echo "FAIL bench-compare ($name is gated but missing from the new snapshot)" | tee -a "$out_dir/SUMMARY"
+      else
+        echo "FAIL bench-compare ($name regressed $delta vs baseline, limit +15%)" | tee -a "$out_dir/SUMMARY"
+      fi
     done < "$regress_tmp"
     status=1
   else
