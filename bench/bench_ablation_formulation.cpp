@@ -5,10 +5,10 @@
 // Compares recovery cost for both formulations across phi.
 #include <cstdio>
 
+#include "api/solve.hpp"
 #include "core/resilient_pcg.hpp"
 #include "precond/block_jacobi.hpp"
-#include "sparse/generators.hpp"
-#include "xp/experiment.hpp"
+#include "table_grid.hpp"
 #include "xp/table.hpp"
 
 namespace {
@@ -55,7 +55,7 @@ int main() {
   const Vector b = xp::make_rhs(a);
   const rank_t nodes = 32;
   const BlockRowPartition part(a.rows(), nodes);
-  const xp::Reference ref = xp::run_reference(a, b, nodes);
+  const SolveReport ref = solve(bench::paper_spec(a, b, nodes));
 
   std::printf("Reconstruction-formulation ablation on %s "
               "(%lld rows, %d nodes, ESRP T = 20, C = %lld)\n\n",
@@ -76,7 +76,7 @@ int main() {
           {std::to_string(phi),
            form == PrecondFormulation::inverse ? "inverse" : "matrix",
            xp::format_fixed(out.recovery, 4),
-           xp::format_percent(out.recovery / ref.t0_modeled),
+           xp::format_percent(out.recovery / ref.modeled_time),
            std::to_string(out.inner_precond),
            std::to_string(out.inner_matrix)});
     }

@@ -6,9 +6,9 @@
 // expected-runtime model across the paper's T grid.
 #include <cstdio>
 
+#include "api/solve.hpp"
 #include "core/interval.hpp"
-#include "sparse/generators.hpp"
-#include "xp/experiment.hpp"
+#include "table_grid.hpp"
 #include "xp/table.hpp"
 
 int main() {
@@ -17,20 +17,20 @@ int main() {
   const CsrMatrix& a = prob.matrix;
   const Vector b = xp::make_rhs(a);
   const rank_t nodes = 32;
-  const xp::Reference ref = xp::run_reference(a, b, nodes);
-  const double iter_s = ref.t0_modeled / static_cast<double>(ref.iterations);
+  const SolveSpec base = bench::paper_spec(a, b, nodes);
+  const SolveReport ref = solve(base);
+  const double iter_s = ref.modeled_time / static_cast<double>(ref.iterations);
 
   // Measure the per-stage cost delta from failure-free runs at T = 20.
   auto stage_cost = [&](Strategy strat) {
-    xp::RunConfig cfg;
-    cfg.strategy = strat;
-    cfg.interval = 20;
-    cfg.phi = 3;
-    cfg.num_nodes = nodes;
-    const xp::RunOutcome out = xp::run_experiment(a, b, cfg);
+    SolveSpec spec = base;
+    spec.strategy = strat;
+    spec.interval = 20;
+    spec.phi = 3;
+    const SolveReport out = solve(spec);
     const double stages =
         static_cast<double>(ref.iterations) / 20.0; // one stage per interval
-    return (out.modeled_time - ref.t0_modeled) / stages;
+    return (out.modeled_time - ref.modeled_time) / stages;
   };
   const double delta_esrp = stage_cost(Strategy::esrp);
   const double delta_imcr = stage_cost(Strategy::imcr);
@@ -74,7 +74,7 @@ int main() {
   for (const index_t t : {1, 20, 50, 100, 1000}) {
     const double tau = static_cast<double>(t) * iter_s;
     const double exp_rt = expected_runtime_seconds(
-        ref.t0_modeled, tau, delta_esrp, 60.0, 0.5);
+        ref.modeled_time, tau, delta_esrp, 60.0, 0.5);
     std::printf("  T = %5lld: expected runtime %.3f s\n",
                 static_cast<long long>(t), exp_rt);
   }

@@ -5,6 +5,7 @@
 // compares modeled per-iteration times on 128 nodes.
 #include <cstdio>
 
+#include "core/resilient_pcg.hpp"
 #include "pipelined/dist_pipelined_pcg.hpp"
 #include "precond/block_jacobi.hpp"
 #include "sparse/generators.hpp"

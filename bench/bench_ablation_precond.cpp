@@ -7,9 +7,9 @@
 // inner solves.
 #include <cstdio>
 
-#include "xp/experiment.hpp"
+#include "api/solve.hpp"
+#include "table_grid.hpp"
 #include "xp/table.hpp"
-#include "sparse/generators.hpp"
 
 int main() {
   using namespace esrp;
@@ -32,32 +32,27 @@ int main() {
   table.print_header();
 
   for (const index_t block : {1, 5, 10, 25, 64}) {
-    const xp::Reference ref = xp::run_reference(a, b, nodes, 1e-8, block);
+    SolveSpec spec = bench::paper_spec(a, b, nodes);
+    spec.block_size = block;
+    const SolveReport ref = solve(spec);
+    const double t0 = ref.modeled_time;
 
-    xp::RunConfig ff;
-    ff.strategy = Strategy::esrp;
-    ff.interval = interval;
-    ff.phi = phi;
-    ff.num_nodes = nodes;
-    ff.max_block_size = block;
-    const xp::RunOutcome ff_out = xp::run_experiment(a, b, ff);
+    spec.strategy = Strategy::esrp;
+    spec.interval = interval;
+    spec.phi = phi;
+    const SolveReport ff_out = solve(spec);
 
-    xp::RunConfig fail = ff;
-    fail.with_failure = true;
-    fail.psi = phi;
-    fail.failure_start = nodes / 2;
-    fail.failure_iteration =
-        xp::worst_case_failure_iteration(ref.iterations, interval);
-    const xp::RunOutcome fail_out = xp::run_experiment(a, b, fail);
+    spec.failures = {
+        FailureEvent{xp::worst_case_failure_iteration(ref.iterations, interval),
+                     contiguous_ranks(nodes / 2, phi, nodes)}};
+    const SolveReport fail_out = solve(spec);
 
     table.print_row(
         {std::to_string(block), std::to_string(ref.iterations),
-         xp::format_fixed(ref.t0_modeled, 3),
-         xp::format_percent(
-             xp::relative_overhead(ff_out.modeled_time, ref.t0_modeled)),
-         xp::format_percent(
-             xp::relative_overhead(fail_out.modeled_time, ref.t0_modeled)),
-         xp::format_percent(fail_out.recovery_time / ref.t0_modeled)});
+         xp::format_fixed(t0, 3),
+         xp::format_percent(xp::relative_overhead(ff_out.modeled_time, t0)),
+         xp::format_percent(xp::relative_overhead(fail_out.modeled_time, t0)),
+         xp::format_percent(fail_out.recovery_modeled_time() / t0)});
   }
   table.print_rule();
   std::printf("\nLarger (node-aligned) blocks act as the stronger "

@@ -6,10 +6,8 @@
 // reports the recovery outcome and cost for both capacities.
 #include <cstdio>
 
-#include "core/resilient_pcg.hpp"
-#include "precond/block_jacobi.hpp"
-#include "sparse/generators.hpp"
-#include "xp/experiment.hpp"
+#include "api/solve.hpp"
+#include "table_grid.hpp"
 #include "xp/table.hpp"
 
 int main() {
@@ -20,7 +18,8 @@ int main() {
   const Vector b = xp::make_rhs(a);
   const rank_t nodes = 24;
   const index_t interval = 20;
-  const xp::Reference ref = xp::run_reference(a, b, nodes);
+  const SolveSpec base = bench::paper_spec(a, b, nodes);
+  const SolveReport ref = solve(base);
   std::printf("Queue-capacity ablation on %s (%lld rows, C = %lld, "
               "T = %lld)\n\n",
               prob.name.c_str(), static_cast<long long>(a.rows()),
@@ -46,23 +45,19 @@ int main() {
 
   for (const auto& [label, fail_at] : scenarios) {
     for (const std::size_t capacity : {std::size_t{3}, std::size_t{2}}) {
-      xp::RunConfig cfg;
-      cfg.strategy = Strategy::esrp;
-      cfg.interval = interval;
-      cfg.phi = 2;
-      cfg.num_nodes = nodes;
-      cfg.queue_capacity = capacity;
-      cfg.with_failure = true;
-      cfg.psi = 2;
-      cfg.failure_start = 10;
-      cfg.failure_iteration = fail_at;
-      const xp::RunOutcome out = xp::run_experiment(a, b, cfg);
+      SolveSpec spec = base;
+      spec.strategy = Strategy::esrp;
+      spec.interval = interval;
+      spec.phi = 2;
+      spec.queue_capacity = capacity;
+      spec.failures = {FailureEvent{fail_at, contiguous_ranks(10, 2, nodes)}};
+      const SolveReport out = solve(spec);
       table.print_row(
           {capacity == 3 ? label : "", std::to_string(capacity),
-           out.restarted ? "RESTART" : "recovered",
-           std::to_string(out.wasted),
+           out.restarted_from_scratch() ? "RESTART" : "recovered",
+           std::to_string(out.wasted_iterations()),
            xp::format_percent(
-               xp::relative_overhead(out.modeled_time, ref.t0_modeled))});
+               xp::relative_overhead(out.modeled_time, ref.modeled_time))});
     }
   }
   table.print_rule();

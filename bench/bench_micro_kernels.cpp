@@ -202,14 +202,16 @@ void BM_FullResilientIteration(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();
   const Vector b = xp::make_rhs(a);
   for (auto _ : state) {
-    xp::RunConfig cfg;
-    cfg.strategy = Strategy::esrp;
-    cfg.interval = 20;
-    cfg.phi = 3;
-    cfg.num_nodes = 64;
-    const xp::RunOutcome out = xp::run_experiment(a, b, cfg);
+    SolveSpec spec;
+    spec.matrix_data = &a;
+    spec.rhs = b;
+    spec.nodes = 64;
+    spec.strategy = Strategy::esrp;
+    spec.interval = 20;
+    spec.phi = 3;
+    const SolveReport out = solve(spec);
     state.SetIterationTime(out.wall_seconds /
-                           static_cast<double>(out.executed));
+                           static_cast<double>(out.executed_iterations));
     benchmark::DoNotOptimize(out.modeled_time);
   }
   state.SetLabel("wall seconds per PCG iteration on 64 simulated nodes");

@@ -2,25 +2,24 @@
 
 #include <cstdio>
 
+#include "api/solve.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "xp/table.hpp"
 
 namespace esrp::bench {
 
-namespace {
-
-xp::RunConfig base_config(const GridSpec& spec, Strategy strategy,
-                          index_t interval, int phi) {
-  xp::RunConfig cfg;
-  cfg.strategy = strategy;
-  cfg.interval = interval;
-  cfg.phi = phi;
-  cfg.num_nodes = spec.num_nodes;
-  return cfg;
+SolveSpec paper_spec(const CsrMatrix& a, std::span<const real_t> b,
+                     rank_t nodes) {
+  // The SolveSpec defaults are the paper's solver, preconditioner, block
+  // size, rtol and queue capacity, with no strategy and no failure.
+  SolveSpec spec;
+  spec.matrix_data = &a;
+  spec.rhs = b;
+  spec.nodes = nodes;
+  spec.interval = 1;
+  return spec;
 }
-
-} // namespace
 
 const CellResult& GridResult::cell(Strategy s, index_t interval,
                                    int phi) const {
@@ -30,23 +29,18 @@ const CellResult& GridResult::cell(Strategy s, index_t interval,
   throw Error("grid cell not found");
 }
 
-GridResult run_grid(const TestProblem& prob, const GridSpec& spec,
-                    xp::ResultCache& cache) {
-  const CsrMatrix& a = prob.matrix;
-  const Vector b = xp::make_rhs(a);
+GridResult run_grid(const TestProblem& prob, const GridSpec& spec) {
+  const Vector b = xp::make_rhs(prob.matrix);
+  const SolveSpec base = paper_spec(prob.matrix, b, spec.num_nodes);
 
   GridResult grid;
-  // Reference run (cache it like any other config).
   {
-    xp::RunConfig cfg = base_config(spec, Strategy::none, 1, 1);
-    const xp::RunOutcome out = cache.get_or_run(a, b, prob.name, cfg);
-    ESRP_CHECK_MSG(out.converged, "reference run did not converge");
-    grid.reference.t0_modeled = out.modeled_time;
-    grid.reference.iterations = out.iterations;
-    grid.reference.drift = out.drift;
+    const SolveReport ref = solve(base);
+    ESRP_CHECK_MSG(ref.converged, "reference run did not converge");
+    grid.t0 = ref.modeled_time;
+    grid.c = ref.iterations;
+    grid.drift = ref.drift;
   }
-  const double t0 = grid.reference.t0_modeled;
-  const index_t c_ref = grid.reference.iterations;
 
   auto run_strategy = [&](Strategy strategy, index_t interval) {
     for (const int phi : spec.phis) {
@@ -55,28 +49,29 @@ GridResult run_grid(const TestProblem& prob, const GridSpec& spec,
       cell.interval = interval;
       cell.phi = phi;
 
-      // Failure-free overhead.
+      SolveSpec run = base;
+      run.strategy = strategy;
+      run.interval = interval;
+      run.phi = phi;
       {
-        xp::RunConfig cfg = base_config(spec, strategy, interval, phi);
-        const xp::RunOutcome out = cache.get_or_run(a, b, prob.name, cfg);
+        const SolveReport out = solve(run);
         ESRP_CHECK(out.converged);
         cell.failure_free_overhead =
-            xp::relative_overhead(out.modeled_time, t0);
+            xp::relative_overhead(out.modeled_time, grid.t0);
       }
       // Failures: psi = phi contiguous ranks at each location, placed two
       // iterations before the end of the interval containing C/2.
       for (const rank_t loc : spec.locations) {
-        xp::RunConfig cfg = base_config(spec, strategy, interval, phi);
-        cfg.with_failure = true;
-        cfg.psi = phi;
-        cfg.failure_start = loc;
-        cfg.failure_iteration =
-            xp::worst_case_failure_iteration(c_ref, interval);
-        const xp::RunOutcome out = cache.get_or_run(a, b, prob.name, cfg);
+        run.failures = {FailureEvent{
+            xp::worst_case_failure_iteration(grid.c, interval),
+            contiguous_ranks(loc, phi, spec.num_nodes)}};
+        const SolveReport out = solve(run);
         ESRP_CHECK(out.converged);
         cell.failure_overhead.push_back(
-            xp::relative_overhead(out.modeled_time, t0));
-        cell.reconstruction_overhead.push_back(out.recovery_time / t0);
+            xp::relative_overhead(out.modeled_time, grid.t0));
+        cell.reconstruction_overhead.push_back(out.recovery_modeled_time() /
+                                               grid.t0);
+        cell.drift.push_back(out.drift);
       }
       grid.cells.push_back(std::move(cell));
     }
@@ -95,8 +90,7 @@ void print_table(const TestProblem& prob, const GridSpec& spec,
               prob.problem_type.c_str());
   std::printf("Reference time t0 = %.3f s (modeled). The reference case "
               "takes C = %lld iterations to reach convergence.\n",
-              grid.reference.t0_modeled,
-              static_cast<long long>(grid.reference.iterations));
+              grid.t0, static_cast<long long>(grid.c));
   std::printf("All overheads are relative to t0; failures are psi = phi "
               "contiguous ranks, two iterations before the end of the "
               "interval containing C/2.\n\n");
@@ -200,6 +194,31 @@ void print_figure(const TestProblem& prob, const GridSpec& spec,
     }
     std::printf("\n");
   }
+}
+
+void print_drift_table(const std::vector<std::string>& names,
+                       const std::vector<GridResult>& grids) {
+  std::printf("Table 4: residual drift (Eq. 2). Reference: drift of all "
+              "failure-free cases (identical trajectory). Median/Minimum: "
+              "over all ESRP failure experiments of the Table-2/3 grids.\n\n");
+
+  xp::TablePrinter table({"Matrix", "Reference", "Median", "Minimum"},
+                         {24, 12, 12, 12});
+  table.print_header();
+  for (std::size_t i = 0; i < grids.size(); ++i) {
+    Vector drifts;
+    for (const CellResult& c : grids[i].cells) {
+      if (c.strategy == Strategy::esrp)
+        drifts.insert(drifts.end(), c.drift.begin(), c.drift.end());
+    }
+    table.print_row({names[i], xp::format_sci(grids[i].drift),
+                     xp::format_sci(median(drifts)),
+                     xp::format_sci(min_of(drifts))});
+  }
+  table.print_rule();
+  std::printf("\nA more positive drift means a smaller true residual "
+              "||b - A x|| (more accurate result); the minimum column is "
+              "the worst accuracy loss over all reconstructions.\n");
 }
 
 } // namespace esrp::bench

@@ -1,5 +1,5 @@
 // esrp::solve — the one entry point every consumer (esrp_cli, the examples,
-// the xp experiment harness) uses to run a solve. Dispatch goes through the
+// the benches) uses to run a solve. Dispatch goes through the
 // string-keyed registries (api/registry.hpp); the drivers call the exact
 // same solver code paths as the historical direct APIs (`pcg_solve`,
 // `pipelined_pcg_solve`, `ResilientPcg::solve`, `DistPipelinedPcg::solve`),

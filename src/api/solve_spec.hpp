@@ -5,7 +5,7 @@
 // (`ResilientSolveResult`) solver results. `esrp::solve(spec)`
 // (api/solve.hpp) dispatches through the string-keyed registries in
 // api/registry.hpp, so a new solver, preconditioner, or matrix generator
-// becomes reachable from the CLI, the examples, and the experiment harness
+// becomes reachable from the CLI, the examples, and the paper benches
 // by registering one factory.
 //
 // The spec is decomposed into three sub-structs along the service layer's

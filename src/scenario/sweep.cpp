@@ -7,6 +7,7 @@
 #include "api/registry.hpp"
 #include "api/solve.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "scenario/cluster_shape.hpp"
 #include "scenario/failure_process.hpp"
 #include "xp/experiment.hpp"
@@ -65,15 +66,13 @@ std::string SweepCell::key() const {
 
 std::uint64_t cell_seed(std::uint64_t base, const std::string& cell_key,
                         int rep) {
-  std::uint64_t h = 1469598103934665603ull ^ base;
-  const auto mix = [&h](std::uint64_t byte) {
-    h ^= byte & 0xff;
-    h *= 1099511628211ull;
-  };
-  for (const unsigned char c : cell_key) mix(c);
-  for (int shift = 0; shift < 64; shift += 8)
-    mix(static_cast<std::uint64_t>(rep) >> shift);
-  return h;
+  unsigned char rep_bytes[8]; // little-endian on every host
+  for (int i = 0; i < 8; ++i)
+    rep_bytes[i] = static_cast<unsigned char>(
+        static_cast<std::uint64_t>(rep) >> (8 * i));
+  const std::uint64_t h =
+      fnv1a(cell_key.data(), cell_key.size(), kFnvOffset ^ base);
+  return fnv1a(rep_bytes, sizeof rep_bytes, h);
 }
 
 SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {

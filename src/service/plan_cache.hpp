@@ -1,9 +1,7 @@
 // PlanCache — a keyed, thread-safe, LRU-bounded cache of prepared
-// ProblemHandles. This is the service-layer generalization of the
-// xp::ResultCache idea (xp/result_cache.hpp): where the experiment harness
-// memoizes solve *outcomes* per config hash, the plan cache memoizes the
-// expensive *preparation* artifacts (assembled matrix, communication plans,
-// factorized preconditioner) under a content key, so repeat prepares of the
+// ProblemHandles. It memoizes the expensive *preparation* artifacts
+// (assembled matrix, communication plans, factorized preconditioner) under
+// a content key, never solve outcomes, so repeat prepares of the
 // same problem re-use one handle and do zero re-factorization (counter-
 // asserted by tests/service/plan_cache_test.cpp).
 //

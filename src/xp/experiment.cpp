@@ -1,24 +1,11 @@
 #include "xp/experiment.hpp"
 
-#include <sstream>
+#include <algorithm>
 
-#include "api/solve.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace esrp::xp {
-
-std::string RunConfig::cache_key(const std::string& problem) const {
-  std::ostringstream os;
-  os << problem << '|' << to_string(strategy) << "|T=" << interval
-     << "|phi=" << phi << "|N=" << num_nodes << "|rtol=" << rtol
-     << "|bs=" << max_block_size << "|q=" << queue_capacity;
-  if (with_failure)
-    os << "|fail@" << failure_iteration << "+" << failure_start << "x" << psi;
-  else
-    os << "|nofail";
-  return os.str();
-}
 
 CostParams calibrated_cost(const CsrMatrix& a, rank_t num_nodes) {
   // Paper scale: Emilia_923 has 40.4M nnz and audikw_1 77.7M nnz on 128
@@ -41,66 +28,6 @@ Vector make_rhs(const CsrMatrix& a) {
   Vector b(static_cast<std::size_t>(a.rows()));
   for (auto& v : b) v = rng.uniform(-1, 1);
   return b;
-}
-
-RunOutcome run_experiment(const CsrMatrix& a, std::span<const real_t> b,
-                          const RunConfig& cfg) {
-  // The harness is a thin adapter over the solver facade: one RunConfig
-  // becomes one SolveSpec, and esrp::solve does the construction the
-  // harness used to open-code (partition, calibrated cluster, node-aligned
-  // block Jacobi).
-  SolveSpec spec;
-  spec.matrix_data = &a;
-  spec.rhs = b;
-  spec.solver = "resilient-pcg";
-  spec.precond = "block-jacobi";
-  spec.block_size = cfg.max_block_size;
-  spec.nodes = cfg.num_nodes;
-  spec.strategy = cfg.strategy;
-  spec.interval = cfg.interval;
-  spec.phi = cfg.phi;
-  spec.queue_capacity = cfg.queue_capacity;
-  spec.rtol = cfg.rtol;
-  if (cfg.with_failure) {
-    ESRP_CHECK_MSG(cfg.psi >= 1, "failure run needs psi >= 1");
-    ESRP_CHECK_MSG(cfg.failure_iteration >= 0,
-                   "failure run needs a failure iteration");
-    spec.failures.push_back(FailureEvent{
-        cfg.failure_iteration,
-        contiguous_ranks(cfg.failure_start, cfg.psi, cfg.num_nodes)});
-  }
-
-  const SolveReport report = esrp::solve(spec);
-
-  RunOutcome out;
-  out.converged = report.converged;
-  out.iterations = report.iterations;
-  out.executed = report.executed_iterations;
-  out.modeled_time = report.modeled_time;
-  out.wall_seconds = report.wall_seconds;
-  out.final_relres = report.final_relres;
-  out.recovery_time = report.recovery_modeled_time();
-  out.wasted = report.wasted_iterations();
-  out.restarted = report.restarted_from_scratch();
-  out.drift = report.drift;
-  return out;
-}
-
-Reference run_reference(const CsrMatrix& a, std::span<const real_t> b,
-                        rank_t num_nodes, real_t rtol,
-                        index_t max_block_size) {
-  RunConfig cfg;
-  cfg.strategy = Strategy::none;
-  cfg.num_nodes = num_nodes;
-  cfg.rtol = rtol;
-  cfg.max_block_size = max_block_size;
-  const RunOutcome out = run_experiment(a, b, cfg);
-  ESRP_CHECK_MSG(out.converged, "reference run did not converge");
-  Reference ref;
-  ref.t0_modeled = out.modeled_time;
-  ref.iterations = out.iterations;
-  ref.drift = out.drift;
-  return ref;
 }
 
 index_t worst_case_failure_iteration(index_t c, index_t interval) {

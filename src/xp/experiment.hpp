@@ -1,4 +1,5 @@
-// Experiment harness reproducing the paper's §5 protocol:
+// Experiment helpers for the paper's §5 protocol. One run is one SolveSpec
+// through esrp::solve; its SolveSpec defaults already are the paper's setup:
 //
 //  * 128 (simulated) nodes, one process per node, block Jacobi
 //    preconditioner with node-aligned blocks of size <= 10;
@@ -16,43 +17,10 @@
 //    (non-resilient) solver, in modeled time (see DESIGN.md §3.1).
 #pragma once
 
-#include <optional>
-#include <string>
-
-#include "core/resilient_pcg.hpp"
+#include "netsim/cost_model.hpp"
 #include "sparse/csr.hpp"
 
 namespace esrp::xp {
-
-struct RunConfig {
-  Strategy strategy = Strategy::none;
-  index_t interval = 1;  ///< T
-  int phi = 1;
-  rank_t num_nodes = 128;
-  real_t rtol = 1e-8;
-  index_t max_block_size = 10; ///< block Jacobi block size
-  std::size_t queue_capacity = 3;
-
-  bool with_failure = false;
-  rank_t failure_start = 0;       ///< first rank of the contiguous block
-  int psi = 0;                    ///< number of simultaneous failures
-  index_t failure_iteration = -1; ///< iteration of the event
-
-  std::string cache_key(const std::string& problem) const;
-};
-
-struct RunOutcome {
-  bool converged = false;
-  index_t iterations = 0;        ///< trajectory iteration count
-  index_t executed = 0;          ///< executed bodies (incl. redone)
-  index_t wasted = 0;            ///< rollback distance of the failure
-  double modeled_time = 0;       ///< [s]
-  double recovery_time = 0;      ///< modeled time of the recovery phase [s]
-  double wall_seconds = 0;
-  real_t final_relres = 0;
-  real_t drift = 0;              ///< residual drift, paper Eq. 2
-  bool restarted = false;        ///< recovery fell back to scratch restart
-};
 
 /// Cost model calibrated to the paper's testbed regime (DESIGN.md §3.1):
 /// per-flop and per-byte costs are inflated by the ratio between the paper's
@@ -70,20 +38,6 @@ CostParams calibrated_cost(const CsrMatrix& a, rank_t num_nodes);
 /// eigenvector of the graph-Laplacian generators) make the solve
 /// artificially easy because the residual barely sees those components.
 Vector make_rhs(const CsrMatrix& a);
-
-/// Run one configured solve on a fresh simulated cluster.
-RunOutcome run_experiment(const CsrMatrix& a, std::span<const real_t> b,
-                          const RunConfig& cfg);
-
-/// Reference (non-resilient, failure-free) run: defines t0 and C.
-struct Reference {
-  double t0_modeled = 0;
-  index_t iterations = 0; ///< C
-  real_t drift = 0;
-};
-Reference run_reference(const CsrMatrix& a, std::span<const real_t> b,
-                        rank_t num_nodes, real_t rtol = 1e-8,
-                        index_t max_block_size = 10);
 
 /// Paper §5 failure placement: the interval [mT, (m+1)T) containing C/2,
 /// two iterations before its end; clamped to [1, C-1]. For T = 1 the

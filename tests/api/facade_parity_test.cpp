@@ -29,6 +29,7 @@ constexpr int kThreadCounts[] = {1, 4};
 void expect_bitwise_equal(const Vector& direct, const Vector& facade,
                           const char* what) {
   ASSERT_EQ(direct.size(), facade.size()) << what;
+  if (direct.empty()) return; // data() may be null: memcmp(null, ..) is UB
   EXPECT_EQ(0, std::memcmp(direct.data(), facade.data(),
                            direct.size() * sizeof(real_t)))
       << what << " differs between the direct call and the facade";

@@ -33,6 +33,7 @@ Vector random_vector(std::size_t n, std::uint64_t seed) {
 
 void expect_bitwise_equal(const Vector& a, const Vector& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
+  if (a.empty()) return; // data() may be null: memcmp(null, ..) is UB
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)))
       << what << " differs from the unfused composition";
 }

@@ -4,9 +4,7 @@
 // protocol including the worst-case failure placement.
 #include <gtest/gtest.h>
 
-#include "core/metrics.hpp"
-#include "core/resilient_pcg.hpp"
-#include "precond/block_jacobi.hpp"
+#include "api/solve.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/matrix_market.hpp"
 #include "xp/experiment.hpp"
@@ -14,34 +12,50 @@
 namespace esrp {
 namespace {
 
+/// The paper's §5 run on `nodes` simulated nodes, failure-free and
+/// non-resilient (the reference): the SolveSpec defaults are the paper's
+/// setup. Tests set strategy, T, phi and failures.
+SolveSpec paper_spec(const CsrMatrix& a, const Vector& b, rank_t nodes) {
+  SolveSpec spec;
+  spec.matrix_data = &a;
+  spec.rhs = b;
+  spec.nodes = nodes;
+  spec.interval = 1;
+  return spec;
+}
+
+/// psi = phi contiguous failures from rank `start` at iteration `at`.
+SolveSpec failure_spec(const SolveSpec& base, Strategy strategy,
+                       index_t interval, int phi, rank_t start, index_t at) {
+  SolveSpec spec = base;
+  spec.strategy = strategy;
+  spec.interval = interval;
+  spec.phi = phi;
+  spec.failures = {FailureEvent{at, contiguous_ranks(start, phi, base.nodes)}};
+  return spec;
+}
+
 TEST(Integration, EmiliaLikeSmallGridFullProtocol) {
   const TestProblem prob = emilia_like(8, 8, 8); // 512 rows
   const Vector b = xp::make_rhs(prob.matrix);
   const rank_t nodes = 16;
 
-  const xp::Reference ref = xp::run_reference(prob.matrix, b, nodes);
+  const SolveSpec base = paper_spec(prob.matrix, b, nodes);
+  const SolveReport ref = solve(base);
   ASSERT_GT(ref.iterations, 30);
 
   // ESRP with the paper's protocol: failure two iterations before the end
   // of the interval containing C/2, psi = phi contiguous failures.
   for (const index_t T : {1, 10}) {
     for (const int phi : {1, 3}) {
-      xp::RunConfig cfg;
-      cfg.strategy = Strategy::esrp;
-      cfg.interval = T;
-      cfg.phi = phi;
-      cfg.num_nodes = nodes;
-      cfg.with_failure = true;
-      cfg.psi = phi;
-      cfg.failure_start = 0;
-      cfg.failure_iteration =
-          xp::worst_case_failure_iteration(ref.iterations, T);
-      const xp::RunOutcome out = xp::run_experiment(prob.matrix, b, cfg);
+      const SolveReport out = solve(failure_spec(
+          base, Strategy::esrp, T, phi, 0,
+          xp::worst_case_failure_iteration(ref.iterations, T)));
       ASSERT_TRUE(out.converged) << "T=" << T << " phi=" << phi;
-      EXPECT_FALSE(out.restarted);
+      EXPECT_FALSE(out.restarted_from_scratch());
       EXPECT_NEAR(static_cast<double>(out.iterations),
                   static_cast<double>(ref.iterations), 1);
-      EXPECT_GT(out.modeled_time, ref.t0_modeled);
+      EXPECT_GT(out.modeled_time, ref.modeled_time);
       EXPECT_LT(std::abs(out.drift), 1.0);
     }
   }
@@ -51,29 +65,17 @@ TEST(Integration, AudikwLikeSmallGridImcrVsEsrp) {
   const TestProblem prob = audikw_like(5, 5, 5); // 375 rows
   const Vector b = xp::make_rhs(prob.matrix);
   const rank_t nodes = 12;
-  const xp::Reference ref = xp::run_reference(prob.matrix, b, nodes);
+  const SolveSpec base = paper_spec(prob.matrix, b, nodes);
+  const SolveReport ref = solve(base);
+  const index_t fail_at = xp::worst_case_failure_iteration(ref.iterations, 10);
 
-  auto failure_cfg = [&](Strategy strat) {
-    xp::RunConfig cfg;
-    cfg.strategy = strat;
-    cfg.interval = 10;
-    cfg.phi = 3;
-    cfg.num_nodes = nodes;
-    cfg.with_failure = true;
-    cfg.psi = 3;
-    cfg.failure_start = static_cast<rank_t>(nodes / 2);
-    cfg.failure_iteration =
-        xp::worst_case_failure_iteration(ref.iterations, 10);
-    return cfg;
-  };
-
-  const xp::RunOutcome esrp = xp::run_experiment(prob.matrix, b,
-                                                 failure_cfg(Strategy::esrp));
-  const xp::RunOutcome imcr = xp::run_experiment(prob.matrix, b,
-                                                 failure_cfg(Strategy::imcr));
+  const SolveReport esrp = solve(
+      failure_spec(base, Strategy::esrp, 10, 3, nodes / 2, fail_at));
+  const SolveReport imcr = solve(
+      failure_spec(base, Strategy::imcr, 10, 3, nodes / 2, fail_at));
   ASSERT_TRUE(esrp.converged && imcr.converged);
-  EXPECT_FALSE(esrp.restarted);
-  EXPECT_FALSE(imcr.restarted);
+  EXPECT_FALSE(esrp.restarted_from_scratch());
+  EXPECT_FALSE(imcr.restarted_from_scratch());
   // Both preserve the trajectory. ESRP reconstruction is exact only to the
   // inner-solve tolerance, so convergence may land within one iteration of
   // the reference; IMCR restores bitwise.
@@ -82,7 +84,43 @@ TEST(Integration, AudikwLikeSmallGridImcrVsEsrp) {
   EXPECT_EQ(imcr.iterations, ref.iterations);
   // IMCR's recovery is pure data transfer; ESRP's includes inner solves —
   // the paper's observation that IMCR recovers faster.
-  EXPECT_LT(imcr.recovery_time, esrp.recovery_time);
+  EXPECT_LT(imcr.recovery_modeled_time(), esrp.recovery_modeled_time());
+}
+
+TEST(Integration, SolveSpecCellsMatchRecordedHarnessRuns) {
+  // The two failure cells of AudikwLikeSmallGridImcrVsEsrp, recorded
+  // bitwise before the harness moved onto SolveSpec. A SolveSpec that drops
+  // a field the harness used to set (interval, queue capacity, block size,
+  // failure ranks) changes at least one of these values.
+  const TestProblem prob = audikw_like(5, 5, 5);
+  const Vector b = xp::make_rhs(prob.matrix);
+  const SolveSpec base = paper_spec(prob.matrix, b, 12);
+  const SolveReport ref = solve(base);
+  EXPECT_EQ(ref.iterations, 392);
+  EXPECT_EQ(ref.modeled_time, 0x1.944ea1bc5849p+1);
+  EXPECT_EQ(ref.drift, -0x1.3e947573b6c12p-13);
+
+  struct Recorded {
+    Strategy strategy;
+    index_t executed;
+    index_t wasted;
+    double modeled_time;
+    real_t drift;
+  };
+  for (const Recorded& rec :
+       {Recorded{Strategy::esrp, 400, 7, 0x1.e5f8b6faa68acp+1,
+                 -0x1.137a62f00fd7ap-13},
+        Recorded{Strategy::imcr, 401, 8, 0x1.9fecef4fa8abdp+1,
+                 -0x1.3e947573b6c12p-13}}) {
+    const SolveReport out =
+        solve(failure_spec(base, rec.strategy, 10, 3, 6, 198));
+    SCOPED_TRACE(to_string(rec.strategy));
+    EXPECT_EQ(out.iterations, 392);
+    EXPECT_EQ(out.executed_iterations, rec.executed);
+    EXPECT_EQ(out.wasted_iterations(), rec.wasted);
+    EXPECT_EQ(out.modeled_time, rec.modeled_time);
+    EXPECT_EQ(out.drift, rec.drift);
+  }
 }
 
 TEST(Integration, OverheadShapeEsrVsEsrpVsImcr) {
@@ -92,17 +130,17 @@ TEST(Integration, OverheadShapeEsrVsEsrpVsImcr) {
   const TestProblem prob = emilia_like(8, 8, 8);
   const Vector b = xp::make_rhs(prob.matrix);
   const rank_t nodes = 16;
-  const xp::Reference ref = xp::run_reference(prob.matrix, b, nodes);
+  const SolveSpec base = paper_spec(prob.matrix, b, nodes);
+  const SolveReport ref = solve(base);
 
   auto overhead = [&](Strategy strat, index_t T, int phi) {
-    xp::RunConfig cfg;
-    cfg.strategy = strat;
-    cfg.interval = T;
-    cfg.phi = phi;
-    cfg.num_nodes = nodes;
-    const xp::RunOutcome out = xp::run_experiment(prob.matrix, b, cfg);
+    SolveSpec spec = base;
+    spec.strategy = strat;
+    spec.interval = T;
+    spec.phi = phi;
+    const SolveReport out = solve(spec);
     EXPECT_TRUE(out.converged);
-    return xp::relative_overhead(out.modeled_time, ref.t0_modeled);
+    return xp::relative_overhead(out.modeled_time, ref.modeled_time);
   };
 
   const double esr = overhead(Strategy::esrp, 1, 3);
@@ -125,14 +163,13 @@ TEST(Integration, DriftMetricMatchesPaperScale) {
   const Vector b = xp::make_rhs(prob.matrix);
   const rank_t nodes = 8;
 
-  xp::RunConfig none_cfg, esrp_cfg;
-  none_cfg.num_nodes = nodes;
-  esrp_cfg.num_nodes = nodes;
-  esrp_cfg.strategy = Strategy::esrp;
-  esrp_cfg.interval = 20;
-  esrp_cfg.phi = 2;
-  const xp::RunOutcome a = xp::run_experiment(prob.matrix, b, none_cfg);
-  const xp::RunOutcome c = xp::run_experiment(prob.matrix, b, esrp_cfg);
+  const SolveSpec none_spec = paper_spec(prob.matrix, b, nodes);
+  SolveSpec esrp_spec = none_spec;
+  esrp_spec.strategy = Strategy::esrp;
+  esrp_spec.interval = 20;
+  esrp_spec.phi = 2;
+  const SolveReport a = solve(none_spec);
+  const SolveReport c = solve(esrp_spec);
   ASSERT_TRUE(a.converged && c.converged);
   EXPECT_DOUBLE_EQ(a.drift, c.drift); // identical trajectory
 }
@@ -145,9 +182,7 @@ TEST(Integration, MatrixMarketRoundTripThroughSolver) {
   write_matrix_market_file(path, a);
   const CsrMatrix a2 = read_matrix_market_file(path);
   const Vector b = xp::make_rhs(a2);
-  xp::RunConfig cfg;
-  cfg.num_nodes = 8;
-  const xp::RunOutcome out = xp::run_experiment(a2, b, cfg);
+  const SolveReport out = solve(paper_spec(a2, b, 8));
   EXPECT_TRUE(out.converged);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
+#include "core/resilient_pcg.hpp"
 #include "pipelined/pipelined_pcg.hpp"
 #include "precond/block_jacobi.hpp"
 #include "sparse/generators.hpp"

@@ -105,6 +105,19 @@ TEST(SweepSeeds, CellSeedsAreOrderIndependentAndDistinct) {
   EXPECT_NE(a, cell_seed(43, "esrp|T=5|exponential:mean=20|h", 0));
 }
 
+TEST(SweepSeeds, CellSeedValuesArePinned) {
+  // FNV-1a from offset kFnvOffset ^ base over the key bytes, then the 8
+  // little-endian bytes of rep. Any change here reshuffles every sweep's
+  // failure schedules, so the exact values are pinned.
+  EXPECT_EQ(cell_seed(0, "", 0), 0x47fe0d7eaf8e51e3ull);
+  EXPECT_EQ(cell_seed(0x5EED, "esrp|T=20|exponential:mtbf=50|homogeneous", 0),
+            0x2261d1ada30aa240ull);
+  EXPECT_EQ(
+      cell_seed(0x5EED, "imcr|T=50|weibull|straggler:count=2,factor=4", 3),
+      0xeace274e26726f63ull);
+  EXPECT_EQ(cell_seed(42, "x", -1), 0x223b0a59bb4086fbull);
+}
+
 TEST(SweepDeterminism, SameSeedSameCsvAcrossRunsAndThreadCounts) {
   const SweepResult once = run_sweep(small_grid(), small_options());
   const SweepResult again = run_sweep(small_grid(), small_options());

@@ -227,9 +227,11 @@ TEST(PlanCacheTest, EverySolverConfigFieldEntersTheKey) {
 }
 
 TEST(PlanCacheTest, UnknownSolverKeyThrows) {
-  EXPECT_THROW(ProblemHandle::content_key(laplace_problem("laplace1d:16"),
-                                          SolverConfig{.solver = "nope"}),
-               Error);
+  SolverConfig config;
+  config.solver = "nope";
+  EXPECT_THROW(
+      ProblemHandle::content_key(laplace_problem("laplace1d:16"), config),
+      Error);
 }
 
 } // namespace

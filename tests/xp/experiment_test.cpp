@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/solve.hpp"
 #include "common/error.hpp"
 #include "sparse/generators.hpp"
 
@@ -42,22 +43,6 @@ TEST(RelativeOverhead, BasicRatios) {
   EXPECT_THROW(relative_overhead(1.0, 0.0), Error);
 }
 
-TEST(RunConfig, CacheKeyDistinguishesConfigs) {
-  RunConfig a, b;
-  a.strategy = Strategy::esrp;
-  a.interval = 20;
-  b = a;
-  EXPECT_EQ(a.cache_key("m"), b.cache_key("m"));
-  b.interval = 50;
-  EXPECT_NE(a.cache_key("m"), b.cache_key("m"));
-  b = a;
-  b.with_failure = true;
-  b.psi = 3;
-  b.failure_iteration = 58;
-  EXPECT_NE(a.cache_key("m"), b.cache_key("m"));
-  EXPECT_NE(a.cache_key("m1"), a.cache_key("m2"));
-}
-
 TEST(CalibratedCost, InflatesTowardsPaperWorkload) {
   // Small matrix -> large scale factor; costs grow proportionally.
   const CsrMatrix small = poisson2d(16, 16); // ~1.2k nnz on 128 nodes
@@ -78,67 +63,62 @@ TEST(CalibratedCost, NeverDeflatesBelowPhysical) {
 
 class ExperimentFixture : public ::testing::Test {
 protected:
-  ExperimentFixture() : a_(poisson2d(12, 12)), b_(make_rhs(a_)) {}
+  ExperimentFixture() : a_(poisson2d(12, 12)), b_(make_rhs(a_)) {
+    base_.matrix_data = &a_;
+    base_.rhs = b_;
+    base_.nodes = 8;
+    base_.interval = 1;
+  }
   CsrMatrix a_;
   Vector b_;
+  SolveSpec base_; ///< the failure-free, non-resilient reference run
 };
 
 TEST_F(ExperimentFixture, ReferenceRunConvergesAndDefinesT0) {
-  const Reference ref = run_reference(a_, b_, /*num_nodes=*/8);
-  EXPECT_GT(ref.t0_modeled, 0);
+  const SolveReport ref = solve(base_);
+  ASSERT_TRUE(ref.converged);
+  EXPECT_GT(ref.modeled_time, 0);
   EXPECT_GT(ref.iterations, 10);
 }
 
 TEST_F(ExperimentFixture, FailureFreeResilientRunCostsMoreThanReference) {
-  const Reference ref = run_reference(a_, b_, 8);
-  RunConfig cfg;
-  cfg.strategy = Strategy::esrp;
-  cfg.interval = 1;
-  cfg.phi = 3;
-  cfg.num_nodes = 8;
-  const RunOutcome out = run_experiment(a_, b_, cfg);
+  const SolveReport ref = solve(base_);
+  SolveSpec spec = base_;
+  spec.strategy = Strategy::esrp;
+  spec.interval = 1;
+  spec.phi = 3;
+  const SolveReport out = solve(spec);
   ASSERT_TRUE(out.converged);
   EXPECT_EQ(out.iterations, ref.iterations);
-  EXPECT_GT(out.modeled_time, ref.t0_modeled);
-  EXPECT_DOUBLE_EQ(out.recovery_time, 0);
-  EXPECT_EQ(out.wasted, 0);
+  EXPECT_GT(out.modeled_time, ref.modeled_time);
+  EXPECT_DOUBLE_EQ(out.recovery_modeled_time(), 0);
+  EXPECT_EQ(out.wasted_iterations(), 0);
 }
 
 TEST_F(ExperimentFixture, FailureRunReportsRecoveryAndWaste) {
-  const Reference ref = run_reference(a_, b_, 8);
-  RunConfig cfg;
-  cfg.strategy = Strategy::esrp;
-  cfg.interval = 10;
-  cfg.phi = 2;
-  cfg.num_nodes = 8;
-  cfg.with_failure = true;
-  cfg.psi = 2;
-  cfg.failure_start = 4;
-  cfg.failure_iteration = worst_case_failure_iteration(ref.iterations, 10);
-  const RunOutcome out = run_experiment(a_, b_, cfg);
+  const SolveReport ref = solve(base_);
+  SolveSpec spec = base_;
+  spec.strategy = Strategy::esrp;
+  spec.interval = 10;
+  spec.phi = 2;
+  spec.failures = {
+      FailureEvent{worst_case_failure_iteration(ref.iterations, 10),
+                   contiguous_ranks(4, 2, 8)}};
+  const SolveReport out = solve(spec);
   ASSERT_TRUE(out.converged);
-  EXPECT_FALSE(out.restarted);
-  EXPECT_GT(out.recovery_time, 0);
-  EXPECT_GT(out.wasted, 0);
-  EXPECT_GT(out.modeled_time, ref.t0_modeled);
-}
-
-TEST_F(ExperimentFixture, FailureRunWithoutIterationThrows) {
-  RunConfig cfg;
-  cfg.with_failure = true;
-  cfg.psi = 1;
-  cfg.num_nodes = 8;
-  EXPECT_THROW(run_experiment(a_, b_, cfg), Error);
+  EXPECT_FALSE(out.restarted_from_scratch());
+  EXPECT_GT(out.recovery_modeled_time(), 0);
+  EXPECT_GT(out.wasted_iterations(), 0);
+  EXPECT_GT(out.modeled_time, ref.modeled_time);
 }
 
 TEST_F(ExperimentFixture, DeterministicAcrossRepetitions) {
-  RunConfig cfg;
-  cfg.strategy = Strategy::imcr;
-  cfg.interval = 10;
-  cfg.phi = 1;
-  cfg.num_nodes = 8;
-  const RunOutcome a = run_experiment(a_, b_, cfg);
-  const RunOutcome b = run_experiment(a_, b_, cfg);
+  SolveSpec spec = base_;
+  spec.strategy = Strategy::imcr;
+  spec.interval = 10;
+  spec.phi = 1;
+  const SolveReport a = solve(spec);
+  const SolveReport b = solve(spec);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_DOUBLE_EQ(a.modeled_time, b.modeled_time);
   EXPECT_DOUBLE_EQ(a.drift, b.drift);

@@ -3,7 +3,7 @@
 #
 #   tools/run_benches.sh                     # configure+build+run everything
 #   tools/run_benches.sh --list              # print available benches
-#   tools/run_benches.sh --only bench_table2_emilia bench_fig2_emilia
+#   tools/run_benches.sh --only bench_paper_tables bench_ablation_queue
 #   tools/run_benches.sh --build-dir build-debug
 #   tools/run_benches.sh --threads 4         # kernel threads per bench
 #                                            # (0 = all hardware threads)
@@ -28,8 +28,7 @@
 # snapshot of the run — per-bench status plus every google-benchmark row —
 # is written to BENCH_<UTC timestamp>.json in the repo root so successive
 # runs accumulate a perf trajectory. The script exits nonzero iff any bench
-# failed. Table/figure benches of the same matrix share runs through the
-# xp::ResultCache, so running them together is cheaper than separately.
+# failed.
 set -euo pipefail
 
 repo_root=$(cd -- "$(dirname -- "${BASH_SOURCE[0]}")/.." && pwd)
@@ -72,7 +71,10 @@ while [[ $# -gt 0 ]]; do
         exit 2
       fi
       ;;
-    -h|--help) sed -n '2,32p' "$0"; exit 0 ;;
+    -h|--help)
+      # The leading comment block (after the shebang) is the usage text.
+      awk 'NR == 1 { next } /^#/ { sub(/^# ?/, ""); print; next } { exit }' "$0"
+      exit 0 ;;
     *) echo "unknown option: $1 (try --help)" >&2; exit 2 ;;
   esac
 done
