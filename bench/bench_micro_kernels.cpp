@@ -3,11 +3,10 @@
 // ASpMV exchanges, the block Jacobi apply, a full resilient PCG iteration,
 // checkpoint storage, one Alg. 2 state reconstruction, the thread scaling
 // of the parallel SpMV / BLAS-1 kernels (1/2/4/8 threads, operands
-// first-touched under the kernels' own partition), the SELL-C-σ SpMV vs.
-// CSR (with a SUMMARY assertion that SELL never loses), the fused
-// iteration kernels vs. their separate-kernel baselines (with a SUMMARY
-// assertion that fusion is not slower at large n), and the esrp::solve
-// facade's end-to-end dispatch overhead vs. the direct call.
+// first-touched under the kernels' own partition), the fused iteration
+// kernels vs. their separate-kernel baselines (with a SUMMARY assertion
+// that fusion is not slower at large n), and the esrp::solve facade's
+// end-to-end dispatch overhead vs. the direct call.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include "precond/jacobi.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/generators.hpp"
-#include "sparse/sell.hpp"
 #include "xp/experiment.hpp"
 
 namespace {
@@ -43,13 +41,6 @@ const CsrMatrix& test_matrix() {
 const CsrMatrix& scaling_matrix() {
   static const CsrMatrix a = poisson3d(64, 64, 64);
   return a;
-}
-
-/// SELL-C-σ mirror of scaling_matrix(), built once (the registry's
-/// `format=sell` path amortizes conversion the same way via ProblemHandle).
-const SellMatrix& sell_scaling_matrix() {
-  static const SellMatrix s(scaling_matrix(), kDefaultSellSigma);
-  return s;
 }
 
 /// First-touch operand for the scaling benches: default-initialized storage
@@ -470,86 +461,6 @@ void BM_SpmvThreadScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// --- SELL-C-σ (perf_opt acceptance: at large n the chunked, lane-parallel
-// SELL kernels must beat row-serial CSR on the same matrix while staying
-// bitwise identical — the parity side is pinned by tests/sparse/sell_test;
-// these benches plus BM_SellSpeedupAssert pin the speed side).
-
-void BM_SpmvSellThreadScaling(benchmark::State& state) {
-  const CsrMatrix& a = scaling_matrix();
-  const SellMatrix& s = sell_scaling_matrix();
-  set_num_threads(static_cast<int>(state.range(0)));
-  const Vector rhs = xp::make_rhs(a);
-  const FirstTouch x(rhs);
-  FirstTouch y(rhs.size(), 0);
-  for (auto _ : state) {
-    s.spmv(x.span(), y.span());
-    benchmark::DoNotOptimize(y.data.get());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
-  // The actual matrix stream: padded values plus the run-compressed column
-  // stream (one 32-bit base per position in packed chunks).
-  state.SetBytesProcessed(
-      state.iterations() *
-      static_cast<int64_t>(s.padded_entries() * sizeof(real_t) +
-                           s.col_stream_entries() * sizeof(std::int32_t)));
-  set_num_threads(1);
-}
-BENCHMARK(BM_SpmvSellThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SpmvDotSellFused(benchmark::State& state) {
-  const SellMatrix& s = sell_scaling_matrix();
-  set_num_threads(static_cast<int>(state.range(0)));
-  const Vector rhs = xp::make_rhs(scaling_matrix());
-  const FirstTouch p(rhs);
-  FirstTouch y(rhs.size(), 0);
-  real_t sink = 0;
-  for (auto _ : state) {
-    sink += s.spmv_dot(p.span(), y.span());
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * s.nnz());
-  set_num_threads(1);
-}
-BENCHMARK(BM_SpmvDotSellFused)->Arg(1)->Arg(4)->UseRealTime();
-
-void BM_SellSpeedupAssert(benchmark::State& state) {
-  // Best-of-5 single-thread wall time, SELL vs CSR spmv on the 1.8M-nnz
-  // stencil. The gate is deliberately below the typical measured win so it
-  // only fires on a real regression (SELL falling behind CSR), not on
-  // machine-to-machine bandwidth differences; the actual ratio lands in the
-  // label and the BENCH_*.json trajectory.
-  const CsrMatrix& a = scaling_matrix();
-  const SellMatrix& s = sell_scaling_matrix();
-  const Vector p = xp::make_rhs(a);
-  Vector y(p.size());
-
-  auto best_of = [](int reps, auto&& fn) {
-    double best = 1e300;
-    for (int i = 0; i < reps; ++i) {
-      WallTimer t;
-      fn();
-      best = std::min(best, t.seconds());
-    }
-    return best;
-  };
-
-  double csr = 0, sell = 0;
-  for (auto _ : state) {
-    csr = best_of(5, [&] { a.spmv(p, y); });
-    sell = best_of(5, [&] { s.spmv(p, y); });
-    benchmark::DoNotOptimize(y.data());
-  }
-  char label[96];
-  std::snprintf(label, sizeof label, "sell speedup %.2fx over csr spmv",
-                csr / sell);
-  state.SetLabel(label);
-  if (sell > csr)
-    state.SkipWithError(label);
-}
-BENCHMARK(BM_SellSpeedupAssert)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 /// DRAM-sized BLAS-1 operands: the old 262,144-element vectors (4 MB) fit
 /// in many LLCs, so the 1-thread numbers flattered cache bandwidth and the

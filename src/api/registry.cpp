@@ -9,7 +9,6 @@
 #include "precond/jacobi.hpp"
 #include "precond/ssor.hpp"
 #include "sparse/matrix_market.hpp"
-#include "sparse/sell.hpp"
 
 namespace esrp {
 
@@ -180,81 +179,15 @@ Registry<MatrixFactory>& matrix_registry() {
   return *reg;
 }
 
-namespace {
-
-/// Parsed form of a full matrix spec:
-///   key[:arg][;format=sell|csr][;sigma=<rows>]
-/// The base "key" or "key:arg" selects the registry factory as before;
-/// ';'-separated options tune the storage format. `format=sell` converts to
-/// SELL-C-σ (sparse/sell.hpp) and attaches the mirror to the built matrix;
-/// `sigma=` sets the sorting window and requires format=sell.
-struct MatrixSpec {
-  std::string key;
-  std::string arg;
-  bool sell = false;
-  index_t sigma = kDefaultSellSigma;
-};
-
-MatrixSpec parse_matrix_spec(const std::string& spec) {
-  MatrixSpec out;
-  const std::size_t semi = spec.find(';');
-  const std::string base = spec.substr(0, semi);
-  bool sigma_given = false;
-  std::size_t pos = semi;
-  while (pos != std::string::npos) {
-    const std::size_t next = spec.find(';', pos + 1);
-    const std::string opt =
-        spec.substr(pos + 1, next == std::string::npos ? std::string::npos
-                                                       : next - pos - 1);
-    if (opt == "format=sell") {
-      out.sell = true;
-    } else if (opt == "format=csr") {
-      out.sell = false;
-    } else if (opt.rfind("sigma=", 0) == 0) {
-      const std::string tok = opt.substr(6);
-      std::size_t used = 0;
-      index_t value = 0;
-      try {
-        value = static_cast<index_t>(std::stoll(tok, &used));
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (tok.empty() || used != tok.size() || value <= 0)
-        throw Error("matrix spec option \"sigma=\" needs a positive row "
-                    "count, got \"" +
-                    opt + "\" in \"" + spec + "\"");
-      out.sigma = value;
-      sigma_given = true;
-    } else {
-      throw Error("unknown matrix spec option \"" + opt + "\" in \"" + spec +
-                  "\" (supported: format=sell, format=csr, sigma=<rows>)");
-    }
-    pos = next;
-  }
-  if (sigma_given && !out.sell)
-    throw Error("matrix spec option \"sigma=\" requires format=sell in \"" +
-                spec + "\"");
-  const std::size_t colon = base.find(':');
-  out.key = base.substr(0, colon);
-  if (colon != std::string::npos) out.arg = base.substr(colon + 1);
-  return out;
-}
-
-} // namespace
-
 TestProblem resolve_matrix(const std::string& spec) {
-  const MatrixSpec parsed = parse_matrix_spec(spec);
-  TestProblem problem = matrix_registry().get(parsed.key)(parsed.arg);
-  if (parsed.sell)
-    problem.matrix.attach_sell(
-        std::make_shared<const SellMatrix>(problem.matrix, parsed.sigma));
-  return problem;
+  const std::size_t colon = spec.find(':');
+  const std::string arg =
+      colon == std::string::npos ? std::string() : spec.substr(colon + 1);
+  return matrix_registry().get(spec.substr(0, colon))(arg);
 }
 
 void check_matrix_key(const std::string& spec) {
-  // Parses the options too, so a malformed format=/sigma= fails up front
-  // with the same message resolve_matrix would give.
-  (void)matrix_registry().get(parse_matrix_spec(spec).key);
+  (void)matrix_registry().get(spec.substr(0, spec.find(':')));
 }
 
 } // namespace esrp

@@ -9,10 +9,9 @@
 //   matrix_registry()  — "emilia", "audikw", "poisson2d", "poisson3d",
 //                        "laplace1d", "mm"; parameterized keys take an
 //                        argument after a colon, e.g. "poisson2d:24,24",
-//                        "emilia:8,8,8", "mm:/path/to/matrix.mtx"; a
-//                        ";format=sell[;sigma=N]" suffix converts the built
-//                        matrix to SELL-C-σ (sparse/sell.hpp) for the
-//                        vectorized SpMV kernels
+//                        "emilia:8,8,8", "mm:/path/to/matrix.mtx"; the
+//                        spec splits at its first colon only, so the
+//                        argument may itself contain ':' or ';'
 //
 // Lookups of unknown keys throw esrp::Error with a "did you mean" hint and
 // the list of valid keys; duplicate registrations are rejected.
@@ -204,18 +203,17 @@ using MatrixFactory = std::function<TestProblem(const std::string& arg)>;
 
 Registry<MatrixFactory>& matrix_registry();
 
-/// Build the problem for a "key[:arg][;option]..." matrix spec. Unknown
-/// base keys throw with the "did you mean" message; malformed arguments
-/// (wrong dimension count, non-positive sizes) and unknown options throw
-/// esrp::Error. Supported options: "format=sell" attaches a SELL-C-σ mirror
-/// to the built matrix (CsrMatrix::attach_sell) so spmv/spmv_dot run the
-/// vectorized chunked kernels, "sigma=<rows>" sets its sorting window
-/// (default kDefaultSellSigma), and "format=csr" is the explicit default.
+/// Build the problem for a "key[:arg]" matrix spec, split at the first
+/// colon only: the key selects the factory and everything after the colon is
+/// its argument verbatim (a Matrix Market path may contain ':' or ';').
+/// Unknown keys throw with the "did you mean" message; malformed arguments
+/// (wrong dimension count, non-positive or non-numeric sizes, unreadable
+/// files) throw esrp::Error from the factory.
 TestProblem resolve_matrix(const std::string& spec);
 
-/// Lookup-only variant of resolve_matrix: validates the base key and the
-/// format/sigma options (throwing the same errors) without building the
-/// matrix. Lets the CLI reject typos before any expensive work.
+/// Lookup-only variant of resolve_matrix: validates the key (throwing the
+/// same error) without building the matrix or parsing its argument. Lets
+/// the CLI reject typos before any expensive work.
 void check_matrix_key(const std::string& spec);
 
 } // namespace esrp

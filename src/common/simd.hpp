@@ -51,9 +51,6 @@ struct Vec4 {
 
   static Vec4 zero() { return Vec4{native_t{0, 0, 0, 0}}; }
   static Vec4 broadcast(real_t a) { return Vec4{native_t{a, a, a, a}}; }
-  static Vec4 set(real_t l0, real_t l1, real_t l2, real_t l3) {
-    return Vec4{native_t{l0, l1, l2, l3}};
-  }
   /// Unaligned load of p[0..3].
   static Vec4 load(const real_t* p) {
     Vec4 r;
@@ -86,9 +83,6 @@ struct Vec4 {
 
   static Vec4 zero() { return Vec4{half_t{0, 0}, half_t{0, 0}}; }
   static Vec4 broadcast(real_t a) { return Vec4{half_t{a, a}, half_t{a, a}}; }
-  static Vec4 set(real_t l0, real_t l1, real_t l2, real_t l3) {
-    return Vec4{half_t{l0, l1}, half_t{l2, l3}};
-  }
   /// Unaligned load of p[0..3].
   static Vec4 load(const real_t* p) {
     Vec4 r;
@@ -126,9 +120,6 @@ struct Vec4 {
 
   static Vec4 zero() { return Vec4{{0, 0, 0, 0}}; }
   static Vec4 broadcast(real_t a) { return Vec4{{a, a, a, a}}; }
-  static Vec4 set(real_t l0, real_t l1, real_t l2, real_t l3) {
-    return Vec4{{l0, l1, l2, l3}};
-  }
   static Vec4 load(const real_t* p) { return Vec4{{p[0], p[1], p[2], p[3]}}; }
   void store(real_t* p) const { std::memcpy(p, l, sizeof(l)); }
 
@@ -159,10 +150,10 @@ inline real_t lane_ordered_sum(Vec4 a) {
 /// Lane-ordered dot product of x[lo..hi) · y[lo..hi): 4 lane accumulators
 /// over the stride-4 main loop, combined by lane_ordered_sum, then the tail
 /// (hi - lo) mod 4 elements folded serially onto the sum. This is THE
-/// canonical reduction kernel — vec_dot, vec_dot2/3, CsrMatrix::spmv_dot
-/// and SellMatrix::spmv_dot all produce their per-chunk partials with
-/// exactly this function (or this shape), which is what makes them mutually
-/// bitwise consistent.
+/// canonical reduction kernel — vec_dot, vec_dot2/3 and
+/// CsrMatrix::spmv_dot all produce their per-chunk partials with exactly
+/// this function (or this shape), which is what makes them mutually bitwise
+/// consistent.
 inline real_t simd_dot_chunk(const real_t* x, const real_t* y, index_t lo,
                              index_t hi) {
   Vec4 acc = Vec4::zero();

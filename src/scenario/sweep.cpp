@@ -50,6 +50,25 @@ index_t as_interval(const ParamValue& v) {
               to_string(v));
 }
 
+/// The sweep sets these fields itself (the problem once, the rest per
+/// solve); a value the caller put there would be silently overwritten.
+void check_base_leaves_sweep_fields_unset(const SolveSpec& base) {
+  const SolveSpec defaults;
+  const char* field = nullptr;
+  if (base.matrix_data != nullptr) field = "matrix_data";
+  else if (!base.matrix_name.empty()) field = "matrix_name";
+  else if (!base.rhs.empty()) field = "rhs";
+  else if (base.strategy != defaults.strategy) field = "strategy";
+  else if (base.interval != defaults.interval) field = "interval";
+  else if (base.cluster_shape != defaults.cluster_shape)
+    field = "cluster_shape";
+  else if (!base.failures.empty()) field = "failures";
+  if (field != nullptr)
+    throw Error(std::string("sweep base spec sets \"") + field +
+                "\", which the sweep fills in itself; leave it at its "
+                "default (use base.matrix and the grid axes instead)");
+}
+
 } // namespace
 
 std::string to_string(const ParamValue& value) {
@@ -62,6 +81,16 @@ std::string to_string(const ParamValue& value) {
 std::string SweepCell::key() const {
   return strategy + "|T=" + std::to_string(interval) + "|" + process + "|" +
          cluster;
+}
+
+SolveSpec default_sweep_spec() {
+  // The rest are SolveSpec's defaults: resilient-pcg, block-jacobi(10),
+  // rtol 1e-8, calibrated cost, the global thread count.
+  SolveSpec spec;
+  spec.matrix = "poisson2d:12,12";
+  spec.nodes = 8;
+  spec.phi = 2;
+  return spec;
 }
 
 std::uint64_t cell_seed(std::uint64_t base, const std::string& cell_key,
@@ -77,6 +106,7 @@ std::uint64_t cell_seed(std::uint64_t base, const std::string& cell_key,
 
 SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
   if (opts.repetitions < 1) throw Error("sweep needs repetitions >= 1");
+  check_base_leaves_sweep_fields_unset(opts.base);
   for (const auto& [name, values] : grid) {
     if (name != "strategy" && name != "interval" && name != "process" &&
         name != "cluster")
@@ -98,24 +128,16 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
   for (const ParamValue& v : clusters)
     check_cluster_shape_key(as_string(v, "cluster"));
 
-  const TestProblem problem = resolve_matrix(opts.matrix);
+  const TestProblem problem = resolve_matrix(opts.base.matrix);
   const Vector rhs = xp::make_rhs(problem.matrix);
 
   SweepResult result;
   result.options = opts;
 
-  SolveSpec base;
+  SolveSpec base = opts.base;
   base.matrix_data = &problem.matrix;
   base.matrix_name = problem.name;
   base.rhs = rhs;
-  base.solver = opts.solver;
-  base.precond = opts.precond;
-  base.rtol = opts.rtol;
-  base.block_size = opts.block_size;
-  base.nodes = opts.nodes;
-  base.phi = opts.phi;
-  base.calibrated_cost = opts.calibrated_cost;
-  base.threads = opts.threads;
 
   // Per-shape failure-free reference: t0 differs across shapes (accounting),
   // the trajectory must not (cost models never touch the arithmetic).
@@ -127,7 +149,8 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
     ref.cluster_shape = shape;
     const SolveReport report = solve(ref);
     if (!report.converged)
-      throw Error("sweep reference run did not converge on \"" + opts.matrix +
+      throw Error("sweep reference run did not converge on \"" +
+                  opts.base.matrix +
                   "\"");
     if (result.horizon == 0) {
       result.horizon = report.iterations;
@@ -164,7 +187,7 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
             spec.interval = cell.interval;
             spec.cluster_shape = cell.cluster;
             spec.failures = sample_failure_schedule(
-                cell.process, opts.nodes, result.horizon, seed);
+                cell.process, base.nodes, result.horizon, seed);
             const SolveReport report = solve(spec);
             sum_failures += static_cast<double>(spec.failures.size());
             if (report.converged) {
@@ -194,9 +217,9 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
 }
 
 void print_sweep_table(const SweepResult& result, std::ostream& out) {
-  out << "scenario sweep: " << result.options.matrix << ", "
-      << result.options.solver << "/" << result.options.precond << ", "
-      << result.options.nodes << " nodes, phi = " << result.options.phi
+  const SolveSpec& base = result.options.base;
+  out << "scenario sweep: " << base.matrix << ", " << base.solver << "/"
+      << base.precond << ", " << base.nodes << " nodes, phi = " << base.phi
       << ", C = " << result.horizon << ", " << result.options.repetitions
       << " reps/cell, seed = 0x" << std::hex << result.options.seed
       << std::dec << "\n";

@@ -24,6 +24,7 @@
 #include <variant>
 #include <vector>
 
+#include "api/solve_spec.hpp"
 #include "common/types.hpp"
 
 namespace esrp {
@@ -33,19 +34,18 @@ using ParamGrid = std::map<std::string, std::vector<ParamValue>>;
 
 std::string to_string(const ParamValue& value);
 
+/// The sweep's defaults for the fixed (non-axis) part of every solve.
+SolveSpec default_sweep_spec();
+
 struct SweepOptions {
-  std::string matrix = "poisson2d:12,12";
-  std::string solver = "resilient-pcg";
-  std::string precond = "block-jacobi";
-  rank_t nodes = 8;
-  int phi = 2;
+  /// Every solve of the sweep starts from this spec. `base.matrix` names
+  /// the problem (resolved once). The sweep fills in matrix_data,
+  /// matrix_name and rhs, and each solve's strategy, interval,
+  /// cluster_shape and failures; run_sweep throws esrp::Error when any of
+  /// them differs from its SolveSpec default.
+  SolveSpec base = default_sweep_spec();
   int repetitions = 5;
   std::uint64_t seed = 0x5CE9A210u;
-  real_t rtol = 1e-8;
-  index_t block_size = 10;
-  bool calibrated_cost = true;
-  /// Kernel threads per solve (-1 = keep the global setting).
-  int threads = -1;
 };
 
 /// Aggregated outcome of one grid cell.

@@ -7,7 +7,6 @@
 #include "common/simd.hpp"
 #include "parallel/parallel.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/sell.hpp"
 
 namespace esrp {
 
@@ -63,13 +62,6 @@ real_t CsrMatrix::at(index_t i, index_t j) const {
 void CsrMatrix::spmv(std::span<const real_t> x, std::span<real_t> y) const {
   ESRP_CHECK(static_cast<index_t>(x.size()) == cols_);
   ESRP_CHECK(static_cast<index_t>(y.size()) == rows_);
-  // An attached SELL-C-σ mirror computes each row's sum in the same column
-  // order as the loop below (sparse/sell.hpp), so routing through it changes
-  // speed, not bits.
-  if (sell_ != nullptr) {
-    sell_->spmv(x, y);
-    return;
-  }
   // Row-range partitioning: each chunk owns a disjoint slice of y and every
   // row is computed exactly as in the serial loop, so the product is bitwise
   // identical at any thread count. The grain floor keeps short rows from
@@ -87,9 +79,6 @@ real_t CsrMatrix::spmv_dot(std::span<const real_t> x,
   ESRP_CHECK_MSG(rows_ == cols_, "spmv_dot requires a square matrix");
   ESRP_CHECK(static_cast<index_t>(x.size()) == cols_);
   ESRP_CHECK(static_cast<index_t>(y.size()) == rows_);
-  // Same bitwise contract as spmv's routing: the mirror's fused kernel uses
-  // the identical row chunking and lane-ordered dot below.
-  if (sell_ != nullptr) return sell_->spmv_dot(x, y);
   // The row chunking must equal vec_dot's kReduceGrain index chunking (not
   // spmv's adaptive grain), and the per-chunk dot must be the lane-ordered
   // simd_dot_chunk: the dot partials are then the same sums in the same

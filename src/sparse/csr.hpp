@@ -3,7 +3,6 @@
 // this is relied upon by the plan builders and submatrix extraction.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -11,8 +10,6 @@
 #include "common/vec.hpp"
 
 namespace esrp {
-
-class SellMatrix;
 
 class CsrMatrix {
 public:
@@ -30,25 +27,7 @@ public:
   std::span<const index_t> row_ptr() const { return row_ptr_; }
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const real_t> values() const { return values_; }
-  /// Mutable values. Detaches any attached SELL-C-σ mirror: the mirror
-  /// copies the values at conversion time, so it would silently serve stale
-  /// numbers after an in-place edit.
-  std::span<real_t> values_mut() {
-    sell_.reset();
-    return values_;
-  }
-
-  /// Attach a SELL-C-σ mirror of this matrix (sparse/sell.hpp). While
-  /// attached, spmv and spmv_dot route through the mirror's chunked kernels
-  /// — bitwise identical to the CSR kernels, so every solver accelerates
-  /// transparently. The mirror must have been built from this matrix's
-  /// current values; values_mut() detaches it. Copies of the matrix share
-  /// the (immutable) mirror.
-  void attach_sell(std::shared_ptr<const SellMatrix> sell) {
-    sell_ = std::move(sell);
-  }
-  /// The attached SELL-C-σ mirror, or null.
-  const SellMatrix* sell() const { return sell_.get(); }
+  std::span<real_t> values_mut() { return values_; }
 
   /// Column indices of row i (sorted ascending).
   std::span<const index_t> row_cols(index_t i) const;
@@ -109,8 +88,6 @@ private:
   std::vector<index_t> row_ptr_;
   std::vector<index_t> col_idx_;
   std::vector<real_t> values_;
-  /// Optional SELL-C-σ mirror of the same matrix (see attach_sell).
-  std::shared_ptr<const SellMatrix> sell_;
 };
 
 /// Scaled identity as CSR (used in tests and as a trivial preconditioner

@@ -44,11 +44,18 @@ CsrMatrix read_matrix_market(std::istream& in) {
   while (std::getline(in, line)) {
     if (!line.empty() && line[0] != '%') break;
   }
+  // Exactly three integers "rows cols nnz": a missing or non-numeric field,
+  // or anything after nnz, would otherwise load a silently wrong matrix.
   std::istringstream sizes(line);
-  index_t rows = 0, cols = 0;
-  std::size_t entries = 0;
-  sizes >> rows >> cols >> entries;
-  ESRP_CHECK_MSG(rows > 0 && cols > 0, "invalid size line: " << line);
+  index_t rows = 0, cols = 0, nnz = 0;
+  std::string trailing;
+  const bool parsed = static_cast<bool>(sizes >> rows >> cols >> nnz) &&
+                      !(sizes >> trailing);
+  ESRP_CHECK_MSG(parsed && rows > 0 && cols > 0 && nnz >= 0,
+                 "invalid size line \"" << line
+                                        << "\": expected \"rows cols nnz\" "
+                                           "with rows, cols > 0, nnz >= 0");
+  const auto entries = static_cast<std::size_t>(nnz);
 
   CooBuilder builder(rows, cols);
   std::size_t seen = 0;

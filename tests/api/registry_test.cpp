@@ -9,6 +9,8 @@
 #include "api/solve.hpp"
 #include "common/error.hpp"
 #include "service/solve_service.hpp"
+#include "sparse/generators.hpp"
+#include "sparse/matrix_market.hpp"
 
 namespace esrp {
 namespace {
@@ -136,6 +138,29 @@ TEST(MatrixResolve, MalformedArguments) {
   EXPECT_THROW(resolve_matrix("poisson2d:4,-4"), Error); // negative
   EXPECT_THROW(resolve_matrix("mm"), Error);             // missing path
   EXPECT_THROW(resolve_matrix("mm:/does/not/exist.mtx"), Error);
+}
+
+TEST(MatrixResolve, MatrixMarketPathMayContainSemicolons) {
+  // The spec splits at its first colon only; the rest is the file path
+  // verbatim, ';' included.
+  const std::string path = testing::TempDir() + "/esrp_registry;a;b.mtx";
+  write_matrix_market_file(path, laplace1d(7));
+  const TestProblem p = resolve_matrix("mm:" + path);
+  EXPECT_EQ(p.name, path);
+  EXPECT_EQ(p.matrix.rows(), 7);
+  EXPECT_EQ(p.matrix.nnz(), laplace1d(7).nnz());
+  EXPECT_DOUBLE_EQ(p.matrix.at(3, 2), -1);
+}
+
+TEST(MatrixResolve, LeftoverStorageOptionsAreRejected) {
+  // A ';' suffix is part of the factory's argument, so it must fail the
+  // argument parse, never be silently ignored.
+  for (const std::string base : {"poisson2d:8,8", "emilia:4,4,4",
+                                 "laplace1d:16"}) {
+    for (const std::string suffix : {";format=sell", ";sigma=64"}) {
+      EXPECT_THROW(resolve_matrix(base + suffix), Error) << base + suffix;
+    }
+  }
 }
 
 TEST(MatrixResolve, UnknownKeySuggests) {

@@ -9,18 +9,19 @@
 
 #include "common/error.hpp"
 #include "scenario/sweep.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
 
 SweepOptions small_options() {
   SweepOptions opts;
-  opts.matrix = "poisson2d:10,10";
-  opts.nodes = 6;
-  opts.phi = 2;
+  opts.base.matrix = "poisson2d:10,10";
+  opts.base.nodes = 6;
+  opts.base.phi = 2;
   opts.repetitions = 2;
   opts.seed = 42;
-  opts.threads = 1;
+  opts.base.threads = 1;
   return opts;
 }
 
@@ -68,6 +69,21 @@ TEST(SweepValidation, RejectsMalformedGridsBeforeAnySolve) {
   SweepOptions bad_reps = small_options();
   bad_reps.repetitions = 0;
   EXPECT_THROW(run_sweep(small_grid(), bad_reps), Error);
+}
+
+TEST(SweepValidation, RejectsBaseFieldsTheSweepOverwrites) {
+  const CsrMatrix a = poisson2d(4, 4);
+  const Vector b(16, 1.0);
+  std::vector<SweepOptions> bad(7, small_options());
+  bad[0].base.matrix_data = &a;
+  bad[1].base.matrix_name = "custom";
+  bad[2].base.rhs = b;
+  bad[3].base.strategy = Strategy::esrp;
+  bad[4].base.interval = 7;
+  bad[5].base.cluster_shape = "straggler:factor=2";
+  bad[6].base.failures = {FailureEvent{3, {1}}};
+  for (const SweepOptions& opts : bad)
+    EXPECT_THROW(run_sweep(small_grid(), opts), Error);
 }
 
 TEST(SweepCells, EnumeratesTheFullCrossProduct) {
@@ -124,7 +140,7 @@ TEST(SweepDeterminism, SameSeedSameCsvAcrossRunsAndThreadCounts) {
   EXPECT_EQ(sweep_csv(once), sweep_csv(again));
 
   SweepOptions threaded = small_options();
-  threaded.threads = 4;
+  threaded.base.threads = 4;
   const SweepResult parallel = run_sweep(small_grid(), threaded);
   // The distributed solvers are bitwise deterministic across thread counts
   // (fixed-grain reductions), so the whole table is too.

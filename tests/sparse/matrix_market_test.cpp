@@ -59,6 +59,19 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
   EXPECT_THROW(read_matrix_market(in), Error);
 }
 
+TEST(MatrixMarket, RejectsMalformedSizeLine) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  for (const std::string size_line :
+       {"3 3", "3 3 x", "3 3 1 7", "3", "0 3 0", "3 0 0", "-3 3 0",
+        "3 3 -1", "3.5 3 1", "3 3 1.5"}) {
+    std::istringstream in(banner + size_line + "\n1 1 1.0\n");
+    EXPECT_THROW(read_matrix_market(in), Error) << "\"" << size_line << "\"";
+  }
+  // Trailing whitespace after the three integers is fine.
+  std::istringstream ok(banner + "3 3 1 \t\n1 1 1.0\n");
+  EXPECT_EQ(read_matrix_market(ok).nnz(), 1);
+}
+
 TEST(MatrixMarket, RoundTripPreservesMatrix) {
   const CsrMatrix a = banded_spd(25, 4, 0.5, /*seed=*/77);
   std::ostringstream out;

@@ -226,8 +226,7 @@ const std::vector<TokenRule>& token_rules() {
 /// fp-accumulate *loop* detector (per-row / per-element sums that feed
 /// per-index outputs, plus the reduction kernels themselves). This covers
 /// the SIMD lane kernels (src/common/simd.hpp — Vec4 accumulators combined
-/// in the fixed (l0+l1)+(l2+l3) lane order) and the SELL-C-σ chunk kernels
-/// (src/sparse/sell.cpp — per-lane row sums scattered back per index).
+/// in the fixed (l0+l1)+(l2+l3) lane order).
 bool fp_loop_exempt_dir(const std::string& rel) {
   return path_starts_with(rel, "src/common/") ||
          path_starts_with(rel, "src/parallel/") ||

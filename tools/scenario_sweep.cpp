@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,21 +56,39 @@ constexpr OptionSpec kOptions[] = {
      "axis: cluster-shape spec, e.g. homogeneous |\n"
      "                    straggler:factor=4 (repeatable; default:\n"
      "                    homogeneous, straggler:count=1,factor=4)"},
-    {"--matrix", "M", false, "problem (default poisson2d:12,12)"},
-    {"--solver", "S", false, "distributed solver (default resilient-pcg)"},
-    {"--precond", "P", false, "preconditioner (default block-jacobi)"},
-    {"--nodes", "N", false, "simulated cluster size (default 8)"},
-    {"--phi", "P", false, "redundant copies (default 2)"},
-    {"--reps", "R", false, "repetitions per grid cell (default 5)"},
-    {"--seed", "N", false, "base seed (default 0x5CE9A210)"},
-    {"--rtol", "X", false, "convergence tolerance (default 1e-8)"},
-    {"--block-size", "B", false, "block Jacobi block size (default 10)"},
+    {"--matrix", "M", false, "problem"},
+    {"--solver", "S", false, "distributed solver"},
+    {"--precond", "P", false, "preconditioner"},
+    {"--nodes", "N", false, "simulated cluster size"},
+    {"--phi", "P", false, "redundant copies"},
+    {"--reps", "R", false, "repetitions per grid cell"},
+    {"--seed", "N", false, "base seed"},
+    {"--rtol", "X", false, "convergence tolerance"},
+    {"--block-size", "B", false, "block Jacobi block size"},
     {"--threads", "N", false,
      "kernel threads (default $ESRP_NUM_THREADS or 1;\n"
      "                    0 = all hardware threads)"},
     {"--csv", "FILE", false, "also write the machine-readable table"},
     {"--quiet", nullptr, false, "suppress the console table (CSV to stdout)"},
 };
+
+/// The default --help shows for a scalar flag, read from SweepOptions so
+/// that default_sweep_spec() is the one place the defaults are written.
+/// Empty for flags whose help text says it already.
+std::string default_text(const std::string& flag) {
+  const SweepOptions d;
+  std::ostringstream s;
+  if (flag == "--matrix") s << d.base.matrix;
+  else if (flag == "--solver") s << d.base.solver;
+  else if (flag == "--precond") s << d.base.precond;
+  else if (flag == "--nodes") s << d.base.nodes;
+  else if (flag == "--phi") s << d.base.phi;
+  else if (flag == "--reps") s << d.repetitions;
+  else if (flag == "--seed") s << "0x" << std::uppercase << std::hex << d.seed;
+  else if (flag == "--rtol") s << d.base.rtol;
+  else if (flag == "--block-size") s << d.base.block_size;
+  return s.str();
+}
 
 [[noreturn]] void usage(const char* msg = nullptr, int code = 2) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
@@ -78,7 +97,10 @@ constexpr OptionSpec kOptions[] = {
   for (const OptionSpec& o : kOptions) {
     char label[32];
     std::snprintf(label, sizeof label, "%s %s", o.flag, o.arg ? o.arg : "");
-    std::fprintf(out, "  %-17s %s\n", label, o.help);
+    const std::string fallback = default_text(o.flag);
+    std::fprintf(out, "  %-17s %s%s\n", label, o.help,
+                 fallback.empty() ? ""
+                                  : (" (default " + fallback + ")").c_str());
   }
   std::exit(code);
 }
@@ -136,34 +158,38 @@ int main(int argc, char** argv) {
       scalar[key] = value;
   }
 
-  auto get = [&](const char* key, const char* fallback) {
+  // Flags overwrite the SweepOptions defaults; an absent flag keeps them.
+  auto given = [&](const char* key) -> const std::string* {
     const auto it = scalar.find(key);
-    return it == scalar.end() ? std::string(fallback) : it->second;
+    return it == scalar.end() ? nullptr : &it->second;
   };
 
   SweepOptions opts;
-  opts.matrix = get("--matrix", "poisson2d:12,12");
-  opts.solver = get("--solver", "resilient-pcg");
-  opts.precond = get("--precond", "block-jacobi");
-  opts.nodes =
-      static_cast<rank_t>(parse_int(get("--nodes", "8"), "--nodes"));
-  opts.phi = static_cast<int>(parse_int(get("--phi", "2"), "--phi"));
-  opts.repetitions =
-      static_cast<int>(parse_int(get("--reps", "5"), "--reps"));
-  opts.rtol = parse_double(get("--rtol", "1e-8"), "--rtol");
-  opts.block_size = static_cast<index_t>(
-      parse_int(get("--block-size", "10"), "--block-size"));
-  if (scalar.count("--seed")) {
-    const std::string& text = scalar.at("--seed");
+  SolveSpec& base = opts.base;
+  if (const std::string* v = given("--matrix")) base.matrix = *v;
+  if (const std::string* v = given("--solver")) base.solver = *v;
+  if (const std::string* v = given("--precond")) base.precond = *v;
+  if (const std::string* v = given("--nodes"))
+    base.nodes = static_cast<rank_t>(parse_int(*v, "--nodes"));
+  if (const std::string* v = given("--phi"))
+    base.phi = static_cast<int>(parse_int(*v, "--phi"));
+  if (const std::string* v = given("--reps"))
+    opts.repetitions = static_cast<int>(parse_int(*v, "--reps"));
+  if (const std::string* v = given("--rtol"))
+    base.rtol = parse_double(*v, "--rtol");
+  if (const std::string* v = given("--block-size"))
+    base.block_size = static_cast<index_t>(parse_int(*v, "--block-size"));
+  if (const std::string* v = given("--seed")) {
+    const std::string& text = *v;
     char* end = nullptr;
     opts.seed = std::strtoull(text.c_str(), &end, 0);
     if (text.empty() || end == nullptr || *end != '\0')
       usage("--seed must be a non-negative integer");
   }
-  if (scalar.count("--threads")) {
-    const auto n = parse_int(scalar.at("--threads"), "--threads");
+  if (const std::string* v = given("--threads")) {
+    const auto n = parse_int(*v, "--threads");
     if (n < 0) usage("--threads must be a non-negative integer");
-    opts.threads = static_cast<int>(n);
+    base.threads = static_cast<int>(n);
     set_num_threads(static_cast<int>(n)); // the references run here too
   }
 
