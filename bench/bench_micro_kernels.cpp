@@ -158,14 +158,17 @@ void BM_Reconstruction(benchmark::State& state) {
     p_cur[i] = z[i] + 0.37 * p_prev[i];
 
   const std::vector<rank_t> failed = contiguous_ranks(8, psi, nodes);
-  RedundantCopy prev(9, nodes), cur(10, nodes);
+  auto layout = std::make_shared<HolderLayout>(nodes);
+  std::vector<Vector> prev_vals(nodes), cur_vals(nodes);
   for (index_t i = 0; i < a.rows(); ++i) {
-    const rank_t holder = (part.owner(i) + psi + 1) % nodes;
-    prev.record(holder, i, p_prev[static_cast<std::size_t>(i)]);
-    cur.record(holder, i, p_cur[static_cast<std::size_t>(i)]);
+    const auto holder =
+        static_cast<std::size_t>((part.owner(i) + psi + 1) % nodes);
+    (*layout)[holder].push_back(i);
+    prev_vals[holder].push_back(p_prev[static_cast<std::size_t>(i)]);
+    cur_vals[holder].push_back(p_cur[static_cast<std::size_t>(i)]);
   }
-  prev.finalize();
-  cur.finalize();
+  const RedundantCopy prev(9, layout, std::move(prev_vals));
+  const RedundantCopy cur(10, std::move(layout), std::move(cur_vals));
   DistVector x_star(part, x), r_star(part, r);
 
   for (auto _ : state) {

@@ -51,7 +51,7 @@ std::vector<rank_t> halo_affine_destinations(const SpmvPlan& base, rank_t s,
 } // namespace
 
 AspmvPlan::AspmvPlan(const SpmvPlan& base, int phi, AspmvPlacement placement)
-    : base_(&base), phi_(phi), placement_(placement) {
+    : base_(&base), phi_(phi) {
   const BlockRowPartition& part = base.partition();
   const rank_t n_nodes = part.num_nodes();
   ESRP_CHECK_MSG(phi >= 1, "phi must be at least 1");
@@ -100,6 +100,27 @@ AspmvPlan::AspmvPlan(const SpmvPlan& base, int phi, AspmvPlacement placement)
                    std::move(to_dest[static_cast<std::size_t>(k)])});
     }
   }
+
+  // Holder layout: each rank's SpMV ghosts plus its augmentation receipts.
+  // Senders ascend over ascending ranges, so the concatenated receipts stay
+  // sorted; they must be disjoint from the ghosts (one receipt per entry).
+  std::vector<IndexSet> receipts(static_cast<std::size_t>(n_nodes));
+  for (const auto& lists : extra_) {
+    for (const SendList& sl : lists) {
+      IndexSet& r = receipts[static_cast<std::size_t>(sl.to)];
+      r.insert(r.end(), sl.indices.begin(), sl.indices.end());
+    }
+  }
+  HolderLayout layout(static_cast<std::size_t>(n_nodes));
+  for (rank_t h = 0; h < n_nodes; ++h) {
+    const IndexSet& ghosts = base.ghosts(h);
+    const IndexSet& extra = receipts[static_cast<std::size_t>(h)];
+    IndexSet& held = layout[static_cast<std::size_t>(h)];
+    held = set_union(ghosts, extra);
+    ESRP_CHECK_MSG(held.size() == ghosts.size() + extra.size(),
+                   "regular and augmented receipts of rank " << h << " overlap");
+  }
+  layout_ = std::make_shared<const HolderLayout>(std::move(layout));
 }
 
 const std::vector<SendList>& AspmvPlan::extra_sends(rank_t s) const {

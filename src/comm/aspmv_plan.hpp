@@ -21,6 +21,7 @@
 // property tests in tests/comm/.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "comm/spmv_plan.hpp"
@@ -38,6 +39,10 @@ rank_t designated_destination(rank_t s, int k, rank_t num_nodes);
 /// entries piggyback on existing messages instead of opening new routes.
 enum class AspmvPlacement { ring, halo_affine };
 
+/// [h] -> the sorted global indices rank h holds after an ASpMV (or a
+/// disseminate): its SpMV ghosts plus its augmentation receipts.
+using HolderLayout = std::vector<IndexSet>;
+
 class AspmvPlan {
 public:
   /// Build the augmentation on top of a regular SpMV plan. `phi >= 1` is the
@@ -50,7 +55,6 @@ public:
 
   const SpmvPlan& base() const { return *base_; }
   int phi() const { return phi_; }
-  AspmvPlacement placement() const { return placement_; }
 
   /// The designated destinations d_{s,1..phi} chosen for node s.
   const std::vector<rank_t>& destinations_of(rank_t s) const;
@@ -72,12 +76,20 @@ public:
   /// Total extra entries transferred per ASpMV relative to the regular SpMV.
   std::uint64_t total_extra_entries() const;
 
+  /// Who holds which entry after an ASpMV, fixed at construction. Shared so
+  /// captured copies keep it alive after the plan itself is replaced (a
+  /// repartitioning recovery rebuilds the plans while older copies are
+  /// still queued).
+  const std::shared_ptr<const HolderLayout>& holder_layout() const {
+    return layout_;
+  }
+
 private:
   const SpmvPlan* base_;
   int phi_;
-  AspmvPlacement placement_;
   std::vector<std::vector<SendList>> extra_; // [s] -> per-destination lists
   std::vector<std::vector<rank_t>> dests_;   // [s] -> d_{s,1..phi}
+  std::shared_ptr<const HolderLayout> layout_;
 };
 
 } // namespace esrp

@@ -1,7 +1,7 @@
 #include "comm/exchange.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
@@ -10,109 +10,81 @@
 
 namespace esrp {
 
-void RedundantCopy::record(rank_t holder, index_t i, real_t v) {
-  ESRP_CHECK(holder >= 0 &&
-             holder < static_cast<rank_t>(held_.size()));
-  held_[static_cast<std::size_t>(holder)].emplace_back(i, v);
-  finalized_ = false;
+namespace {
+
+/// FNV-1a seal over one holder's values.
+std::uint64_t seal(const Vector& v) {
+  return fnv1a(v.data(), v.size() * sizeof(real_t));
 }
 
-std::uint64_t RedundantCopy::holder_sum(rank_t holder) const {
-  const auto& entries = held_[static_cast<std::size_t>(holder)];
-  std::uint64_t h = kFnvOffset;
-  for (const auto& [i, v] : entries) {
-    h = fnv1a(&i, sizeof(i), h);
-    h = fnv1a(&v, sizeof(v), h);
+} // namespace
+
+RedundantCopy::RedundantCopy(index_t tag,
+                             std::shared_ptr<const HolderLayout> layout,
+                             std::vector<Vector> values)
+    : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
+  ESRP_CHECK(layout_ != nullptr && values_.size() == layout_->size());
+  sums_.reserve(values_.size());
+  for (std::size_t h = 0; h < values_.size(); ++h) {
+    ESRP_CHECK(values_[h].size() == (*layout_)[h].size());
+    sums_.push_back(seal(values_[h]));
   }
-  return h;
 }
 
-void RedundantCopy::finalize() {
-  for (auto& entries : held_) {
-    std::sort(entries.begin(), entries.end());
-    // The same holder may receive an entry only once per exchange: regular
-    // and augmented sends to one destination are disjoint by construction.
-    ESRP_CHECK(std::adjacent_find(entries.begin(), entries.end(),
-                                  [](const auto& a, const auto& b) {
-                                    return a.first == b.first;
-                                  }) == entries.end());
-  }
-  sums_.resize(held_.size());
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h)
-    sums_[static_cast<std::size_t>(h)] = holder_sum(h);
-  finalized_ = true;
+std::optional<std::size_t> RedundantCopy::slot(rank_t h, index_t i) const {
+  const auto k = static_cast<std::size_t>(h);
+  if (values_[k].empty()) return std::nullopt;
+  const IndexSet& held = (*layout_)[k];
+  const auto it = std::lower_bound(held.begin(), held.end(), i);
+  if (it == held.end() || *it != i) return std::nullopt;
+  return static_cast<std::size_t>(it - held.begin());
 }
 
 bool RedundantCopy::verify(std::span<const rank_t> failed) const {
-  ESRP_CHECK(finalized_);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
-    if (rank_in(failed, h)) continue;
-    if (holder_sum(h) != sums_[static_cast<std::size_t>(h)]) return false;
+  for (std::size_t h = 0; h < values_.size(); ++h) {
+    if (!rank_in(failed, static_cast<rank_t>(h)) && seal(values_[h]) != sums_[h])
+      return false;
   }
   return true;
 }
 
 rank_t RedundantCopy::corrupt(index_t i, int bit) {
   ESRP_CHECK(bit >= 0 && bit < 64);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
-    auto& entries = held_[static_cast<std::size_t>(h)];
-    for (auto& [idx, v] : entries) {
-      if (idx != i) continue;
-      std::uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(real_t));
-      std::memcpy(&bits, &v, sizeof(bits));
-      bits ^= (std::uint64_t{1} << bit);
-      std::memcpy(&v, &bits, sizeof(bits));
-      return h;
-    }
+  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+    const auto k = slot(h, i);
+    if (!k) continue;
+    real_t& v = values_[static_cast<std::size_t>(h)][*k];
+    v = std::bit_cast<real_t>(std::bit_cast<std::uint64_t>(v) ^
+                              (std::uint64_t{1} << bit));
+    return h;
   }
   return -1;
 }
 
-std::vector<std::pair<index_t, real_t>> RedundantCopy::held_in(
-    rank_t holder, std::span<const index_t> wanted) const {
-  ESRP_CHECK(finalized_);
-  ESRP_CHECK(holder >= 0 && holder < static_cast<rank_t>(held_.size()));
-  const auto& entries = held_[static_cast<std::size_t>(holder)];
-  std::vector<std::pair<index_t, real_t>> out;
-  for (index_t i : wanted) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), std::make_pair(i, real_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it != entries.end() && it->first == i) out.push_back(*it);
-  }
-  return out;
-}
-
 std::optional<std::pair<rank_t, real_t>> RedundantCopy::find_surviving(
     index_t i, std::span<const rank_t> failed) const {
-  ESRP_CHECK(finalized_);
-  for (rank_t h = 0; h < static_cast<rank_t>(held_.size()); ++h) {
+  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
     if (rank_in(failed, h)) continue;
-    const auto& entries = held_[static_cast<std::size_t>(h)];
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), std::make_pair(i, real_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it != entries.end() && it->first == i) return std::make_pair(h, it->second);
+    if (const auto k = slot(h, i))
+      return std::make_pair(h, values_[static_cast<std::size_t>(h)][*k]);
   }
   return std::nullopt;
 }
 
 std::size_t RedundantCopy::total_entries() const {
   std::size_t n = 0;
-  for (const auto& e : held_) n += e.size();
+  for (const Vector& v : values_) n += v.size();
   return n;
 }
 
 void RedundantCopy::drop_holders(std::span<const rank_t> ranks) {
   for (rank_t s : ranks) {
-    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(held_.size()));
-    held_[static_cast<std::size_t>(s)].clear();
-    // Re-seal the emptied list: dropping a holder is a legitimate mutation
-    // (the node died, its copies with it), so a later verify() against a
+    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(values_.size()));
+    // Re-seal the emptied holder: dropping it is a legitimate mutation (the
+    // node died, its copies with it), so a later verify() against a
     // different failed set must not misread it as corruption.
-    if (finalized_ && s < static_cast<rank_t>(sums_.size()))
-      sums_[static_cast<std::size_t>(s)] = kFnvOffset;
+    values_[static_cast<std::size_t>(s)] = Vector();
+    sums_[static_cast<std::size_t>(s)] = seal(Vector());
   }
 }
 
@@ -125,33 +97,55 @@ ExchangeEngine::ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan,
                   Vector(static_cast<std::size_t>(part.global_size()), 0));
 }
 
-void ExchangeEngine::scatter_owned(const DistVector& p) {
-  const BlockRowPartition& part = plan_->partition();
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const auto slice = p.local(s);
-    std::copy(slice.begin(), slice.end(),
-              scratch_[static_cast<std::size_t>(s)].begin() +
-                  static_cast<std::ptrdiff_t>(part.begin(s)));
-  }
-}
-
-void ExchangeEngine::halo_exchange(const DistVector& p, RedundantCopy* capture) {
+void ExchangeEngine::halo_exchange(const DistVector& p) {
+  // Each node's owned slice goes into its own scratch vector, its halo lists
+  // into the receivers' (at indices only the sender writes).
   const BlockRowPartition& part = plan_->partition();
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
     const index_t lo = part.begin(s);
+    std::copy(owned.begin(), owned.end(),
+              scratch_[static_cast<std::size_t>(s)].begin() + lo);
     for (const SendList& sl : plan_->sends(s)) {
       cluster_->send(s, sl.to,
                      sl.indices.size() * CostParams::bytes_per_scalar,
                      CommCategory::spmv_halo);
       Vector& dst = scratch_[static_cast<std::size_t>(sl.to)];
-      for (index_t i : sl.indices) {
-        const real_t v = owned[static_cast<std::size_t>(i - lo)];
-        dst[static_cast<std::size_t>(i)] = v;
-        if (capture) capture->record(sl.to, i, v);
-      }
+      for (index_t i : sl.indices)
+        dst[static_cast<std::size_t>(i)] = owned[static_cast<std::size_t>(i - lo)];
     }
   }
+}
+
+void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
+                                CommCategory cat) {
+  for (const SendList& sl : lists)
+    cluster_->send(s, sl.to, sl.indices.size() * CostParams::bytes_per_scalar,
+                   cat);
+}
+
+RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
+                                      const DistVector& p, index_t tag) const {
+  const BlockRowPartition& part = plan_->partition();
+  const HolderLayout& layout = *aug.holder_layout();
+  std::vector<Vector> values(layout.size());
+  for (std::size_t h = 0; h < layout.size(); ++h) {
+    values[h].resize(layout[h].size());
+    // A holder's list ascends: the owner changes only between senders' runs.
+    std::span<const real_t> owned;
+    index_t lo = 0, hi = 0;
+    for (std::size_t k = 0; k < layout[h].size(); ++k) {
+      const index_t i = layout[h][k];
+      if (i >= hi) {
+        const rank_t s = part.owner(i);
+        owned = p.local(s);
+        lo = part.begin(s);
+        hi = part.end(s);
+      }
+      values[h][k] = owned[static_cast<std::size_t>(i - lo)];
+    }
+  }
+  return RedundantCopy(tag, aug.holder_layout(), std::move(values));
 }
 
 void ExchangeEngine::local_products(DistVector& y) {
@@ -176,71 +170,33 @@ void ExchangeEngine::local_products(DistVector& y) {
 
 void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
                           bool complete_step) {
-  scatter_owned(p);
-  halo_exchange(p, nullptr);
+  halo_exchange(p);
   local_products(y);
   if (complete_step) cluster_->complete_step();
 }
 
 RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
                                     index_t tag, DistVector& y) {
-  const BlockRowPartition& part = plan_->partition();
   ESRP_CHECK(&aug.base() == plan_);
-  RedundantCopy copy(tag, part.num_nodes());
-
-  scatter_owned(p);
-  halo_exchange(p, &copy);
-
+  spmv(p, y, /*complete_step=*/false);
   // Augmentation traffic: pure redundancy, never read by the local products.
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const auto owned = p.local(s);
-    const index_t lo = part.begin(s);
-    for (const SendList& sl : aug.extra_sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
-    }
-  }
-
-  local_products(y);
+  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
+    send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
   cluster_->complete_step();
-  copy.finalize();
-  return copy;
+  return capture(aug, p, tag);
 }
 
 RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
                                           const DistVector& p, index_t tag) {
-  const BlockRowPartition& part = plan_->partition();
   ESRP_CHECK(&aug.base() == plan_);
-  RedundantCopy copy(tag, part.num_nodes());
-
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const auto owned = p.local(s);
-    const index_t lo = part.begin(s);
-    // Halo-list receivers first, then the augmentation top-up — the same
-    // coverage an aspmv() capture records, but every send is a dedicated
-    // redundancy message here.
-    for (const SendList& sl : plan_->sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
-    }
-    for (const SendList& sl : aug.extra_sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::aspmv_extra);
-      for (index_t i : sl.indices)
-        copy.record(sl.to, i, owned[static_cast<std::size_t>(i - lo)]);
-    }
+  // Halo lists first, then the augmentation top-up — the same coverage as an
+  // aspmv() capture, but every send is a dedicated redundancy message here.
+  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s) {
+    send_lists(s, plan_->sends(s), CommCategory::aspmv_extra);
+    send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
   }
-
   cluster_->complete_step();
-  copy.finalize();
-  return copy;
+  return capture(aug, p, tag);
 }
 
 } // namespace esrp

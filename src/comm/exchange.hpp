@@ -2,12 +2,15 @@
 // the capture of redundant copies (paper §2.2.2).
 //
 // A RedundantCopy is the abstract p' of the paper: the entries of one search
-// direction that live on nodes *other than their owner* after an (A)SpMV.
-// For a regular SpMV these are exactly the halo entries; the ASpMV adds the
-// augmentation traffic so that every entry has at least phi off-owner copies.
+// direction that live on nodes *other than their owner* after an ASpMV —
+// the halo entries of the regular SpMV plus the augmentation traffic that
+// gives every entry at least phi off-owner copies. Which rank holds which
+// entry is static plan data (AspmvPlan::holder_layout()); a copy stores only
+// the values over that layout.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -21,27 +24,21 @@
 
 namespace esrp {
 
-/// Off-owner copies of one search-direction vector.
+/// Off-owner copies of one search-direction vector: per holder, the values
+/// of the entries the holder layout assigns it, sealed on construction.
 class RedundantCopy {
 public:
-  RedundantCopy() = default;
-  RedundantCopy(index_t tag, rank_t num_nodes)
-      : tag_(tag), held_(static_cast<std::size_t>(num_nodes)) {}
+  /// `values[h]` holds the values of the entries `(*layout)[h]`, in layout
+  /// order. Each holder's values are sealed with an FNV-1a checksum.
+  RedundantCopy(index_t tag, std::shared_ptr<const HolderLayout> layout,
+                std::vector<Vector> values);
 
   index_t tag() const { return tag_; }
   bool valid() const { return tag_ >= 0; }
 
-  /// Record that `holder` received (i, v). Called during the exchange;
-  /// `finalize()` must be called before lookups.
-  void record(rank_t holder, index_t i, real_t v);
-
-  /// Sort per-holder entry lists and seal each with an FNV-1a content
-  /// checksum (idempotent).
-  void finalize();
-
   /// Recompute every surviving holder's checksum and compare against the
-  /// seal taken at finalize(). True iff all match — a mismatch means the
-  /// stored bytes changed since the exchange (silent corruption of the
+  /// seal taken at construction. True iff all match — a mismatch means the
+  /// stored values changed since the exchange (silent corruption of the
   /// redundant state), so this copy must not feed a reconstruction.
   bool verify(std::span<const rank_t> failed) const;
 
@@ -50,11 +47,6 @@ public:
   /// corruption verify() must later detect. Returns the holder rank, or -1
   /// if no holder stores entry `i`.
   rank_t corrupt(index_t i, int bit);
-
-  /// Entries held by `holder` whose global index lies in the sorted set
-  /// `wanted`; used by the recovery gather.
-  std::vector<std::pair<index_t, real_t>> held_in(
-      rank_t holder, std::span<const index_t> wanted) const;
 
   /// Value of entry i on the lowest-ranked holder not in `failed`
   /// (deterministic choice of the sending survivor). nullopt if no copy
@@ -70,15 +62,16 @@ public:
   void drop_holders(std::span<const rank_t> ranks);
 
 private:
-  std::uint64_t holder_sum(rank_t holder) const;
+  /// Position of entry `i` in holder `h`'s values; nullopt if `h` does not
+  /// hold it or was dropped.
+  std::optional<std::size_t> slot(rank_t h, index_t i) const;
 
   index_t tag_ = -1;
-  bool finalized_ = false;
-  std::vector<std::vector<std::pair<index_t, real_t>>> held_;
-  /// Per-holder FNV-1a seals over (index, value) bytes, taken at
-  /// finalize(). Per holder (not whole-copy) because drop_holders()
-  /// legitimately erases individual holders' lists after a failure — the
-  /// surviving holders' seals must stay comparable.
+  std::shared_ptr<const HolderLayout> layout_;
+  std::vector<Vector> values_; ///< [h] -> values in layout order; empty once dropped
+  /// Per-holder FNV-1a seals over the values. Per holder (not whole-copy)
+  /// because drop_holders() legitimately erases individual holders' values
+  /// after a failure — the surviving holders' seals must stay comparable.
   std::vector<std::uint64_t> sums_;
 };
 
@@ -95,30 +88,32 @@ public:
   /// it (e.g. the pipelined solver's non-blocking allreduce).
   void spmv(const DistVector& p, DistVector& y, bool complete_step = true);
 
-  /// y := A p using the augmented SpMV: regular halo traffic plus the
-  /// augmentation sends of `aug`; every off-owner receipt is captured into
-  /// the returned RedundantCopy (tagged with `tag`).
+  /// y := A p using the augmented SpMV: the regular SpMV plus the
+  /// augmentation sends of `aug`; the off-owner copies `aug` places are
+  /// returned as a RedundantCopy tagged `tag`.
   RedundantCopy aspmv(const AspmvPlan& aug, const DistVector& p, index_t tag,
                       DistVector& y);
 
   /// Disseminate redundant off-owner copies of `p` per the plan WITHOUT
   /// computing a product — the pipelined solver's ESR storage stage, where
   /// the iteration's SpMV input is m = P w rather than the search direction
-  /// the reconstruction needs (ref. [16]). Sends the regular halo lists
-  /// plus the augmentation lists (none of it feeds a product), so the
-  /// returned copy has the same >= phi off-owner coverage as an aspmv()
-  /// capture. All messages are charged as aspmv_extra: on a real cluster
-  /// this is pure redundancy traffic that cannot piggyback on an existing
-  /// exchange of p. Completes the superstep.
+  /// the reconstruction needs (ref. [16]). Returns the same copy an aspmv()
+  /// of `p` would, but charges the regular halo lists and the augmentation
+  /// lists all as aspmv_extra: on a real cluster this is pure redundancy
+  /// traffic that cannot piggyback on an existing exchange of p. Completes
+  /// the superstep.
   RedundantCopy disseminate(const AspmvPlan& aug, const DistVector& p,
                             index_t tag);
 
-  const SpmvPlan& plan() const { return *plan_; }
-
 private:
-  void scatter_owned(const DistVector& p);
-  void halo_exchange(const DistVector& p, RedundantCopy* capture);
+  void halo_exchange(const DistVector& p);
   void local_products(DistVector& y);
+  /// Charge node s's transfer lists as messages of category `cat`.
+  void send_lists(rank_t s, const std::vector<SendList>& lists,
+                  CommCategory cat);
+  /// Gather the values `aug`'s holder layout places, from the owners' slices.
+  RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
+                        index_t tag) const;
 
   const CsrMatrix* a_;
   const SpmvPlan* plan_;

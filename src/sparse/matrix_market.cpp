@@ -4,6 +4,8 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sparse/coo.hpp"
@@ -55,25 +57,36 @@ CsrMatrix read_matrix_market(std::istream& in) {
                  "invalid size line \"" << line
                                         << "\": expected \"rows cols nnz\" "
                                            "with rows, cols > 0, nnz >= 0");
+  const bool symmetric = sym == "symmetric";
+  ESRP_CHECK_MSG(!symmetric || rows == cols,
+                 "symmetric matrix with non-square size " << rows << "x" << cols);
   const auto entries = static_cast<std::size_t>(nnz);
 
   CooBuilder builder(rows, cols);
+  // Symmetric files: positions folded onto the lower triangle, to reject an
+  // entry given twice or together with its mirror (add_sym would double it).
+  std::vector<std::pair<index_t, index_t>> folded;
   std::size_t seen = 0;
   while (seen < entries && std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream entry(line);
     index_t i = 0, j = 0;
     real_t v = 0;
-    entry >> i >> j >> v;
-    ESRP_CHECK_MSG(!entry.fail(), "malformed entry line: " << line);
-    if (sym == "symmetric")
+    const bool ok = static_cast<bool>(entry >> i >> j >> v) && !(entry >> trailing);
+    ESRP_CHECK_MSG(ok, "malformed entry line: " << line);
+    if (symmetric) {
       builder.add_sym(i - 1, j - 1, v);
-    else
+      folded.emplace_back(std::max(i, j), std::min(i, j));
+    } else {
       builder.add(i - 1, j - 1, v);
+    }
     ++seen;
   }
   ESRP_CHECK_MSG(seen == entries,
                  "expected " << entries << " entries, found " << seen);
+  std::sort(folded.begin(), folded.end());
+  ESRP_CHECK_MSG(std::adjacent_find(folded.begin(), folded.end()) == folded.end(),
+                 "symmetric matrix lists an entry twice (or with its mirror)");
   return builder.to_csr();
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "netsim/failure.hpp"
@@ -189,6 +191,7 @@ protected:
     if (name == "poisson2d") return poisson2d(10, 10);
     if (name == "poisson3d") return poisson3d(5, 5, 4);
     if (name == "banded") return banded_spd(90, 5, 0.4, 13);
+    if (name == "emilia") return emilia_like(6, 6, 6).matrix;
     if (name == "diffusion") return diffusion3d_27pt(4, 5, 5, 50, 7);
     if (name == "elasticity") return elasticity3d(3, 3, 4, 20, 9);
     throw Error("unknown matrix " + name);
@@ -232,6 +235,31 @@ TEST_P(AspmvRedundancyProperty, AnyContiguousPhiFailureLeavesACopy) {
   }
 }
 
+TEST_P(AspmvRedundancyProperty, HolderLayoutHoldsExactlyTheReceivedEntries) {
+  const RedundancyCase& c = GetParam();
+  const CsrMatrix a = make_matrix(c.matrix);
+  const BlockRowPartition part(a.rows(), c.nodes);
+  const SpmvPlan base(a, part);
+  const AspmvPlan aug(base, c.phi);
+  const HolderLayout& layout = *aug.holder_layout();
+  ASSERT_EQ(layout.size(), static_cast<std::size_t>(c.nodes));
+  for (const IndexSet& held : layout) EXPECT_TRUE(is_index_set(held));
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto receivers = aug.receivers_of(i);
+    for (rank_t h = 0; h < c.nodes; ++h) {
+      EXPECT_EQ(set_contains(layout[static_cast<std::size_t>(h)], i),
+                std::binary_search(receivers.begin(), receivers.end(), h))
+          << "entry " << i << ", holder " << h;
+    }
+  }
+}
+
+std::string case_name(const ::testing::TestParamInfo<RedundancyCase>& info) {
+  return std::string(info.param.matrix) + "_N" +
+         std::to_string(info.param.nodes) + "_phi" +
+         std::to_string(info.param.phi);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, AspmvRedundancyProperty,
     ::testing::Values(
@@ -241,11 +269,20 @@ INSTANTIATE_TEST_SUITE_P(
         RedundancyCase{"poisson3d", 7, 3}, RedundancyCase{"banded", 9, 2},
         RedundancyCase{"banded", 9, 5}, RedundancyCase{"diffusion", 8, 3},
         RedundancyCase{"elasticity", 6, 2}, RedundancyCase{"elasticity", 6, 4}),
-    [](const ::testing::TestParamInfo<RedundancyCase>& info) {
-      return std::string(info.param.matrix) + "_N" +
-             std::to_string(info.param.nodes) + "_phi" +
-             std::to_string(info.param.phi);
-    });
+    case_name);
+
+// poisson2d, emilia 6^3 and banded at several node counts, phi 1 to 3: the
+// same grid the capture property of tests/comm/exchange_test.cpp runs.
+std::vector<RedundancyCase> layout_cases() {
+  std::vector<RedundancyCase> cases;
+  for (const char* matrix : {"poisson2d", "emilia", "banded"})
+    for (const rank_t nodes : {4, 7, 12})
+      for (const int phi : {1, 2, 3}) cases.push_back({matrix, nodes, phi});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(LayoutGrid, AspmvRedundancyProperty,
+                         ::testing::ValuesIn(layout_cases()), case_name);
 
 } // namespace
 } // namespace esrp

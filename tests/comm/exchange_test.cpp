@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <tuple>
+
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparse/generators.hpp"
 
@@ -86,16 +92,25 @@ TEST_F(ExchangeFixture, CapturedCopyHoldsExactValues) {
   }
 }
 
-TEST_F(ExchangeFixture, HeldInFiltersByWantedSet) {
+TEST_F(ExchangeFixture, LookupsThroughOneSurvivingHolder) {
   const AspmvPlan aug(plan_, 1);
   const Vector x = random_vector(a_.rows(), 6);
   DistVector xd(part_, x), yd(part_);
   const RedundantCopy copy = engine_.aspmv(aug, xd, 0, yd);
-  const IndexSet wanted = index_range(part_.begin(0), part_.end(0));
+  const HolderLayout& layout = *aug.holder_layout();
   for (rank_t h = 1; h < part_.num_nodes(); ++h) {
-    for (const auto& [idx, val] : copy.held_in(h, wanted)) {
-      EXPECT_EQ(part_.owner(idx), 0);
-      EXPECT_DOUBLE_EQ(val, x[static_cast<std::size_t>(idx)]);
+    // With every other rank failed, rank 0's entries resolve to h exactly
+    // when the layout places them there.
+    std::vector<rank_t> others;
+    for (rank_t s = 0; s < part_.num_nodes(); ++s)
+      if (s != h) others.push_back(s);
+    for (index_t i = part_.begin(0); i < part_.end(0); ++i) {
+      const auto hit = copy.find_surviving(i, others);
+      ASSERT_EQ(hit.has_value(),
+                set_contains(layout[static_cast<std::size_t>(h)], i));
+      if (!hit) continue;
+      EXPECT_EQ(hit->first, h);
+      EXPECT_DOUBLE_EQ(hit->second, x[static_cast<std::size_t>(i)]);
     }
   }
 }
@@ -175,6 +190,73 @@ TEST(Exchange, WorksOnElasticityOperator) {
   const Vector y = yd.gather_global();
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-12);
 }
+
+// ---------------------------------------------------------------------------
+// Capture property: over matrices x node counts x phi, both capture paths
+// store exactly the values the plan's holder layout places, bitwise.
+// ---------------------------------------------------------------------------
+
+using CaptureCase = std::tuple<std::string, rank_t, int>;
+
+class CaptureProperty : public ::testing::TestWithParam<CaptureCase> {
+protected:
+  static CsrMatrix make_matrix(const std::string& name) {
+    if (name == "poisson2d") return poisson2d(10, 10);
+    if (name == "emilia") return emilia_like(6, 6, 6).matrix;
+    if (name == "banded") return banded_spd(90, 5, 0.4, 13);
+    throw Error("unknown matrix " + name);
+  }
+};
+
+TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
+  const auto& [name, nodes, phi] = GetParam();
+  const CsrMatrix a = make_matrix(name);
+  const BlockRowPartition part(a.rows(), nodes);
+  SimCluster cluster(part);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug(plan, phi);
+  ExchangeEngine engine(a, plan, cluster);
+  const Vector p = random_vector(a.rows(), 31);
+  DistVector pd(part, p), y(part);
+  const RedundantCopy via_aspmv = engine.aspmv(aug, pd, 4, y);
+  const RedundantCopy via_disseminate = engine.disseminate(aug, pd, 4);
+
+  const HolderLayout& layout = *aug.holder_layout();
+  std::size_t placed = 0;
+  for (rank_t h = 0; h < nodes; ++h) {
+    // Fail everyone but h, so every lookup must be served by h itself.
+    std::vector<rank_t> others;
+    for (rank_t s = 0; s < nodes; ++s)
+      if (s != h) others.push_back(s);
+    for (index_t i : layout[static_cast<std::size_t>(h)]) {
+      const auto from_aspmv = via_aspmv.find_surviving(i, others);
+      const auto from_dissem = via_disseminate.find_surviving(i, others);
+      ASSERT_TRUE(from_aspmv.has_value() && from_dissem.has_value())
+          << "entry " << i << " on holder " << h;
+      EXPECT_EQ(from_aspmv->first, h);
+      EXPECT_EQ(from_dissem->first, h);
+      const auto bits = std::bit_cast<std::uint64_t>(p[static_cast<std::size_t>(i)]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_aspmv->second), bits);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_dissem->second), bits);
+    }
+    placed += layout[static_cast<std::size_t>(h)].size();
+  }
+  EXPECT_EQ(via_aspmv.total_entries(), placed);
+  EXPECT_EQ(via_disseminate.total_entries(), placed);
+  EXPECT_TRUE(via_aspmv.verify({}));
+  EXPECT_TRUE(via_disseminate.verify({}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CaptureProperty,
+    ::testing::Combine(::testing::Values("poisson2d", "emilia", "banded"),
+                       ::testing::Values(rank_t{4}, rank_t{7}, rank_t{12}),
+                       ::testing::Values(1, 2, 3)),
+    [](const ::testing::TestParamInfo<CaptureCase>& info) {
+      return std::get<0>(info.param) + "_N" +
+             std::to_string(std::get<1>(info.param)) + "_phi" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 } // namespace
 } // namespace esrp

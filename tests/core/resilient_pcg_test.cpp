@@ -590,6 +590,33 @@ TEST(ResilientPcg, NoSpareRestartAlsoShrinksThePartition) {
   EXPECT_EQ(solver.current_partition().local_size(6), 0);
 }
 
+TEST(ResilientPcg, CopiesCapturedBeforeARepartitionFeedTheNextRecovery) {
+  // The first no-spare recovery replaces the solver's plans; the second
+  // event strikes before the next storage stage, so it reconstructs from
+  // the copies captured on the original partition. Those copies must keep
+  // their holder layout alive on their own.
+  SolveSystem s(poisson2d(12, 12), 8);
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 10;
+  opts.phi = 2;
+  opts.spare_nodes = false;
+  opts.failure.iteration = 15;
+  opts.failure.ranks = {6};
+  FailureEvent second;
+  second.iteration = 18;
+  second.ranks = {3, 4};
+  opts.extra_failures.push_back(second);
+  const ResilientSolveResult res = run(s, opts);
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 2u);
+  for (const RecoveryRecord& rec : res.recoveries) {
+    EXPECT_EQ(rec.rung, RecoveryRung::reconstruct);
+    EXPECT_EQ(rec.restored_to, 11);
+  }
+  EXPECT_LT(true_relative_residual(s.a, s.b, res.x), 1e-7);
+}
+
 TEST(ResilientPcg, NoSparesRejectedForImcr) {
   SolveSystem s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);

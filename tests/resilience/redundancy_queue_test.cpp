@@ -9,10 +9,12 @@ namespace esrp {
 namespace {
 
 RedundantCopy make_copy(index_t tag) {
-  RedundantCopy c(tag, /*num_nodes=*/4);
-  c.record(1, 0, static_cast<real_t>(tag));
-  c.finalize();
-  return c;
+  // One entry (index 0) held by rank 1 of a 4-node cluster.
+  auto layout = std::make_shared<HolderLayout>(4);
+  std::vector<Vector> values(4);
+  (*layout)[1] = {0};
+  values[1] = {static_cast<real_t>(tag)};
+  return RedundantCopy(tag, std::move(layout), std::move(values));
 }
 
 TEST(RedundancyQueue, StartsEmpty) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "sparse/generators.hpp"
@@ -69,6 +70,24 @@ TEST(MatrixMarket, RejectsMalformedSizeLine) {
   }
   // Trailing whitespace after the three integers is fine.
   std::istringstream ok(banner + "3 3 1 \t\n1 1 1.0\n");
+  EXPECT_EQ(read_matrix_market(ok).nnz(), 1);
+}
+
+TEST(MatrixMarket, RejectsMalformedEntryLines) {
+  const std::string general = "%%MatrixMarket matrix coordinate real general\n";
+  const std::string symmetric =
+      "%%MatrixMarket matrix coordinate real symmetric\n";
+  for (const std::string& file :
+       {general + "2 2 1\n1 1 1.0 junk\n", general + "2 2 1\n2 2 3.0 4.0\n",
+        general + "2 2 1\n1 x 1.0\n",
+        symmetric + "2 2 3\n1 1 2\n1 2 -1\n2 1 -1\n",
+        symmetric + "2 2 2\n2 1 -1\n2 1 -1\n",
+        symmetric + "2 3 1\n1 1 1.0\n"}) {
+    std::istringstream in(file);
+    EXPECT_THROW(read_matrix_market(in), Error) << file;
+  }
+  // Trailing whitespace after the value is fine.
+  std::istringstream ok(general + "2 2 1\n1 1 1.0 \t\n");
   EXPECT_EQ(read_matrix_market(ok).nnz(), 1);
 }
 
