@@ -1,12 +1,13 @@
 // Google-benchmark micro benches of the kernels that determine the
 // simulator's wall-clock cost: sequential SpMV, the distributed SpMV and
 // ASpMV exchanges, the block Jacobi apply, a full resilient PCG iteration,
-// checkpoint storage, one Alg. 2 state reconstruction, the thread scaling
-// of the parallel SpMV / BLAS-1 kernels (1/2/4/8 threads, operands
-// first-touched under the kernels' own partition), the fused iteration
-// kernels vs. their separate-kernel baselines (with a SUMMARY assertion
-// that fusion is not slower at large n), and the esrp::solve facade's
-// end-to-end dispatch overhead vs. the direct call.
+// checkpoint storage, the byte- vs. word-wise seal hash, one Alg. 2 state
+// reconstruction, the thread scaling of the parallel SpMV / BLAS-1 kernels
+// (1/2/4/8 threads, operands first-touched under the kernels' own
+// partition), the fused iteration kernels vs. their separate-kernel
+// baselines (with a SUMMARY assertion that fusion is not slower at large
+// n), and the esrp::solve facade's end-to-end dispatch overhead vs. the
+// direct call.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "api/registry.hpp"
 #include "api/solve.hpp"
 #include "comm/exchange.hpp"
+#include "common/fnv.hpp"
 #include "common/fused.hpp"
 #include "common/timer.hpp"
 #include "resilience/checkpoint_store.hpp"
@@ -139,6 +141,22 @@ void BM_CheckpointStore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckpointStore)->Arg(1)->Arg(3)->Arg(8);
+
+/// The seal hash over the 30,656 held values (245 KB) of emilia 20^3 on
+/// 128 ranks with phi = 3: byte-wise FNV-1a vs. the word-wise variant the
+/// integrity seals use.
+void BM_Fnv1a(benchmark::State& state,
+              std::uint64_t (*hash)(const void*, std::size_t, std::uint64_t)) {
+  const Vector held(30656, 0.375);
+  const std::size_t bytes = held.size() * sizeof(real_t);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash(held.data(), bytes, kFnvOffset));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_Fnv1a, bytes, fnv1a);
+BENCHMARK_CAPTURE(BM_Fnv1a, words, fnv1a_words);
 
 void BM_Reconstruction(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

@@ -29,7 +29,9 @@ namespace esrp {
 class RedundantCopy {
 public:
   /// `values[h]` holds the values of the entries `(*layout)[h]`, in layout
-  /// order. Each holder's values are sealed with an FNV-1a checksum.
+  /// order. Each holder's values are sealed with a word-wise FNV-1a checksum
+  /// (common/fnv.hpp); the holders are sealed in parallel, one result slot
+  /// each, so the seals do not depend on the thread count.
   RedundantCopy(index_t tag, std::shared_ptr<const HolderLayout> layout,
                 std::vector<Vector> values);
 
@@ -69,9 +71,10 @@ private:
   index_t tag_ = -1;
   std::shared_ptr<const HolderLayout> layout_;
   std::vector<Vector> values_; ///< [h] -> values in layout order; empty once dropped
-  /// Per-holder FNV-1a seals over the values. Per holder (not whole-copy)
-  /// because drop_holders() legitimately erases individual holders' values
-  /// after a failure — the surviving holders' seals must stay comparable.
+  /// Per-holder word-wise FNV-1a seals over the values. Per holder (not
+  /// whole-copy) because drop_holders() legitimately erases individual
+  /// holders' values after a failure — the surviving holders' seals must
+  /// stay comparable.
   std::vector<std::uint64_t> sums_;
 };
 

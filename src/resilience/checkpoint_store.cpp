@@ -45,14 +45,14 @@ void CheckpointStore::store(index_t iteration, const SolverState& state,
 }
 
 std::uint64_t CheckpointStore::content_sum() const {
-  std::uint64_t h = fnv1a(&tag_, sizeof(tag_));
+  std::uint64_t h = fnv1a_words(&tag_, sizeof(tag_));
   for (const DistVector& vec : vecs_) {
     for (rank_t s = 0; s < part_->num_nodes(); ++s) {
       const auto slice = vec.local(s);
-      h = fnv1a(slice.data(), slice.size_bytes(), h);
+      h = fnv1a_words(slice.data(), slice.size_bytes(), h);
     }
   }
-  h = fnv1a(scalars_.data(), scalars_.size() * sizeof(real_t), h);
+  h = fnv1a_words(scalars_.data(), scalars_.size() * sizeof(real_t), h);
   return h;
 }
 

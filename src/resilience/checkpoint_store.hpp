@@ -39,8 +39,8 @@ public:
   bool has_checkpoint() const { return tag_ >= 0; }
   index_t tag() const { return tag_; }
 
-  /// Capture `state` as checkpoint `iteration`, seal it with an FNV-1a
-  /// content checksum, and charge the buddy messages on `cluster`
+  /// Capture `state` as checkpoint `iteration`, seal it with a word-wise
+  /// FNV-1a content checksum, and charge the buddy messages on `cluster`
   /// (category checkpoint): per node, phi messages of
   /// (num_vectors * local + num_scalars) scalars.
   void store(index_t iteration, const SolverState& state, SimCluster& cluster);
@@ -79,7 +79,7 @@ private:
   index_t tag_ = -1;
   std::vector<DistVector> vecs_;
   std::vector<real_t> scalars_;
-  std::uint64_t sum_ = 0; ///< FNV-1a seal taken at store()
+  std::uint64_t sum_ = 0; ///< word-wise FNV-1a seal taken at store()
 };
 
 } // namespace esrp

@@ -14,13 +14,13 @@ namespace esrp {
 
 namespace {
 
-// FNV-1a-64 (common/fnv.hpp) — same constants as the parity tests'
-// trajectory hashes, so a key printed in a failing test can be compared
-// against a handle key directly.
+// Word-wise FNV-1a-64 (common/fnv.hpp) over the raw CSR arrays: it runs on
+// every prepare, hit or miss. It is not the byte-wise hash the parity tests
+// print for trajectories, so the two are not comparable.
 std::uint64_t matrix_content_hash(const CsrMatrix& a) {
-  std::uint64_t h = fnv1a(a.row_ptr().data(), a.row_ptr().size_bytes());
-  h = fnv1a(a.col_idx().data(), a.col_idx().size_bytes(), h);
-  return fnv1a(a.values().data(), a.values().size_bytes(), h);
+  std::uint64_t h = fnv1a_words(a.row_ptr().data(), a.row_ptr().size_bytes());
+  h = fnv1a_words(a.col_idx().data(), a.col_idx().size_bytes(), h);
+  return fnv1a_words(a.values().data(), a.values().size_bytes(), h);
 }
 
 } // namespace
@@ -66,12 +66,17 @@ std::string ProblemHandle::content_key(const ProblemSpec& problem,
 
 std::shared_ptr<const ProblemHandle> ProblemHandle::build(
     const ProblemSpec& problem, const SolverConfig& config) {
+  return build(problem, config, content_key(problem, config));
+}
+
+std::shared_ptr<const ProblemHandle> ProblemHandle::build(
+    const ProblemSpec& problem, const SolverConfig& config, std::string key) {
   // make_shared needs a public ctor; the aliasing-free way around the
   // private default ctor is a derived helper local to this function.
   struct Concrete : ProblemHandle {};
   auto handle = std::make_shared<Concrete>();
 
-  handle->key_ = content_key(problem, config); // validates config.solver too
+  handle->key_ = std::move(key); // content_key validated config.solver
   handle->config_ = config;
   handle->problem_ = problem;
 

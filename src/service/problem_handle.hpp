@@ -38,10 +38,10 @@ public:
   /// The cache key for (problem, config): a readable string covering every
   /// field the prepared artifacts depend on, plus every SolverConfig field
   /// (solve() replays the handle's config, so a hit must carry exactly the
-  /// requested one). Registry-built matrices key on
-  /// their spec string; caller-supplied matrix_data keys on shape, nnz, and
-  /// an FNV-1a hash of the raw row/column/value bytes, so two different
-  /// matrices never collide on shape alone (plan_cache_test pins this).
+  /// requested one). Registry-built matrices key on their spec string;
+  /// caller-supplied matrix_data keys on shape, nnz, and a word-wise FNV-1a
+  /// hash of the raw row/column/value bytes, so two different matrices never
+  /// collide on shape alone (plan_cache_test pins this).
   static std::string content_key(const ProblemSpec& problem,
                                  const SolverConfig& config);
 
@@ -80,7 +80,16 @@ public:
   ProblemHandle& operator=(const ProblemHandle&) = delete;
 
 private:
+  friend class SolveService;
+
   ProblemHandle() = default;
+
+  /// build() with its content_key already computed (SolveService::prepare
+  /// keys the cache lookup with it, so a cold prepare hashes the matrix
+  /// once).
+  static std::shared_ptr<const ProblemHandle> build(const ProblemSpec& problem,
+                                                    const SolverConfig& config,
+                                                    std::string key);
 
   CsrMatrix matrix_;
   std::string name_;

@@ -46,10 +46,10 @@ SolveService::~SolveService() {
 
 PrepareResult SolveService::prepare(const ProblemSpec& problem,
                                     const SolverConfig& config) {
-  const std::string key = ProblemHandle::content_key(problem, config);
+  std::string key = ProblemHandle::content_key(problem, config);
   if (auto cached = cache_.find(key)) return PrepareResult{cached, true};
-  auto handle = ProblemHandle::build(problem, config);
-  cache_.insert(key, handle);
+  auto handle = ProblemHandle::build(problem, config, std::move(key));
+  cache_.insert(handle->key(), handle);
   return PrepareResult{handle, false};
 }
 

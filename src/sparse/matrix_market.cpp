@@ -63,9 +63,11 @@ CsrMatrix read_matrix_market(std::istream& in) {
   const auto entries = static_cast<std::size_t>(nnz);
 
   CooBuilder builder(rows, cols);
-  // Symmetric files: positions folded onto the lower triangle, to reject an
-  // entry given twice or together with its mirror (add_sym would double it).
-  std::vector<std::pair<index_t, index_t>> folded;
+  // Every listed position, to reject one given twice: CooBuilder sums
+  // duplicates, so a repeat would silently load as the sum. Symmetric
+  // positions are folded onto the lower triangle, which also rejects an
+  // entry listed together with its mirror (add_sym would double it).
+  std::vector<std::pair<index_t, index_t>> positions;
   std::size_t seen = 0;
   while (seen < entries && std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;
@@ -76,17 +78,22 @@ CsrMatrix read_matrix_market(std::istream& in) {
     ESRP_CHECK_MSG(ok, "malformed entry line: " << line);
     if (symmetric) {
       builder.add_sym(i - 1, j - 1, v);
-      folded.emplace_back(std::max(i, j), std::min(i, j));
+      positions.emplace_back(std::max(i, j), std::min(i, j));
     } else {
       builder.add(i - 1, j - 1, v);
+      positions.emplace_back(i, j);
     }
     ++seen;
   }
   ESRP_CHECK_MSG(seen == entries,
                  "expected " << entries << " entries, found " << seen);
-  std::sort(folded.begin(), folded.end());
-  ESRP_CHECK_MSG(std::adjacent_find(folded.begin(), folded.end()) == folded.end(),
-                 "symmetric matrix lists an entry twice (or with its mirror)");
+  std::sort(positions.begin(), positions.end());
+  const auto repeat = std::adjacent_find(positions.begin(), positions.end());
+  ESRP_CHECK_MSG(repeat == positions.end(),
+                 "matrix lists entry (" << repeat->first << ", "
+                                        << repeat->second << ") twice"
+                                        << (symmetric ? " (or with its mirror)"
+                                                      : ""));
   return builder.to_csr();
 }
 

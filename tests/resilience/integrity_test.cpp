@@ -1,4 +1,4 @@
-// Integrity-checked redundant state: FNV-1a seals on redundancy-queue
+// Integrity-checked redundant state: word-wise FNV-1a seals on redundancy-queue
 // copies and IMCR checkpoints, byte-flip injection through the SdcEvent
 // "pcopy" / "checkpoint" targets, and the recovery ladder's
 // detect-demote-record behavior when corrupted state would otherwise be
@@ -11,6 +11,7 @@
 #include "api/solve.hpp"
 #include "comm/exchange.hpp"
 #include "common/error.hpp"
+#include "parallel/parallel.hpp"
 #include "resilience/checkpoint_store.hpp"
 #include "resilience/engine.hpp"
 
@@ -32,6 +33,22 @@ RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
   return RedundantCopy(tag, std::move(layout), std::move(values));
 }
 
+/// `holders` holders of `per_holder` consecutive entries each, every entry
+/// with its own value, so two holders' seals never coincide.
+RedundantCopy make_distinct_copy(rank_t holders, index_t per_holder) {
+  auto layout = std::make_shared<HolderLayout>(holders);
+  std::vector<Vector> values(static_cast<std::size_t>(holders));
+  for (rank_t h = 0; h < holders; ++h) {
+    for (index_t k = 0; k < per_holder; ++k) {
+      const index_t i = h * per_holder + k;
+      (*layout)[static_cast<std::size_t>(h)].push_back(i);
+      values[static_cast<std::size_t>(h)].push_back(
+          0.5 * static_cast<real_t>(i) + 1);
+    }
+  }
+  return RedundantCopy(0, std::move(layout), std::move(values));
+}
+
 // ------------------------------------------------------------ components --
 
 TEST(RedundantCopyIntegrity, ByteFlipBreaksVerification) {
@@ -46,6 +63,29 @@ TEST(RedundantCopyIntegrity, ByteFlipBreaksVerification) {
   // gone anyway — the surviving holders still verify.
   const std::vector<rank_t> failed{holder};
   EXPECT_TRUE(copy.verify(failed));
+}
+
+TEST(RedundantCopyIntegrity, EveryBitFlipOfAHeldValueBreaksVerification) {
+  RedundantCopy copy = make_copy(5, 0.3);
+  for (int bit = 0; bit < 64; ++bit) {
+    ASSERT_GE(copy.corrupt(7, bit), 0);
+    EXPECT_FALSE(copy.verify({})) << "bit " << bit;
+    copy.corrupt(7, bit); // flip it back
+    EXPECT_TRUE(copy.verify({})) << "bit " << bit;
+  }
+}
+
+TEST(RedundantCopyIntegrity, SealsDoNotDependOnTheThreadCount) {
+  // The holders are sealed in parallel; a copy sealed under four threads
+  // must verify against seals recomputed on one.
+  RedundantCopy copy = [] {
+    const ThreadBudget four(4);
+    return make_distinct_copy(64, 37);
+  }();
+  const ThreadBudget one(1);
+  EXPECT_TRUE(copy.verify({}));
+  ASSERT_EQ(copy.corrupt(64 * 37 - 1, 0), 63);
+  EXPECT_FALSE(copy.verify({}));
 }
 
 TEST(RedundantCopyIntegrity, DroppedHoldersAreNotCorruption) {
@@ -81,6 +121,24 @@ TEST(CheckpointStoreIntegrity, ByteFlipBreaksVerification) {
   // Re-storing reseals: the next checkpoint is trustworthy again.
   store.store(8, state, cluster);
   EXPECT_TRUE(store.verify());
+}
+
+TEST(CheckpointStoreIntegrity, EveryBitFlipOfAStoredValueBreaksVerification) {
+  BlockRowPartition part(kRows, kNodes);
+  SimCluster cluster(part);
+  DistVector v(part);
+  v.set_from_global(Vector(kRows, 2.5));
+  real_t beta = 0.125;
+  const SolverState state{{&v}, {}, {&beta}};
+
+  CheckpointStore store(part, 1, 1, 1);
+  store.store(4, state, cluster);
+  for (int bit = 0; bit < 64; ++bit) {
+    store.corrupt(0, 7, bit);
+    EXPECT_FALSE(store.verify()) << "bit " << bit;
+    store.corrupt(0, 7, bit); // flip it back
+    EXPECT_TRUE(store.verify()) << "bit " << bit;
+  }
 }
 
 // ---------------------------------------------------------------- engine --

@@ -91,6 +91,22 @@ TEST(MatrixMarket, RejectsMalformedEntryLines) {
   EXPECT_EQ(read_matrix_market(ok).nnz(), 1);
 }
 
+TEST(MatrixMarket, RejectsDuplicateGeneralEntries) {
+  const std::string general = "%%MatrixMarket matrix coordinate real general\n";
+  // Summed by CooBuilder, this would load silently as a(0,0) = 3.
+  std::istringstream twice(general + "2 2 2\n1 1 1.0\n1 1 2.0\n");
+  EXPECT_THROW(read_matrix_market(twice), Error);
+  // Repeats need not be adjacent in the file.
+  std::istringstream apart(general + "2 2 3\n2 1 1.0\n1 2 5.0\n2 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(apart), Error);
+  // A general file may list both (i, j) and (j, i): they are distinct.
+  std::istringstream mirrored(general + "2 2 2\n2 1 1.0\n1 2 5.0\n");
+  const CsrMatrix a = read_matrix_market(mirrored);
+  EXPECT_EQ(a.nnz(), 2);
+  EXPECT_EQ(a.at(0, 1), 5.0);
+  EXPECT_EQ(a.at(1, 0), 1.0);
+}
+
 TEST(MatrixMarket, RoundTripPreservesMatrix) {
   const CsrMatrix a = banded_spd(25, 4, 0.5, /*seed=*/77);
   std::ostringstream out;
