@@ -24,19 +24,11 @@ RedundantCopy::RedundantCopy(index_t tag,
                              std::vector<Vector> values)
     : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
   ESRP_CHECK(layout_ != nullptr && values_.size() == layout_->size());
-  for (std::size_t h = 0; h < values_.size(); ++h)
+  sums_.reserve(values_.size());
+  for (std::size_t h = 0; h < values_.size(); ++h) {
     ESRP_CHECK(values_[h].size() == (*layout_)[h].size());
-  // Each holder's seal lands in its own slot, so the chunking (and thus the
-  // thread count) never changes a seal.
-  sums_.resize(values_.size());
-  const auto holders = static_cast<index_t>(values_.size());
-  parallel_for(index_t{0}, holders, adaptive_grain(holders),
-               [&](index_t lo, index_t hi) {
-                 for (index_t h = lo; h < hi; ++h) {
-                   const auto k = static_cast<std::size_t>(h);
-                   sums_[k] = seal(values_[k]);
-                 }
-               });
+    sums_.push_back(seal(values_[h]));
+  }
 }
 
 std::optional<std::size_t> RedundantCopy::slot(rank_t h, index_t i) const {

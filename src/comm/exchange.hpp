@@ -30,8 +30,7 @@ class RedundantCopy {
 public:
   /// `values[h]` holds the values of the entries `(*layout)[h]`, in layout
   /// order. Each holder's values are sealed with a word-wise FNV-1a checksum
-  /// (common/fnv.hpp); the holders are sealed in parallel, one result slot
-  /// each, so the seals do not depend on the thread count.
+  /// (common/fnv.hpp).
   RedundantCopy(index_t tag, std::shared_ptr<const HolderLayout> layout,
                 std::vector<Vector> values);
 

@@ -8,7 +8,8 @@
 //     CheckpointStore entries) and the matrix hash in
 //     ProblemHandle::content_key. One multiply per word instead of per
 //     byte: both loops are bound by the multiply's latency, so the
-//     word-wise one is about 8x faster (bench BM_Fnv1a/{bytes,words}).
+//     word-wise one does an eighth of the serial work (compare
+//     BM_Fnv1a/{bytes,words} in bench_micro_kernels).
 //
 // Word-wise does not weaken detection. Each step (h ^= w, then h *= odd
 // prime) is a bijection on the 64-bit state for fixed w, and h ^= w is a

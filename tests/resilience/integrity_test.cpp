@@ -11,7 +11,6 @@
 #include "api/solve.hpp"
 #include "comm/exchange.hpp"
 #include "common/error.hpp"
-#include "parallel/parallel.hpp"
 #include "resilience/checkpoint_store.hpp"
 #include "resilience/engine.hpp"
 
@@ -31,22 +30,6 @@ RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
     values[h].push_back(value);
   }
   return RedundantCopy(tag, std::move(layout), std::move(values));
-}
-
-/// `holders` holders of `per_holder` consecutive entries each, every entry
-/// with its own value, so two holders' seals never coincide.
-RedundantCopy make_distinct_copy(rank_t holders, index_t per_holder) {
-  auto layout = std::make_shared<HolderLayout>(holders);
-  std::vector<Vector> values(static_cast<std::size_t>(holders));
-  for (rank_t h = 0; h < holders; ++h) {
-    for (index_t k = 0; k < per_holder; ++k) {
-      const index_t i = h * per_holder + k;
-      (*layout)[static_cast<std::size_t>(h)].push_back(i);
-      values[static_cast<std::size_t>(h)].push_back(
-          0.5 * static_cast<real_t>(i) + 1);
-    }
-  }
-  return RedundantCopy(0, std::move(layout), std::move(values));
 }
 
 // ------------------------------------------------------------ components --
@@ -73,19 +56,6 @@ TEST(RedundantCopyIntegrity, EveryBitFlipOfAHeldValueBreaksVerification) {
     copy.corrupt(7, bit); // flip it back
     EXPECT_TRUE(copy.verify({})) << "bit " << bit;
   }
-}
-
-TEST(RedundantCopyIntegrity, SealsDoNotDependOnTheThreadCount) {
-  // The holders are sealed in parallel; a copy sealed under four threads
-  // must verify against seals recomputed on one.
-  RedundantCopy copy = [] {
-    const ThreadBudget four(4);
-    return make_distinct_copy(64, 37);
-  }();
-  const ThreadBudget one(1);
-  EXPECT_TRUE(copy.verify({}));
-  ASSERT_EQ(copy.corrupt(64 * 37 - 1, 0), 63);
-  EXPECT_FALSE(copy.verify({}));
 }
 
 TEST(RedundantCopyIntegrity, DroppedHoldersAreNotCorruption) {
