@@ -1,13 +1,13 @@
 // Google-benchmark micro benches of the kernels that determine the
 // simulator's wall-clock cost: sequential SpMV, the distributed SpMV and
-// ASpMV exchanges, the block Jacobi apply, a full resilient PCG iteration,
-// checkpoint storage, the byte- vs. word-wise seal hash, one Alg. 2 state
-// reconstruction, the thread scaling of the parallel SpMV / BLAS-1 kernels
-// (1/2/4/8 threads, operands first-touched under the kernels' own
-// partition), the fused iteration kernels vs. their separate-kernel
-// baselines (with a SUMMARY assertion that fusion is not slower at large
-// n), and the esrp::solve facade's end-to-end dispatch overhead vs. the
-// direct call.
+// ASpMV exchanges, the SpMV plan build, the block Jacobi apply, a full
+// resilient PCG iteration, checkpoint storage, the byte- vs. word-wise seal
+// hash, one Alg. 2 state reconstruction, the thread scaling of the parallel
+// SpMV / BLAS-1 kernels (1/2/4/8 threads, operands first-touched under the
+// kernels' own partition), the fused iteration kernels vs. their
+// separate-kernel baselines (with a SUMMARY assertion that fusion is not
+// slower at large n), and the esrp::solve facade's end-to-end dispatch
+// overhead vs. the direct call.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -113,6 +113,17 @@ void BM_DistributedAspmv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DistributedAspmv)->Arg(1)->Arg(3)->Arg(8);
+
+void BM_SpmvPlanBuild(benchmark::State& state) {
+  const CsrMatrix& a = test_matrix();
+  const BlockRowPartition part(a.rows(), static_cast<rank_t>(state.range(0)));
+  for (auto _ : state) {
+    const SpmvPlan plan(a, part);
+    benchmark::DoNotOptimize(plan.total_entries_sent());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_SpmvPlanBuild)->Arg(16)->Arg(128);
 
 void BM_BlockJacobiApply(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

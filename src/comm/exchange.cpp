@@ -93,26 +93,35 @@ ExchangeEngine::ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan,
     : a_(&a), plan_(&plan), cluster_(&cluster) {
   const BlockRowPartition& part = plan.partition();
   ESRP_CHECK(&part == &cluster.partition());
-  scratch_.assign(static_cast<std::size_t>(part.num_nodes()),
-                  Vector(static_cast<std::size_t>(part.global_size()), 0));
+  buf_begin_.assign(1, 0);
+  for (rank_t s = 0; s < part.num_nodes(); ++s)
+    buf_begin_.push_back(buf_begin_.back() +
+                         static_cast<std::size_t>(part.local_size(s)) +
+                         plan.ghosts(s).size());
+  buf_.assign(buf_begin_.back(), 0);
+}
+
+std::span<real_t> ExchangeEngine::buffer(rank_t s) {
+  const auto k = static_cast<std::size_t>(s);
+  return std::span(buf_).subspan(buf_begin_[k],
+                                 buf_begin_[k + 1] - buf_begin_[k]);
 }
 
 void ExchangeEngine::halo_exchange(const DistVector& p) {
-  // Each node's owned slice goes into its own scratch vector, its halo lists
-  // into the receivers' (at indices only the sender writes).
+  // Each node's owned slice opens its own buffer; each halo list lands as
+  // one run at its slot in the receiver's ghost section.
   const BlockRowPartition& part = plan_->partition();
   for (rank_t s = 0; s < part.num_nodes(); ++s) {
     const auto owned = p.local(s);
     const index_t lo = part.begin(s);
-    std::copy(owned.begin(), owned.end(),
-              scratch_[static_cast<std::size_t>(s)].begin() + lo);
+    std::copy(owned.begin(), owned.end(), buffer(s).begin());
     for (const SendList& sl : plan_->sends(s)) {
       cluster_->send(s, sl.to,
                      sl.indices.size() * CostParams::bytes_per_scalar,
                      CommCategory::spmv_halo);
-      Vector& dst = scratch_[static_cast<std::size_t>(sl.to)];
+      real_t* dst = buffer(sl.to).data() + sl.slot;
       for (index_t i : sl.indices)
-        dst[static_cast<std::size_t>(i)] = owned[static_cast<std::size_t>(i - lo)];
+        *dst++ = owned[static_cast<std::size_t>(i - lo)];
     }
   }
 }
@@ -150,18 +159,19 @@ RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
 
 void ExchangeEngine::local_products(DistVector& y) {
   // Each node's product writes only its own slice of y and reads its own
-  // scratch vector, so nodes parallelize freely (the halo exchange that
-  // filled scratch_ already completed). spmv_rows is called directly: the
-  // node slice is the unit of work, no nested row chunking.
+  // [owned | ghosts] buffer through the plan's local columns, so nodes
+  // parallelize freely (the halo exchange that filled buf_ already
+  // completed). The node slice is the unit of work, no nested row chunking.
   const BlockRowPartition& part = plan_->partition();
   const auto nodes = static_cast<index_t>(part.num_nodes());
   parallel_for(index_t{0}, nodes, adaptive_grain(nodes),
                [&](index_t lo, index_t hi) {
                  for (index_t i = lo; i < hi; ++i) {
                    const auto s = static_cast<rank_t>(i);
-                   a_->spmv_rows(part.begin(s), part.end(s),
-                                 scratch_[static_cast<std::size_t>(i)],
-                                 y.local(s));
+                   a_->spmv_rows_local(part.begin(s), part.end(s),
+                                       plan_->local_cols(s),
+                                       buffer(s),
+                                       y.local(s));
                    cluster_->add_compute(
                        s, 2.0 * static_cast<double>(plan_->local_nnz(s)));
                  }

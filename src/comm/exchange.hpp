@@ -78,8 +78,9 @@ private:
 };
 
 /// Drives halo exchanges and local products for one matrix on one cluster.
-/// Owns a per-node global-length scratch vector, so one engine should be
-/// reused across iterations.
+/// Owns one [owned | ghosts] buffer per node in the plan's local numbering
+/// (spmv_plan.hpp) — sum over nodes of local_size + ghosts doubles, O(n) in
+/// total — so one engine should be reused across iterations.
 class ExchangeEngine {
 public:
   ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan, SimCluster& cluster);
@@ -116,11 +117,16 @@ private:
   /// Gather the values `aug`'s holder layout places, from the owners' slices.
   RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
                         index_t tag) const;
+  /// Node s's [owned | ghosts] product input, a slice of buf_.
+  std::span<real_t> buffer(rank_t s);
 
   const CsrMatrix* a_;
   const SpmvPlan* plan_;
   SimCluster* cluster_;
-  std::vector<Vector> scratch_; // [node] -> global-length work vector
+  /// Every node's buffer, back to back in one allocation: separate per-node
+  /// vectors, scattered over the heap, made the SpMV measurably slower.
+  Vector buf_;
+  std::vector<std::size_t> buf_begin_; ///< [s] -> start of s's buffer
 };
 
 } // namespace esrp

@@ -1,6 +1,7 @@
 #include "comm/spmv_plan.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -11,48 +12,61 @@ SpmvPlan::SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part)
   ESRP_CHECK_MSG(a.rows() == a.cols(), "SpMV plan requires a square matrix");
   ESRP_CHECK_MSG(a.rows() == part.global_size(),
                  "matrix size does not match partition");
-  const rank_t n_nodes = part.num_nodes();
-  const index_t m = a.rows();
+  const auto n_nodes = static_cast<std::size_t>(part.num_nodes());
+  const auto m = static_cast<std::size_t>(a.rows());
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  sends_.resize(n_nodes);
+  ghosts_.resize(n_nodes);
+  local_cols_.resize(n_nodes);
+  multiplicity_.assign(m, 0);
 
-  // needed[l] accumulates the off-node column indices of node l's rows.
-  std::vector<IndexSet> needed(static_cast<std::size_t>(n_nodes));
-  local_nnz_.assign(static_cast<std::size_t>(n_nodes), 0);
-  for (rank_t l = 0; l < n_nodes; ++l) {
+  // One pass over each receiver's nonzeros. seen[j] == l once node l has met
+  // off-node column j, and slot[j] is then j's local column on l; both are
+  // overwritten by later nodes, never cleared.
+  std::vector<rank_t> seen(m, -1);
+  std::vector<std::int32_t> slot(m, -1);
+  for (rank_t l = 0; l < part.num_nodes(); ++l) {
+    const auto k = static_cast<std::size_t>(l);
     const index_t lo = part.begin(l), hi = part.end(l);
-    IndexSet& need = needed[static_cast<std::size_t>(l)];
-    for (index_t i = lo; i < hi; ++i) {
-      local_nnz_[static_cast<std::size_t>(l)] +=
-          static_cast<index_t>(a.row_cols(i).size());
-      for (index_t j : a.row_cols(i)) {
-        if (j < lo || j >= hi) need.push_back(j);
+    const auto nz_lo = static_cast<std::size_t>(row_ptr[lo]);
+    const auto nz_hi = static_cast<std::size_t>(row_ptr[hi]);
+    IndexSet& ghosts = ghosts_[k];
+    for (std::size_t q = nz_lo; q < nz_hi; ++q) {
+      const index_t j = col_idx[q];
+      if ((j < lo || j >= hi) && seen[static_cast<std::size_t>(j)] != l) {
+        seen[static_cast<std::size_t>(j)] = l;
+        ghosts.push_back(j);
       }
     }
-    std::sort(need.begin(), need.end());
-    need.erase(std::unique(need.begin(), need.end()), need.end());
-  }
-  ghosts_ = needed;
-
-  // Group each receiver's needs by owning node to form I_{s,l}.
-  sends_.assign(static_cast<std::size_t>(n_nodes), {});
-  multiplicity_.assign(static_cast<std::size_t>(m), 0);
-  std::vector<std::vector<IndexSet>> by_owner(
-      static_cast<std::size_t>(n_nodes),
-      std::vector<IndexSet>(static_cast<std::size_t>(n_nodes)));
-  for (rank_t l = 0; l < n_nodes; ++l) {
-    for (index_t j : ghosts_[static_cast<std::size_t>(l)]) {
-      const rank_t s = part.owner(j);
-      by_owner[static_cast<std::size_t>(s)][static_cast<std::size_t>(l)]
-          .push_back(j);
-      ++multiplicity_[static_cast<std::size_t>(j)];
+    std::sort(ghosts.begin(), ghosts.end());
+    const index_t owned = hi - lo;
+    ESRP_CHECK_MSG(
+        static_cast<std::uint64_t>(owned) + ghosts.size() <=
+            static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
+        "rank " << l << " needs " << owned << " owned + " << ghosts.size()
+                << " ghost entries, beyond the 32-bit local numbering");
+    for (std::size_t g = 0; g < ghosts.size(); ++g) {
+      const auto j = static_cast<std::size_t>(ghosts[g]);
+      slot[j] = static_cast<std::int32_t>(owned + static_cast<index_t>(g));
+      ++multiplicity_[j];
     }
-  }
-  for (rank_t s = 0; s < n_nodes; ++s) {
-    for (rank_t l = 0; l < n_nodes; ++l) {
-      IndexSet& idx = by_owner[static_cast<std::size_t>(s)][static_cast<std::size_t>(l)];
-      if (idx.empty()) continue;
-      ESRP_CHECK(s != l); // ghosts exclude the receiver's own range
-      sends_[static_cast<std::size_t>(s)].push_back(
-          SendList{l, std::move(idx)});
+    // Owners hold contiguous ranges, so each sender's share of the sorted
+    // ghosts is one run; receivers ascend, so sends_[s] stays ordered by `to`.
+    for (auto run = ghosts.begin(); run != ghosts.end();) {
+      const rank_t s = part.owner(*run);
+      const auto run_end = std::lower_bound(run, ghosts.end(), part.end(s));
+      sends_[static_cast<std::size_t>(s)].push_back(SendList{
+          l, IndexSet(run, run_end), slot[static_cast<std::size_t>(*run)]});
+      run = run_end;
+    }
+    std::vector<std::int32_t>& cols = local_cols_[k];
+    cols.resize(nz_hi - nz_lo);
+    for (std::size_t q = nz_lo; q < nz_hi; ++q) {
+      const index_t j = col_idx[q];
+      cols[q - nz_lo] = j >= lo && j < hi
+                            ? static_cast<std::int32_t>(j - lo)
+                            : slot[static_cast<std::size_t>(j)];
     }
   }
 }
@@ -78,9 +92,13 @@ int SpmvPlan::multiplicity(index_t i) const {
   return multiplicity_[static_cast<std::size_t>(i)];
 }
 
-index_t SpmvPlan::local_nnz(rank_t s) const {
+std::span<const std::int32_t> SpmvPlan::local_cols(rank_t s) const {
   ESRP_CHECK(s >= 0 && s < part_->num_nodes());
-  return local_nnz_[static_cast<std::size_t>(s)];
+  return local_cols_[static_cast<std::size_t>(s)];
+}
+
+index_t SpmvPlan::local_nnz(rank_t s) const {
+  return static_cast<index_t>(local_cols(s).size());
 }
 
 std::uint64_t SpmvPlan::total_entries_sent() const {

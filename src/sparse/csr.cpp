@@ -108,6 +108,25 @@ void CsrMatrix::spmv_rows(index_t row_begin, index_t row_end,
   }
 }
 
+void CsrMatrix::spmv_rows_local(index_t row_begin, index_t row_end,
+                                std::span<const std::int32_t> local_cols,
+                                std::span<const real_t> x,
+                                std::span<real_t> y) const {
+  ESRP_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= rows_);
+  const auto base = static_cast<std::size_t>(row_ptr_[row_begin]);
+  ESRP_CHECK(local_cols.size() ==
+             static_cast<std::size_t>(row_ptr_[row_end]) - base);
+  ESRP_CHECK(static_cast<index_t>(y.size()) == row_end - row_begin);
+  for (index_t i = row_begin; i < row_end; ++i) {
+    const auto b = static_cast<std::size_t>(row_ptr_[i]);
+    const auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
+    real_t acc = 0;
+    for (std::size_t k = b; k < e; ++k)
+      acc += values_[k] * x[static_cast<std::size_t>(local_cols[k - base])];
+    y[i - row_begin] = acc;
+  }
+}
+
 CsrMatrix CsrMatrix::transpose() const {
   std::vector<index_t> t_row_ptr(static_cast<std::size_t>(cols_) + 1, 0);
   for (index_t c : col_idx_) ++t_row_ptr[static_cast<std::size_t>(c) + 1];

@@ -3,6 +3,7 @@
 // this is relied upon by the plan builders and submatrix extraction.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,6 +53,16 @@ public:
   /// SpMV; `y` has row_end - row_begin entries.
   void spmv_rows(index_t row_begin, index_t row_end, std::span<const real_t> x,
                  std::span<real_t> y) const;
+
+  /// y := A[row_begin:row_end, :] x with the rows' columns renumbered:
+  /// `local_cols` gives, for every nonzero of rows [row_begin, row_end) in
+  /// CSR order, the entry of `x` it multiplies (each must be < x.size()).
+  /// Each row sums its nonzeros in stored order, so with local_cols mapping
+  /// to the same values this is bitwise equal to spmv_rows — the node-local
+  /// product over a compact [owned | ghosts] buffer (comm/spmv_plan.hpp).
+  void spmv_rows_local(index_t row_begin, index_t row_end,
+                       std::span<const std::int32_t> local_cols,
+                       std::span<const real_t> x, std::span<real_t> y) const;
 
   /// Flop count of one full SpMV (2 * nnz), for the cost model.
   index_t spmv_flops() const { return 2 * nnz(); }

@@ -191,6 +191,29 @@ TEST(Exchange, WorksOnElasticityOperator) {
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-12);
 }
 
+TEST(Exchange, SpmvOnShrunkPartitionIsBitwiseSequential) {
+  // The offsets partition shrink recovery leaves behind: empty ranks have
+  // empty [owned | ghosts] buffers, and nothing is sent to them.
+  const CsrMatrix a = elasticity3d(4, 4, 4, 10, 3);
+  const rank_t failed[] = {0, 2, 3, 6};
+  const BlockRowPartition part =
+      absorb_ranks(BlockRowPartition(a.rows(), 8), failed);
+  ASSERT_EQ(part.active_nodes(), 4);
+  SimCluster cluster(part);
+  const SpmvPlan plan(a, part);
+  ExchangeEngine engine(a, plan, cluster);
+  const Vector x = random_vector(a.rows(), 12);
+  DistVector xd(part, x), yd(part);
+  engine.spmv(xd, yd);
+  Vector y_ref(static_cast<std::size_t>(a.rows()));
+  a.spmv(x, y_ref);
+  const Vector y = yd.gather_global();
+  for (std::size_t i = 0; i < y.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(y[i]),
+              std::bit_cast<std::uint64_t>(y_ref[i]))
+        << "row " << i;
+}
+
 // ---------------------------------------------------------------------------
 // Capture property: over matrices x node counts x phi, both capture paths
 // store exactly the values the plan's holder layout places, bitwise.

@@ -2,10 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "common/rng.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
+
+/// Square matrix with a diagonal plus `per_row` uniformly scattered columns
+/// per row: ghosts from many owners, unlike a banded stencil.
+CsrMatrix random_matrix(index_t n, int per_row, std::uint64_t seed) {
+  Rng rng(seed);
+  CooBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    b.add(i, i, 4);
+    for (int k = 0; k < per_row; ++k)
+      b.add(i, rng.uniform_index(0, n - 1), rng.uniform(0.5, 1.5));
+  }
+  return b.to_csr();
+}
+
+/// (label, matrix, partition) cases for the local-numbering tests: an even
+/// split, and the offsets partition shrink recovery leaves behind, with
+/// empty ranks at the front and in the middle.
+std::vector<std::pair<std::string, std::pair<CsrMatrix, BlockRowPartition>>>
+plan_cases() {
+  const CsrMatrix rnd = random_matrix(300, 6, 7);
+  const CsrMatrix stencil = poisson3d(6, 6, 6);
+  const BlockRowPartition even(300, 9);
+  const rank_t failed[] = {0, 3, 4, 7};
+  return {{"random/even", {rnd, even}},
+          {"random/shrunk", {rnd, absorb_ranks(even, failed)}},
+          {"poisson/shrunk",
+           {stencil, absorb_ranks(BlockRowPartition(216, 8), failed)}}};
+}
 
 TEST(SpmvPlan, Laplace1dSendsBoundaryEntriesToNeighbors) {
   const CsrMatrix a = laplace1d(8);
@@ -112,6 +146,97 @@ TEST(SpmvPlan, DenserMatrixSendsMoreEntries) {
   const BlockRowPartition part(60, 6);
   EXPECT_LT(SpmvPlan(narrow, part).total_entries_sent(),
             SpmvPlan(wide, part).total_entries_sent());
+}
+
+TEST(SpmvPlan, LocalColumnsAddressOwnedThenGhosts) {
+  for (const auto& [label, mp] : plan_cases()) {
+    const auto& [a, part] = mp;
+    const SpmvPlan plan(a, part);
+    for (rank_t s = 0; s < part.num_nodes(); ++s) {
+      const index_t owned = part.local_size(s);
+      const IndexSet& ghosts = plan.ghosts(s);
+      const auto cols = plan.local_cols(s);
+      ASSERT_EQ(static_cast<index_t>(cols.size()), plan.local_nnz(s)) << label;
+      std::size_t q = 0;
+      for (index_t i = part.begin(s); i < part.end(s); ++i) {
+        IndexSet mapped;
+        for (std::size_t k = 0; k < a.row_cols(i).size(); ++k, ++q) {
+          const index_t c = cols[q];
+          ASSERT_GE(c, 0) << label;
+          ASSERT_LT(c, owned + static_cast<index_t>(ghosts.size())) << label;
+          mapped.push_back(c < owned
+                               ? part.begin(s) + c
+                               : ghosts[static_cast<std::size_t>(c - owned)]);
+        }
+        const auto row = a.row_cols(i);
+        EXPECT_EQ(mapped, IndexSet(row.begin(), row.end()))
+            << label << " rank " << s << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(SpmvPlan, SendListsLandAtTheirSlot) {
+  for (const auto& [label, mp] : plan_cases()) {
+    const auto& [a, part] = mp;
+    const SpmvPlan plan(a, part);
+    for (rank_t s = 0; s < part.num_nodes(); ++s) {
+      for (const SendList& sl : plan.sends(s)) {
+        const IndexSet& ghosts = plan.ghosts(sl.to);
+        const auto first =
+            static_cast<std::ptrdiff_t>(sl.slot - part.local_size(sl.to));
+        ASSERT_GE(first, 0) << label;
+        ASSERT_LE(first + static_cast<std::ptrdiff_t>(sl.indices.size()),
+                  static_cast<std::ptrdiff_t>(ghosts.size()))
+            << label;
+        EXPECT_EQ(IndexSet(ghosts.begin() + first,
+                           ghosts.begin() + first +
+                               static_cast<std::ptrdiff_t>(sl.indices.size())),
+                  sl.indices)
+            << label << " " << s << "->" << sl.to;
+      }
+    }
+  }
+}
+
+TEST(SpmvPlan, OnePassBuildMatchesBruteForceReference) {
+  for (const auto& [label, mp] : plan_cases()) {
+    const auto& [a, part] = mp;
+    const SpmvPlan plan(a, part);
+    const rank_t n_nodes = part.num_nodes();
+    // Reference: I_{s,l} straight from the definition, one owner at a time.
+    std::vector<std::vector<SendList>> sends(static_cast<std::size_t>(n_nodes));
+    std::vector<int> multiplicity(static_cast<std::size_t>(a.rows()), 0);
+    for (rank_t l = 0; l < n_nodes; ++l) {
+      IndexSet ghosts;
+      for (rank_t s = 0; s < n_nodes; ++s) {
+        if (s == l) continue;
+        IndexSet need;
+        for (index_t i = part.begin(l); i < part.end(l); ++i)
+          for (index_t j : a.row_cols(i))
+            if (part.owner(j) == s) need.push_back(j);
+        std::sort(need.begin(), need.end());
+        need.erase(std::unique(need.begin(), need.end()), need.end());
+        for (index_t j : need) ++multiplicity[static_cast<std::size_t>(j)];
+        ghosts = set_union(ghosts, need);
+        if (!need.empty())
+          sends[static_cast<std::size_t>(s)].push_back(SendList{l, need});
+      }
+      EXPECT_EQ(plan.ghosts(l), ghosts) << label << " rank " << l;
+    }
+    for (rank_t s = 0; s < n_nodes; ++s) {
+      const auto& got = plan.sends(s);
+      const auto& want = sends[static_cast<std::size_t>(s)];
+      ASSERT_EQ(got.size(), want.size()) << label << " rank " << s;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].to, want[k].to) << label;
+        EXPECT_EQ(got[k].indices, want[k].indices) << label;
+      }
+    }
+    for (index_t i = 0; i < a.rows(); ++i)
+      EXPECT_EQ(plan.multiplicity(i), multiplicity[static_cast<std::size_t>(i)])
+          << label << " entry " << i;
+  }
 }
 
 } // namespace

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
@@ -100,6 +106,39 @@ TEST(Csr, SpmvRowsComputesPartialProduct) {
   Vector y(2);
   a.spmv_rows(1, 3, x, y);
   EXPECT_EQ(y, (Vector{0, 4}));
+}
+
+TEST(CsrMatrix, SpmvRowsLocalMatchesSpmvRowsBitwise) {
+  // Rows [30, 90) of a 27-point operator, renumbered to a compact buffer of
+  // the columns they touch: same products, bit for bit.
+  const CsrMatrix a = diffusion3d_27pt(5, 5, 5, 100, 4);
+  const index_t lo = 30, hi = 90;
+  const auto first = a.row_ptr()[lo], last = a.row_ptr()[hi];
+  std::vector<index_t> used(a.col_idx().begin() + first,
+                            a.col_idx().begin() + last);
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  Rng rng(5);
+  Vector x(static_cast<std::size_t>(a.cols()));
+  for (real_t& v : x) v = rng.uniform(-1, 1);
+  Vector x_local;
+  for (index_t j : used) x_local.push_back(x[static_cast<std::size_t>(j)]);
+  std::vector<std::int32_t> local_cols;
+  for (auto q = first; q < last; ++q) {
+    const auto it = std::lower_bound(used.begin(), used.end(),
+                                     a.col_idx()[static_cast<std::size_t>(q)]);
+    local_cols.push_back(static_cast<std::int32_t>(it - used.begin()));
+  }
+  Vector y(static_cast<std::size_t>(hi - lo)), y_local(y.size());
+  a.spmv_rows(lo, hi, x, y);
+  a.spmv_rows_local(lo, hi, local_cols, x_local, y_local);
+  for (std::size_t i = 0; i < y.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(y_local[i]),
+              std::bit_cast<std::uint64_t>(y[i]))
+        << "row " << lo + static_cast<index_t>(i);
+  // A column list of the wrong length is a caller bug.
+  local_cols.pop_back();
+  EXPECT_THROW(a.spmv_rows_local(lo, hi, local_cols, x_local, y_local), Error);
 }
 
 TEST(Csr, TransposeOfSymmetricEqualsOriginal) {
