@@ -1,8 +1,8 @@
 // Google-benchmark micro benches of the kernels that determine the
 // simulator's wall-clock cost: sequential SpMV, the distributed SpMV and
-// ASpMV exchanges, the SpMV plan build, the block Jacobi apply, a full
-// resilient PCG iteration, checkpoint storage, the byte- vs. word-wise seal
-// hash, one Alg. 2 state reconstruction, the thread scaling of the parallel
+// ASpMV exchanges, the SpMV plan build, the block Jacobi build and apply, a
+// full resilient PCG iteration, checkpoint storage, the byte- vs. word-wise
+// seal hash, one Alg. 2 state reconstruction, the thread scaling of the parallel
 // SpMV / BLAS-1 kernels (1/2/4/8 threads, operands first-touched under the
 // kernels' own partition), the fused iteration kernels vs. their
 // separate-kernel baselines (with a SUMMARY assertion that fusion is not
@@ -124,6 +124,19 @@ void BM_SpmvPlanBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
 BENCHMARK(BM_SpmvPlanBuild)->Arg(16)->Arg(128);
+
+/// Block Jacobi setup (blocks of <= 10, P and M as CSR) on one node (a
+/// single domain) and on 128 nodes.
+void BM_BlockJacobiBuild(benchmark::State& state) {
+  const CsrMatrix& a = test_matrix();
+  const BlockRowPartition part(a.rows(), static_cast<rank_t>(state.range(0)));
+  for (auto _ : state) {
+    const BlockJacobiPreconditioner precond(a, part);
+    benchmark::DoNotOptimize(precond.action_matrix()->nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * a.rows());
+}
+BENCHMARK(BM_BlockJacobiBuild)->Arg(1)->Arg(128);
 
 void BM_BlockJacobiApply(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

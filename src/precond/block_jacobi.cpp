@@ -1,7 +1,9 @@
 #include "precond/block_jacobi.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/dense.hpp"
 
 namespace esrp {
@@ -46,9 +48,41 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
   build(a);
 }
 
+namespace {
+
+/// Cholesky(block).inverse(), with a non-SPD block named by its rows.
+DenseMatrix invert_block(const DenseMatrix& block, index_t lo, index_t hi) {
+  try {
+    return Cholesky(block).inverse();
+  } catch (const Error& e) {
+    throw Error("block Jacobi: diagonal block of rows [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + ") is not SPD: " + e.what());
+  }
+}
+
+} // namespace
+
+// The blocks are disjoint, ascending diagonal ranges covering [0, n), so
+// every row of P and M is appended in order with its columns ascending.
+// Exact zeros are not stored, as in every CooBuilder-assembled matrix
+// (reducible blocks have exact zeros in their inverses).
 void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
-  CooBuilder inv_builder(a.rows(), a.rows());
-  CooBuilder mat_builder(a.rows(), a.rows());
+  const index_t n = a.rows();
+  std::size_t block_entries = 0;
+  for (std::size_t b = 0; b + 1 < starts_.size(); ++b) {
+    const auto len = static_cast<std::size_t>(starts_[b + 1] - starts_[b]);
+    block_entries += len * len;
+  }
+  std::vector<index_t> p_ptr{0}, m_ptr{0}, p_cols, m_cols;
+  std::vector<real_t> p_vals, m_vals;
+  p_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  m_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  p_cols.reserve(block_entries);
+  p_vals.reserve(block_entries);
+  const std::size_t m_cap =
+      std::min(block_entries, static_cast<std::size_t>(a.nnz()));
+  m_cols.reserve(m_cap);
+  m_vals.reserve(m_cap);
   for (std::size_t b = 0; b + 1 < starts_.size(); ++b) {
     const index_t lo = starts_[b], hi = starts_[b + 1];
     const index_t len = hi - lo;
@@ -59,21 +93,28 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
       const auto vals = a.row_vals(i);
       for (std::size_t k = 0; k < cols.size(); ++k) {
         const index_t j = cols[k];
-        if (j >= lo && j < hi) {
-          block(i - lo, j - lo) = vals[k];
-          mat_builder.add(i, j, vals[k]);
+        if (j < lo || j >= hi) continue;
+        block(i - lo, j - lo) = vals[k];
+        if (vals[k] != real_t{0}) {
+          m_cols.push_back(j);
+          m_vals.push_back(vals[k]);
         }
       }
+      m_ptr.push_back(static_cast<index_t>(m_cols.size()));
     }
-    const DenseMatrix inv = Cholesky(block).inverse();
-    for (index_t bi = 0; bi < len; ++bi)
+    const DenseMatrix inv = invert_block(block, lo, hi);
+    for (index_t bi = 0; bi < len; ++bi) {
       for (index_t bj = 0; bj < len; ++bj) {
         const real_t v = inv(bi, bj);
-        if (v != real_t{0}) inv_builder.add(lo + bi, lo + bj, v);
+        if (v == real_t{0}) continue;
+        p_cols.push_back(lo + bj);
+        p_vals.push_back(v);
       }
+      p_ptr.push_back(static_cast<index_t>(p_cols.size()));
+    }
   }
-  p_ = inv_builder.to_csr();
-  m_ = mat_builder.to_csr();
+  p_ = CsrMatrix(n, n, std::move(p_ptr), std::move(p_cols), std::move(p_vals));
+  m_ = CsrMatrix(n, n, std::move(m_ptr), std::move(m_cols), std::move(m_vals));
 }
 
 void BlockJacobiPreconditioner::apply(std::span<const real_t> r,

@@ -5,7 +5,9 @@
 // preconditioner action P = blockdiag(B_1^{-1}, ..., B_m^{-1}) is available
 // as an explicit sparse matrix — which is what the ESR/ESRP reconstruction
 // (Alg. 2) requires, and which makes P_{I_f, I\I_f} = 0 whenever whole nodes
-// fail.
+// fail. P and M are assembled in place as CSR, block after block, without
+// exact zeros; a diagonal block that is not SPD throws esrp::Error naming
+// its rows.
 #pragma once
 
 #include <optional>

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "sparse/coo.hpp"
 
 namespace esrp {
 

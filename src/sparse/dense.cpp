@@ -30,18 +30,6 @@ DenseMatrix DenseMatrix::from_csr(const CsrMatrix& a) {
   return m;
 }
 
-real_t& DenseMatrix::operator()(index_t i, index_t j) {
-  ESRP_CHECK(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-  return data_[static_cast<std::size_t>(j) * static_cast<std::size_t>(rows_) +
-               static_cast<std::size_t>(i)];
-}
-
-real_t DenseMatrix::operator()(index_t i, index_t j) const {
-  ESRP_CHECK(i >= 0 && i < rows_ && j >= 0 && j < cols_);
-  return data_[static_cast<std::size_t>(j) * static_cast<std::size_t>(rows_) +
-               static_cast<std::size_t>(i)];
-}
-
 void DenseMatrix::matvec(std::span<const real_t> x, std::span<real_t> y) const {
   ESRP_CHECK(static_cast<index_t>(x.size()) == cols_);
   ESRP_CHECK(static_cast<index_t>(y.size()) == rows_);
@@ -131,13 +119,40 @@ Vector Cholesky::solve(std::span<const real_t> b) const {
 
 DenseMatrix Cholesky::inverse() const {
   const index_t n = dim();
+  const auto un = static_cast<std::size_t>(n);
+  // Row-major n x n: row i holds y[i] (then x[i]) of every right-hand side,
+  // so each update below streams over all columns at once.
+  std::vector<real_t> y(un * un, 0);
+  for (std::size_t j = 0; j < un; ++j) y[j * un + j] = 1;
+  const auto row = [&](index_t i) {
+    return y.data() + static_cast<std::size_t>(i) * un;
+  };
+  // Forward substitution L Y = I, row by row as in solve().
+  for (index_t i = 0; i < n; ++i) {
+    real_t* yi = row(i);
+    for (index_t k = 0; k < i; ++k) {
+      const real_t lik = l_(i, k);
+      const real_t* yk = row(k);
+      for (std::size_t j = 0; j < un; ++j) yi[j] -= lik * yk[j];
+    }
+    const real_t lii = l_(i, i);
+    for (std::size_t j = 0; j < un; ++j) yi[j] /= lii;
+  }
+  // Backward substitution L^T X = Y.
+  for (index_t i = n - 1; i >= 0; --i) {
+    real_t* yi = row(i);
+    for (index_t k = i + 1; k < n; ++k) {
+      const real_t lki = l_(k, i);
+      const real_t* yk = row(k);
+      for (std::size_t j = 0; j < un; ++j) yi[j] -= lki * yk[j];
+    }
+    const real_t lii = l_(i, i);
+    for (std::size_t j = 0; j < un; ++j) yi[j] /= lii;
+  }
   DenseMatrix inv(n, n);
-  Vector e(static_cast<std::size_t>(n), 0);
-  for (index_t j = 0; j < n; ++j) {
-    e[static_cast<std::size_t>(j)] = 1;
-    const Vector col = solve(e);
-    for (index_t i = 0; i < n; ++i) inv(i, j) = col[static_cast<std::size_t>(i)];
-    e[static_cast<std::size_t>(j)] = 0;
+  for (index_t i = 0; i < n; ++i) {
+    const real_t* yi = row(i);
+    for (index_t j = 0; j < n; ++j) inv(i, j) = yi[static_cast<std::size_t>(j)];
   }
   return inv;
 }

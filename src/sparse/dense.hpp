@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "common/vec.hpp"
 
@@ -24,8 +25,8 @@ public:
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
 
-  real_t& operator()(index_t i, index_t j);
-  real_t operator()(index_t i, index_t j) const;
+  real_t& operator()(index_t i, index_t j) { return data_[offset(i, j)]; }
+  real_t operator()(index_t i, index_t j) const { return data_[offset(i, j)]; }
 
   /// y := A x.
   void matvec(std::span<const real_t> x, std::span<real_t> y) const;
@@ -39,6 +40,12 @@ public:
   bool is_symmetric(real_t tol = 1e-12) const;
 
 private:
+  std::size_t offset(index_t i, index_t j) const {
+    ESRP_CHECK(i >= 0 && i < rows_ && j >= 0 && j < cols_);
+    return static_cast<std::size_t>(j) * static_cast<std::size_t>(rows_) +
+           static_cast<std::size_t>(i);
+  }
+
   index_t rows_;
   index_t cols_;
   std::vector<real_t> data_; // column-major
@@ -55,7 +62,10 @@ public:
   /// Solve A x = b.
   Vector solve(std::span<const real_t> b) const;
 
-  /// Dense inverse A^{-1} (used to materialize block Jacobi actions).
+  /// Dense inverse A^{-1} (used to materialize block Jacobi actions). All n
+  /// unit right-hand sides advance together, row by row, through one
+  /// scratch buffer; column j goes through exactly solve(e_j)'s operations
+  /// in solve's order, so inverse()(i, j) is bitwise equal to solve(e_j)[i].
   DenseMatrix inverse() const;
 
   /// log(det(A)) from the factor (sanity metric in tests).

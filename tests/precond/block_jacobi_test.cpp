@@ -2,12 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
+
+/// The block Jacobi P and M assembled through triplets, each block inverted
+/// one unit right-hand side at a time: the reference the in-place build is
+/// pinned to.
+struct CooReference {
+  CsrMatrix p;
+  CsrMatrix m;
+};
+
+CooReference coo_reference(const CsrMatrix& a,
+                           const std::vector<index_t>& starts) {
+  CooBuilder inv_builder(a.rows(), a.rows());
+  CooBuilder mat_builder(a.rows(), a.rows());
+  for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+    const index_t lo = starts[b], hi = starts[b + 1];
+    const index_t len = hi - lo;
+    if (len == 0) continue;
+    DenseMatrix block(len, len);
+    for (index_t i = lo; i < hi; ++i) {
+      const auto cols = a.row_cols(i);
+      const auto vals = a.row_vals(i);
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        const index_t j = cols[k];
+        if (j >= lo && j < hi) {
+          block(i - lo, j - lo) = vals[k];
+          mat_builder.add(i, j, vals[k]);
+        }
+      }
+    }
+    const Cholesky chol(block);
+    Vector e(static_cast<std::size_t>(len), 0);
+    for (index_t bj = 0; bj < len; ++bj) {
+      e[static_cast<std::size_t>(bj)] = 1;
+      const Vector col = chol.solve(e);
+      e[static_cast<std::size_t>(bj)] = 0;
+      for (index_t bi = 0; bi < len; ++bi) {
+        const real_t v = col[static_cast<std::size_t>(bi)];
+        if (v != real_t{0}) inv_builder.add(lo + bi, lo + bj, v);
+      }
+    }
+  }
+  return {inv_builder.to_csr(), mat_builder.to_csr()};
+}
+
+void expect_bitwise_equal(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  const auto bits = [](real_t v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(got.values(), want.values(), {}, bits, bits));
+}
 
 TEST(UniformBlocks, FewestBlocksUnderCap) {
   // 25 rows, cap 10 -> 3 blocks of sizes 9,8,8.
@@ -117,6 +176,73 @@ TEST(BlockJacobi, PaperDefaultBlockSizeIsTen) {
   const auto& starts = p.block_starts();
   for (std::size_t k = 0; k + 1 < starts.size(); ++k)
     EXPECT_LE(starts[k + 1] - starts[k], 10);
+}
+
+TEST(BlockJacobi, InPlaceBuildMatchesCooReferenceBitwise) {
+  const auto check = [](const CsrMatrix& a, const BlockJacobiPreconditioner& p) {
+    const CooReference ref = coo_reference(a, p.block_starts());
+    expect_bitwise_equal(*p.action_matrix(), ref.p);
+    expect_bitwise_equal(*p.matrix_form(), ref.m);
+    return ref;
+  };
+  {
+    // emilia's blocks are reducible, so their inverses hold exact zeros
+    // that both builds must drop.
+    const CsrMatrix a = emilia_like(20, 20, 20).matrix;
+    const BlockJacobiPreconditioner p(a, BlockRowPartition(a.rows(), 128));
+    const CooReference ref = check(a, p);
+    std::size_t block_entries = 0;
+    const auto& starts = p.block_starts();
+    for (std::size_t k = 0; k + 1 < starts.size(); ++k)
+      block_entries += static_cast<std::size_t>((starts[k + 1] - starts[k]) *
+                                                (starts[k + 1] - starts[k]));
+    EXPECT_LT(static_cast<std::size_t>(ref.p.nnz()), block_entries);
+  }
+  {
+    const CsrMatrix a = poisson3d(12, 12, 12);
+    check(a, BlockJacobiPreconditioner(a));
+  }
+  {
+    // Empty ranks first, in the middle and last, as absorb_ranks leaves them.
+    const CsrMatrix a = emilia_like(6, 6, 6).matrix; // 216 rows
+    const BlockRowPartition part({0, 0, 50, 50, 123, 216, 216});
+    check(a, BlockJacobiPreconditioner(a, part));
+  }
+  {
+    // Stored zeros at (2, 3) and (3, 2), inside the first block of 4.
+    const CsrMatrix l = laplace1d(8);
+    std::vector<real_t> vals(l.values().begin(), l.values().end());
+    for (index_t i : {2, 3}) {
+      const auto cols = l.row_cols(i);
+      for (std::size_t k = 0; k < cols.size(); ++k)
+        if (cols[k] == 5 - i)
+          vals[static_cast<std::size_t>(l.row_ptr()[i]) + k] = 0;
+    }
+    const CsrMatrix a(
+        8, 8, std::vector<index_t>(l.row_ptr().begin(), l.row_ptr().end()),
+        std::vector<index_t>(l.col_idx().begin(), l.col_idx().end()),
+        std::move(vals));
+    check(a, BlockJacobiPreconditioner(a, 4));
+  }
+}
+
+TEST(BlockJacobi, NonSpdBlockNamesItsRows) {
+  // Tridiagonal, positive on rows [0, 10) and negative on rows [10, 20):
+  // with blocks of 10 the second diagonal block is negative definite.
+  CooBuilder b(20, 20);
+  for (index_t i = 0; i < 20; ++i) {
+    b.add(i, i, i < 10 ? 4.0 : -4.0);
+    if (i + 1 < 20) b.add_sym(i, i + 1, 1.0);
+  }
+  const CsrMatrix a = b.to_csr();
+  try {
+    BlockJacobiPreconditioner p(a, 10);
+    FAIL() << "expected esrp::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rows [10, 20)"), std::string::npos) << what;
+    EXPECT_NE(what.find("not SPD"), std::string::npos) << what;
+  }
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparse/generators.hpp"
@@ -74,6 +77,30 @@ TEST(Cholesky, InverseTimesMatrixIsIdentity) {
   const DenseMatrix inv = Cholesky(a).inverse();
   const DenseMatrix prod = a.multiply(inv);
   EXPECT_LT(prod.max_abs_diff(DenseMatrix::identity(3)), 1e-12);
+}
+
+TEST(Cholesky, InverseColumnsEqualSolvesBitwise) {
+  Rng rng(18);
+  for (index_t n = 1; n <= 12; ++n) {
+    // A = G^T G + n I with random G: SPD with a generic, dense factor.
+    DenseMatrix g(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) g(i, j) = rng.uniform(-1, 1);
+    DenseMatrix a = g.transpose().multiply(g);
+    for (index_t i = 0; i < n; ++i) a(i, i) += static_cast<real_t>(n);
+    const Cholesky chol(a);
+    const DenseMatrix inv = chol.inverse();
+    Vector e(static_cast<std::size_t>(n), 0);
+    for (index_t j = 0; j < n; ++j) {
+      e[static_cast<std::size_t>(j)] = 1;
+      const Vector col = chol.solve(e);
+      e[static_cast<std::size_t>(j)] = 0;
+      for (index_t i = 0; i < n; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(inv(i, j)),
+                  std::bit_cast<std::uint64_t>(col[static_cast<std::size_t>(i)]))
+            << "n=" << n << " (" << i << ", " << j << ")";
+    }
+  }
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {
