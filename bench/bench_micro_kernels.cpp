@@ -1,8 +1,9 @@
 // Google-benchmark micro benches of the kernels that determine the
 // simulator's wall-clock cost: sequential SpMV, the distributed SpMV and
-// ASpMV exchanges, the SpMV plan build, the block Jacobi build and apply, a
-// full resilient PCG iteration, checkpoint storage, the byte- vs. word-wise
-// seal hash, one Alg. 2 state reconstruction, the thread scaling of the parallel
+// ASpMV exchanges, the SpMV plan build, the block Jacobi build, apply and
+// node-by-node apply_local, a full resilient PCG iteration, checkpoint
+// storage, the byte- vs. word-wise seal hash, one Alg. 2 state
+// reconstruction, the thread scaling of the parallel
 // SpMV / BLAS-1 kernels (1/2/4/8 threads, operands first-touched under the
 // kernels' own partition), the fused iteration kernels vs. their
 // separate-kernel baselines (with a SUMMARY assertion that fusion is not
@@ -150,6 +151,27 @@ void BM_BlockJacobiApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockJacobiApply)->Arg(1)->Arg(10)->Arg(64);
+
+/// The distributed solvers' preconditioner step: apply_local node by node
+/// over range(0) node-aligned ranges, blocks of 10.
+void BM_BlockJacobiApplyLocal(benchmark::State& state) {
+  const CsrMatrix& a = test_matrix();
+  const BlockRowPartition part(a.rows(), static_cast<rank_t>(state.range(0)));
+  const BlockJacobiPreconditioner precond(a, part);
+  const Vector r = xp::make_rhs(a);
+  Vector z(r.size());
+  for (auto _ : state) {
+    for (rank_t s = 0; s < part.num_nodes(); ++s) {
+      const auto lo = static_cast<std::size_t>(part.begin(s));
+      const auto len = static_cast<std::size_t>(part.local_size(s));
+      precond.apply_local(part.begin(s), part.end(s),
+                          std::span<const real_t>(r).subspan(lo, len),
+                          std::span<real_t>(z).subspan(lo, len));
+    }
+    benchmark::DoNotOptimize(z.data());
+  }
+}
+BENCHMARK(BM_BlockJacobiApplyLocal)->Arg(128);
 
 void BM_CheckpointStore(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

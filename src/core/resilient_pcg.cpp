@@ -28,22 +28,6 @@ index_t node_grain(rank_t num_nodes) {
 /// a rank's slice dot dwarfs a task dispatch.
 constexpr index_t kNodeReduceGrain = 1;
 
-/// The preconditioner action must be block diagonal with respect to the node
-/// partition: every row's entries stay within the owner's index range. This
-/// is what makes its application communication-free and P_{I_f, I\I_f} = 0.
-void check_node_local(const CsrMatrix& p, const BlockRowPartition& part) {
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const index_t lo = part.begin(s), hi = part.end(s);
-    for (index_t i = lo; i < hi; ++i) {
-      const auto cols = p.row_cols(i);
-      ESRP_CHECK_MSG(cols.empty() || (cols.front() >= lo && cols.back() < hi),
-                     "preconditioner action row "
-                         << i << " crosses the boundary of node " << s
-                         << " — use node-aligned block Jacobi");
-    }
-  }
-}
-
 /// Engine configuration of the classic solver: one star snapshot of
 /// {x, r, z, p} + beta, with the trailing copy pairing of Alg. 2 (z^(t)
 /// derives from copies p'^(t-1), p'^(t)).
@@ -89,9 +73,7 @@ ResilientPcg::ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
     aug_ = owned_aug_.get();
   }
   engine_ = std::make_unique<ExchangeEngine>(a, *plan_, cluster);
-  ESRP_CHECK_MSG(precond.action_matrix() != nullptr,
-                 "the distributed solver requires a preconditioner with an "
-                 "explicit action matrix (e.g. block Jacobi)");
+  check_node_local(precond, cluster.partition());
   if (opts.strategy == Strategy::esrp &&
       opts.precond_formulation == PrecondFormulation::matrix) {
     ESRP_CHECK_MSG(precond.matrix_form() != nullptr,
@@ -114,20 +96,6 @@ ResilientPcg::ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
     ESRP_CHECK_MSG(e.bit >= 0 && e.bit < 64,
                    "SDC bit " << e.bit << " outside [0, 64)");
   }
-  build_precond_blocks();
-}
-
-void ResilientPcg::build_precond_blocks() {
-  const BlockRowPartition& part = cluster_->partition();
-  const CsrMatrix& p_act = *precond_->action_matrix();
-  check_node_local(p_act, part);
-  // Pre-extract each node's diagonal block of P for local application.
-  precond_local_.clear();
-  precond_local_.reserve(static_cast<std::size_t>(part.num_nodes()));
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const IndexSet range = index_range(part.begin(s), part.end(s));
-    precond_local_.push_back(p_act.extract(range, range));
-  }
 }
 
 SolverState ResilientPcg::solver_state() {
@@ -148,7 +116,7 @@ void ResilientPcg::rebuild_on_partition(const BlockRowPartition& np,
   owned_aug_ = std::make_unique<AspmvPlan>(*plan_, opts_.phi);
   aug_ = owned_aug_.get();
   engine_ = std::make_unique<ExchangeEngine>(*a_, *plan_, *cluster_);
-  build_precond_blocks();
+  check_node_local(*precond_, np);
 
   x_ = std::make_unique<DistVector>(np, xg);
   r_ = std::make_unique<DistVector>(np, rg);
@@ -271,15 +239,15 @@ void ResilientPcg::xpby(DistVector& y, const DistVector& x, real_t beta) {
 void ResilientPcg::apply_precond(const DistVector& r, DistVector& z) {
   const BlockRowPartition& part = cluster_->partition();
   const auto nodes = static_cast<index_t>(part.num_nodes());
+  const auto p_ptr = precond_->action_matrix()->row_ptr();
   parallel_for(index_t{0}, nodes, node_grain(part.num_nodes()),
                [&](index_t lo, index_t hi) {
                  for (index_t i = lo; i < hi; ++i) {
                    const auto s = static_cast<rank_t>(i);
-                   const CsrMatrix& ps =
-                       precond_local_[static_cast<std::size_t>(i)];
-                   ps.spmv(r.local(s), z.local(s));
+                   const index_t begin = part.begin(s), end = part.end(s);
+                   precond_->apply_local(begin, end, r.local(s), z.local(s));
                    cluster_->add_compute(
-                       s, static_cast<double>(ps.spmv_flops()));
+                       s, static_cast<double>(2 * (p_ptr[end] - p_ptr[begin])));
                  }
                });
 }

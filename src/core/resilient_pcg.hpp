@@ -145,8 +145,6 @@ private:
                         std::span<const rank_t> failed,
                         std::span<const real_t> b, RecoveryRecord& record);
 
-  void build_precond_blocks();
-
   const CsrMatrix* a_;
   const Preconditioner* precond_;
   SimCluster* cluster_;
@@ -164,7 +162,6 @@ private:
   const AspmvPlan* aug_ = nullptr;
   std::unique_ptr<ExchangeEngine> engine_;
   ResilienceEngine resilience_;
-  std::vector<CsrMatrix> precond_local_; ///< node-diagonal blocks of P
 
   // Solver state (valid during solve()).
   std::unique_ptr<DistVector> x_, r_, z_, p_, ap_;

@@ -60,9 +60,7 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
                    "shared AspmvPlan does not match the SpMV plan / phi of "
                    "this solve");
   ESRP_CHECK(precond.dim() == a.rows());
-  ESRP_CHECK_MSG(precond.action_matrix() != nullptr,
-                 "distributed pipelined PCG requires an explicit "
-                 "preconditioner action");
+  check_node_local(precond, cluster.partition());
   if (opts_.strategy == Strategy::esrp &&
       opts_.precond_formulation == PrecondFormulation::matrix) {
     ESRP_CHECK_MSG(precond.matrix_form() != nullptr,
@@ -100,13 +98,6 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
   const AspmvPlan* aug =
       shared_aug_ ? shared_aug_ : (local_aug ? &*local_aug : nullptr);
 
-  // Node-local preconditioner blocks (same requirement as ResilientPcg).
-  std::vector<CsrMatrix> p_local;
-  p_local.reserve(static_cast<std::size_t>(part.num_nodes()));
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const IndexSet range = index_range(part.begin(s), part.end(s));
-    p_local.push_back(precond_->action_matrix()->extract(range, range));
-  }
   // Per-node loops follow ResilientPcg's idiom: elementwise work is
   // parallel_for over ranks (disjoint slices), reductions are
   // parallel_reduce with a fixed grain of one rank per chunk combined in
@@ -114,13 +105,17 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
   // count (docs/parallelism.md).
   const auto nodes = static_cast<index_t>(part.num_nodes());
   const index_t rank_grain = adaptive_grain(nodes);
+  // The constructor checked that P is node-local: each node applies its own
+  // diagonal block of P.
+  const auto p_ptr = precond_->action_matrix()->row_ptr();
   auto apply_precond = [&](const DistVector& in, DistVector& out) {
     parallel_for(index_t{0}, nodes, rank_grain, [&](index_t lo, index_t hi) {
       for (index_t i = lo; i < hi; ++i) {
         const auto s = static_cast<rank_t>(i);
-        const CsrMatrix& ps = p_local[static_cast<std::size_t>(s)];
-        ps.spmv(in.local(s), out.local(s));
-        cluster_->add_compute(s, static_cast<double>(ps.spmv_flops()));
+        const index_t begin = part.begin(s), end = part.end(s);
+        precond_->apply_local(begin, end, in.local(s), out.local(s));
+        cluster_->add_compute(
+            s, static_cast<double>(2 * (p_ptr[end] - p_ptr[begin])));
       }
     });
   };

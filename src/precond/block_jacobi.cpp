@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "parallel/parallel.hpp"
 #include "sparse/dense.hpp"
 
 namespace esrp {
@@ -57,6 +58,38 @@ DenseMatrix invert_block(const DenseMatrix& block, index_t lo, index_t hi) {
   } catch (const Error& e) {
     throw Error("block Jacobi: diagonal block of rows [" + std::to_string(lo) +
                 ", " + std::to_string(hi) + ") is not SPD: " + e.what());
+  }
+}
+
+/// z[0, len) := B r[0, len) for the row-major len x len block B: each row
+/// sums in ascending column order, as its CSR row does, four independent
+/// rows at a time.
+void apply_whole_block(const real_t* b, index_t len, const real_t* r,
+                       real_t* z) {
+  index_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    const real_t* b0 = b + i * len;
+    const real_t* b1 = b0 + len;
+    const real_t* b2 = b1 + len;
+    const real_t* b3 = b2 + len;
+    real_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
+    for (index_t j = 0; j < len; ++j) {
+      const real_t rj = r[j];
+      acc0 += b0[j] * rj;
+      acc1 += b1[j] * rj;
+      acc2 += b2[j] * rj;
+      acc3 += b3[j] * rj;
+    }
+    z[i] = acc0;
+    z[i + 1] = acc1;
+    z[i + 2] = acc2;
+    z[i + 3] = acc3;
+  }
+  for (; i < len; ++i) {
+    const real_t* bi = b + i * len;
+    real_t acc = 0;
+    for (index_t j = 0; j < len; ++j) acc += bi[j] * r[j];
+    z[i] = acc;
   }
 }
 
@@ -119,7 +152,54 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
 
 void BlockJacobiPreconditioner::apply(std::span<const real_t> r,
                                       std::span<real_t> z) const {
-  p_.spmv(r, z);
+  const index_t n = dim();
+  ESRP_CHECK(static_cast<index_t>(r.size()) == n && r.size() == z.size());
+  // Block ranges own disjoint slices of z and every row is computed as in
+  // the serial loop, so z is bitwise identical at any thread count. The
+  // grain floor (about spmv's 256 rows) keeps chunks above a task dispatch.
+  const index_t blocks = num_blocks();
+  const index_t grain = std::max<index_t>(32, adaptive_grain(blocks, 8));
+  parallel_for(index_t{0}, blocks, grain, [&](index_t b_lo, index_t b_hi) {
+    apply_blocks(b_lo, b_hi, 0, n, r, z);
+  });
+}
+
+void BlockJacobiPreconditioner::apply_local(index_t lo, index_t hi,
+                                            std::span<const real_t> r,
+                                            std::span<real_t> z) const {
+  ESRP_CHECK(0 <= lo && lo <= hi && hi <= dim());
+  ESRP_CHECK(static_cast<index_t>(r.size()) == hi - lo && r.size() == z.size());
+  // The blocks from *first up to *last lie wholly inside [lo, hi); rows
+  // before *first and from *last on belong to blocks the range cuts.
+  const auto first = std::lower_bound(starts_.begin(), starts_.end(), lo);
+  const auto last = std::upper_bound(starts_.begin(), starts_.end(), hi) - 1;
+  if (first >= last) {
+    spmv_rows_in_range(p_, lo, hi, lo, hi, r, z);
+    return;
+  }
+  spmv_rows_in_range(p_, lo, hi, lo, *first, r, z);
+  apply_blocks(first - starts_.begin(), last - starts_.begin(), lo, hi, r, z);
+  spmv_rows_in_range(p_, lo, hi, *last, hi, r, z);
+}
+
+void BlockJacobiPreconditioner::apply_blocks(index_t b_begin, index_t b_end,
+                                             index_t lo, index_t hi,
+                                             std::span<const real_t> r,
+                                             std::span<real_t> z) const {
+  const index_t* row_ptr = p_.row_ptr().data();
+  const index_t* starts = starts_.data();
+  const real_t* vals = p_.values().data();
+  for (index_t b = b_begin; b < b_end; ++b) {
+    const index_t blo = starts[b], bhi = starts[b + 1];
+    const index_t len = bhi - blo;
+    const index_t off = row_ptr[blo];
+    if (row_ptr[bhi] - off == len * len) {
+      const auto at = static_cast<std::size_t>(blo - lo);
+      apply_whole_block(vals + off, len, r.data() + at, z.data() + at);
+    } else {
+      spmv_rows_in_range(p_, lo, hi, blo, bhi, r, z);
+    }
+  }
 }
 
 } // namespace esrp

@@ -8,6 +8,13 @@
 // fail. P and M are assembled in place as CSR, block after block, without
 // exact zeros; a diagonal block that is not SPD throws esrp::Error naming
 // its rows.
+//
+// P is applied block by block from its CSR arrays. A block stored whole
+// (len^2 entries: its inverse has no exact zero) is a row-major len x len
+// run of values, applied from its values alone without reading a column
+// index; the rows of any other block are applied as CSR rows. Every row
+// sums in ascending column order either way, so apply() is bitwise
+// p_.spmv and apply_local() bitwise the extracted node block's spmv.
 #pragma once
 
 #include <optional>
@@ -31,6 +38,10 @@ public:
   std::string name() const override { return "block_jacobi"; }
   index_t dim() const override { return p_.rows(); }
   void apply(std::span<const real_t> r, std::span<real_t> z) const override;
+  /// The block kernel on a node range; rows of a block that [lo, hi) cuts
+  /// are applied as CSR rows.
+  void apply_local(index_t lo, index_t hi, std::span<const real_t> r,
+                   std::span<real_t> z) const override;
   const CsrMatrix* action_matrix() const override { return &p_; }
   /// The block Jacobi matrix M = blockdiag(B_1, ..., B_m) (the diagonal
   /// blocks of A themselves): the "preconditioner itself" formulation.
@@ -43,6 +54,9 @@ public:
 
 private:
   void build(const CsrMatrix& a);
+  /// Blocks [b_begin, b_end), all inside [lo, hi), of apply_local(lo, hi).
+  void apply_blocks(index_t b_begin, index_t b_end, index_t lo, index_t hi,
+                    std::span<const real_t> r, std::span<real_t> z) const;
 
   std::vector<index_t> starts_;
   CsrMatrix p_; ///< inverse blocks (the action, z = P r)

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "partition/partition.hpp"
 #include "sparse/csr.hpp"
 
 namespace esrp {
@@ -30,6 +31,16 @@ public:
   /// z := P r (the preconditioner action).
   virtual void apply(std::span<const real_t> r, std::span<real_t> z) const = 0;
 
+  /// z := P[lo:hi, lo:hi) r on slices: r and z hold entries [lo, hi) of the
+  /// global vectors. This is one node's share of apply() when P does not
+  /// couple [lo, hi) to the rest (check_node_local). Each row sums its
+  /// stored entries in ascending column order, so the result is bitwise
+  /// action_matrix()->extract(range, range).spmv. A stored entry outside
+  /// [lo, hi) throws esrp::Error. The default walks the rows of
+  /// action_matrix(), which it requires.
+  virtual void apply_local(index_t lo, index_t hi, std::span<const real_t> r,
+                           std::span<real_t> z) const;
+
   /// Explicit CSR of the action (z = action_matrix() * r), or nullptr when
   /// the action is only available as an algorithm. This is the "inverse
   /// formulation" of the paper's reference [20]: P ~ A^{-1} as a matrix.
@@ -44,6 +55,20 @@ public:
   /// Floating-point cost of one apply() (for the cost model).
   virtual double apply_flops() const = 0;
 };
+
+/// The CSR-row path of apply_local: z[i - lo] := sum_j p(i, j) r[j - lo] for
+/// rows [row_begin, row_end) of p, a subrange of [lo, hi) whose stored
+/// columns all lie in [lo, hi) (else esrp::Error).
+void spmv_rows_in_range(const CsrMatrix& p, index_t lo, index_t hi,
+                        index_t row_begin, index_t row_end,
+                        std::span<const real_t> r, std::span<real_t> z);
+
+/// Throws esrp::Error unless the preconditioner action is block diagonal
+/// with respect to `part`: every row's entries stay within the owner's
+/// range. This is what makes its application communication-free (one
+/// apply_local per node) and P_{I_f, I\I_f} = 0. Requires action_matrix().
+void check_node_local(const Preconditioner& precond,
+                      const BlockRowPartition& part);
 
 /// Identity preconditioner: PCG degenerates to plain CG.
 class IdentityPreconditioner final : public Preconditioner {

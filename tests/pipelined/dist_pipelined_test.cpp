@@ -158,6 +158,17 @@ TEST(DistPipelined, ResidualReplacementRejected) {
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
 }
 
+TEST(DistPipelined, NonNodeLocalPreconditionerRejectedByBothSolvers) {
+  // Single-domain blocks of 10 straddle the 4 node boundaries: applying P
+  // node by node would silently drop its off-node entries.
+  System s(poisson3d(6, 6, 6), 4);
+  SimCluster cluster(s.part);
+  BlockJacobiPreconditioner precond(s.a, 10);
+  ResilienceOptions opts;
+  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
+  EXPECT_THROW(ResilientPcg(s.a, precond, cluster, opts), Error);
+}
+
 TEST(DistPipelined, DuplicateEventIterationsRejected) {
   System s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "../parallel/thread_count_guard.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "precond/jacobi.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/generators.hpp"
@@ -59,13 +62,71 @@ CooReference coo_reference(const CsrMatrix& a,
   return {inv_builder.to_csr(), mat_builder.to_csr()};
 }
 
+bool bitwise_equal(std::span<const real_t> got, std::span<const real_t> want) {
+  const auto bits = [](real_t v) { return std::bit_cast<std::uint64_t>(v); };
+  return std::ranges::equal(got, want, {}, bits, bits);
+}
+
 void expect_bitwise_equal(const CsrMatrix& got, const CsrMatrix& want) {
   EXPECT_EQ(got.rows(), want.rows());
   EXPECT_EQ(got.cols(), want.cols());
-  const auto bits = [](real_t v) { return std::bit_cast<std::uint64_t>(v); };
   EXPECT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
   EXPECT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
-  EXPECT_TRUE(std::ranges::equal(got.values(), want.values(), {}, bits, bits));
+  EXPECT_TRUE(bitwise_equal(got.values(), want.values()));
+}
+
+Vector random_vector(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector v(static_cast<std::size_t>(n));
+  for (real_t& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+/// Blocks of p stored whole: len^2 entries, no exact zero dropped.
+index_t whole_blocks(const BlockJacobiPreconditioner& p) {
+  const auto row_ptr = p.action_matrix()->row_ptr();
+  const auto& starts = p.block_starts();
+  index_t whole = 0;
+  for (std::size_t k = 0; k + 1 < starts.size(); ++k) {
+    const index_t len = starts[k + 1] - starts[k];
+    if (row_ptr[starts[k + 1]] - row_ptr[starts[k]] == len * len) ++whole;
+  }
+  return whole;
+}
+
+/// apply() is bitwise the action matrix's spmv, at 1 and 4 threads.
+void expect_apply_matches_spmv(const Preconditioner& p) {
+  ThreadCountGuard guard;
+  const Vector r = random_vector(p.dim(), 11);
+  Vector want(r.size());
+  p.action_matrix()->spmv(r, want);
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    Vector got(r.size(), std::numeric_limits<real_t>::quiet_NaN());
+    p.apply(r, got);
+    EXPECT_TRUE(bitwise_equal(got, want)) << p.name() << ", " << threads
+                                          << " threads";
+  }
+}
+
+/// apply_local on each node range is bitwise the spmv of the node's
+/// extracted diagonal block of P — the per-node copy the distributed
+/// solvers applied before apply_local.
+void expect_apply_local_matches_extract(const Preconditioner& p,
+                                        const BlockRowPartition& part) {
+  const Vector r = random_vector(p.dim(), 12);
+  for (rank_t s = 0; s < part.num_nodes(); ++s) {
+    const index_t lo = part.begin(s), hi = part.end(s);
+    const IndexSet range = index_range(lo, hi);
+    const CsrMatrix block = p.action_matrix()->extract(range, range);
+    const auto rs = std::span<const real_t>(r).subspan(
+        static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo));
+    Vector want(rs.size());
+    Vector got(rs.size(), std::numeric_limits<real_t>::quiet_NaN());
+    block.spmv(rs, want);
+    p.apply_local(lo, hi, rs, got);
+    EXPECT_TRUE(bitwise_equal(got, want)) << p.name() << ", node " << s;
+  }
 }
 
 TEST(UniformBlocks, FewestBlocksUnderCap) {
@@ -223,6 +284,84 @@ TEST(BlockJacobi, InPlaceBuildMatchesCooReferenceBitwise) {
         std::vector<index_t>(l.col_idx().begin(), l.col_idx().end()),
         std::move(vals));
     check(a, BlockJacobiPreconditioner(a, 4));
+  }
+}
+
+TEST(BlockJacobi, ApplyMatchesActionMatrixSpmvBitwise) {
+  {
+    // Single domain, each block one grid line: every block is stored whole.
+    const CsrMatrix a = poisson3d(10, 10, 10);
+    const BlockJacobiPreconditioner p(a);
+    EXPECT_EQ(whole_blocks(p), p.num_blocks());
+    expect_apply_matches_spmv(p);
+  }
+  {
+    // emilia's reducible blocks drop exact zeros: both paths run.
+    const CsrMatrix a = emilia_like(20, 20, 20).matrix;
+    const BlockJacobiPreconditioner p(a, BlockRowPartition(a.rows(), 128));
+    EXPECT_GT(whole_blocks(p), 0);
+    EXPECT_LT(whole_blocks(p), p.num_blocks());
+    expect_apply_matches_spmv(p);
+  }
+  {
+    const CsrMatrix a = audikw_like(6, 6, 6).matrix;
+    expect_apply_matches_spmv(
+        BlockJacobiPreconditioner(a, BlockRowPartition(a.rows(), 16)));
+  }
+  {
+    const CsrMatrix a = banded_spd(50, 3, 0.6, 8);
+    expect_apply_matches_spmv(BlockJacobiPreconditioner(a, 1));
+  }
+  {
+    // Empty ranks first, in the middle and last, as absorb_ranks leaves them.
+    const CsrMatrix a = emilia_like(6, 6, 6).matrix; // 216 rows
+    const BlockRowPartition part({0, 0, 50, 50, 123, 216, 216});
+    expect_apply_matches_spmv(BlockJacobiPreconditioner(a, part));
+  }
+}
+
+TEST(BlockJacobi, ApplyLocalMatchesExtractedBlockBitwise) {
+  {
+    const CsrMatrix a = emilia_like(20, 20, 20).matrix;
+    const BlockRowPartition part(a.rows(), 128);
+    expect_apply_local_matches_extract(BlockJacobiPreconditioner(a, part),
+                                       part);
+  }
+  {
+    const CsrMatrix a = emilia_like(6, 6, 6).matrix; // 216 rows
+    const BlockRowPartition part({0, 0, 50, 50, 123, 216, 216});
+    expect_apply_local_matches_extract(BlockJacobiPreconditioner(a, part),
+                                       part);
+  }
+  {
+    // Decoupled 2x2 pairs under blocks of 4: the ranges [0, 2), [2, 6) and
+    // [6, 8) cut both blocks, yet P couples nothing across them.
+    CooBuilder b(8, 8);
+    for (index_t i = 0; i < 8; i += 2) {
+      b.add(i, i, 4.0);
+      b.add(i + 1, i + 1, 3.0);
+      b.add_sym(i, i + 1, 1.0);
+    }
+    const CsrMatrix a = b.to_csr();
+    const BlockJacobiPreconditioner p(a, 4);
+    ASSERT_EQ(p.block_starts(), (std::vector<index_t>{0, 4, 8}));
+    const BlockRowPartition part({0, 2, 6, 8});
+    check_node_local(p, part);
+    expect_apply_local_matches_extract(p, part);
+  }
+  {
+    // The default path: point Jacobi walks its action matrix's rows.
+    const CsrMatrix a = poisson2d(9, 9);
+    const BlockRowPartition part(a.rows(), 7);
+    expect_apply_local_matches_extract(JacobiPreconditioner(a), part);
+  }
+  {
+    // A range P couples outside is rejected, not truncated.
+    const CsrMatrix a = poisson3d(4, 4, 4);
+    const BlockJacobiPreconditioner p(a, 10);
+    const Vector r(5, 1.0);
+    Vector z(5);
+    EXPECT_THROW(p.apply_local(0, 5, r, z), Error);
   }
 }
 
