@@ -523,7 +523,7 @@ void BM_SpmvThreadScaling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.nnz());
   state.SetBytesProcessed(
       state.iterations() *
-      static_cast<int64_t>(a.nnz() * (sizeof(real_t) + sizeof(index_t))));
+      static_cast<int64_t>(a.nnz() * (sizeof(real_t) + sizeof(col_t))));
   set_num_threads(1);
 }
 BENCHMARK(BM_SpmvThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)

@@ -25,7 +25,7 @@ SpmvPlan::SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part)
   // off-node column j, and slot[j] is then j's local column on l; both are
   // overwritten by later nodes, never cleared.
   std::vector<rank_t> seen(m, -1);
-  std::vector<std::int32_t> slot(m, -1);
+  std::vector<col_t> slot(m, -1);
   for (rank_t l = 0; l < part.num_nodes(); ++l) {
     const auto k = static_cast<std::size_t>(l);
     const index_t lo = part.begin(l), hi = part.end(l);
@@ -43,12 +43,12 @@ SpmvPlan::SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part)
     const index_t owned = hi - lo;
     ESRP_CHECK_MSG(
         static_cast<std::uint64_t>(owned) + ghosts.size() <=
-            static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
+            static_cast<std::uint64_t>(std::numeric_limits<col_t>::max()),
         "rank " << l << " needs " << owned << " owned + " << ghosts.size()
                 << " ghost entries, beyond the 32-bit local numbering");
     for (std::size_t g = 0; g < ghosts.size(); ++g) {
       const auto j = static_cast<std::size_t>(ghosts[g]);
-      slot[j] = static_cast<std::int32_t>(owned + static_cast<index_t>(g));
+      slot[j] = static_cast<col_t>(owned + static_cast<index_t>(g));
       ++multiplicity_[j];
     }
     // Owners hold contiguous ranges, so each sender's share of the sorted
@@ -60,12 +60,12 @@ SpmvPlan::SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part)
           l, IndexSet(run, run_end), slot[static_cast<std::size_t>(*run)]});
       run = run_end;
     }
-    std::vector<std::int32_t>& cols = local_cols_[k];
+    std::vector<col_t>& cols = local_cols_[k];
     cols.resize(nz_hi - nz_lo);
     for (std::size_t q = nz_lo; q < nz_hi; ++q) {
       const index_t j = col_idx[q];
       cols[q - nz_lo] = j >= lo && j < hi
-                            ? static_cast<std::int32_t>(j - lo)
+                            ? static_cast<col_t>(j - lo)
                             : slot[static_cast<std::size_t>(j)];
     }
   }
@@ -92,7 +92,7 @@ int SpmvPlan::multiplicity(index_t i) const {
   return multiplicity_[static_cast<std::size_t>(i)];
 }
 
-std::span<const std::int32_t> SpmvPlan::local_cols(rank_t s) const {
+std::span<const col_t> SpmvPlan::local_cols(rank_t s) const {
   ESRP_CHECK(s >= 0 && s < part_->num_nodes());
   return local_cols_[static_cast<std::size_t>(s)];
 }

@@ -10,7 +10,7 @@
 // buffer [owned | ghosts] of local_size(l) + ghosts(l).size() entries, not a
 // global-length vector. Local column c < local_size(l) is owned row
 // begin(l) + c; local column local_size(l) + k is ghosts(l)[k]. The plan
-// stores the local column of every nonzero in l's rows (32-bit, in CSR
+// stores the local column of every nonzero in l's rows (col_t, in CSR
 // order), and every regular send list carries the receiver slot where its
 // indices land. Ghosts ascend and owners hold contiguous ranges, so each
 // I_{s,l} fills one contiguous run of l's ghost slots.
@@ -35,7 +35,7 @@ struct SendList {
   /// [slot, slot + indices.size()) of the receiver's [owned | ghosts]
   /// buffer. Meaningful only on SpmvPlan::sends; the augmentation lists of
   /// AspmvPlan::extra_sends feed no product and keep -1.
-  std::int32_t slot = -1;
+  col_t slot = -1;
 };
 
 class SpmvPlan {
@@ -58,7 +58,7 @@ public:
 
   /// Local column of every nonzero in node s's rows, in CSR order, indexing
   /// s's [owned | ghosts] buffer (see the file comment).
-  std::span<const std::int32_t> local_cols(rank_t s) const;
+  std::span<const col_t> local_cols(rank_t s) const;
 
   /// m(i): number of *other* nodes the regular SpMV sends entry i to.
   int multiplicity(index_t i) const;
@@ -78,7 +78,7 @@ private:
   const BlockRowPartition* part_;
   std::vector<std::vector<SendList>> sends_;          // [s] -> lists
   std::vector<IndexSet> ghosts_;                      // [l] -> ghost indices
-  std::vector<std::vector<std::int32_t>> local_cols_; // [s] -> per nonzero
+  std::vector<std::vector<col_t>> local_cols_;        // [s] -> per nonzero
   std::vector<int> multiplicity_;                     // [i]
   IndexSet empty_;
 };

@@ -106,7 +106,8 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
     const auto len = static_cast<std::size_t>(starts_[b + 1] - starts_[b]);
     block_entries += len * len;
   }
-  std::vector<index_t> p_ptr{0}, m_ptr{0}, p_cols, m_cols;
+  std::vector<index_t> p_ptr{0}, m_ptr{0};
+  std::vector<col_t> p_cols, m_cols;
   std::vector<real_t> p_vals, m_vals;
   p_ptr.reserve(static_cast<std::size_t>(n) + 1);
   m_ptr.reserve(static_cast<std::size_t>(n) + 1);
@@ -129,7 +130,7 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
         if (j < lo || j >= hi) continue;
         block(i - lo, j - lo) = vals[k];
         if (vals[k] != real_t{0}) {
-          m_cols.push_back(j);
+          m_cols.push_back(cols[k]);
           m_vals.push_back(vals[k]);
         }
       }
@@ -140,7 +141,7 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
       for (index_t bj = 0; bj < len; ++bj) {
         const real_t v = inv(bi, bj);
         if (v == real_t{0}) continue;
-        p_cols.push_back(lo + bj);
+        p_cols.push_back(static_cast<col_t>(lo + bj)); // < hi <= n
         p_vals.push_back(v);
       }
       p_ptr.push_back(static_cast<index_t>(p_cols.size()));

@@ -12,7 +12,7 @@ Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a, real_t shift) {
 
   // Working copy of tril(A) in row-major arrays we can update in place.
   std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<col_t> col_idx;
   std::vector<real_t> values;
   // A is symmetric (checked numerically below via the factorization), so
   // the lower triangle incl. diagonal holds (nnz + n) / 2 entries.

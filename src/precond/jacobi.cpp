@@ -9,13 +9,13 @@ JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
   const index_t n = a.rows();
   const Vector d = a.diagonal();
   std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> col_idx(static_cast<std::size_t>(n));
+  std::vector<col_t> col_idx(static_cast<std::size_t>(n));
   std::vector<real_t> values(static_cast<std::size_t>(n));
   for (index_t i = 0; i <= n; ++i) row_ptr[static_cast<std::size_t>(i)] = i;
   for (index_t i = 0; i < n; ++i) {
     const real_t dii = d[static_cast<std::size_t>(i)];
     ESRP_CHECK_MSG(dii > 0, "non-positive diagonal entry at row " << i);
-    col_idx[static_cast<std::size_t>(i)] = i;
+    col_idx[static_cast<std::size_t>(i)] = static_cast<col_t>(i); // i < n
     values[static_cast<std::size_t>(i)] = 1 / dii;
   }
   p_ = CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),

@@ -1,6 +1,8 @@
 #include "sparse/coo.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sparse/csr.hpp"
@@ -11,6 +13,8 @@ CooBuilder::CooBuilder(index_t rows, index_t cols) : rows_(rows), cols_(cols) {
   ESRP_CHECK_MSG(rows >= 0 && cols >= 0,
                  "matrix dimensions must be non-negative, got " << rows << "x"
                                                                 << cols);
+  ESRP_CHECK_MSG(cols <= std::numeric_limits<col_t>::max(),
+                 cols << " columns exceed the 32-bit column index");
 }
 
 void CooBuilder::add(index_t i, index_t j, real_t v) {
@@ -25,14 +29,23 @@ void CooBuilder::add_sym(index_t i, index_t j, real_t v) {
   if (i != j) add(j, i, v);
 }
 
-CsrMatrix CooBuilder::to_csr() const {
-  std::vector<Triplet> sorted = entries_;
+CsrMatrix CooBuilder::to_csr() const& {
+  std::vector<Triplet> copy = entries_;
+  return sort_and_emit(copy);
+}
+
+CsrMatrix CooBuilder::to_csr() && {
+  std::vector<Triplet> own = std::move(entries_);
+  return sort_and_emit(own);
+}
+
+CsrMatrix CooBuilder::sort_and_emit(std::vector<Triplet>& sorted) const {
   std::sort(sorted.begin(), sorted.end(), [](const Triplet& a, const Triplet& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
 
   std::vector<index_t> row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<col_t> col_idx;
   std::vector<real_t> values;
   col_idx.reserve(sorted.size());
   values.reserve(sorted.size());
@@ -47,7 +60,7 @@ CsrMatrix CooBuilder::to_csr() const {
       ++k;
     }
     if (acc != real_t{0}) {
-      col_idx.push_back(j);
+      col_idx.push_back(static_cast<col_t>(j)); // add() checked j < cols_
       values.push_back(acc);
       ++row_ptr[static_cast<std::size_t>(i) + 1];
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -11,13 +12,15 @@
 namespace esrp {
 
 CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
-                     std::vector<index_t> col_idx, std::vector<real_t> values)
+                     std::vector<col_t> col_idx, std::vector<real_t> values)
     : rows_(rows),
       cols_(cols),
       row_ptr_(std::move(row_ptr)),
       col_idx_(std::move(col_idx)),
       values_(std::move(values)) {
   ESRP_CHECK(rows_ >= 0 && cols_ >= 0);
+  ESRP_CHECK_MSG(cols_ <= std::numeric_limits<col_t>::max(),
+                 cols_ << " columns exceed the 32-bit column index");
   ESRP_CHECK_MSG(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1,
                  "row_ptr must have rows+1 entries");
   ESRP_CHECK(col_idx_.size() == values_.size());
@@ -37,7 +40,7 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
   }
 }
 
-std::span<const index_t> CsrMatrix::row_cols(index_t i) const {
+std::span<const col_t> CsrMatrix::row_cols(index_t i) const {
   ESRP_CHECK(i >= 0 && i < rows_);
   const auto b = static_cast<std::size_t>(row_ptr_[i]);
   const auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
@@ -109,7 +112,7 @@ void CsrMatrix::spmv_rows(index_t row_begin, index_t row_end,
 }
 
 void CsrMatrix::spmv_rows_local(index_t row_begin, index_t row_end,
-                                std::span<const std::int32_t> local_cols,
+                                std::span<const col_t> local_cols,
                                 std::span<const real_t> x,
                                 std::span<real_t> y) const {
   ESRP_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= rows_);
@@ -129,11 +132,11 @@ void CsrMatrix::spmv_rows_local(index_t row_begin, index_t row_end,
 
 CsrMatrix CsrMatrix::transpose() const {
   std::vector<index_t> t_row_ptr(static_cast<std::size_t>(cols_) + 1, 0);
-  for (index_t c : col_idx_) ++t_row_ptr[static_cast<std::size_t>(c) + 1];
+  for (col_t c : col_idx_) ++t_row_ptr[static_cast<std::size_t>(c) + 1];
   for (std::size_t c = 0; c < static_cast<std::size_t>(cols_); ++c)
     t_row_ptr[c + 1] += t_row_ptr[c];
 
-  std::vector<index_t> t_col_idx(col_idx_.size());
+  std::vector<col_t> t_col_idx(col_idx_.size());
   std::vector<real_t> t_values(values_.size());
   std::vector<index_t> cursor(t_row_ptr.begin(), t_row_ptr.end() - 1);
   for (index_t i = 0; i < rows_; ++i) {
@@ -141,7 +144,7 @@ CsrMatrix CsrMatrix::transpose() const {
     const auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
     for (std::size_t k = b; k < e; ++k) {
       const auto pos = static_cast<std::size_t>(cursor[col_idx_[k]]++);
-      t_col_idx[pos] = i;
+      t_col_idx[pos] = static_cast<col_t>(i); // i < rows_, the new cols
       t_values[pos] = values_[k];
     }
   }
@@ -184,7 +187,7 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rowset,
   check_increasing_rows(rowset, rows_);
   const std::vector<index_t> col_map = build_map(cols_, colset);
   std::vector<index_t> row_ptr(rowset.size() + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<col_t> col_idx;
   std::vector<real_t> values;
   std::size_t nnz_bound = 0;
   for (index_t gi : rowset) nnz_bound += row_cols(gi).size();
@@ -198,7 +201,7 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rowset,
     for (std::size_t k = 0; k < cols.size(); ++k) {
       const index_t lj = col_map[static_cast<std::size_t>(cols[k])];
       if (lj >= 0) {
-        col_idx.push_back(lj);
+        col_idx.push_back(static_cast<col_t>(lj)); // lj < colset.size()
         values.push_back(vals[k]);
       }
     }
@@ -223,7 +226,7 @@ CsrMatrix CsrMatrix::extract_excluding_cols(
   }
 
   std::vector<index_t> row_ptr(rowset.size() + 1, 0);
-  std::vector<index_t> col_idx;
+  std::vector<col_t> col_idx;
   std::vector<real_t> values;
   std::size_t nnz_bound = 0;
   for (index_t gi : rowset) nnz_bound += row_cols(gi).size();
@@ -237,7 +240,9 @@ CsrMatrix CsrMatrix::extract_excluding_cols(
     for (std::size_t k = 0; k < cols.size(); ++k) {
       const index_t gj = cols[k];
       if (excl_map[static_cast<std::size_t>(gj)] >= 0) continue;
-      col_idx.push_back(gj - shift[static_cast<std::size_t>(gj)]);
+      // gj - shift[gj] is gj's rank among the kept columns, so < the new cols.
+      col_idx.push_back(
+          static_cast<col_t>(gj - shift[static_cast<std::size_t>(gj)]));
       values.push_back(vals[k]);
     }
     row_ptr[r + 1] = static_cast<index_t>(col_idx.size());
@@ -293,10 +298,11 @@ index_t CsrMatrix::half_bandwidth() const {
 
 CsrMatrix csr_identity(index_t n, real_t scale) {
   std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> col_idx(static_cast<std::size_t>(n));
+  std::vector<col_t> col_idx(static_cast<std::size_t>(n));
   std::vector<real_t> values(static_cast<std::size_t>(n), scale);
   for (index_t i = 0; i <= n; ++i) row_ptr[static_cast<std::size_t>(i)] = i;
-  for (index_t i = 0; i < n; ++i) col_idx[static_cast<std::size_t>(i)] = i;
+  for (index_t i = 0; i < n; ++i)
+    col_idx[static_cast<std::size_t>(i)] = static_cast<col_t>(i);
   return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
                    std::move(values));
 }

@@ -1,9 +1,14 @@
 // Compressed-sparse-row matrix: the storage format used by every solver and
 // communication-plan component. Column indices within a row are kept sorted;
 // this is relied upon by the plan builders and submatrix extraction.
+//
+// Column indices are 32-bit (col_t) and row offsets 64-bit (index_t), as in
+// PETSc's default build. Every SpMV and preconditioner apply streams one
+// column index per stored value, so the narrow column makes an entry 12 B
+// instead of 16 B. A matrix may therefore have at most INT32_MAX columns;
+// row_ptr stays wide because nnz can pass 2^31 long before that.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -18,20 +23,21 @@ public:
 
   /// Takes ownership of raw CSR arrays. `row_ptr` must have rows+1 entries,
   /// be non-decreasing, and column indices must be sorted within each row.
+  /// Throws esrp::Error if `cols` exceeds the range of col_t.
   CsrMatrix(index_t rows, index_t cols, std::vector<index_t> row_ptr,
-            std::vector<index_t> col_idx, std::vector<real_t> values);
+            std::vector<col_t> col_idx, std::vector<real_t> values);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   index_t nnz() const { return static_cast<index_t>(col_idx_.size()); }
 
   std::span<const index_t> row_ptr() const { return row_ptr_; }
-  std::span<const index_t> col_idx() const { return col_idx_; }
+  std::span<const col_t> col_idx() const { return col_idx_; }
   std::span<const real_t> values() const { return values_; }
   std::span<real_t> values_mut() { return values_; }
 
   /// Column indices of row i (sorted ascending).
-  std::span<const index_t> row_cols(index_t i) const;
+  std::span<const col_t> row_cols(index_t i) const;
   /// Values of row i, parallel to row_cols(i).
   std::span<const real_t> row_vals(index_t i) const;
 
@@ -61,7 +67,7 @@ public:
   /// to the same values this is bitwise equal to spmv_rows — the node-local
   /// product over a compact [owned | ghosts] buffer (comm/spmv_plan.hpp).
   void spmv_rows_local(index_t row_begin, index_t row_end,
-                       std::span<const std::int32_t> local_cols,
+                       std::span<const col_t> local_cols,
                        std::span<const real_t> x, std::span<real_t> y) const;
 
   /// Flop count of one full SpMV (2 * nnz), for the cost model.
@@ -97,7 +103,7 @@ private:
   index_t rows_;
   index_t cols_;
   std::vector<index_t> row_ptr_;
-  std::vector<index_t> col_idx_;
+  std::vector<col_t> col_idx_;
   std::vector<real_t> values_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -20,7 +21,7 @@ CsrMatrix laplace1d(index_t n) {
       b.add(i + 1, i, -1);
     }
   }
-  return b.to_csr();
+  return std::move(b).to_csr();
 }
 
 CsrMatrix poisson2d(index_t nx, index_t ny) {
@@ -38,13 +39,14 @@ CsrMatrix poisson2d(index_t nx, index_t ny) {
       if (iy + 1 < ny) b.add(i, id(ix, iy + 1), -1);
     }
   }
-  return b.to_csr();
+  return std::move(b).to_csr();
 }
 
 CsrMatrix poisson3d(index_t nx, index_t ny, index_t nz) {
   ESRP_CHECK(nx > 0 && ny > 0 && nz > 0);
   const index_t n = nx * ny * nz;
   CooBuilder b(n, n);
+  b.reserve(static_cast<std::size_t>(7 * n)); // the diagonal + 6 neighbours
   auto id = [nx, ny](index_t ix, index_t iy, index_t iz) {
     return (iz * ny + iy) * nx + ix;
   };
@@ -62,7 +64,7 @@ CsrMatrix poisson3d(index_t nx, index_t ny, index_t nz) {
       }
     }
   }
-  return b.to_csr();
+  return std::move(b).to_csr();
 }
 
 CsrMatrix banded_spd(index_t n, index_t half_bandwidth, double fill,
@@ -86,7 +88,7 @@ CsrMatrix banded_spd(index_t n, index_t half_bandwidth, double fill,
   // Strict diagonal dominance => SPD for a symmetric matrix.
   for (index_t i = 0; i < n; ++i)
     b.add(i, i, row_abs_sum[static_cast<std::size_t>(i)] + rng.uniform(0.5, 1.5));
-  return b.to_csr();
+  return std::move(b).to_csr();
 }
 
 namespace {
@@ -96,7 +98,12 @@ namespace {
 /// semi-definiteness; a final positive diagonal shift makes it definite.
 class GraphLaplacianAssembler {
 public:
-  explicit GraphLaplacianAssembler(index_t n) : builder_(n, n), n_(n) {}
+  /// `max_edges` bounds the add_edge calls: each queues 4 triplets, and
+  /// finish() n more.
+  GraphLaplacianAssembler(index_t n, index_t max_edges)
+      : builder_(n, n), n_(n) {
+    builder_.reserve(static_cast<std::size_t>(4 * max_edges + n));
+  }
 
   void add_edge(index_t i, index_t j, real_t w) {
     builder_.add(i, i, w);
@@ -107,7 +114,7 @@ public:
 
   CsrMatrix finish(real_t diag_shift) {
     for (index_t i = 0; i < n_; ++i) builder_.add(i, i, diag_shift);
-    return builder_.to_csr();
+    return std::move(builder_).to_csr();
   }
 
 private:
@@ -126,7 +133,7 @@ CsrMatrix diffusion3d_27pt(index_t nx, index_t ny, index_t nz, real_t contrast,
   ESRP_CHECK(anisotropy_y > 0 && anisotropy_z > 0);
   Rng rng(seed);
   const index_t n = nx * ny * nz;
-  GraphLaplacianAssembler asm_(n);
+  GraphLaplacianAssembler asm_(n, 13 * n); // 13 positive offsets per point
   auto id = [nx, ny](index_t ix, index_t iy, index_t iz) {
     return (iz * ny + iy) * nx + ix;
   };
@@ -170,7 +177,9 @@ CsrMatrix elasticity3d(index_t nx, index_t ny, index_t nz, real_t contrast,
   const index_t points = nx * ny * nz;
   const index_t n = points * kDof;
   CooBuilder b(n, n);
-  Vector diag_shift(static_cast<std::size_t>(n), 0);
+  // At most 3 edges per point, each queueing 4 triplets per block entry,
+  // then the n diagonal shifts.
+  b.reserve(static_cast<std::size_t>(3 * points * 4 * kDof * kDof + n));
 
   auto id = [nx, ny](index_t ix, index_t iy, index_t iz) {
     return (iz * ny + iy) * nx + ix;
@@ -229,7 +238,7 @@ CsrMatrix elasticity3d(index_t nx, index_t ny, index_t nz, real_t contrast,
     }
   }
   for (index_t i = 0; i < n; ++i) b.add(i, i, shift);
-  return b.to_csr();
+  return std::move(b).to_csr();
 }
 
 TestProblem emilia_like(index_t nx, index_t ny, index_t nz, std::uint64_t seed) {

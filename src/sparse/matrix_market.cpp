@@ -94,7 +94,7 @@ CsrMatrix read_matrix_market(std::istream& in) {
                                         << repeat->second << ") twice"
                                         << (symmetric ? " (or with its mirror)"
                                                       : ""));
-  return builder.to_csr();
+  return std::move(builder).to_csr();
 }
 
 CsrMatrix read_matrix_market_file(const std::string& path) {

@@ -281,7 +281,7 @@ TEST(BlockJacobi, InPlaceBuildMatchesCooReferenceBitwise) {
     }
     const CsrMatrix a(
         8, 8, std::vector<index_t>(l.row_ptr().begin(), l.row_ptr().end()),
-        std::vector<index_t>(l.col_idx().begin(), l.col_idx().end()),
+        std::vector<col_t>(l.col_idx().begin(), l.col_idx().end()),
         std::move(vals));
     check(a, BlockJacobiPreconditioner(a, 4));
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -74,6 +76,39 @@ TEST(CooBuilder, OutOfRangeTripletThrows) {
   EXPECT_THROW(b.add(0, -1, 1), Error);
 }
 
+TEST(CooBuilder, ConsumingToCsrMatchesCopyingBitwise) {
+  // Shuffled triplets with duplicates and a cancelling pair: both overloads
+  // sort the same sequence, so they sum duplicates in the same order.
+  Rng rng(3);
+  CooBuilder b(40, 40);
+  for (int k = 0; k < 600; ++k)
+    b.add(static_cast<index_t>(rng.next_double() * 40),
+          static_cast<index_t>(rng.next_double() * 40), rng.uniform(-1, 1));
+  b.add(7, 9, 0.25);
+  b.add(7, 9, -0.25);
+  b.reserve(2 * b.triplet_count()); // reserving keeps the triplets
+  const CsrMatrix copied = b.to_csr();
+  EXPECT_EQ(b.triplet_count(), 602u);
+  const CsrMatrix consumed = std::move(b).to_csr();
+  EXPECT_TRUE(std::ranges::equal(consumed.row_ptr(), copied.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(consumed.col_idx(), copied.col_idx()));
+  ASSERT_EQ(consumed.nnz(), copied.nnz());
+  for (std::size_t k = 0; k < consumed.values().size(); ++k)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(consumed.values()[k]),
+              std::bit_cast<std::uint64_t>(copied.values()[k]));
+}
+
+TEST(CooBuilder, RejectsColumnsBeyondColT) {
+  constexpr index_t kMax = std::numeric_limits<col_t>::max();
+  EXPECT_THROW(CooBuilder(1, kMax + 1), Error);
+  // At the edge: INT32_MAX columns, one entry in the last column.
+  CooBuilder b(1, kMax);
+  b.add(0, kMax - 1, 2.5);
+  const CsrMatrix a = std::move(b).to_csr();
+  EXPECT_EQ(a.cols(), kMax);
+  EXPECT_EQ(a.at(0, kMax - 1), 2.5);
+}
+
 TEST(CooBuilder, EmptyMatrixProducesValidCsr) {
   CooBuilder b(4, 4);
   const CsrMatrix a = b.to_csr();
@@ -123,11 +158,11 @@ TEST(CsrMatrix, SpmvRowsLocalMatchesSpmvRowsBitwise) {
   for (real_t& v : x) v = rng.uniform(-1, 1);
   Vector x_local;
   for (index_t j : used) x_local.push_back(x[static_cast<std::size_t>(j)]);
-  std::vector<std::int32_t> local_cols;
+  std::vector<col_t> local_cols;
   for (auto q = first; q < last; ++q) {
     const auto it = std::lower_bound(used.begin(), used.end(),
                                      a.col_idx()[static_cast<std::size_t>(q)]);
-    local_cols.push_back(static_cast<std::int32_t>(it - used.begin()));
+    local_cols.push_back(static_cast<col_t>(it - used.begin()));
   }
   Vector y(static_cast<std::size_t>(hi - lo)), y_local(y.size());
   a.spmv_rows(lo, hi, x, y);
@@ -191,6 +226,15 @@ TEST(Csr, InvalidRowPtrThrows) {
 
 TEST(Csr, UnsortedColumnsThrow) {
   EXPECT_THROW(CsrMatrix(1, 3, {0, 2}, {2, 0}, {1.0, 1.0}), Error);
+}
+
+TEST(Csr, ColumnsBeyondColTThrow) {
+  constexpr index_t kMax = std::numeric_limits<col_t>::max();
+  EXPECT_THROW(CsrMatrix(1, kMax + 1, {0, 0}, {}, {}), Error);
+  // At the edge: one entry in the last of INT32_MAX columns.
+  const CsrMatrix a(1, kMax, {0, 1}, {static_cast<col_t>(kMax - 1)}, {2.5});
+  EXPECT_EQ(a.at(0, kMax - 1), 2.5);
+  EXPECT_EQ(a.at(0, 0), 0.0);
 }
 
 TEST(Csr, IdentityFactory) {

@@ -73,6 +73,18 @@ TEST(MatrixMarket, RejectsMalformedSizeLine) {
   EXPECT_EQ(read_matrix_market(ok).nnz(), 1);
 }
 
+TEST(MatrixMarket, RejectsColumnCountBeyondColT) {
+  // Caught at construction, before anything sized by the dimensions is
+  // allocated (a 3e9-row symmetric matrix would need a 24 GB row_ptr).
+  for (const std::string file :
+       {"%%MatrixMarket matrix coordinate real general\n1 3000000000 0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3000000000 3000000000 0\n"}) {
+    std::istringstream in(file);
+    EXPECT_THROW(read_matrix_market(in), Error) << file;
+  }
+}
+
 TEST(MatrixMarket, RejectsMalformedEntryLines) {
   const std::string general = "%%MatrixMarket matrix coordinate real general\n";
   const std::string symmetric =
