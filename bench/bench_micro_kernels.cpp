@@ -99,12 +99,12 @@ void BM_DistributedSpmv(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedSpmv)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_DistributedAspmv(benchmark::State& state) {
-  const CsrMatrix& a = test_matrix();
-  const BlockRowPartition part(a.rows(), 64);
+void distributed_aspmv(benchmark::State& state, const CsrMatrix& a,
+                       rank_t nodes, int phi) {
+  const BlockRowPartition part(a.rows(), nodes);
   SimCluster cluster(part);
   const SpmvPlan plan(a, part);
-  const AspmvPlan aug(plan, static_cast<int>(state.range(0)));
+  const AspmvPlan aug(plan, phi);
   ExchangeEngine engine(a, plan, cluster);
   DistVector x(part, xp::make_rhs(a)), y(part);
   index_t tag = 0;
@@ -113,7 +113,23 @@ void BM_DistributedAspmv(benchmark::State& state) {
     benchmark::DoNotOptimize(copy.total_entries());
   }
 }
+
+void BM_DistributedAspmv(benchmark::State& state) {
+  distributed_aspmv(state, test_matrix(), 64, static_cast<int>(state.range(0)));
+}
 BENCHMARK(BM_DistributedAspmv)->Arg(1)->Arg(3)->Arg(8);
+
+/// The bench/e2e emilia workloads' storage stage: emilia 20^3 on 128 nodes,
+/// phi = 3 (30,656 held values).
+void BM_DistributedAspmvEmilia20(benchmark::State& state) {
+  static const CsrMatrix a = emilia_like(20, 20, 20).matrix;
+  distributed_aspmv(state, a, static_cast<rank_t>(state.range(0)),
+                    static_cast<int>(state.range(1)));
+}
+BENCHMARK(BM_DistributedAspmvEmilia20)
+    ->Name("BM_DistributedAspmv/emilia20")
+    ->ArgNames({"nodes", "phi"})
+    ->Args({128, 3});
 
 void BM_SpmvPlanBuild(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();

@@ -17,6 +17,37 @@ std::uint64_t seal(const Vector& v) {
   return fnv1a_words(v.data(), v.size() * sizeof(real_t));
 }
 
+/// seal() of every holder, four holders per pass. One FNV chain waits on its
+/// multiply at every word; four independent chains overlap theirs. Each lane
+/// is exactly seal() of its holder: one joint loop over the group's shortest
+/// length, then fnv1a_words over the lane's own rest. Holders left after the
+/// last group of four are sealed one by one.
+std::vector<std::uint64_t> seal_all(const std::vector<Vector>& values) {
+  constexpr std::size_t kLanes = 4;
+  std::vector<std::uint64_t> sums(values.size());
+  std::size_t h = 0;
+  for (; h + kLanes <= values.size(); h += kLanes) {
+    const Vector* v = &values[h];
+    std::size_t common = v[0].size();
+    for (std::size_t l = 1; l < kLanes; ++l)
+      common = std::min(common, v[l].size());
+    std::uint64_t acc[kLanes] = {kFnvOffset, kFnvOffset, kFnvOffset,
+                                 kFnvOffset};
+    for (std::size_t k = 0; k < common; ++k) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        acc[l] ^= std::bit_cast<std::uint64_t>(v[l][k]);
+        acc[l] *= kFnvPrime;
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l)
+      sums[h + l] = fnv1a_words(v[l].data() + common,
+                                (v[l].size() - common) * sizeof(real_t),
+                                acc[l]);
+  }
+  for (; h < values.size(); ++h) sums[h] = seal(values[h]);
+  return sums;
+}
+
 } // namespace
 
 RedundantCopy::RedundantCopy(index_t tag,
@@ -24,11 +55,9 @@ RedundantCopy::RedundantCopy(index_t tag,
                              std::vector<Vector> values)
     : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
   ESRP_CHECK(layout_ != nullptr && values_.size() == layout_->size());
-  sums_.reserve(values_.size());
-  for (std::size_t h = 0; h < values_.size(); ++h) {
+  for (std::size_t h = 0; h < values_.size(); ++h)
     ESRP_CHECK(values_[h].size() == (*layout_)[h].size());
-    sums_.push_back(seal(values_[h]));
-  }
+  sums_ = seal_all(values_);
 }
 
 std::optional<std::size_t> RedundantCopy::slot(rank_t h, index_t i) const {
@@ -107,7 +136,7 @@ std::span<real_t> ExchangeEngine::buffer(rank_t s) {
                                  buf_begin_[k + 1] - buf_begin_[k]);
 }
 
-void ExchangeEngine::halo_exchange(const DistVector& p) {
+void ExchangeEngine::fill_halo(const DistVector& p) {
   // Each node's owned slice opens its own buffer; each halo list lands as
   // one run at its slot in the receiver's ghost section.
   const BlockRowPartition& part = plan_->partition();
@@ -116,9 +145,6 @@ void ExchangeEngine::halo_exchange(const DistVector& p) {
     const index_t lo = part.begin(s);
     std::copy(owned.begin(), owned.end(), buffer(s).begin());
     for (const SendList& sl : plan_->sends(s)) {
-      cluster_->send(s, sl.to,
-                     sl.indices.size() * CostParams::bytes_per_scalar,
-                     CommCategory::spmv_halo);
       real_t* dst = buffer(sl.to).data() + sl.slot;
       for (index_t i : sl.indices)
         *dst++ = owned[static_cast<std::size_t>(i - lo)];
@@ -134,17 +160,34 @@ void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
 }
 
 RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
-                                      const DistVector& p, index_t tag) const {
+                                      const DistVector& p, index_t tag) {
   const BlockRowPartition& part = plan_->partition();
   const HolderLayout& layout = *aug.holder_layout();
   std::vector<Vector> values(layout.size());
   for (std::size_t h = 0; h < layout.size(); ++h) {
-    values[h].resize(layout[h].size());
-    // A holder's list ascends: the owner changes only between senders' runs.
+    const auto r = static_cast<rank_t>(h);
+    const IndexSet& held = layout[h];
+    const IndexSet& ghosts = plan_->ghosts(r);
+    // fill_halo() left every ghost in h's own buffer, in ghost order.
+    const real_t* halo = buffer(r).data() + part.local_size(r);
+    if (held.size() == ghosts.size()) {
+      values[h].assign(halo, halo + ghosts.size());
+      continue;
+    }
+    // Ghosts and receipts are disjoint ascending subsets of the ascending
+    // layout (AspmvPlan checks both), so one cursor over the ghosts tells
+    // them apart. A receipt is read from its owner's slice; the receipts
+    // ascend too, so the owner changes only between senders' runs.
+    values[h].resize(held.size());
+    std::size_t g = 0;
     std::span<const real_t> owned;
     index_t lo = 0, hi = 0;
-    for (std::size_t k = 0; k < layout[h].size(); ++k) {
-      const index_t i = layout[h][k];
+    for (std::size_t k = 0; k < held.size(); ++k) {
+      const index_t i = held[k];
+      if (g < ghosts.size() && ghosts[g] == i) {
+        values[h][k] = halo[g++];
+        continue;
+      }
       if (i >= hi) {
         const rank_t s = part.owner(i);
         owned = p.local(s);
@@ -153,6 +196,7 @@ RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
       }
       values[h][k] = owned[static_cast<std::size_t>(i - lo)];
     }
+    ESRP_CHECK(g == ghosts.size());
   }
   return RedundantCopy(tag, aug.holder_layout(), std::move(values));
 }
@@ -180,7 +224,9 @@ void ExchangeEngine::local_products(DistVector& y) {
 
 void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
                           bool complete_step) {
-  halo_exchange(p);
+  fill_halo(p);
+  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
+    send_lists(s, plan_->sends(s), CommCategory::spmv_halo);
   local_products(y);
   if (complete_step) cluster_->complete_step();
 }
@@ -201,6 +247,8 @@ RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
   ESRP_CHECK(&aug.base() == plan_);
   // Halo lists first, then the augmentation top-up — the same coverage as an
   // aspmv() capture, but every send is a dedicated redundancy message here.
+  // No product runs, so the capture needs its own fill of the buffers.
+  fill_halo(p);
   for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s) {
     send_lists(s, plan_->sends(s), CommCategory::aspmv_extra);
     send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);

@@ -109,14 +109,18 @@ public:
                             index_t tag);
 
 private:
-  void halo_exchange(const DistVector& p);
+  /// Copy p's owned slices and halo lists into every node's buffer. Charges
+  /// nothing: the callers charge the sends under their own categories.
+  void fill_halo(const DistVector& p);
   void local_products(DistVector& y);
   /// Charge node s's transfer lists as messages of category `cat`.
   void send_lists(rank_t s, const std::vector<SendList>& lists,
                   CommCategory cat);
-  /// Gather the values `aug`'s holder layout places, from the owners' slices.
+  /// The values `aug`'s holder layout places: each holder's ghosts from its
+  /// own buffer (so fill_halo(p) must have run), its augmentation receipts
+  /// from the owners' slices of p.
   RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
-                        index_t tag) const;
+                        index_t tag);
   /// Node s's [owned | ghosts] product input, a slice of buf_.
   std::span<real_t> buffer(rank_t s);
 

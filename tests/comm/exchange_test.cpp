@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -216,33 +217,46 @@ TEST(Exchange, SpmvOnShrunkPartitionIsBitwiseSequential) {
 
 // ---------------------------------------------------------------------------
 // Capture property: over matrices x node counts x phi, both capture paths
-// store exactly the values the plan's holder layout places, bitwise.
+// store exactly the values the plan's holder layout places, bitwise. The
+// grid ends with the bench/e2e emilia workloads' shape: 128 nodes, phi = 3.
 // ---------------------------------------------------------------------------
 
 using CaptureCase = std::tuple<std::string, rank_t, int>;
 
-class CaptureProperty : public ::testing::TestWithParam<CaptureCase> {
-protected:
-  static CsrMatrix make_matrix(const std::string& name) {
-    if (name == "poisson2d") return poisson2d(10, 10);
-    if (name == "emilia") return emilia_like(6, 6, 6).matrix;
-    if (name == "banded") return banded_spd(90, 5, 0.4, 13);
-    throw Error("unknown matrix " + name);
-  }
-};
+std::vector<CaptureCase> capture_grid() {
+  std::vector<CaptureCase> grid;
+  for (const char* name : {"poisson2d", "emilia", "banded"})
+    for (rank_t nodes : {4, 7, 12})
+      for (int phi : {1, 2, 3}) grid.emplace_back(name, nodes, phi);
+  grid.emplace_back("emilia8", 128, 3);
+  return grid;
+}
+
+CsrMatrix capture_matrix(const std::string& name) {
+  if (name == "poisson2d") return poisson2d(10, 10);
+  if (name == "emilia") return emilia_like(6, 6, 6).matrix;
+  if (name == "emilia8") return emilia_like(8, 8, 8).matrix;
+  if (name == "banded") return banded_spd(90, 5, 0.4, 13);
+  throw Error("unknown matrix " + name);
+}
+
+class CaptureProperty : public ::testing::TestWithParam<CaptureCase> {};
 
 TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
   const auto& [name, nodes, phi] = GetParam();
-  const CsrMatrix a = make_matrix(name);
+  const CsrMatrix a = capture_matrix(name);
   const BlockRowPartition part(a.rows(), nodes);
   SimCluster cluster(part);
   const SpmvPlan plan(a, part);
   const AspmvPlan aug(plan, phi);
   ExchangeEngine engine(a, plan, cluster);
+  // disseminate() gets a different vector than the aspmv() before it, so a
+  // capture that read the buffers the aspmv() left behind would fail here.
   const Vector p = random_vector(a.rows(), 31);
-  DistVector pd(part, p), y(part);
+  const Vector q = random_vector(a.rows(), 32);
+  DistVector pd(part, p), qd(part, q), y(part);
   const RedundantCopy via_aspmv = engine.aspmv(aug, pd, 4, y);
-  const RedundantCopy via_disseminate = engine.disseminate(aug, pd, 4);
+  const RedundantCopy via_disseminate = engine.disseminate(aug, qd, 4);
 
   const HolderLayout& layout = *aug.holder_layout();
   std::size_t placed = 0;
@@ -258,9 +272,11 @@ TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
           << "entry " << i << " on holder " << h;
       EXPECT_EQ(from_aspmv->first, h);
       EXPECT_EQ(from_dissem->first, h);
-      const auto bits = std::bit_cast<std::uint64_t>(p[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_aspmv->second), bits);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_dissem->second), bits);
+      const auto k = static_cast<std::size_t>(i);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_aspmv->second),
+                std::bit_cast<std::uint64_t>(p[k]));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_dissem->second),
+                std::bit_cast<std::uint64_t>(q[k]));
     }
     placed += layout[static_cast<std::size_t>(h)].size();
   }
@@ -271,15 +287,33 @@ TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, CaptureProperty,
-    ::testing::Combine(::testing::Values("poisson2d", "emilia", "banded"),
-                       ::testing::Values(rank_t{4}, rank_t{7}, rank_t{12}),
-                       ::testing::Values(1, 2, 3)),
+    Grid, CaptureProperty, ::testing::ValuesIn(capture_grid()),
     [](const ::testing::TestParamInfo<CaptureCase>& info) {
       return std::get<0>(info.param) + "_N" +
              std::to_string(std::get<1>(info.param)) + "_phi" +
              std::to_string(std::get<2>(info.param));
     });
+
+// The capture copies a holder that received only ghosts in one piece and
+// walks the others entry by entry; the grid must run both.
+TEST(CaptureGrid, HasHoldersWithAndWithoutReceipts) {
+  std::size_t with_receipts = 0, ghosts_only = 0;
+  for (const auto& [name, nodes, phi] : capture_grid()) {
+    const CsrMatrix a = capture_matrix(name);
+    const BlockRowPartition part(a.rows(), nodes);
+    const SpmvPlan plan(a, part);
+    const AspmvPlan aug(plan, phi);
+    for (rank_t h = 0; h < nodes; ++h) {
+      const std::size_t held =
+          (*aug.holder_layout())[static_cast<std::size_t>(h)].size();
+      const std::size_t ghosts = plan.ghosts(h).size();
+      if (held > ghosts) ++with_receipts;
+      else if (ghosts > 0) ++ghosts_only;
+    }
+  }
+  EXPECT_GT(with_receipts, 0u);
+  EXPECT_GT(ghosts_only, 0u);
+}
 
 } // namespace
 } // namespace esrp

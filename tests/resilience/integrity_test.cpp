@@ -58,6 +58,36 @@ TEST(RedundantCopyIntegrity, EveryBitFlipOfAHeldValueBreaksVerification) {
   }
 }
 
+// The constructor seals holders four per pass (one joint loop over a group's
+// shortest holder, then each holder's own tail), verify() one by one. Seven
+// holders of unequal lengths, one empty, give one group with four different
+// tails and three holders sealed alone.
+TEST(RedundantCopyIntegrity, UnequalHoldersSealAndVerifyLaneByLane) {
+  const std::vector<std::size_t> lengths{5, 2, 7, 3, 4, 0, 1};
+  auto layout = std::make_shared<HolderLayout>(lengths.size());
+  std::vector<Vector> values(lengths.size());
+  index_t next = 0;
+  for (std::size_t h = 0; h < lengths.size(); ++h) {
+    for (std::size_t k = 0; k < lengths[h]; ++k) {
+      (*layout)[h].push_back(next);
+      values[h].push_back(0.25 + static_cast<real_t>(next++));
+    }
+  }
+  RedundantCopy copy(3, layout, std::move(values));
+  EXPECT_TRUE(copy.verify({}));
+  for (std::size_t h = 0; h < lengths.size(); ++h) {
+    if (lengths[h] == 0) continue;
+    // In the group, a holder's first value lies in the joint loop and,
+    // unless the holder is the group's shortest, its last value in its tail.
+    for (index_t i : {(*layout)[h].front(), (*layout)[h].back()}) {
+      ASSERT_EQ(copy.corrupt(i, 7), static_cast<rank_t>(h));
+      EXPECT_FALSE(copy.verify({})) << "holder " << h << " entry " << i;
+      copy.corrupt(i, 7); // flip it back
+      EXPECT_TRUE(copy.verify({})) << "holder " << h << " entry " << i;
+    }
+  }
+}
+
 TEST(RedundantCopyIntegrity, DroppedHoldersAreNotCorruption) {
   RedundantCopy copy = make_copy(5);
   const std::vector<rank_t> failed{2};
