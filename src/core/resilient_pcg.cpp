@@ -7,26 +7,11 @@
 #include "common/error.hpp"
 #include "common/fused.hpp"
 #include "core/reconstruction.hpp"
-#include "parallel/parallel.hpp"
+#include "common/vec.hpp"
 
 namespace esrp {
 
 namespace {
-
-/// Chunk size for elementwise loops over simulated nodes (axpy, xpby,
-/// preconditioner application). Each node's slice is a full BLAS-1/SpMV
-/// work item, so even a single node per task amortizes the dispatch cost
-/// on realistic (>= 1k rows/node) problems.
-index_t node_grain(rank_t num_nodes) {
-  return adaptive_grain(static_cast<index_t>(num_nodes));
-}
-
-/// Reductions over nodes use a FIXED grain of one rank per chunk: chunk
-/// boundaries never move with the thread count, so the distributed dots —
-/// and with them whole solver trajectories — are bitwise identical across
-/// all thread counts >= 2 (docs/parallelism.md). One task per rank is fine:
-/// a rank's slice dot dwarfs a task dispatch.
-constexpr index_t kNodeReduceGrain = 1;
 
 /// Engine configuration of the classic solver: one star snapshot of
 /// {x, r, z, p} + beta, with the trailing copy pairing of Alg. 2 (z^(t)
@@ -46,41 +31,10 @@ ResilientPcg::ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
                            SimCluster& cluster, ResilienceOptions opts,
                            const SpmvPlan* shared_plan,
                            const AspmvPlan* shared_aug)
-    : a_(&a),
-      precond_(&precond),
-      cluster_(&cluster),
-      opts_(opts),
+    : opts_(opts),
       orig_part_(&cluster.partition()),
+      op_(a, precond, cluster, opts_, shared_plan, shared_aug),
       resilience_(opts, cluster.partition(), classic_engine_config()) {
-  ESRP_CHECK(a.rows() == a.cols());
-  ESRP_CHECK(a.rows() == cluster.partition().global_size());
-  if (shared_plan != nullptr) {
-    ESRP_CHECK_MSG(&shared_plan->partition() == &cluster.partition(),
-                   "shared SpmvPlan was built on a different partition than "
-                   "the cluster's");
-    plan_ = shared_plan;
-  } else {
-    owned_plan_ = std::make_unique<SpmvPlan>(a, cluster.partition());
-    plan_ = owned_plan_.get();
-  }
-  if (shared_aug != nullptr) {
-    ESRP_CHECK_MSG(&shared_aug->base() == plan_ && shared_aug->phi() == opts.phi,
-                   "shared AspmvPlan does not match the SpMV plan / phi of "
-                   "this solve");
-    aug_ = shared_aug;
-  } else {
-    owned_aug_ = std::make_unique<AspmvPlan>(*plan_, opts.phi);
-    aug_ = owned_aug_.get();
-  }
-  engine_ = std::make_unique<ExchangeEngine>(a, *plan_, cluster);
-  check_node_local(precond, cluster.partition());
-  if (opts.strategy == Strategy::esrp &&
-      opts.precond_formulation == PrecondFormulation::matrix) {
-    ESRP_CHECK_MSG(precond.matrix_form() != nullptr,
-                   "the matrix formulation requires "
-                   "Preconditioner::matrix_form()");
-  }
-  ESRP_CHECK(precond.dim() == a.rows());
   ESRP_CHECK(opts.rtol > 0 && opts.inner_rtol > 0);
   ESRP_CHECK(opts_.residual_replacement >= 0);
   ESRP_CHECK(opts_.sdc_threshold > 0);
@@ -104,42 +58,24 @@ SolverState ResilientPcg::solver_state() {
                      {&beta_}};
 }
 
-void ResilientPcg::rebuild_on_partition(const BlockRowPartition& np,
-                                        const Vector& xg, const Vector& rg,
-                                        const Vector& zg, const Vector& pg) {
-  cluster_->set_partition(np);
-
-  // Any borrowed (shared) plans refer to the old partition; from here on
-  // the solver owns its plans.
-  owned_plan_ = std::make_unique<SpmvPlan>(*a_, np);
-  plan_ = owned_plan_.get();
-  owned_aug_ = std::make_unique<AspmvPlan>(*plan_, opts_.phi);
-  aug_ = owned_aug_.get();
-  engine_ = std::make_unique<ExchangeEngine>(*a_, *plan_, *cluster_);
-  check_node_local(*precond_, np);
-
-  x_ = std::make_unique<DistVector>(np, xg);
-  r_ = std::make_unique<DistVector>(np, rg);
-  z_ = std::make_unique<DistVector>(np, zg);
-  p_ = std::make_unique<DistVector>(np, pg);
+void ResilientPcg::rebuild_on_partition(const BlockRowPartition& np) {
+  op_.rebuild_on_partition(np);
+  // Re-seat the live state, gathered from the old partition's slices.
+  for (std::unique_ptr<DistVector>* v : {&x_, &r_, &z_, &p_})
+    *v = std::make_unique<DistVector>(np, (*v)->gather_global());
   ap_ = std::make_unique<DistVector>(np);
 }
 
 void ResilientPcg::repartition(std::span<const rank_t> failed) {
-  // Gather the current state, absorb the failed ranks' ranges into their
-  // surviving neighbors, and rebuild everything partition-dependent. The
-  // accounting approximation: adopters already received the reconstructed
-  // entries during the recovery gather, so no extra migration messages are
-  // charged (DESIGN.md). The engine's star snapshots migrate around this
-  // hook (ResilienceEngine::recover).
-  const Vector xg = x_->gather_global();
-  const Vector rg = r_->gather_global();
-  const Vector zg = z_->gather_global();
-  const Vector pg = p_->gather_global();
-
+  // Absorb the failed ranks' ranges into their surviving neighbors and
+  // rebuild everything partition-dependent. The accounting approximation:
+  // adopters already received the reconstructed entries during the recovery
+  // gather, so no extra migration messages are charged (DESIGN.md). The
+  // engine's star snapshots migrate around this hook
+  // (ResilienceEngine::recover).
   auto shrunk = std::make_unique<BlockRowPartition>(
-      absorb_ranks(cluster_->partition(), failed));
-  rebuild_on_partition(*shrunk, xg, rg, zg, pg);
+      absorb_ranks(op_.partition(), failed));
+  rebuild_on_partition(*shrunk);
   // The previous owned partition (if any) stays referenced until the
   // rebuild above re-seated everything onto the new one.
   owned_part_ = std::move(shrunk);
@@ -150,134 +86,47 @@ void ResilientPcg::rejoin_full_cluster() {
   // construction-time partition and continue the trajectory exactly. The
   // engine drops its strategy state around this hook (try_rejoin) — the
   // following storage stages replenish it on the re-expanded map.
-  const Vector xg = x_->gather_global();
-  const Vector rg = r_->gather_global();
-  const Vector zg = z_->gather_global();
-  const Vector pg = p_->gather_global();
-  rebuild_on_partition(*orig_part_, xg, rg, zg, pg);
+  rebuild_on_partition(*orig_part_);
   owned_part_.reset();
 }
 
-real_t ResilientPcg::dot(const DistVector& a, const DistVector& b) {
-  // Nodes are reduced in rank order over fixed chunks (parallel_reduce), so
-  // the global dot is reproducible run-to-run at any fixed thread count.
-  const BlockRowPartition& part = cluster_->partition();
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  const real_t total = parallel_reduce(
-      index_t{0}, nodes, kNodeReduceGrain, real_t{0},
-      [&](index_t lo, index_t hi) {
-        real_t acc = 0;
-        for (index_t i = lo; i < hi; ++i) {
-          const auto s = static_cast<rank_t>(i);
-          acc += vec_dot(a.local(s), b.local(s));
-          cluster_->add_compute(s,
-                                2.0 * static_cast<double>(part.local_size(s)));
-        }
-        return acc;
+std::array<real_t, 2> ResilientPcg::rz_and_rr() {
+  const std::array<real_t, 2> sums =
+      op_.reduce_ranks<2>(4.0, [&](rank_t s, auto& acc) {
+        acc[0] += vec_dot(r_->local(s), z_->local(s));
+        acc[1] += vec_dot(r_->local(s), r_->local(s));
       });
-  cluster_->allreduce(1, CommCategory::allreduce);
-  return total;
+  op_.cluster().allreduce(2, CommCategory::allreduce);
+  return sums;
 }
 
-std::pair<real_t, real_t> ResilientPcg::dot2(const DistVector& a,
-                                             const DistVector& b,
-                                             const DistVector& c,
-                                             const DistVector& d) {
-  const BlockRowPartition& part = cluster_->partition();
-  using Pair = std::pair<real_t, real_t>;
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  const Pair total = parallel_reduce(
-      index_t{0}, nodes, kNodeReduceGrain, Pair{0, 0},
-      [&](index_t lo, index_t hi) {
-        Pair acc{0, 0};
-        for (index_t i = lo; i < hi; ++i) {
-          const auto s = static_cast<rank_t>(i);
-          acc.first += vec_dot(a.local(s), b.local(s));
-          acc.second += vec_dot(c.local(s), d.local(s));
-          cluster_->add_compute(s,
-                                4.0 * static_cast<double>(part.local_size(s)));
-        }
-        return acc;
-      },
-      [](Pair x, Pair y) {
-        return Pair{x.first + y.first, x.second + y.second};
-      });
-  cluster_->allreduce(2, CommCategory::allreduce);
-  return total;
-}
-
-void ResilientPcg::axpy2(DistVector& y1, real_t a1, const DistVector& x1,
-                         DistVector& y2, real_t a2, const DistVector& x2) {
-  const BlockRowPartition& part = cluster_->partition();
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  parallel_for(index_t{0}, nodes, node_grain(part.num_nodes()),
-               [&](index_t lo, index_t hi) {
-                 for (index_t i = lo; i < hi; ++i) {
-                   const auto s = static_cast<rank_t>(i);
-                   fused_axpy2(y1.local(s), a1, x1.local(s), y2.local(s), a2,
-                               x2.local(s));
-                   cluster_->add_compute(
-                       s, 4.0 * static_cast<double>(part.local_size(s)));
-                 }
-               });
-}
-
-void ResilientPcg::xpby(DistVector& y, const DistVector& x, real_t beta) {
-  const BlockRowPartition& part = cluster_->partition();
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  parallel_for(index_t{0}, nodes, node_grain(part.num_nodes()),
-               [&](index_t lo, index_t hi) {
-                 for (index_t i = lo; i < hi; ++i) {
-                   const auto s = static_cast<rank_t>(i);
-                   vec_xpby(y.local(s), x.local(s), beta);
-                   cluster_->add_compute(
-                       s, 2.0 * static_cast<double>(part.local_size(s)));
-                 }
-               });
-}
-
-void ResilientPcg::apply_precond(const DistVector& r, DistVector& z) {
-  const BlockRowPartition& part = cluster_->partition();
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  const auto p_ptr = precond_->action_matrix()->row_ptr();
-  parallel_for(index_t{0}, nodes, node_grain(part.num_nodes()),
-               [&](index_t lo, index_t hi) {
-                 for (index_t i = lo; i < hi; ++i) {
-                   const auto s = static_cast<rank_t>(i);
-                   const index_t begin = part.begin(s), end = part.end(s);
-                   precond_->apply_local(begin, end, r.local(s), z.local(s));
-                   cluster_->add_compute(
-                       s, static_cast<double>(2 * (p_ptr[end] - p_ptr[begin])));
-                 }
-               });
+void ResilientPcg::residual(std::span<const real_t> b, const DistVector& ax,
+                            DistVector& r) {
+  // Index b by global offset: a no-spare recovery may have changed the
+  // partition since the solve began.
+  const BlockRowPartition& part = op_.partition();
+  op_.for_each_rank(1.0, [&](rank_t s) {
+    auto rs = r.local(s);
+    vec_sub(b.subspan(static_cast<std::size_t>(part.begin(s)), rs.size()),
+            ax.local(s), rs);
+  });
 }
 
 void ResilientPcg::initialize_state(std::span<const real_t> b,
                                     std::span<const real_t> x0) {
-  const BlockRowPartition& part = cluster_->partition();
   if (x0.empty()) {
     x_->zero_all();
     // r(0) = b with a zero initial guess: no SpMV needed.
     r_->set_from_global(b);
   } else {
     x_->set_from_global(x0);
-    engine_->spmv(*x_, *r_);
-    DistVector b_dist(part, b);
-    const auto nodes = static_cast<index_t>(part.num_nodes());
-    parallel_for(index_t{0}, nodes, node_grain(part.num_nodes()),
-                 [&](index_t lo, index_t hi) {
-                   for (index_t i = lo; i < hi; ++i) {
-                     const auto s = static_cast<rank_t>(i);
-                     vec_sub(b_dist.local(s), r_->local(s), r_->local(s));
-                     cluster_->add_compute(
-                         s, static_cast<double>(part.local_size(s)));
-                   }
-                 });
+    op_.engine().spmv(*x_, *r_);
+    residual(b, *r_, *r_);
   }
-  apply_precond(*r_, *z_);
+  op_.apply_precond(*r_, *z_);
   p_->copy_from(*z_);
   beta_ = 0;
-  cluster_->complete_step();
+  op_.cluster().complete_step();
 }
 
 bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
@@ -286,12 +135,12 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
                                     std::span<const rank_t> failed,
                                     std::span<const real_t> b,
                                     RecoveryRecord& record) {
-  const BlockRowPartition& part = cluster_->partition();
+  const BlockRowPartition& part = op_.partition();
   ReconstructionInputs in;
-  in.a = a_;
-  in.p_action = precond_->action_matrix();
+  in.a = &op_.matrix();
+  in.p_action = op_.precond().action_matrix();
   in.formulation = opts_.precond_formulation;
-  in.p_matrix = precond_->matrix_form();
+  in.p_matrix = op_.precond().matrix_form();
   in.z_star = &stars.vec(2);
   in.part = &part;
   in.failed = failed;
@@ -304,7 +153,7 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   in.inner_rtol = opts_.inner_rtol;
   in.inner_max_iterations = opts_.inner_max_iterations;
   in.inner_block_size = opts_.inner_block_size;
-  const ReconstructionOutput out = reconstruct_state(in, *cluster_);
+  const ReconstructionOutput out = reconstruct_state(in, op_.cluster());
   if (!out.ok) return false;
 
   // Survivors roll back to the star copies; replacements receive the
@@ -358,7 +207,7 @@ void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result,
       report(rec);
       continue;
     }
-    const BlockRowPartition& cp = cluster_->partition();
+    const BlockRowPartition& cp = op_.partition();
     DistVector* v = e.target == "x" ? x_.get()
                     : e.target == "r" ? r_.get()
                                       : p_.get();
@@ -379,13 +228,14 @@ void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result,
 ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
                                          std::span<const real_t> x0,
                                          SolverObserver* observer) {
-  const BlockRowPartition& part = cluster_->partition();
-  const index_t n = a_->rows();
+  SimCluster& cluster = op_.cluster();
+  const BlockRowPartition& part = cluster.partition();
+  const index_t n = op_.matrix().rows();
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
   ESRP_CHECK(x0.empty() || static_cast<index_t>(x0.size()) == n);
   const index_t T = opts_.interval;
 
-  const double model_t0 = cluster_->modeled_time();
+  const double model_t0 = cluster.modeled_time();
   ResilientSolveResult result;
 
   x_ = std::make_unique<DistVector>(part);
@@ -393,7 +243,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
   z_ = std::make_unique<DistVector>(part);
   p_ = std::make_unique<DistVector>(part);
   ap_ = std::make_unique<DistVector>(part);
-  resilience_.begin_solve(*cluster_, observer);
+  resilience_.begin_solve(cluster, observer);
   beta_dstar_ = 0;
   sdc_fired_.assign(opts_.sdc_events.size(), 0);
 
@@ -418,13 +268,13 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
   };
 
   DistVector b_dist(part, b);
-  const real_t bnorm = std::sqrt(dot(b_dist, b_dist));
+  const real_t bnorm = std::sqrt(op_.dot(b_dist, b_dist));
   ESRP_CHECK_MSG(bnorm > 0, "right-hand side must be non-zero");
 
   initialize_state(b, x0);
   // <r,z> and ||r||^2 merged into one sweep + one allreduce (the unfused
   // pair posted two single-scalar allreduces).
-  auto [rz, rr0] = dot2(*r_, *z_, *r_, *r_);
+  auto [rz, rr0] = rz_and_rr();
   real_t rnorm = std::sqrt(rr0);
 
   index_t j = 0;
@@ -461,7 +311,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
     // --- SpMV phase ---
     if (stores.store()) {
-      resilience_.push_copy(engine_->aspmv(*aug_, *p_, j, *ap_));
+      resilience_.push_copy(op_.engine().aspmv(op_.aug(), *p_, j, *ap_));
       if (stores.second_store) {
         // beta currently holds beta^(j-1), the value Alg. 2 needs; for
         // T >= 3 it equals the beta** captured at the end of iteration mT.
@@ -470,7 +320,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
         if (resilience_.has_copy(j - 1)) resilience_.set_recoverable(j);
       }
     } else {
-      engine_->spmv(*p_, *ap_);
+      op_.engine().spmv(*p_, *ap_);
     }
 
     // --- Failure injection (paper §4: zero out at the marked iteration) ---
@@ -492,7 +342,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
         }
       }
       result.recoveries.push_back(record);
-      const auto [rz_rec, rr_rec] = dot2(*r_, *z_, *r_, *r_);
+      const auto [rz_rec, rr_rec] = rz_and_rr();
       rz = rz_rec;
       rnorm = std::sqrt(rr_rec);
       ++executed;
@@ -505,41 +355,31 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
     if (!opts_.sdc_events.empty()) inject_sdc(j, result, observer);
 
     // --- CG updates (Alg. 3 lines 13-18) ---
-    const real_t pap = dot(*p_, *ap_);
+    const real_t pap = op_.dot(*p_, *ap_);
     ESRP_CHECK_MSG(pap > 0, "p^T A p <= 0 at iteration " << j);
     const real_t alpha = rz / pap;
-    axpy2(*x_, alpha, *p_, *r_, -alpha, *ap_);
-    apply_precond(*r_, *z_);
-    const auto [rz_next, rr] = dot2(*r_, *z_, *r_, *r_);
+    op_.for_each_rank(4.0, [&](rank_t s) {
+      fused_axpy2(x_->local(s), alpha, p_->local(s), r_->local(s), -alpha,
+                  ap_->local(s));
+    });
+    op_.apply_precond(*r_, *z_);
+    const auto [rz_next, rr] = rz_and_rr();
     beta_ = rz_next / rz;
     rz = rz_next;
     rnorm = std::sqrt(rr);
-    xpby(*p_, *z_, beta_);
+    op_.for_each_rank(2.0, [&](rank_t s) {
+      vec_xpby(p_->local(s), z_->local(s), beta_);
+    });
     if (opts_.strategy == Strategy::esrp && T > 1 && stores.first_store)
       beta_dstar_ = beta_; // the paper's beta** = beta^(mT)
 
     // --- Residual replacement (van der Vorst & Ye, the paper's [27]) ---
     if (opts_.residual_replacement > 0 &&
         (j + 1) % opts_.residual_replacement == 0) {
-      engine_->spmv(*x_, *ap_); // ap_ reused as scratch for A x
-      // Index b by global offset: a no-spare recovery may have changed the
-      // partition since b_dist was built.
-      const BlockRowPartition& cp = cluster_->partition();
-      const auto cn = static_cast<index_t>(cp.num_nodes());
-      parallel_for(index_t{0}, cn, node_grain(cp.num_nodes()),
-                   [&](index_t lo, index_t hi) {
-                     for (index_t i = lo; i < hi; ++i) {
-                       const auto sr = static_cast<rank_t>(i);
-                       auto rs = r_->local(sr);
-                       vec_sub(b.subspan(static_cast<std::size_t>(cp.begin(sr)),
-                                         rs.size()),
-                               ap_->local(sr), rs);
-                       cluster_->add_compute(
-                           sr, static_cast<double>(cp.local_size(sr)));
-                     }
-                   });
-      apply_precond(*r_, *z_);
-      const auto [rz_new, rr_new] = dot2(*r_, *z_, *r_, *r_);
+      op_.engine().spmv(*x_, *ap_); // ap_ reused as scratch for A x
+      residual(b, *ap_, *r_);
+      op_.apply_precond(*r_, *z_);
+      const auto [rz_new, rr_new] = rz_and_rr();
       rz = rz_new;
       const real_t rnorm_recursive = rnorm;
       rnorm = std::sqrt(rr_new);
@@ -560,7 +400,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
         }
       }
     }
-    cluster_->complete_step();
+    cluster.complete_step();
 
     ++j;
     ++executed;
@@ -568,7 +408,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
   result.trajectory_iterations = j;
   result.executed_iterations = executed;
-  result.modeled_time = cluster_->modeled_time() - model_t0;
+  result.modeled_time = cluster.modeled_time() - model_t0;
   result.x = x_->gather_global();
   result.r = r_->gather_global();
   return result;

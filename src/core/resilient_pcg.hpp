@@ -11,7 +11,9 @@
 // core/reconstruction.hpp). The Strategy enum and the shared
 // ResilienceOptions / RecoveryRecord types live in resilience/options.hpp;
 // the pipelined solver (pipelined/dist_pipelined_pcg.hpp) consumes the very
-// same surface and returns the same ResilientSolveResult.
+// same surface and returns the same ResilientSolveResult. The two solvers
+// also share one DistOperator (comm/dist_operator.hpp): plans, exchange
+// engine, P apply and the charged rank loops.
 //
 // Failure model (paper §4/§5): at the marked iteration the affected ranks
 // zero all their dynamic data (vector slices and scalars) and then act as
@@ -22,6 +24,7 @@
 // run; ResilienceOptions::extra_failures schedules repeated recoveries.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "comm/aspmv_plan.hpp"
+#include "comm/dist_operator.hpp"
 #include "comm/exchange.hpp"
 #include "comm/spmv_plan.hpp"
 #include "common/observer.hpp"
@@ -56,13 +60,9 @@ public:
   /// matrix whose rows are node-local (block Jacobi qualifies); this is
   /// required by both the distributed application and the reconstruction.
   ///
-  /// `shared_plan` / `shared_aug` (optional, service layer) inject plans a
-  /// prepared ProblemHandle already built for this (matrix, partition, phi):
-  /// the solver borrows instead of rebuilding — they must outlive it, be
-  /// built on `cluster.partition()`, and (for the aug plan) carry
-  /// `opts.phi`. Plans are deterministic functions of those inputs, so
-  /// borrowed and freshly built plans are interchangeable bitwise. After a
-  /// no-spare repartition the solver switches to its own rebuilt plans.
+  /// `shared_plan` / `shared_aug` (optional, service layer) are prepared
+  /// plans the distributed operator borrows (comm/dist_operator.hpp). After
+  /// a no-spare repartition the solver switches to its own rebuilt plans.
   ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
                SimCluster& cluster, ResilienceOptions opts,
                const SpmvPlan* shared_plan = nullptr,
@@ -81,33 +81,19 @@ public:
 
   void set_iteration_hook(IterationHook hook) { hook_ = std::move(hook); }
 
-  const ResilienceOptions& options() const { return opts_; }
-  const SpmvPlan& spmv_plan() const { return *plan_; }
-  const AspmvPlan& aspmv_plan() const { return *aug_; }
-
   /// Partition currently in effect (differs from the construction-time
   /// partition after a no-spare recovery).
   const BlockRowPartition& current_partition() const {
-    return cluster_->partition();
+    return op_.partition();
   }
 
-  /// Introspection for tests: the redundancy-queue tags (oldest first) as of
-  /// the end of the last solve.
-  std::vector<index_t> queue_tags() const { return resilience_.queue_tags(); }
-  /// Latest reconstructable iteration (-1 if none) after the last solve.
-  index_t last_recoverable() const { return resilience_.last_recoverable(); }
-
 private:
-  // Distributed primitives (all charge the cost model).
-  real_t dot(const DistVector& a, const DistVector& b);
-  std::pair<real_t, real_t> dot2(const DistVector& a, const DistVector& b,
-                                 const DistVector& c, const DistVector& d);
-  /// Fused pair y1 += a1 x1; y2 += a2 x2 — one sweep over every node's
-  /// slices instead of two (the x/r update of the CG body).
-  void axpy2(DistVector& y1, real_t a1, const DistVector& x1, DistVector& y2,
-             real_t a2, const DistVector& x2);
-  void xpby(DistVector& y, const DistVector& x, real_t beta);
-  void apply_precond(const DistVector& r, DistVector& z);
+  /// {<r,z>, ||r||^2}: one sweep over every node's slices and one
+  /// 2-scalar allreduce.
+  std::array<real_t, 2> rz_and_rr();
+  /// r := b - ax on every node (`ax` may alias `r`).
+  void residual(std::span<const real_t> b, const DistVector& ax,
+                DistVector& r);
 
   void initialize_state(std::span<const real_t> b, std::span<const real_t> x0);
 
@@ -121,21 +107,18 @@ private:
   /// {x, r, z, p}, scratch {ap}, scalars {beta}.
   SolverState solver_state();
 
-  /// Rebuild plans, engine, preconditioner blocks and state vectors on the
-  /// repartitioned cluster (no-spare / shrink recovery; the resilience
-  /// engine migrates its own snapshots around this hook).
+  /// Rebuild the operator and the state vectors on the repartitioned
+  /// cluster (no-spare / shrink recovery; the resilience engine migrates
+  /// its own snapshots around this hook).
   void repartition(std::span<const rank_t> failed);
 
   /// Rejoin hook: re-expand onto the construction-time partition — retired
   /// ranks come back and the live state is redistributed exactly.
   void rejoin_full_cluster();
 
-  /// Shared tail of repartition()/rejoin_full_cluster(): point the cluster
-  /// at `np`, rebuild every partition-dependent structure, and re-seat the
-  /// gathered live state.
-  void rebuild_on_partition(const BlockRowPartition& np, const Vector& xg,
-                            const Vector& rg, const Vector& zg,
-                            const Vector& pg);
+  /// Shared tail of repartition()/rejoin_full_cluster(): rebuild the
+  /// operator on `np` and re-seat the live state on it.
+  void rebuild_on_partition(const BlockRowPartition& np);
 
   /// ESRP reconstruction hook (Alg. 2): rebuild the failed entries at the
   /// star snapshot from the two consecutive redundant copies and roll the
@@ -145,22 +128,12 @@ private:
                         std::span<const rank_t> failed,
                         std::span<const real_t> b, RecoveryRecord& record);
 
-  const CsrMatrix* a_;
-  const Preconditioner* precond_;
-  SimCluster* cluster_;
   ResilienceOptions opts_;
   /// Construction-time partition (caller-owned, outlives the solver): the
   /// rejoin rung re-expands back onto it.
   const BlockRowPartition* orig_part_ = nullptr;
   std::unique_ptr<BlockRowPartition> owned_part_; ///< set after repartition
-  // Plans: borrowed from a prepared handle, or owned. `plan_`/`aug_` are
-  // the single source of truth; the unique_ptrs are only set when this
-  // solver built (or rebuilt, after repartition) the plans itself.
-  std::unique_ptr<SpmvPlan> owned_plan_;
-  std::unique_ptr<AspmvPlan> owned_aug_;
-  const SpmvPlan* plan_ = nullptr;
-  const AspmvPlan* aug_ = nullptr;
-  std::unique_ptr<ExchangeEngine> engine_;
+  DistOperator op_;
   ResilienceEngine resilience_;
 
   // Solver state (valid during solve()).

@@ -2,14 +2,11 @@
 
 #include <array>
 #include <cmath>
-#include <optional>
 
-#include "comm/aspmv_plan.hpp"
 #include "comm/exchange.hpp"
-#include "comm/spmv_plan.hpp"
 #include "common/error.hpp"
 #include "common/fused.hpp"
-#include "parallel/parallel.hpp"
+#include "common/vec.hpp"
 #include "pipelined/pipelined_esr.hpp"
 
 namespace esrp {
@@ -40,37 +37,20 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
                                    ResilienceOptions opts,
                                    const SpmvPlan* shared_plan,
                                    const AspmvPlan* shared_aug)
-    : a_(&a),
-      precond_(&precond),
-      cluster_(&cluster),
-      opts_(opts),
-      shared_plan_(shared_plan),
-      shared_aug_(shared_aug),
+    : opts_(opts),
+      op_(a, precond, cluster, opts_, shared_plan, shared_aug),
       resilience_(opts, cluster.partition(), pipelined_engine_config()) {
-  ESRP_CHECK(a.rows() == a.cols());
-  ESRP_CHECK(a.rows() == cluster.partition().global_size());
-  if (shared_plan_ != nullptr)
-    ESRP_CHECK_MSG(&shared_plan_->partition() == &cluster.partition(),
-                   "shared SpmvPlan was built on a different partition than "
-                   "the cluster's");
-  if (shared_aug_ != nullptr)
-    ESRP_CHECK_MSG(shared_plan_ != nullptr &&
-                       &shared_aug_->base() == shared_plan_ &&
-                       shared_aug_->phi() == opts_.phi,
-                   "shared AspmvPlan does not match the SpMV plan / phi of "
-                   "this solve");
-  ESRP_CHECK(precond.dim() == a.rows());
-  check_node_local(precond, cluster.partition());
-  if (opts_.strategy == Strategy::esrp &&
-      opts_.precond_formulation == PrecondFormulation::matrix) {
-    ESRP_CHECK_MSG(precond.matrix_form() != nullptr,
-                   "the matrix formulation requires "
-                   "Preconditioner::matrix_form()");
-  }
   ESRP_CHECK_MSG(opts_.spare_nodes,
                  "no-spare recovery is not implemented for the pipelined "
-                 "recurrences (repartitioning the overlapped plans is future "
-                 "work); keep spare_nodes = true");
+                 "recurrences (the solver has no repartition hook yet); "
+                 "keep spare_nodes = true");
+  ESRP_CHECK_MSG(!opts_.policy.shrink_on_unrecoverable && !opts_.policy.rejoin,
+                 "the shrink and rejoin recovery rungs are not implemented "
+                 "for the pipelined recurrences (the solver has no "
+                 "repartition hook yet)");
+  ESRP_CHECK_MSG(opts_.sdc_events.empty(),
+                 "SDC injection (sdc_events) is not implemented for the "
+                 "pipelined solver");
   ESRP_CHECK_MSG(opts_.residual_replacement == 0,
                  "residual replacement is not implemented for the pipelined "
                  "solver");
@@ -79,106 +59,11 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
 
 ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
                                              SolverObserver* observer) {
-  const BlockRowPartition& part = cluster_->partition();
-  const index_t n = a_->rows();
-  ESRP_CHECK(static_cast<index_t>(b.size()) == n);
-  const double model_t0 = cluster_->modeled_time();
-
-  // Borrow the prepared plans when a handle injected them; otherwise build
-  // per call as always (same inputs, bitwise-identical plans).
-  std::optional<SpmvPlan> local_plan;
-  if (shared_plan_ == nullptr) local_plan.emplace(*a_, part);
-  const SpmvPlan& plan = shared_plan_ ? *shared_plan_ : *local_plan;
-  ExchangeEngine engine(*a_, plan, *cluster_);
-  // The augmentation plan only routes the ESRP storage stages' redundant
-  // p copies: the regular iteration SpMV (input m) stays unaugmented.
-  std::optional<AspmvPlan> local_aug;
-  if (opts_.strategy == Strategy::esrp && shared_aug_ == nullptr)
-    local_aug.emplace(plan, opts_.phi);
-  const AspmvPlan* aug =
-      shared_aug_ ? shared_aug_ : (local_aug ? &*local_aug : nullptr);
-
-  // Per-node loops follow ResilientPcg's idiom: elementwise work is
-  // parallel_for over ranks (disjoint slices), reductions are
-  // parallel_reduce with a fixed grain of one rank per chunk combined in
-  // rank order — bitwise identical to the serial rank loop at every thread
-  // count (docs/parallelism.md).
-  const auto nodes = static_cast<index_t>(part.num_nodes());
-  const index_t rank_grain = adaptive_grain(nodes);
-  // The constructor checked that P is node-local: each node applies its own
-  // diagonal block of P.
-  const auto p_ptr = precond_->action_matrix()->row_ptr();
-  auto apply_precond = [&](const DistVector& in, DistVector& out) {
-    parallel_for(index_t{0}, nodes, rank_grain, [&](index_t lo, index_t hi) {
-      for (index_t i = lo; i < hi; ++i) {
-        const auto s = static_cast<rank_t>(i);
-        const index_t begin = part.begin(s), end = part.end(s);
-        precond_->apply_local(begin, end, in.local(s), out.local(s));
-        cluster_->add_compute(
-            s, static_cast<double>(2 * (p_ptr[end] - p_ptr[begin])));
-      }
-    });
-  };
-  auto local_dot = [&](const DistVector& u, const DistVector& v) {
-    return parallel_reduce(index_t{0}, nodes, index_t{1}, real_t{0},
-                           [&](index_t lo, index_t hi) {
-                             real_t acc = 0;
-                             for (index_t i = lo; i < hi; ++i) {
-                               const auto s = static_cast<rank_t>(i);
-                               acc += vec_dot(u.local(s), v.local(s));
-                               cluster_->add_compute(
-                                   s, 2.0 * static_cast<double>(
-                                                part.local_size(s)));
-                             }
-                             return acc;
-                           });
-  };
-  // The gamma/delta/||r||^2 triple: one sweep over every rank's slices (was
-  // three), feeding the single merged allreduce the formulation is built
-  // around. Componentwise accumulation in rank order keeps each component
-  // bitwise equal to its separate local_dot.
-  using Triple = std::array<real_t, 3>;
-  auto local_dot3 = [&](const DistVector& r, const DistVector& u,
-                        const DistVector& w) {
-    return parallel_reduce(
-        index_t{0}, nodes, index_t{1}, Triple{0, 0, 0},
-        [&](index_t lo, index_t hi) {
-          Triple acc{0, 0, 0};
-          for (index_t i = lo; i < hi; ++i) {
-            const auto s = static_cast<rank_t>(i);
-            const auto [g, d, n2] =
-                vec_dot3(r.local(s), u.local(s), w.local(s), u.local(s),
-                         r.local(s), r.local(s));
-            acc[0] += g;
-            acc[1] += d;
-            acc[2] += n2;
-            cluster_->add_compute(
-                s, 6.0 * static_cast<double>(part.local_size(s)));
-          }
-          return acc;
-        },
-        [](Triple a, Triple b) {
-          return Triple{a[0] + b[0], a[1] + b[1], a[2] + b[2]};
-        });
-  };
-  // The full recurrence tail — the z/q/s/p xpby quartet plus the x/r/u/w
-  // axpy quartet — in one sweep per rank (was eight).
-  auto local_update = [&](DistVector& z, const DistVector& nv, DistVector& q,
-                          const DistVector& m, DistVector& s_, DistVector& w,
-                          DistVector& p, DistVector& u, DistVector& x,
-                          DistVector& r, real_t alpha, real_t beta) {
-    parallel_for(index_t{0}, nodes, rank_grain, [&](index_t lo, index_t hi) {
-      for (index_t i = lo; i < hi; ++i) {
-        const auto s = static_cast<rank_t>(i);
-        fused_pipelined_update(z.local(s), nv.local(s), q.local(s),
-                               m.local(s), s_.local(s), w.local(s),
-                               p.local(s), u.local(s), x.local(s),
-                               r.local(s), alpha, beta);
-        cluster_->add_compute(
-            s, 16.0 * static_cast<double>(part.local_size(s)));
-      }
-    });
-  };
+  SimCluster& cluster = op_.cluster();
+  const BlockRowPartition& part = cluster.partition();
+  ESRP_CHECK(static_cast<index_t>(b.size()) == op_.matrix().rows());
+  const double model_t0 = cluster.modeled_time();
+  ExchangeEngine& engine = op_.engine();
 
   ResilientSolveResult result;
   DistVector x(part), r(part), u(part), w(part), m(part), nv(part);
@@ -195,14 +80,13 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
   };
 
   DistVector b_dist(part, b);
-  const real_t bnorm = std::sqrt(local_dot(b_dist, b_dist));
-  cluster_->allreduce(1, CommCategory::allreduce);
+  const real_t bnorm = std::sqrt(op_.dot(b_dist, b_dist));
   ESRP_CHECK_MSG(bnorm > 0, "right-hand side must be non-zero");
 
   auto initialize = [&] {
     x.zero_all();
     r.set_from_global(b); // zero initial guess
-    apply_precond(r, u);
+    op_.apply_precond(r, u);
     engine.spmv(u, w);
     z.zero_all();
     q.zero_all();
@@ -211,12 +95,11 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     gamma_prev = alpha_prev = 0;
   };
   initialize();
-  resilience_.begin_solve(*cluster_, observer);
+  resilience_.begin_solve(cluster, observer);
 
   // Recovery-ladder hooks: this solver supplies reconstruct and restart
-  // only. It leaves `repartition` and `rejoin` unset, so the engine skips
-  // the shrink and rejoin rungs (validate_spec rejects shrink policies for
-  // "dist-pipelined" via SolverEntry::supports_shrink); all other rungs —
+  // only. It leaves `repartition` and `rejoin` unset, which is why the
+  // constructor rejects shrink and rejoin policies; all other rungs —
   // reconstruct, older-snapshot (real here: pipelined storage keeps two
   // snapshot slots), IMCR checkpoint, scratch — apply unchanged.
   ResilienceEngine::Client client;
@@ -227,10 +110,10 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
                            std::span<const rank_t> failed,
                            RecoveryRecord& record) {
     PipelinedEsrInputs in;
-    in.a = a_;
-    in.p_action = precond_->action_matrix();
+    in.a = &op_.matrix();
+    in.p_action = op_.precond().action_matrix();
     in.formulation = opts_.precond_formulation;
-    in.p_matrix = precond_->matrix_form();
+    in.p_matrix = op_.precond().matrix_form();
     in.part = &part;
     in.failed = failed;
     in.p_cur = &prev; // leading pairing: `prev` is the rollback tag t
@@ -241,7 +124,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     in.inner_rtol = opts_.inner_rtol;
     in.inner_max_iterations = opts_.inner_max_iterations;
     in.inner_block_size = opts_.inner_block_size;
-    const PipelinedEsrOutput out = reconstruct_pipelined_state(in, *cluster_);
+    const PipelinedEsrOutput out = reconstruct_pipelined_state(in, cluster);
     if (!out.ok) return false;
 
     // Survivors roll back to the stars; replacements receive the
@@ -275,7 +158,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     // copy is in place.
     const ResilienceEngine::StoragePlan stores = resilience_.storage_plan(j);
     if (stores.store()) {
-      resilience_.push_copy(engine.disseminate(*aug, p, j));
+      resilience_.push_copy(engine.disseminate(op_.aug(), p, j));
       if (stores.first_store || opts_.interval == 1)
         resilience_.save_snapshot(j, state());
       if (j >= 1 && resilience_.has_copy(j - 1) &&
@@ -285,10 +168,19 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
 
     // Local dot contributions (one fused sweep), then post the allreduce
     // and overlap it with the preconditioner application and the SpMV.
-    const auto [gamma, delta, rr] = local_dot3(r, u, w);
-    apply_precond(w, m);
+    // The gamma/delta/||r||^2 triple in one sweep over every rank's slices.
+    const auto [gamma, delta, rr] =
+        op_.reduce_ranks<3>(6.0, [&](rank_t sr, auto& acc) {
+          const auto [g, d, n2] =
+              vec_dot3(r.local(sr), u.local(sr), w.local(sr), u.local(sr),
+                       r.local(sr), r.local(sr));
+          acc[0] += g;
+          acc[1] += d;
+          acc[2] += n2;
+        });
+    op_.apply_precond(w, m);
     engine.spmv(m, nv, /*complete_step=*/false);
-    cluster_->allreduce_overlapped(3, CommCategory::allreduce);
+    cluster.allreduce_overlapped(3, CommCategory::allreduce);
 
     result.final_relres = std::sqrt(rr) / bnorm;
     // Before the convergence break: observers see the converging relres,
@@ -325,8 +217,14 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     if (opts_.strategy == Strategy::esrp)
       resilience_.set_snapshot_scalar(j, 2, beta);
 
-    local_update(z, nv, q, m, s, w, p, u, x, r, alpha, beta);
-    cluster_->complete_step();
+    // The z/q/s/p xpby quartet and the x/r/u/w axpy quartet in one sweep.
+    op_.for_each_rank(16.0, [&](rank_t sr) {
+      fused_pipelined_update(z.local(sr), nv.local(sr), q.local(sr),
+                             m.local(sr), s.local(sr), w.local(sr),
+                             p.local(sr), u.local(sr), x.local(sr),
+                             r.local(sr), alpha, beta);
+    });
+    cluster.complete_step();
 
     gamma_prev = gamma;
     alpha_prev = alpha;
@@ -336,7 +234,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
 
   result.trajectory_iterations = j;
   result.executed_iterations = executed;
-  result.modeled_time = cluster_->modeled_time() - model_t0;
+  result.modeled_time = cluster.modeled_time() - model_t0;
   result.x = x.gather_global();
   result.r = r.gather_global();
   return result;

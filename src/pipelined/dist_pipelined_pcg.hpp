@@ -20,14 +20,20 @@
 //          first storage iteration; recovery inverts the p-recurrence into
 //          u, runs the standard Alg. 2 inner solves for r and x, and
 //          derives w, s, q, z by row products (pipelined/pipelined_esr.hpp).
-// Not supported here: no-spare recovery (repartitioning the pipelined
-// plans is future work — ResilienceOptions::spare_nodes must stay true),
-// residual replacement, and initial guesses.
+// Not supported here, and rejected by the constructor: no-spare recovery
+// and the shrink/rejoin policy rungs (the solver has no repartition hook
+// yet — ResilienceOptions::spare_nodes must stay true), SDC injection
+// (sdc_events), and residual replacement. Initial guesses are not taken.
+//
+// The partition-bound machinery — plans, exchange engine, P apply and the
+// charged rank loops — is the DistOperator it shares with ResilientPcg
+// (comm/dist_operator.hpp).
 #pragma once
 
 #include <span>
 
 #include "comm/aspmv_plan.hpp"
+#include "comm/dist_operator.hpp"
 #include "comm/spmv_plan.hpp"
 #include "common/observer.hpp"
 #include "netsim/cluster.hpp"
@@ -41,12 +47,8 @@ namespace esrp {
 
 class DistPipelinedPcg {
 public:
-  /// `shared_plan` / `shared_aug` (optional, service layer) inject plans a
-  /// prepared ProblemHandle built for this (matrix, partition, phi); the
-  /// solver then borrows them in every solve() instead of rebuilding per
-  /// call. They must outlive the solver, be built on `cluster.partition()`,
-  /// and match `opts.phi` (aug). Plans are deterministic functions of those
-  /// inputs, so borrowed and per-call-built plans solve bitwise identically.
+  /// `shared_plan` / `shared_aug` (optional, service layer) are prepared
+  /// plans the distributed operator borrows (comm/dist_operator.hpp).
   DistPipelinedPcg(const CsrMatrix& a, const Preconditioner& precond,
                    SimCluster& cluster, ResilienceOptions opts,
                    const SpmvPlan* shared_plan = nullptr,
@@ -58,18 +60,9 @@ public:
   ResilientSolveResult solve(std::span<const real_t> b,
                              SolverObserver* observer = nullptr);
 
-  const ResilienceOptions& options() const { return opts_; }
-  /// Introspection for tests, mirroring ResilientPcg.
-  std::vector<index_t> queue_tags() const { return resilience_.queue_tags(); }
-  index_t last_recoverable() const { return resilience_.last_recoverable(); }
-
 private:
-  const CsrMatrix* a_;
-  const Preconditioner* precond_;
-  SimCluster* cluster_;
   ResilienceOptions opts_;
-  const SpmvPlan* shared_plan_ = nullptr;  ///< borrowed; may be null
-  const AspmvPlan* shared_aug_ = nullptr;  ///< borrowed; may be null
+  DistOperator op_;
   ResilienceEngine resilience_;
 };
 

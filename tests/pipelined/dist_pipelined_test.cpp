@@ -149,6 +149,33 @@ TEST(DistPipelined, NoSpareRecoveryRejected) {
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
 }
 
+TEST(DistPipelined, SdcEventsRejected) {
+  // The solver injects no bit-flips: accepting an event would silently
+  // skip it and report an empty `sdc`.
+  System s(poisson2d(6, 6), 4);
+  SimCluster cluster(s.part);
+  BlockJacobiPreconditioner precond(s.a, s.part, 10);
+  ResilienceOptions opts;
+  opts.sdc_events.push_back(SdcEvent{3, "p", 5, 51});
+  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
+}
+
+TEST(DistPipelined, ShrinkPolicyRejected) {
+  // Without a repartition hook the engine would quietly fall back to a
+  // scratch restart instead of shrinking or rejoining.
+  System s(poisson2d(6, 6), 4);
+  SimCluster cluster(s.part);
+  BlockJacobiPreconditioner precond(s.a, s.part, 10);
+  ResilienceOptions shrink;
+  shrink.strategy = Strategy::esrp;
+  shrink.policy.shrink_on_unrecoverable = true;
+  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, shrink), Error);
+  ResilienceOptions rejoin;
+  rejoin.strategy = Strategy::esrp;
+  rejoin.policy.rejoin = true;
+  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, rejoin), Error);
+}
+
 TEST(DistPipelined, ResidualReplacementRejected) {
   System s(poisson2d(6, 6), 4);
   SimCluster cluster(s.part);
