@@ -120,36 +120,7 @@ void RedundantCopy::drop_holders(std::span<const rank_t> ranks) {
 ExchangeEngine::ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan,
                                SimCluster& cluster)
     : a_(&a), plan_(&plan), cluster_(&cluster) {
-  const BlockRowPartition& part = plan.partition();
-  ESRP_CHECK(&part == &cluster.partition());
-  buf_begin_.assign(1, 0);
-  for (rank_t s = 0; s < part.num_nodes(); ++s)
-    buf_begin_.push_back(buf_begin_.back() +
-                         static_cast<std::size_t>(part.local_size(s)) +
-                         plan.ghosts(s).size());
-  buf_.assign(buf_begin_.back(), 0);
-}
-
-std::span<real_t> ExchangeEngine::buffer(rank_t s) {
-  const auto k = static_cast<std::size_t>(s);
-  return std::span(buf_).subspan(buf_begin_[k],
-                                 buf_begin_[k + 1] - buf_begin_[k]);
-}
-
-void ExchangeEngine::fill_halo(const DistVector& p) {
-  // Each node's owned slice opens its own buffer; each halo list lands as
-  // one run at its slot in the receiver's ghost section.
-  const BlockRowPartition& part = plan_->partition();
-  for (rank_t s = 0; s < part.num_nodes(); ++s) {
-    const auto owned = p.local(s);
-    const index_t lo = part.begin(s);
-    std::copy(owned.begin(), owned.end(), buffer(s).begin());
-    for (const SendList& sl : plan_->sends(s)) {
-      real_t* dst = buffer(sl.to).data() + sl.slot;
-      for (index_t i : sl.indices)
-        *dst++ = owned[static_cast<std::size_t>(i - lo)];
-    }
-  }
+  ESRP_CHECK(&plan.partition() == &cluster.partition());
 }
 
 void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
@@ -161,61 +132,32 @@ void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
 
 RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
                                       const DistVector& p, index_t tag) {
-  const BlockRowPartition& part = plan_->partition();
   const HolderLayout& layout = *aug.holder_layout();
+  const auto all = p.all();
   std::vector<Vector> values(layout.size());
   for (std::size_t h = 0; h < layout.size(); ++h) {
-    const auto r = static_cast<rank_t>(h);
-    const IndexSet& held = layout[h];
-    const IndexSet& ghosts = plan_->ghosts(r);
-    // fill_halo() left every ghost in h's own buffer, in ghost order.
-    const real_t* halo = buffer(r).data() + part.local_size(r);
-    if (held.size() == ghosts.size()) {
-      values[h].assign(halo, halo + ghosts.size());
-      continue;
-    }
-    // Ghosts and receipts are disjoint ascending subsets of the ascending
-    // layout (AspmvPlan checks both), so one cursor over the ghosts tells
-    // them apart. A receipt is read from its owner's slice; the receipts
-    // ascend too, so the owner changes only between senders' runs.
-    values[h].resize(held.size());
-    std::size_t g = 0;
-    std::span<const real_t> owned;
-    index_t lo = 0, hi = 0;
-    for (std::size_t k = 0; k < held.size(); ++k) {
-      const index_t i = held[k];
-      if (g < ghosts.size() && ghosts[g] == i) {
-        values[h][k] = halo[g++];
-        continue;
-      }
-      if (i >= hi) {
-        const rank_t s = part.owner(i);
-        owned = p.local(s);
-        lo = part.begin(s);
-        hi = part.end(s);
-      }
-      values[h][k] = owned[static_cast<std::size_t>(i - lo)];
-    }
-    ESRP_CHECK(g == ghosts.size());
+    values[h].reserve(layout[h].size());
+    for (index_t i : layout[h])
+      values[h].push_back(all[static_cast<std::size_t>(i)]);
   }
   return RedundantCopy(tag, aug.holder_layout(), std::move(values));
 }
 
-void ExchangeEngine::local_products(DistVector& y) {
-  // Each node's product writes only its own slice of y and reads its own
-  // [owned | ghosts] buffer through the plan's local columns, so nodes
-  // parallelize freely (the halo exchange that filled buf_ already
-  // completed). The node slice is the unit of work, no nested row chunking.
+void ExchangeEngine::local_products(const DistVector& p, DistVector& y) {
+  // Each node's product writes only its own slice of y and reads p's entries
+  // at its rows' columns: its own slice and the ghosts the sends just
+  // charged. p does not change until the products finish, so every value
+  // read is the one the halo delivers, and nodes parallelize freely. The
+  // node slice is the unit of work, no nested row chunking.
+  ESRP_CHECK(&p != &y);
   const BlockRowPartition& part = plan_->partition();
   const auto nodes = static_cast<index_t>(part.num_nodes());
   parallel_for(index_t{0}, nodes, adaptive_grain(nodes),
                [&](index_t lo, index_t hi) {
                  for (index_t i = lo; i < hi; ++i) {
                    const auto s = static_cast<rank_t>(i);
-                   a_->spmv_rows_local(part.begin(s), part.end(s),
-                                       plan_->local_cols(s),
-                                       buffer(s),
-                                       y.local(s));
+                   a_->spmv_rows(part.begin(s), part.end(s), p.all(),
+                                 y.local(s));
                    cluster_->add_compute(
                        s, 2.0 * static_cast<double>(plan_->local_nnz(s)));
                  }
@@ -224,10 +166,9 @@ void ExchangeEngine::local_products(DistVector& y) {
 
 void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
                           bool complete_step) {
-  fill_halo(p);
   for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
     send_lists(s, plan_->sends(s), CommCategory::spmv_halo);
-  local_products(y);
+  local_products(p, y);
   if (complete_step) cluster_->complete_step();
 }
 
@@ -247,8 +188,6 @@ RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
   ESRP_CHECK(&aug.base() == plan_);
   // Halo lists first, then the augmentation top-up — the same coverage as an
   // aspmv() capture, but every send is a dedicated redundancy message here.
-  // No product runs, so the capture needs its own fill of the buffers.
-  fill_halo(p);
   for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s) {
     send_lists(s, plan_->sends(s), CommCategory::aspmv_extra);
     send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);

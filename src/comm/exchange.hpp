@@ -78,17 +78,18 @@ private:
 };
 
 /// Drives halo exchanges and local products for one matrix on one cluster.
-/// Owns one [owned | ghosts] buffer per node in the plan's local numbering
-/// (spmv_plan.hpp) — sum over nodes of local_size + ghosts doubles, O(n) in
-/// total — so one engine should be reused across iterations.
+/// The exchange is charged from the plan's send lists; the products then
+/// read the halo entries in place from their owners' slices (the read-only
+/// exception of netsim/dist_vector.hpp), so the engine holds no buffers.
 class ExchangeEngine {
 public:
   ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan, SimCluster& cluster);
 
-  /// y := A p using the regular SpMV. Charges halo messages and local
-  /// compute, then completes the superstep. Pass `complete_step = false` to
-  /// leave the superstep open so the caller can overlap further work with
-  /// it (e.g. the pipelined solver's non-blocking allreduce).
+  /// y := A p using the regular SpMV; p and y must be distinct vectors.
+  /// Charges halo messages and local compute, then completes the superstep.
+  /// Pass `complete_step = false` to leave the superstep open so the caller
+  /// can overlap further work with it (e.g. the pipelined solver's
+  /// non-blocking allreduce).
   void spmv(const DistVector& p, DistVector& y, bool complete_step = true);
 
   /// y := A p using the augmented SpMV: the regular SpMV plus the
@@ -109,28 +110,19 @@ public:
                             index_t tag);
 
 private:
-  /// Copy p's owned slices and halo lists into every node's buffer. Charges
-  /// nothing: the callers charge the sends under their own categories.
-  void fill_halo(const DistVector& p);
-  void local_products(DistVector& y);
+  /// Every node's rows of y := A p, read straight from p's slices.
+  void local_products(const DistVector& p, DistVector& y);
   /// Charge node s's transfer lists as messages of category `cat`.
   void send_lists(rank_t s, const std::vector<SendList>& lists,
                   CommCategory cat);
-  /// The values `aug`'s holder layout places: each holder's ghosts from its
-  /// own buffer (so fill_halo(p) must have run), its augmentation receipts
-  /// from the owners' slices of p.
+  /// The values `aug`'s holder layout places, gathered from the owners'
+  /// slices of p: ghosts and augmentation receipts alike.
   RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
                         index_t tag);
-  /// Node s's [owned | ghosts] product input, a slice of buf_.
-  std::span<real_t> buffer(rank_t s);
 
   const CsrMatrix* a_;
   const SpmvPlan* plan_;
   SimCluster* cluster_;
-  /// Every node's buffer, back to back in one allocation: separate per-node
-  /// vectors, scattered over the heap, made the SpMV measurably slower.
-  Vector buf_;
-  std::vector<std::size_t> buf_begin_; ///< [s] -> start of s's buffer
 };
 
 } // namespace esrp

@@ -1,7 +1,6 @@
 #include "comm/spmv_plan.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -18,55 +17,34 @@ SpmvPlan::SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part)
   const auto col_idx = a.col_idx();
   sends_.resize(n_nodes);
   ghosts_.resize(n_nodes);
-  local_cols_.resize(n_nodes);
+  local_nnz_.resize(n_nodes);
   multiplicity_.assign(m, 0);
 
   // One pass over each receiver's nonzeros. seen[j] == l once node l has met
-  // off-node column j, and slot[j] is then j's local column on l; both are
-  // overwritten by later nodes, never cleared.
+  // off-node column j; it is overwritten by later nodes, never cleared.
   std::vector<rank_t> seen(m, -1);
-  std::vector<col_t> slot(m, -1);
   for (rank_t l = 0; l < part.num_nodes(); ++l) {
     const auto k = static_cast<std::size_t>(l);
     const index_t lo = part.begin(l), hi = part.end(l);
-    const auto nz_lo = static_cast<std::size_t>(row_ptr[lo]);
-    const auto nz_hi = static_cast<std::size_t>(row_ptr[hi]);
+    local_nnz_[k] = row_ptr[hi] - row_ptr[lo];
     IndexSet& ghosts = ghosts_[k];
-    for (std::size_t q = nz_lo; q < nz_hi; ++q) {
-      const index_t j = col_idx[q];
+    for (auto q = row_ptr[lo]; q < row_ptr[hi]; ++q) {
+      const index_t j = col_idx[static_cast<std::size_t>(q)];
       if ((j < lo || j >= hi) && seen[static_cast<std::size_t>(j)] != l) {
         seen[static_cast<std::size_t>(j)] = l;
         ghosts.push_back(j);
       }
     }
     std::sort(ghosts.begin(), ghosts.end());
-    const index_t owned = hi - lo;
-    ESRP_CHECK_MSG(
-        static_cast<std::uint64_t>(owned) + ghosts.size() <=
-            static_cast<std::uint64_t>(std::numeric_limits<col_t>::max()),
-        "rank " << l << " needs " << owned << " owned + " << ghosts.size()
-                << " ghost entries, beyond the 32-bit local numbering");
-    for (std::size_t g = 0; g < ghosts.size(); ++g) {
-      const auto j = static_cast<std::size_t>(ghosts[g]);
-      slot[j] = static_cast<col_t>(owned + static_cast<index_t>(g));
-      ++multiplicity_[j];
-    }
+    for (index_t j : ghosts) ++multiplicity_[static_cast<std::size_t>(j)];
     // Owners hold contiguous ranges, so each sender's share of the sorted
     // ghosts is one run; receivers ascend, so sends_[s] stays ordered by `to`.
     for (auto run = ghosts.begin(); run != ghosts.end();) {
       const rank_t s = part.owner(*run);
       const auto run_end = std::lower_bound(run, ghosts.end(), part.end(s));
-      sends_[static_cast<std::size_t>(s)].push_back(SendList{
-          l, IndexSet(run, run_end), slot[static_cast<std::size_t>(*run)]});
+      sends_[static_cast<std::size_t>(s)].push_back(
+          SendList{l, IndexSet(run, run_end)});
       run = run_end;
-    }
-    std::vector<col_t>& cols = local_cols_[k];
-    cols.resize(nz_hi - nz_lo);
-    for (std::size_t q = nz_lo; q < nz_hi; ++q) {
-      const index_t j = col_idx[q];
-      cols[q - nz_lo] = j >= lo && j < hi
-                            ? static_cast<col_t>(j - lo)
-                            : slot[static_cast<std::size_t>(j)];
     }
   }
 }
@@ -92,13 +70,9 @@ int SpmvPlan::multiplicity(index_t i) const {
   return multiplicity_[static_cast<std::size_t>(i)];
 }
 
-std::span<const col_t> SpmvPlan::local_cols(rank_t s) const {
-  ESRP_CHECK(s >= 0 && s < part_->num_nodes());
-  return local_cols_[static_cast<std::size_t>(s)];
-}
-
 index_t SpmvPlan::local_nnz(rank_t s) const {
-  return static_cast<index_t>(local_cols(s).size());
+  ESRP_CHECK(s >= 0 && s < part_->num_nodes());
+  return local_nnz_[static_cast<std::size_t>(s)];
 }
 
 std::uint64_t SpmvPlan::total_entries_sent() const {

@@ -6,18 +6,15 @@
 // owned by s that l needs (paper §2.2). The plan is static: it depends only
 // on the sparsity pattern and the partition, and is built once per solve.
 //
-// Local numbering (PETSc MPIAIJ style): node l's product reads a compact
-// buffer [owned | ghosts] of local_size(l) + ghosts(l).size() entries, not a
-// global-length vector. Local column c < local_size(l) is owned row
-// begin(l) + c; local column local_size(l) + k is ghosts(l)[k]. The plan
-// stores the local column of every nonzero in l's rows (col_t, in CSR
-// order), and every regular send list carries the receiver slot where its
-// indices land. Ghosts ascend and owners hold contiguous ranges, so each
-// I_{s,l} fills one contiguous run of l's ghost slots.
+// Node l's rows reference only columns in owned(l) ∪ ghosts(l), where
+// ghosts(l) is the union of I_{s,l} over s. The exchange engine relies on
+// that: it charges every I_{s,l} as a message, then computes l's rows from
+// the owners' slices in place (comm/exchange.hpp), so every value l reads
+// is one it owns or one the halo delivers. Ghosts ascend and owners hold
+// contiguous ranges, so each I_{s,l} is one contiguous run of l's ghosts.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,17 +28,10 @@ namespace esrp {
 struct SendList {
   rank_t to = -1;
   IndexSet indices; ///< global indices owned by the sender
-  /// Receiver local column of indices[0]: the list lands at
-  /// [slot, slot + indices.size()) of the receiver's [owned | ghosts]
-  /// buffer. Meaningful only on SpmvPlan::sends; the augmentation lists of
-  /// AspmvPlan::extra_sends feed no product and keep -1.
-  col_t slot = -1;
 };
 
 class SpmvPlan {
 public:
-  /// Throws esrp::Error if some rank's owned + ghost count overflows the
-  /// 32-bit local numbering.
   SpmvPlan(const CsrMatrix& a, const BlockRowPartition& part);
 
   const BlockRowPartition& partition() const { return *part_; }
@@ -55,10 +45,6 @@ public:
 
   /// All ghost indices node l receives (union over senders), sorted.
   const IndexSet& ghosts(rank_t l) const;
-
-  /// Local column of every nonzero in node s's rows, in CSR order, indexing
-  /// s's [owned | ghosts] buffer (see the file comment).
-  std::span<const col_t> local_cols(rank_t s) const;
 
   /// m(i): number of *other* nodes the regular SpMV sends entry i to.
   int multiplicity(index_t i) const;
@@ -78,7 +64,7 @@ private:
   const BlockRowPartition* part_;
   std::vector<std::vector<SendList>> sends_;          // [s] -> lists
   std::vector<IndexSet> ghosts_;                      // [l] -> ghost indices
-  std::vector<std::vector<col_t>> local_cols_;        // [s] -> per nonzero
+  std::vector<index_t> local_nnz_;                    // [s]
   std::vector<int> multiplicity_;                     // [i]
   IndexSet empty_;
 };

@@ -4,12 +4,8 @@
 
 namespace esrp {
 
-DistVector::DistVector(const BlockRowPartition& part) : part_(&part) {
-  local_.resize(static_cast<std::size_t>(part.num_nodes()));
-  for (rank_t s = 0; s < part.num_nodes(); ++s)
-    local_[static_cast<std::size_t>(s)].assign(
-        static_cast<std::size_t>(part.local_size(s)), 0);
-}
+DistVector::DistVector(const BlockRowPartition& part)
+    : part_(&part), data_(static_cast<std::size_t>(part.global_size()), 0) {}
 
 DistVector::DistVector(const BlockRowPartition& part,
                        std::span<const real_t> global)
@@ -18,59 +14,42 @@ DistVector::DistVector(const BlockRowPartition& part,
 }
 
 std::span<real_t> DistVector::local(rank_t rank) {
-  ESRP_CHECK(rank >= 0 && rank < part_->num_nodes());
-  return local_[static_cast<std::size_t>(rank)];
+  return std::span(data_).subspan(static_cast<std::size_t>(part_->begin(rank)),
+                                  static_cast<std::size_t>(part_->local_size(rank)));
 }
 
 std::span<const real_t> DistVector::local(rank_t rank) const {
-  ESRP_CHECK(rank >= 0 && rank < part_->num_nodes());
-  return local_[static_cast<std::size_t>(rank)];
+  return all().subspan(static_cast<std::size_t>(part_->begin(rank)),
+                       static_cast<std::size_t>(part_->local_size(rank)));
 }
 
 void DistVector::zero_ranks(std::span<const rank_t> ranks) {
   for (rank_t s : ranks) vec_zero(local(s));
 }
 
-void DistVector::zero_all() {
-  for (auto& slice : local_) vec_zero(slice);
-}
+void DistVector::zero_all() { vec_zero(data_); }
 
-Vector DistVector::gather_global() const {
-  Vector out(static_cast<std::size_t>(part_->global_size()));
-  for (rank_t s = 0; s < part_->num_nodes(); ++s) {
-    const auto slice = local(s);
-    std::copy(slice.begin(), slice.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(part_->begin(s)));
-  }
-  return out;
-}
+Vector DistVector::gather_global() const { return data_; }
 
 void DistVector::set_from_global(std::span<const real_t> global) {
   ESRP_CHECK(static_cast<index_t>(global.size()) == part_->global_size());
-  for (rank_t s = 0; s < part_->num_nodes(); ++s) {
-    const auto begin = static_cast<std::size_t>(part_->begin(s));
-    auto slice = local(s);
-    std::copy(global.begin() + static_cast<std::ptrdiff_t>(begin),
-              global.begin() + static_cast<std::ptrdiff_t>(begin + slice.size()),
-              slice.begin());
-  }
+  vec_copy(global, data_);
 }
 
 void DistVector::copy_from(const DistVector& other) {
   ESRP_CHECK(part_->global_size() == other.part_->global_size());
   ESRP_CHECK(part_->num_nodes() == other.part_->num_nodes());
-  for (rank_t s = 0; s < part_->num_nodes(); ++s)
-    vec_copy(other.local(s), local(s));
+  vec_copy(other.data_, data_);
 }
 
 real_t DistVector::at(index_t i) const {
-  const rank_t s = part_->owner(i);
-  return local(s)[static_cast<std::size_t>(i - part_->begin(s))];
+  ESRP_CHECK(i >= 0 && i < part_->global_size());
+  return data_[static_cast<std::size_t>(i)];
 }
 
 void DistVector::set(index_t i, real_t v) {
-  const rank_t s = part_->owner(i);
-  local(s)[static_cast<std::size_t>(i - part_->begin(s))] = v;
+  ESRP_CHECK(i >= 0 && i < part_->global_size());
+  data_[static_cast<std::size_t>(i)] = v;
 }
 
 } // namespace esrp

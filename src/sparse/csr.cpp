@@ -97,6 +97,13 @@ real_t CsrMatrix::spmv_dot(std::span<const real_t> x,
                          });
 }
 
+// Pinned to a cache line: its inner loop is the product of every SpMV, the
+// sequential one and each node's rows of the distributed one. When an
+// unrelated edit to the library shifted the distributed product's kernel by
+// 16 bytes (…0c0 to …0d0), the loop straddled a 64-byte line and the
+// reference solve of the emilia 20^3 ESR workload (bench/e2e) ran 8-15%
+// slower on a 4-core Xeon VM, with none of its own code changed.
+ESRP_CODE_ALIGN_64
 void CsrMatrix::spmv_rows(index_t row_begin, index_t row_end,
                           std::span<const real_t> x,
                           std::span<real_t> y) const {
@@ -108,31 +115,6 @@ void CsrMatrix::spmv_rows(index_t row_begin, index_t row_end,
     const auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
     real_t acc = 0;
     for (std::size_t k = b; k < e; ++k) acc += values_[k] * x[col_idx_[k]];
-    y[i - row_begin] = acc;
-  }
-}
-
-// Pinned to a cache line: its 28-byte inner loop is the distributed SpMV.
-// When an unrelated edit to the library shifted this definition by 16 bytes
-// (…0c0 to …0d0), the loop straddled a 64-byte line and the reference solve
-// of the emilia 20^3 ESR workload (bench/e2e) ran 8-15% slower on a 4-core
-// Xeon VM, with none of its own code changed.
-ESRP_CODE_ALIGN_64
-void CsrMatrix::spmv_rows_local(index_t row_begin, index_t row_end,
-                                std::span<const col_t> local_cols,
-                                std::span<const real_t> x,
-                                std::span<real_t> y) const {
-  ESRP_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= rows_);
-  const auto base = static_cast<std::size_t>(row_ptr_[row_begin]);
-  ESRP_CHECK(local_cols.size() ==
-             static_cast<std::size_t>(row_ptr_[row_end]) - base);
-  ESRP_CHECK(static_cast<index_t>(y.size()) == row_end - row_begin);
-  for (index_t i = row_begin; i < row_end; ++i) {
-    const auto b = static_cast<std::size_t>(row_ptr_[i]);
-    const auto e = static_cast<std::size_t>(row_ptr_[i + 1]);
-    real_t acc = 0;
-    for (std::size_t k = b; k < e; ++k)
-      acc += values_[k] * x[static_cast<std::size_t>(local_cols[k - base])];
     y[i - row_begin] = acc;
   }
 }

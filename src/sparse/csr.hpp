@@ -60,16 +60,6 @@ public:
   void spmv_rows(index_t row_begin, index_t row_end, std::span<const real_t> x,
                  std::span<real_t> y) const;
 
-  /// y := A[row_begin:row_end, :] x with the rows' columns renumbered:
-  /// `local_cols` gives, for every nonzero of rows [row_begin, row_end) in
-  /// CSR order, the entry of `x` it multiplies (each must be < x.size()).
-  /// Each row sums its nonzeros in stored order, so with local_cols mapping
-  /// to the same values this is bitwise equal to spmv_rows — the node-local
-  /// product over a compact [owned | ghosts] buffer (comm/spmv_plan.hpp).
-  void spmv_rows_local(index_t row_begin, index_t row_end,
-                       std::span<const col_t> local_cols,
-                       std::span<const real_t> x, std::span<real_t> y) const;
-
   /// Flop count of one full SpMV (2 * nnz), for the cost model.
   index_t spmv_flops() const { return 2 * nnz(); }
 

@@ -48,6 +48,13 @@ TEST_F(ExchangeFixture, DistributedSpmvMatchesSequential) {
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-13);
 }
 
+TEST_F(ExchangeFixture, SpmvRejectsAliasedInputAndOutput) {
+  // The products read p in place while writing y, so y := A y would read
+  // entries another rank has already overwritten.
+  DistVector v(part_, random_vector(a_.rows(), 3));
+  EXPECT_THROW(engine_.spmv(v, v), Error);
+}
+
 TEST_F(ExchangeFixture, SpmvChargesHaloAndCompute) {
   const Vector x = random_vector(a_.rows(), 2);
   DistVector xd(part_, x), yd(part_);
@@ -193,8 +200,8 @@ TEST(Exchange, WorksOnElasticityOperator) {
 }
 
 TEST(Exchange, SpmvOnShrunkPartitionIsBitwiseSequential) {
-  // The offsets partition shrink recovery leaves behind: empty ranks have
-  // empty [owned | ghosts] buffers, and nothing is sent to them.
+  // The offsets partition shrink recovery leaves behind: empty ranks own no
+  // rows and no ghosts, and nothing is sent to them.
   const CsrMatrix a = elasticity3d(4, 4, 4, 10, 3);
   const rank_t failed[] = {0, 2, 3, 6};
   const BlockRowPartition part =

@@ -148,57 +148,6 @@ TEST(SpmvPlan, DenserMatrixSendsMoreEntries) {
             SpmvPlan(wide, part).total_entries_sent());
 }
 
-TEST(SpmvPlan, LocalColumnsAddressOwnedThenGhosts) {
-  for (const auto& [label, mp] : plan_cases()) {
-    const auto& [a, part] = mp;
-    const SpmvPlan plan(a, part);
-    for (rank_t s = 0; s < part.num_nodes(); ++s) {
-      const index_t owned = part.local_size(s);
-      const IndexSet& ghosts = plan.ghosts(s);
-      const auto cols = plan.local_cols(s);
-      ASSERT_EQ(static_cast<index_t>(cols.size()), plan.local_nnz(s)) << label;
-      std::size_t q = 0;
-      for (index_t i = part.begin(s); i < part.end(s); ++i) {
-        IndexSet mapped;
-        for (std::size_t k = 0; k < a.row_cols(i).size(); ++k, ++q) {
-          const index_t c = cols[q];
-          ASSERT_GE(c, 0) << label;
-          ASSERT_LT(c, owned + static_cast<index_t>(ghosts.size())) << label;
-          mapped.push_back(c < owned
-                               ? part.begin(s) + c
-                               : ghosts[static_cast<std::size_t>(c - owned)]);
-        }
-        const auto row = a.row_cols(i);
-        EXPECT_EQ(mapped, IndexSet(row.begin(), row.end()))
-            << label << " rank " << s << " row " << i;
-      }
-    }
-  }
-}
-
-TEST(SpmvPlan, SendListsLandAtTheirSlot) {
-  for (const auto& [label, mp] : plan_cases()) {
-    const auto& [a, part] = mp;
-    const SpmvPlan plan(a, part);
-    for (rank_t s = 0; s < part.num_nodes(); ++s) {
-      for (const SendList& sl : plan.sends(s)) {
-        const IndexSet& ghosts = plan.ghosts(sl.to);
-        const auto first =
-            static_cast<std::ptrdiff_t>(sl.slot - part.local_size(sl.to));
-        ASSERT_GE(first, 0) << label;
-        ASSERT_LE(first + static_cast<std::ptrdiff_t>(sl.indices.size()),
-                  static_cast<std::ptrdiff_t>(ghosts.size()))
-            << label;
-        EXPECT_EQ(IndexSet(ghosts.begin() + first,
-                           ghosts.begin() + first +
-                               static_cast<std::ptrdiff_t>(sl.indices.size())),
-                  sl.indices)
-            << label << " " << s << "->" << sl.to;
-      }
-    }
-  }
-}
-
 TEST(SpmvPlan, OnePassBuildMatchesBruteForceReference) {
   for (const auto& [label, mp] : plan_cases()) {
     const auto& [a, part] = mp;

@@ -119,6 +119,30 @@ TEST(MatrixMarket, RejectsDuplicateGeneralEntries) {
   EXPECT_EQ(a.at(1, 0), 1.0);
 }
 
+TEST(MatrixMarket, RejectsOutOfRangeGeneralIndices) {
+  // Matrix Market indices are 1-based: row 0 and a column past `cols` are
+  // both outside a 2 x 3 matrix.
+  const std::string general = "%%MatrixMarket matrix coordinate real general\n";
+  for (const std::string& file :
+       {general + "2 3 1\n0 1 1.0\n", general + "2 3 1\n1 4 1.0\n"}) {
+    std::istringstream in(file);
+    EXPECT_THROW(read_matrix_market(in), Error) << file;
+  }
+}
+
+TEST(MatrixMarket, RejectsPatternAndComplexFields) {
+  // A pattern file has no values and a complex one two per entry; neither
+  // is a real SPD system.
+  for (const std::string& file :
+       {std::string("%%MatrixMarket matrix coordinate pattern general\n"
+                    "2 2 1\n1 1\n"),
+        std::string("%%MatrixMarket matrix coordinate complex general\n"
+                    "2 2 1\n1 1 1.0 0.0\n")}) {
+    std::istringstream in(file);
+    EXPECT_THROW(read_matrix_market(in), Error) << file;
+  }
+}
+
 TEST(MatrixMarket, RoundTripPreservesMatrix) {
   const CsrMatrix a = banded_spd(25, 4, 0.5, /*seed=*/77);
   std::ostringstream out;
