@@ -111,16 +111,44 @@ AspmvPlan::AspmvPlan(const SpmvPlan& base, int phi, AspmvPlacement placement)
       r.insert(r.end(), sl.indices.begin(), sl.indices.end());
     }
   }
-  HolderLayout layout(static_cast<std::size_t>(n_nodes));
+  std::vector<IndexSet> held(static_cast<std::size_t>(n_nodes));
   for (rank_t h = 0; h < n_nodes; ++h) {
     const IndexSet& ghosts = base.ghosts(h);
     const IndexSet& extra = receipts[static_cast<std::size_t>(h)];
-    IndexSet& held = layout[static_cast<std::size_t>(h)];
-    held = set_union(ghosts, extra);
-    ESRP_CHECK_MSG(held.size() == ghosts.size() + extra.size(),
+    IndexSet& set = held[static_cast<std::size_t>(h)];
+    set = set_union(ghosts, extra);
+    ESRP_CHECK_MSG(set.size() == ghosts.size() + extra.size(),
                    "regular and augmented receipts of rank " << h << " overlap");
   }
-  layout_ = std::make_shared<const HolderLayout>(std::move(layout));
+  layout_ = std::make_shared<const HolderLayout>(held);
+}
+
+HolderLayout::HolderLayout(std::span<const IndexSet> held) {
+  first_run_.reserve(held.size() + 1);
+  std::size_t total = 0;
+  for (const IndexSet& set : held) {
+    ESRP_CHECK(is_index_set(set));
+    first_run_.push_back(runs_.size());
+    for (std::size_t k = 0; k < set.size(); ++k, ++total) {
+      if (k > 0 && set[k] == set[k - 1] + 1) {
+        ++runs_.back().length;
+        continue;
+      }
+      runs_.push_back(IndexRun{set[k], 1});
+      run_offset_.push_back(total);
+    }
+  }
+  first_run_.push_back(runs_.size());
+  run_offset_.push_back(total);
+}
+
+IndexSet HolderLayout::held(rank_t h) const {
+  IndexSet out;
+  out.reserve(size(h));
+  for (const IndexRun& run : runs(h))
+    for (index_t i = run.begin; i < run.begin + run.length; ++i)
+      out.push_back(i);
+  return out;
 }
 
 const std::vector<SendList>& AspmvPlan::extra_sends(rank_t s) const {

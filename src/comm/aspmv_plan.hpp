@@ -21,7 +21,10 @@
 // property tests in tests/comm/.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/spmv_plan.hpp"
@@ -39,9 +42,70 @@ rank_t designated_destination(rank_t s, int k, rank_t num_nodes);
 /// entries piggyback on existing messages instead of opening new routes.
 enum class AspmvPlacement { ring, halo_affine };
 
-/// [h] -> the sorted global indices rank h holds after an ASpMV (or a
-/// disseminate): its SpMV ghosts plus its augmentation receipts.
-using HolderLayout = std::vector<IndexSet>;
+/// The global indices [begin, begin + length), consecutive.
+struct IndexRun {
+  index_t begin;
+  index_t length;
+};
+
+/// Which global entries each rank holds after an ASpMV (or a disseminate):
+/// its SpMV ghosts plus its augmentation receipts. Stencil ghosts and
+/// receipts come in long stretches of consecutive indices, so a holder's
+/// sorted set is kept as its maximal runs (no two of a holder's runs touch).
+///
+/// A RedundantCopy keeps its values in one buffer laid out by this layout:
+/// runs() in order, that is holder after holder and each holder's runs
+/// ascending, so holder h's values start at offset(h).
+class HolderLayout {
+public:
+  /// `held[h]` is rank h's held set (strictly increasing).
+  explicit HolderLayout(std::span<const IndexSet> held);
+
+  rank_t num_holders() const {
+    return static_cast<rank_t>(first_run_.size() - 1);
+  }
+  /// Every holder's runs, holder after holder (the order of the buffer).
+  std::span<const IndexRun> runs() const { return runs_; }
+  /// Holder h's runs, ascending.
+  std::span<const IndexRun> runs(rank_t h) const {
+    const auto k = static_cast<std::size_t>(h);
+    return std::span<const IndexRun>(runs_).subspan(
+        first_run_[k], first_run_[k + 1] - first_run_[k]);
+  }
+  /// Buffer position of holder h's first value; offset(num_holders()) is
+  /// total_entries().
+  std::size_t offset(rank_t h) const {
+    return run_offset_[first_run_[static_cast<std::size_t>(h)]];
+  }
+  /// Number of entries holder h holds.
+  std::size_t size(rank_t h) const { return offset(h + 1) - offset(h); }
+  std::size_t total_entries() const { return run_offset_.back(); }
+
+  /// Buffer position of entry i among holder h's values: a binary search
+  /// over h's run starts. nullopt if h does not hold i. Inline because a
+  /// reconstruction's gather (RedundantCopy::find_surviving) asks every
+  /// holder below the surviving one, for every lost entry.
+  std::optional<std::size_t> slot(rank_t h, index_t i) const {
+    const std::span<const IndexRun> mine = runs(h);
+    // The last run starting at or before i is the only one that can hold it.
+    const auto after = std::upper_bound(
+        mine.begin(), mine.end(), i,
+        [](index_t x, const IndexRun& run) { return x < run.begin; });
+    if (after == mine.begin()) return std::nullopt;
+    const IndexRun& run = *(after - 1);
+    if (i >= run.begin + run.length) return std::nullopt;
+    const auto r = static_cast<std::size_t>(&run - runs_.data());
+    return run_offset_[r] + static_cast<std::size_t>(i - run.begin);
+  }
+
+  /// Holder h's held set, expanded from its runs.
+  IndexSet held(rank_t h) const;
+
+private:
+  std::vector<IndexRun> runs_;
+  std::vector<std::size_t> first_run_;  ///< [h] -> h's first run; [H] = #runs
+  std::vector<std::size_t> run_offset_; ///< [r] -> buffer position; [#runs] = total
+};
 
 class AspmvPlan {
 public:

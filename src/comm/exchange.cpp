@@ -13,8 +13,15 @@ namespace esrp {
 namespace {
 
 /// Word-wise FNV-1a seal over one holder's values.
-std::uint64_t seal(const Vector& v) {
+std::uint64_t seal(std::span<const real_t> v) {
   return fnv1a_words(v.data(), v.size() * sizeof(real_t));
+}
+
+/// Holder h's subspan of a copy's buffer.
+std::span<const real_t> holder_values(const HolderLayout& layout,
+                                      std::span<const real_t> values,
+                                      rank_t h) {
+  return values.subspan(layout.offset(h), layout.size(h));
 }
 
 /// seal() of every holder, four holders per pass. One FNV chain waits on its
@@ -22,29 +29,33 @@ std::uint64_t seal(const Vector& v) {
 /// is exactly seal() of its holder: one joint loop over the group's shortest
 /// length, then fnv1a_words over the lane's own rest. Holders left after the
 /// last group of four are sealed one by one.
-std::vector<std::uint64_t> seal_all(const std::vector<Vector>& values) {
-  constexpr std::size_t kLanes = 4;
-  std::vector<std::uint64_t> sums(values.size());
-  std::size_t h = 0;
-  for (; h + kLanes <= values.size(); h += kLanes) {
-    const Vector* v = &values[h];
+std::vector<std::uint64_t> seal_all(const HolderLayout& layout,
+                                    std::span<const real_t> values) {
+  constexpr rank_t kLanes = 4;
+  const rank_t holders = layout.num_holders();
+  std::vector<std::uint64_t> sums(static_cast<std::size_t>(holders));
+  rank_t h = 0;
+  for (; h + kLanes <= holders; h += kLanes) {
+    std::span<const real_t> v[kLanes];
+    for (rank_t l = 0; l < kLanes; ++l)
+      v[l] = holder_values(layout, values, h + l);
     std::size_t common = v[0].size();
-    for (std::size_t l = 1; l < kLanes; ++l)
-      common = std::min(common, v[l].size());
+    for (rank_t l = 1; l < kLanes; ++l) common = std::min(common, v[l].size());
     std::uint64_t acc[kLanes] = {kFnvOffset, kFnvOffset, kFnvOffset,
                                  kFnvOffset};
     for (std::size_t k = 0; k < common; ++k) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
+      for (rank_t l = 0; l < kLanes; ++l) {
         acc[l] ^= std::bit_cast<std::uint64_t>(v[l][k]);
         acc[l] *= kFnvPrime;
       }
     }
-    for (std::size_t l = 0; l < kLanes; ++l)
-      sums[h + l] = fnv1a_words(v[l].data() + common,
-                                (v[l].size() - common) * sizeof(real_t),
-                                acc[l]);
+    for (rank_t l = 0; l < kLanes; ++l)
+      sums[static_cast<std::size_t>(h + l)] =
+          fnv1a_words(v[l].data() + common,
+                      (v[l].size() - common) * sizeof(real_t), acc[l]);
   }
-  for (; h < values.size(); ++h) sums[h] = seal(values[h]);
+  for (; h < holders; ++h)
+    sums[static_cast<std::size_t>(h)] = seal(holder_values(layout, values, h));
   return sums;
 }
 
@@ -52,26 +63,24 @@ std::vector<std::uint64_t> seal_all(const std::vector<Vector>& values) {
 
 RedundantCopy::RedundantCopy(index_t tag,
                              std::shared_ptr<const HolderLayout> layout,
-                             std::vector<Vector> values)
+                             Vector values)
     : tag_(tag), layout_(std::move(layout)), values_(std::move(values)) {
-  ESRP_CHECK(layout_ != nullptr && values_.size() == layout_->size());
-  for (std::size_t h = 0; h < values_.size(); ++h)
-    ESRP_CHECK(values_[h].size() == (*layout_)[h].size());
-  sums_ = seal_all(values_);
+  ESRP_CHECK(layout_ != nullptr &&
+             values_.size() == layout_->total_entries());
+  sums_ = seal_all(*layout_, values_);
+  dropped_.assign(static_cast<std::size_t>(layout_->num_holders()), 0);
 }
 
 std::optional<std::size_t> RedundantCopy::slot(rank_t h, index_t i) const {
-  const auto k = static_cast<std::size_t>(h);
-  if (values_[k].empty()) return std::nullopt;
-  const IndexSet& held = (*layout_)[k];
-  const auto it = std::lower_bound(held.begin(), held.end(), i);
-  if (it == held.end() || *it != i) return std::nullopt;
-  return static_cast<std::size_t>(it - held.begin());
+  if (dropped_[static_cast<std::size_t>(h)]) return std::nullopt;
+  return layout_->slot(h, i);
 }
 
 bool RedundantCopy::verify(std::span<const rank_t> failed) const {
-  for (std::size_t h = 0; h < values_.size(); ++h) {
-    if (!rank_in(failed, static_cast<rank_t>(h)) && seal(values_[h]) != sums_[h])
+  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
+    if (rank_in(failed, h) || dropped_[static_cast<std::size_t>(h)]) continue;
+    if (seal(holder_values(*layout_, values_, h)) !=
+        sums_[static_cast<std::size_t>(h)])
       return false;
   }
   return true;
@@ -79,10 +88,10 @@ bool RedundantCopy::verify(std::span<const rank_t> failed) const {
 
 rank_t RedundantCopy::corrupt(index_t i, int bit) {
   ESRP_CHECK(bit >= 0 && bit < 64);
-  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
     const auto k = slot(h, i);
     if (!k) continue;
-    real_t& v = values_[static_cast<std::size_t>(h)][*k];
+    real_t& v = values_[*k];
     v = std::bit_cast<real_t>(std::bit_cast<std::uint64_t>(v) ^
                               (std::uint64_t{1} << bit));
     return h;
@@ -92,28 +101,28 @@ rank_t RedundantCopy::corrupt(index_t i, int bit) {
 
 std::optional<std::pair<rank_t, real_t>> RedundantCopy::find_surviving(
     index_t i, std::span<const rank_t> failed) const {
-  for (rank_t h = 0; h < static_cast<rank_t>(values_.size()); ++h) {
+  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
     if (rank_in(failed, h)) continue;
-    if (const auto k = slot(h, i))
-      return std::make_pair(h, values_[static_cast<std::size_t>(h)][*k]);
+    if (const auto k = slot(h, i)) return std::make_pair(h, values_[*k]);
   }
   return std::nullopt;
 }
 
 std::size_t RedundantCopy::total_entries() const {
   std::size_t n = 0;
-  for (const Vector& v : values_) n += v.size();
+  for (rank_t h = 0; h < layout_->num_holders(); ++h)
+    if (!dropped_[static_cast<std::size_t>(h)]) n += layout_->size(h);
   return n;
 }
 
 void RedundantCopy::drop_holders(std::span<const rank_t> ranks) {
   for (rank_t s : ranks) {
-    ESRP_CHECK(s >= 0 && s < static_cast<rank_t>(values_.size()));
-    // Re-seal the emptied holder: dropping it is a legitimate mutation (the
-    // node died, its copies with it), so a later verify() against a
-    // different failed set must not misread it as corruption.
-    values_[static_cast<std::size_t>(s)] = Vector();
-    sums_[static_cast<std::size_t>(s)] = seal(Vector());
+    ESRP_CHECK(s >= 0 && s < layout_->num_holders());
+    // Dropping is a legitimate mutation (the node died, its copies with
+    // it): the holder's values become unreachable and verify() skips its
+    // seal, so a later verify() against a different failed set does not
+    // misread it as corruption.
+    dropped_[static_cast<std::size_t>(s)] = 1;
   }
 }
 
@@ -131,16 +140,20 @@ void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
 }
 
 RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
-                                      const DistVector& p, index_t tag) {
+                                      const DistVector& p, index_t tag,
+                                      Vector buffer) {
+  // One copy per run, appended in the layout's buffer order. A reused
+  // buffer keeps its capacity across clear(), so a steady-state storage
+  // stage allocates nothing.
   const HolderLayout& layout = *aug.holder_layout();
   const auto all = p.all();
-  std::vector<Vector> values(layout.size());
-  for (std::size_t h = 0; h < layout.size(); ++h) {
-    values[h].reserve(layout[h].size());
-    for (index_t i : layout[h])
-      values[h].push_back(all[static_cast<std::size_t>(i)]);
+  buffer.clear();
+  buffer.reserve(layout.total_entries());
+  for (const IndexRun& run : layout.runs()) {
+    const auto first = all.begin() + run.begin;
+    buffer.insert(buffer.end(), first, first + run.length);
   }
-  return RedundantCopy(tag, aug.holder_layout(), std::move(values));
+  return RedundantCopy(tag, aug.holder_layout(), std::move(buffer));
 }
 
 void ExchangeEngine::local_products(const DistVector& p, DistVector& y) {
@@ -173,18 +186,20 @@ void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
 }
 
 RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
-                                    index_t tag, DistVector& y) {
+                                    index_t tag, DistVector& y,
+                                    Vector buffer) {
   ESRP_CHECK(&aug.base() == plan_);
   spmv(p, y, /*complete_step=*/false);
   // Augmentation traffic: pure redundancy, never read by the local products.
   for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
     send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
   cluster_->complete_step();
-  return capture(aug, p, tag);
+  return capture(aug, p, tag, std::move(buffer));
 }
 
 RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
-                                          const DistVector& p, index_t tag) {
+                                          const DistVector& p, index_t tag,
+                                          Vector buffer) {
   ESRP_CHECK(&aug.base() == plan_);
   // Halo lists first, then the augmentation top-up — the same coverage as an
   // aspmv() capture, but every send is a dedicated redundancy message here.
@@ -193,7 +208,7 @@ RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
     send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
   }
   cluster_->complete_step();
-  return capture(aug, p, tag);
+  return capture(aug, p, tag, std::move(buffer));
 }
 
 } // namespace esrp

@@ -5,8 +5,8 @@
 // direction that live on nodes *other than their owner* after an ASpMV —
 // the halo entries of the regular SpMV plus the augmentation traffic that
 // gives every entry at least phi off-owner copies. Which rank holds which
-// entry is static plan data (AspmvPlan::holder_layout()); a copy stores only
-// the values over that layout.
+// entry is static plan data (AspmvPlan::holder_layout(), runs of consecutive
+// indices); a copy stores only the values over that layout, in one buffer.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +28,22 @@ namespace esrp {
 /// of the entries the holder layout assigns it, sealed on construction.
 class RedundantCopy {
 public:
-  /// `values[h]` holds the values of the entries `(*layout)[h]`, in layout
-  /// order. Each holder's values are sealed with a word-wise FNV-1a checksum
+  /// `values` holds every holder's values in the layout's buffer order:
+  /// holder h's entries, ascending, at [layout->offset(h), offset(h + 1)).
+  /// Each holder's subspan is sealed with a word-wise FNV-1a checksum
   /// (common/fnv.hpp).
   RedundantCopy(index_t tag, std::shared_ptr<const HolderLayout> layout,
-                std::vector<Vector> values);
+                Vector values);
 
   index_t tag() const { return tag_; }
   bool valid() const { return tag_ >= 0; }
+
+  /// Give up the value buffer, so a later capture can fill it instead of
+  /// allocating one (see RedundancyQueue::push).
+  Vector release() && { return std::move(values_); }
+
+  /// The per-holder seals taken at construction.
+  std::span<const std::uint64_t> seals() const { return sums_; }
 
   /// Recompute every surviving holder's checksum and compare against the
   /// seal taken at construction. True iff all match — a mismatch means the
@@ -63,18 +71,19 @@ public:
   void drop_holders(std::span<const rank_t> ranks);
 
 private:
-  /// Position of entry `i` in holder `h`'s values; nullopt if `h` does not
-  /// hold it or was dropped.
+  /// Buffer position of entry `i` among holder `h`'s values; nullopt if `h`
+  /// does not hold it or was dropped.
   std::optional<std::size_t> slot(rank_t h, index_t i) const;
 
   index_t tag_ = -1;
   std::shared_ptr<const HolderLayout> layout_;
-  std::vector<Vector> values_; ///< [h] -> values in layout order; empty once dropped
+  Vector values_; ///< every holder's values, in the layout's buffer order
   /// Per-holder word-wise FNV-1a seals over the values. Per holder (not
-  /// whole-copy) because drop_holders() legitimately erases individual
+  /// whole-copy) because drop_holders() legitimately discards individual
   /// holders' values after a failure — the surviving holders' seals must
   /// stay comparable.
   std::vector<std::uint64_t> sums_;
+  std::vector<char> dropped_; ///< [h] -> 1 once drop_holders() discarded h
 };
 
 /// Drives halo exchanges and local products for one matrix on one cluster.
@@ -94,9 +103,11 @@ public:
 
   /// y := A p using the augmented SpMV: the regular SpMV plus the
   /// augmentation sends of `aug`; the off-owner copies `aug` places are
-  /// returned as a RedundantCopy tagged `tag`.
+  /// returned as a RedundantCopy tagged `tag`. The copy's values are written
+  /// into `buffer` (any size; typically the one RedundancyQueue::push handed
+  /// back), which allocates nothing once its capacity suffices.
   RedundantCopy aspmv(const AspmvPlan& aug, const DistVector& p, index_t tag,
-                      DistVector& y);
+                      DistVector& y, Vector buffer = {});
 
   /// Disseminate redundant off-owner copies of `p` per the plan WITHOUT
   /// computing a product — the pipelined solver's ESR storage stage, where
@@ -105,9 +116,9 @@ public:
   /// of `p` would, but charges the regular halo lists and the augmentation
   /// lists all as aspmv_extra: on a real cluster this is pure redundancy
   /// traffic that cannot piggyback on an existing exchange of p. Completes
-  /// the superstep.
+  /// the superstep. `buffer` is reused as in aspmv().
   RedundantCopy disseminate(const AspmvPlan& aug, const DistVector& p,
-                            index_t tag);
+                            index_t tag, Vector buffer = {});
 
 private:
   /// Every node's rows of y := A p, read straight from p's slices.
@@ -115,10 +126,10 @@ private:
   /// Charge node s's transfer lists as messages of category `cat`.
   void send_lists(rank_t s, const std::vector<SendList>& lists,
                   CommCategory cat);
-  /// The values `aug`'s holder layout places, gathered from the owners'
-  /// slices of p: ghosts and augmentation receipts alike.
+  /// The values `aug`'s holder layout places, copied run by run from p's
+  /// slices into `buffer`: ghosts and augmentation receipts alike.
   RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
-                        index_t tag);
+                        index_t tag, Vector buffer);
 
   const CsrMatrix* a_;
   const SpmvPlan* plan_;

@@ -279,6 +279,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
   index_t j = 0;
   index_t executed = 0;
+  Vector spare_copy; // the buffer the queue handed back, for the next capture
 
   while (true) {
     result.final_relres = rnorm / bnorm;
@@ -311,7 +312,8 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
 
     // --- SpMV phase ---
     if (stores.store()) {
-      resilience_.push_copy(op_.engine().aspmv(op_.aug(), *p_, j, *ap_));
+      spare_copy = resilience_.push_copy(op_.engine().aspmv(
+          op_.aug(), *p_, j, *ap_, std::move(spare_copy)));
       if (stores.second_store) {
         // beta currently holds beta^(j-1), the value Alg. 2 needs; for
         // T >= 3 it equals the beta** captured at the end of iteration mT.

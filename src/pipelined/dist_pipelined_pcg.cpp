@@ -147,6 +147,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
 
   index_t j = 0;
   index_t executed = 0;
+  Vector spare_copy; // the buffer the queue handed back, for the next capture
 
   while (executed < opts_.max_iterations) {
     if (resilience_.checkpoint_due(j))
@@ -158,7 +159,8 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     // copy is in place.
     const ResilienceEngine::StoragePlan stores = resilience_.storage_plan(j);
     if (stores.store()) {
-      resilience_.push_copy(engine.disseminate(op_.aug(), p, j));
+      spare_copy = resilience_.push_copy(
+          engine.disseminate(op_.aug(), p, j, std::move(spare_copy)));
       if (stores.first_store || opts_.interval == 1)
         resilience_.save_snapshot(j, state());
       if (j >= 1 && resilience_.has_copy(j - 1) &&

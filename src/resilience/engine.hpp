@@ -134,7 +134,9 @@ public:
   /// second stores. Empty plan for non-ESRP strategies.
   StoragePlan storage_plan(index_t j) const;
 
-  void push_copy(RedundantCopy copy) { queue_.push(std::move(copy)); }
+  /// Queue a storage stage's copy; returns the buffer it displaced (see
+  /// RedundancyQueue::push) for the solver's next capture.
+  Vector push_copy(RedundantCopy copy) { return queue_.push(std::move(copy)); }
   bool has_copy(index_t tag) const { return queue_.find(tag) != nullptr; }
   std::vector<index_t> queue_tags() const { return queue_.tags(); }
 

@@ -10,20 +10,25 @@ RedundancyQueue::RedundancyQueue(std::size_t capacity) : capacity_(capacity) {
   ESRP_CHECK_MSG(capacity >= 2, "queue needs at least two slots");
 }
 
-void RedundancyQueue::push(RedundantCopy copy) {
+Vector RedundancyQueue::push(RedundantCopy copy) {
   ESRP_CHECK(copy.valid());
   const auto it = std::find_if(
       entries_.begin(), entries_.end(),
       [&](const RedundantCopy& e) { return e.tag() == copy.tag(); });
   if (it != entries_.end()) {
-    *it = std::move(copy); // rollback re-execution: replace in place
-    return;
+    // Rollback re-execution: replace in place.
+    Vector spare = std::move(*it).release();
+    *it = std::move(copy);
+    return spare;
   }
   ESRP_CHECK_MSG(entries_.empty() || copy.tag() > entries_.back().tag(),
                  "queue tags must be pushed in increasing order (got "
                      << copy.tag() << " after " << entries_.back().tag() << ")");
   entries_.push_back(std::move(copy));
-  if (entries_.size() > capacity_) entries_.erase(entries_.begin());
+  if (entries_.size() <= capacity_) return {};
+  Vector spare = std::move(entries_.front()).release();
+  entries_.erase(entries_.begin());
+  return spare;
 }
 
 const RedundantCopy* RedundancyQueue::find(index_t tag) const {

@@ -29,7 +29,10 @@ public:
   /// Insert a finalized copy. If an entry with the same tag exists it is
   /// replaced; otherwise the copy is appended and the oldest entry beyond
   /// capacity is evicted. Tags of new entries must exceed all existing tags.
-  void push(RedundantCopy copy);
+  /// Returns the value buffer of the replaced or evicted copy (empty if
+  /// none), for the next capture to fill: once the queue is full, a storage
+  /// stage recycles the same capacity + 1 buffers and allocates nothing.
+  Vector push(RedundantCopy copy);
 
   /// The copy tagged `tag`, or nullptr.
   const RedundantCopy* find(index_t tag) const;

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "comm/exchange.hpp"
 #include "common/error.hpp"
 #include "netsim/failure.hpp"
 #include "sparse/generators.hpp"
@@ -242,14 +245,106 @@ TEST_P(AspmvRedundancyProperty, HolderLayoutHoldsExactlyTheReceivedEntries) {
   const SpmvPlan base(a, part);
   const AspmvPlan aug(base, c.phi);
   const HolderLayout& layout = *aug.holder_layout();
-  ASSERT_EQ(layout.size(), static_cast<std::size_t>(c.nodes));
-  for (const IndexSet& held : layout) EXPECT_TRUE(is_index_set(held));
+  ASSERT_EQ(layout.num_holders(), c.nodes);
+  std::vector<IndexSet> held;
+  for (rank_t h = 0; h < c.nodes; ++h) {
+    held.push_back(layout.held(h));
+    EXPECT_TRUE(is_index_set(held.back()));
+  }
   for (index_t i = 0; i < a.rows(); ++i) {
     const auto receivers = aug.receivers_of(i);
     for (rank_t h = 0; h < c.nodes; ++h) {
-      EXPECT_EQ(set_contains(layout[static_cast<std::size_t>(h)], i),
+      EXPECT_EQ(set_contains(held[static_cast<std::size_t>(h)], i),
                 std::binary_search(receivers.begin(), receivers.end(), h))
           << "entry " << i << ", holder " << h;
+    }
+  }
+}
+
+// The runs are maximal and expand to exactly ghosts(h) u receipts(h).
+TEST_P(AspmvRedundancyProperty, HolderRunsAreTheMaximalRunsOfGhostsAndReceipts) {
+  const RedundancyCase& c = GetParam();
+  const CsrMatrix a = make_matrix(c.matrix);
+  const BlockRowPartition part(a.rows(), c.nodes);
+  const SpmvPlan base(a, part);
+  const AspmvPlan aug(base, c.phi);
+  const HolderLayout& layout = *aug.holder_layout();
+  std::vector<IndexSet> receipts(static_cast<std::size_t>(c.nodes));
+  for (rank_t s = 0; s < c.nodes; ++s) {
+    for (const SendList& sl : aug.extra_sends(s)) {
+      IndexSet& r = receipts[static_cast<std::size_t>(sl.to)];
+      r.insert(r.end(), sl.indices.begin(), sl.indices.end());
+    }
+  }
+  std::size_t offset = 0;
+  for (rank_t h = 0; h < c.nodes; ++h) {
+    const std::span<const IndexRun> runs = layout.runs(h);
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      EXPECT_GE(runs[k].length, 1) << "holder " << h << ", run " << k;
+      if (k > 0) {
+        EXPECT_LT(runs[k - 1].begin + runs[k - 1].length, runs[k].begin)
+            << "holder " << h << ": runs " << k - 1 << " and " << k
+            << " touch";
+      }
+    }
+    IndexSet& r = receipts[static_cast<std::size_t>(h)];
+    std::sort(r.begin(), r.end());
+    EXPECT_EQ(layout.held(h), set_union(base.ghosts(h), r)) << "holder " << h;
+    EXPECT_EQ(layout.offset(h), offset) << "holder " << h;
+    offset += layout.size(h);
+  }
+  EXPECT_EQ(layout.total_entries(), offset);
+}
+
+// slot() and find_surviving() search the runs; they must answer every
+// index, held or not, as a lower_bound over the expanded set does.
+TEST_P(AspmvRedundancyProperty, RunLookupsMatchASearchOfTheExpandedSet) {
+  const RedundancyCase& c = GetParam();
+  const CsrMatrix a = make_matrix(c.matrix);
+  const BlockRowPartition part(a.rows(), c.nodes);
+  const SpmvPlan base(a, part);
+  const AspmvPlan aug(base, c.phi);
+  const auto layout = aug.holder_layout();
+  // Each value is its own buffer position, so a lookup names its slot.
+  Vector positions(layout->total_entries());
+  for (std::size_t k = 0; k < positions.size(); ++k)
+    positions[k] = static_cast<real_t>(k);
+  const RedundantCopy copy(0, layout, positions);
+  std::vector<IndexSet> held;
+  for (rank_t h = 0; h < c.nodes; ++h) held.push_back(layout->held(h));
+
+  for (index_t i = 0; i < a.rows(); ++i) {
+    // Reference: holder h's slot of i by lower_bound; the surviving copy is
+    // the lowest holder outside the failed set.
+    std::vector<std::optional<std::size_t>> expected;
+    for (rank_t h = 0; h < c.nodes; ++h) {
+      const IndexSet& set = held[static_cast<std::size_t>(h)];
+      const auto it = std::lower_bound(set.begin(), set.end(), i);
+      expected.push_back(it != set.end() && *it == i
+                             ? std::optional<std::size_t>(
+                                   layout->offset(h) +
+                                   static_cast<std::size_t>(it - set.begin()))
+                             : std::nullopt);
+      EXPECT_EQ(layout->slot(h, i), expected.back())
+          << "entry " << i << ", holder " << h;
+    }
+    std::vector<rank_t> failed;
+    for (rank_t h = 0; h <= c.nodes; ++h) {
+      // Fail holders 0..h-1 in turn: the answer is the next holder of i.
+      rank_t next = h;
+      while (next < c.nodes && !expected[static_cast<std::size_t>(next)])
+        ++next;
+      const auto hit = copy.find_surviving(i, failed);
+      if (next == c.nodes) {
+        EXPECT_FALSE(hit.has_value()) << "entry " << i;
+      } else {
+        ASSERT_TRUE(hit.has_value()) << "entry " << i;
+        EXPECT_EQ(hit->first, next) << "entry " << i;
+        EXPECT_EQ(hit->second, static_cast<real_t>(
+                                   *expected[static_cast<std::size_t>(next)]))
+            << "entry " << i;
+      }
+      failed.push_back(h);
     }
   }
 }

@@ -60,7 +60,7 @@ Observed drive(DistOperator& op, const Vector& xg) {
     for (rank_t r = 0; r < nodes; ++r)
       if (r != h) others.push_back(r);
     std::vector<std::uint64_t> held;
-    for (index_t i : layout[static_cast<std::size_t>(h)]) {
+    for (index_t i : layout.held(h)) {
       const auto found = copy.find_surviving(i, others);
       EXPECT_TRUE(found.has_value() && found->first == h);
       if (found) held.push_back(std::bit_cast<std::uint64_t>(found->second));

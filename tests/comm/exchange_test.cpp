@@ -112,10 +112,10 @@ TEST_F(ExchangeFixture, LookupsThroughOneSurvivingHolder) {
     std::vector<rank_t> others;
     for (rank_t s = 0; s < part_.num_nodes(); ++s)
       if (s != h) others.push_back(s);
+    const IndexSet held = layout.held(h);
     for (index_t i = part_.begin(0); i < part_.end(0); ++i) {
       const auto hit = copy.find_surviving(i, others);
-      ASSERT_EQ(hit.has_value(),
-                set_contains(layout[static_cast<std::size_t>(h)], i));
+      ASSERT_EQ(hit.has_value(), set_contains(held, i));
       if (!hit) continue;
       EXPECT_EQ(hit->first, h);
       EXPECT_DOUBLE_EQ(hit->second, x[static_cast<std::size_t>(i)]);
@@ -272,7 +272,7 @@ TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
     std::vector<rank_t> others;
     for (rank_t s = 0; s < nodes; ++s)
       if (s != h) others.push_back(s);
-    for (index_t i : layout[static_cast<std::size_t>(h)]) {
+    for (index_t i : layout.held(h)) {
       const auto from_aspmv = via_aspmv.find_surviving(i, others);
       const auto from_dissem = via_disseminate.find_surviving(i, others);
       ASSERT_TRUE(from_aspmv.has_value() && from_dissem.has_value())
@@ -285,7 +285,7 @@ TEST_P(CaptureProperty, AspmvAndDisseminateCaptureThePlacedValuesBitwise) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(from_dissem->second),
                 std::bit_cast<std::uint64_t>(q[k]));
     }
-    placed += layout[static_cast<std::size_t>(h)].size();
+    placed += layout.size(h);
   }
   EXPECT_EQ(via_aspmv.total_entries(), placed);
   EXPECT_EQ(via_disseminate.total_entries(), placed);
@@ -301,8 +301,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// The capture copies a holder that received only ghosts in one piece and
-// walks the others entry by entry; the grid must run both.
+// A holder with receipts has runs from more senders than its ghosts alone;
+// the grid must run holders with and without receipts.
 TEST(CaptureGrid, HasHoldersWithAndWithoutReceipts) {
   std::size_t with_receipts = 0, ghosts_only = 0;
   for (const auto& [name, nodes, phi] : capture_grid()) {
@@ -311,8 +311,7 @@ TEST(CaptureGrid, HasHoldersWithAndWithoutReceipts) {
     const SpmvPlan plan(a, part);
     const AspmvPlan aug(plan, phi);
     for (rank_t h = 0; h < nodes; ++h) {
-      const std::size_t held =
-          (*aug.holder_layout())[static_cast<std::size_t>(h)].size();
+      const std::size_t held = aug.holder_layout()->size(h);
       const std::size_t ghosts = plan.ghosts(h).size();
       if (held > ghosts) ++with_receipts;
       else if (ghosts > 0) ++ghosts_only;

@@ -48,12 +48,11 @@ SyntheticState make_state(const CsrMatrix& a, const Preconditioner& precond,
 /// node in the tests).
 RedundantCopy full_copy(index_t tag, rank_t num_nodes, rank_t holder,
                         std::span<const real_t> values) {
-  auto layout = std::make_shared<HolderLayout>(num_nodes);
-  std::vector<Vector> held(static_cast<std::size_t>(num_nodes));
-  (*layout)[static_cast<std::size_t>(holder)] =
+  std::vector<IndexSet> held(static_cast<std::size_t>(num_nodes));
+  held[static_cast<std::size_t>(holder)] =
       index_range(0, static_cast<index_t>(values.size()));
-  held[static_cast<std::size_t>(holder)].assign(values.begin(), values.end());
-  return RedundantCopy(tag, std::move(layout), std::move(held));
+  return RedundantCopy(tag, std::make_shared<const HolderLayout>(held),
+                       Vector(values.begin(), values.end()));
 }
 
 class ReconstructionFixture : public ::testing::Test {

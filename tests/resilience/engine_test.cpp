@@ -17,15 +17,14 @@ constexpr index_t kRows = 24;
 RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
   // Every entry held by the owner's ring neighbor — enough structure for
   // queue bookkeeping tests (the engine never reads the entries itself).
-  auto layout = std::make_shared<HolderLayout>(kNodes);
-  std::vector<Vector> values(kNodes);
+  std::vector<IndexSet> held(kNodes);
   for (index_t i = 0; i < kRows; ++i) {
     const auto h = static_cast<std::size_t>(
         (static_cast<rank_t>(i / (kRows / kNodes)) + 1) % kNodes);
-    (*layout)[h].push_back(i);
-    values[h].push_back(value);
+    held[h].push_back(i);
   }
-  return RedundantCopy(tag, std::move(layout), std::move(values));
+  return RedundantCopy(tag, std::make_shared<const HolderLayout>(held),
+                       Vector(kRows, value));
 }
 
 /// A stub solver: one state vector + one scalar, hooks that count calls.

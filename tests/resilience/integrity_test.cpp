@@ -21,15 +21,14 @@ constexpr rank_t kNodes = 6;
 constexpr index_t kRows = 24;
 
 RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
-  auto layout = std::make_shared<HolderLayout>(kNodes);
-  std::vector<Vector> values(kNodes);
+  std::vector<IndexSet> held(kNodes);
   for (index_t i = 0; i < kRows; ++i) {
     const auto h = static_cast<std::size_t>(
         (static_cast<rank_t>(i / (kRows / kNodes)) + 1) % kNodes);
-    (*layout)[h].push_back(i);
-    values[h].push_back(value);
+    held[h].push_back(i);
   }
-  return RedundantCopy(tag, std::move(layout), std::move(values));
+  return RedundantCopy(tag, std::make_shared<const HolderLayout>(held),
+                       Vector(kRows, value));
 }
 
 // ------------------------------------------------------------ components --
@@ -64,22 +63,23 @@ TEST(RedundantCopyIntegrity, EveryBitFlipOfAHeldValueBreaksVerification) {
 // tails and three holders sealed alone.
 TEST(RedundantCopyIntegrity, UnequalHoldersSealAndVerifyLaneByLane) {
   const std::vector<std::size_t> lengths{5, 2, 7, 3, 4, 0, 1};
-  auto layout = std::make_shared<HolderLayout>(lengths.size());
-  std::vector<Vector> values(lengths.size());
+  std::vector<IndexSet> held(lengths.size());
+  Vector values;
   index_t next = 0;
   for (std::size_t h = 0; h < lengths.size(); ++h) {
     for (std::size_t k = 0; k < lengths[h]; ++k) {
-      (*layout)[h].push_back(next);
-      values[h].push_back(0.25 + static_cast<real_t>(next++));
+      held[h].push_back(next);
+      values.push_back(0.25 + static_cast<real_t>(next++));
     }
   }
-  RedundantCopy copy(3, layout, std::move(values));
+  RedundantCopy copy(3, std::make_shared<const HolderLayout>(held),
+                     std::move(values));
   EXPECT_TRUE(copy.verify({}));
   for (std::size_t h = 0; h < lengths.size(); ++h) {
     if (lengths[h] == 0) continue;
     // In the group, a holder's first value lies in the joint loop and,
     // unless the holder is the group's shortest, its last value in its tail.
-    for (index_t i : {(*layout)[h].front(), (*layout)[h].back()}) {
+    for (index_t i : {held[h].front(), held[h].back()}) {
       ASSERT_EQ(copy.corrupt(i, 7), static_cast<rank_t>(h));
       EXPECT_FALSE(copy.verify({})) << "holder " << h << " entry " << i;
       copy.corrupt(i, 7); // flip it back

@@ -3,18 +3,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "comm/dist_operator.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "partition/partition.hpp"
+#include "precond/block_jacobi.hpp"
+#include "sparse/generators.hpp"
 
 namespace esrp {
 namespace {
 
 RedundantCopy make_copy(index_t tag) {
   // One entry (index 0) held by rank 1 of a 4-node cluster.
-  auto layout = std::make_shared<HolderLayout>(4);
-  std::vector<Vector> values(4);
-  (*layout)[1] = {0};
-  values[1] = {static_cast<real_t>(tag)};
-  return RedundantCopy(tag, std::move(layout), std::move(values));
+  const std::vector<IndexSet> held{{}, {0}, {}, {}};
+  return RedundantCopy(tag, std::make_shared<const HolderLayout>(held),
+                       Vector{static_cast<real_t>(tag)});
 }
 
 TEST(RedundancyQueue, StartsEmpty) {
@@ -131,6 +138,115 @@ TEST(RedundancyQueue, ClearEmptiesQueue) {
   q.push(make_copy(1));
   q.clear();
   EXPECT_EQ(q.size(), 0u);
+}
+
+// --- Buffer reuse: push() hands back the displaced copy's buffer, and the
+// next capture fills it in place with exactly a fresh capture's contents.
+
+Vector random_vector(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector v(static_cast<std::size_t>(n));
+  for (real_t& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+std::vector<std::uint64_t> bits(const Vector& v) {
+  std::vector<std::uint64_t> out;
+  for (real_t x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+/// `got` was captured into the buffer at `buffer`; it must hold exactly what
+/// the fresh capture holds.
+void expect_refilled(RedundantCopy got, RedundantCopy fresh,
+                     const real_t* buffer) {
+  EXPECT_EQ(got.tag(), fresh.tag());
+  EXPECT_TRUE(got.verify({}));
+  EXPECT_TRUE(std::ranges::equal(got.seals(), fresh.seals()));
+  const Vector values = std::move(got).release();
+  EXPECT_EQ(values.data(), buffer);
+  EXPECT_EQ(bits(values), bits(std::move(fresh).release()));
+}
+
+/// A storage stage's pieces on a small cluster: emilia 6^3 on 8 nodes.
+struct StorageRig {
+  CsrMatrix a = emilia_like(6, 6, 6).matrix;
+  BlockRowPartition part{a.rows(), 8};
+  BlockJacobiPreconditioner precond{a, part, 10};
+  ResilienceOptions opts = [] {
+    ResilienceOptions o;
+    o.strategy = Strategy::esrp;
+    o.phi = 2;
+    return o;
+  }();
+  SimCluster cluster{part};
+  DistOperator op{a, precond, cluster, opts};
+
+  RedundantCopy capture(index_t tag, Vector buffer = {}) {
+    const BlockRowPartition& p = op.partition();
+    DistVector x(p, random_vector(a.rows(), 100 + static_cast<std::uint64_t>(tag)));
+    DistVector y(p);
+    return op.engine().aspmv(op.aug(), x, tag, y, std::move(buffer));
+  }
+  RedundantCopy disseminate(index_t tag, Vector buffer = {}) {
+    DistVector x(op.partition(),
+                 random_vector(a.rows(), 100 + static_cast<std::uint64_t>(tag)));
+    return op.engine().disseminate(op.aug(), x, tag, std::move(buffer));
+  }
+};
+
+TEST(RedundancyQueueReuse, EvictedBufferFillsTheNextCapture) {
+  StorageRig rig;
+  RedundancyQueue q(3);
+  Vector spare;
+  for (index_t tag = 0; tag < 3; ++tag) {
+    spare = q.push(rig.capture(tag, std::move(spare)));
+    EXPECT_TRUE(spare.empty()) << "nothing evicted before the queue is full";
+  }
+  spare = q.push(rig.capture(3, std::move(spare))); // evicts tag 0
+  ASSERT_EQ(spare.size(), rig.op.aug().holder_layout()->total_entries());
+  EXPECT_EQ(q.tags(), (std::vector<index_t>{1, 2, 3}));
+  const real_t* evicted = spare.data();
+  expect_refilled(rig.capture(4, std::move(spare)), rig.capture(4), evicted);
+}
+
+TEST(RedundancyQueueReuse, ReplacedBufferFillsTheNextCapture) {
+  StorageRig rig;
+  RedundancyQueue q(3);
+  EXPECT_TRUE(q.push(rig.disseminate(5)).empty());
+  EXPECT_TRUE(q.push(rig.disseminate(6)).empty());
+  Vector spare = q.push(rig.disseminate(6)); // rollback re-execution
+  ASSERT_EQ(spare.size(), rig.op.aug().holder_layout()->total_entries());
+  EXPECT_EQ(q.tags(), (std::vector<index_t>{5, 6}));
+  const real_t* replaced = spare.data();
+  expect_refilled(rig.disseminate(7, std::move(spare)), rig.disseminate(7),
+                  replaced);
+}
+
+// A repartitioning recovery rebuilds the plans while the spare buffer still
+// has the old layout's size; the capture on the new layout must not care.
+TEST(RedundancyQueueReuse, BufferOfAnotherLayoutSizeRefillsBitwise) {
+  StorageRig rig;
+  RedundancyQueue q(2);
+  Vector spare;
+  for (index_t tag = 0; tag < 3; ++tag)
+    spare = q.push(rig.capture(tag, std::move(spare)));
+  ASSERT_EQ(spare.size(), rig.op.aug().holder_layout()->total_entries());
+
+  const rank_t failed[] = {3};
+  const BlockRowPartition shrunk = absorb_ranks(rig.part, failed);
+  rig.op.rebuild_on_partition(shrunk);
+  // Absorbing rank 3 shrinks the layout, so the old buffer's capacity
+  // suffices and the capture must land in it.
+  ASSERT_LT(rig.op.aug().holder_layout()->total_entries(), spare.size());
+
+  SimCluster cluster(shrunk);
+  DistOperator fresh(rig.a, rig.precond, cluster, rig.opts);
+  DistVector x(shrunk, random_vector(rig.a.rows(), 7)), y(shrunk);
+  const real_t* buffer = spare.data();
+  expect_refilled(
+      rig.op.engine().aspmv(rig.op.aug(), x, 3, y, std::move(spare)),
+      fresh.engine().aspmv(fresh.aug(), x, 3, y), buffer);
 }
 
 } // namespace

@@ -35,6 +35,8 @@ kernels=(
   "esrp::BlockJacobiPreconditioner::apply"
   "esrp::BlockJacobiPreconditioner::apply_local"
   "esrp::ExchangeEngine::spmv"
+  "esrp::ExchangeEngine::capture"
+  "esrp::RedundantCopy::RedundantCopy"
 )
 
 symbols=$(nm -C "$bin")
