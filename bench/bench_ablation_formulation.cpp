@@ -30,13 +30,12 @@ Outcome run_one(const CsrMatrix& a, const Vector& b,
   opts.strategy = Strategy::esrp;
   opts.interval = 20;
   opts.phi = phi;
-  opts.precond_formulation = form;
-  opts.failure.iteration = fail_at;
-  opts.failure.ranks = contiguous_ranks(part.num_nodes() / 2,
-                                        static_cast<rank_t>(phi),
-                                        part.num_nodes());
+  opts.formulation = form;
+  opts.extra_failures.push_back(FailureEvent{
+      fail_at, contiguous_ranks(part.num_nodes() / 2, static_cast<rank_t>(phi),
+                                part.num_nodes())});
   ResilientPcg solver(a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(b);
+  const SolveOutcome res = solver.solve(b);
   Outcome out;
   for (const RecoveryRecord& rec : res.recoveries) {
     out.recovery += rec.modeled_time;

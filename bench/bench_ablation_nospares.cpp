@@ -39,12 +39,11 @@ int main() {
       opts.interval = 20;
       opts.phi = phi;
       opts.spare_nodes = spares;
-      opts.failure.iteration =
-          xp::worst_case_failure_iteration(ref.iterations, 20);
-      opts.failure.ranks = contiguous_ranks(nodes / 2,
-                                            static_cast<rank_t>(phi), nodes);
+      opts.extra_failures.push_back(FailureEvent{
+          xp::worst_case_failure_iteration(ref.iterations, 20),
+          contiguous_ranks(nodes / 2, static_cast<rank_t>(phi), nodes)});
       ResilientPcg solver(a, precond, cluster, opts);
-      const ResilientSolveResult res = solver.solve(b);
+      const SolveOutcome res = solver.solve(b);
       double recovery = 0;
       for (const auto& rec : res.recoveries) recovery += rec.modeled_time;
       table.print_row(

@@ -43,12 +43,12 @@ int main() {
     SimCluster c1(part, cost);
     ResilienceOptions classic_opts;
     ResilientPcg classic(a, precond, c1, classic_opts);
-    const ResilientSolveResult r1 = classic.solve(b);
+    const SolveOutcome r1 = classic.solve(b);
 
     SimCluster c2(part, cost);
     ResilienceOptions piped_opts;
     DistPipelinedPcg piped(a, precond, c2, piped_opts);
-    const ResilientSolveResult r2 = piped.solve(b);
+    const SolveOutcome r2 = piped.solve(b);
 
     const double it1 = 1e3 * r1.modeled_time /
                        static_cast<double>(r1.executed_iterations);
@@ -58,8 +58,8 @@ int main() {
     std::snprintf(lat, sizeof lat, "%.0e s", alpha);
     table.print_row({lat, xp::format_fixed(it1, 4), xp::format_fixed(it2, 4),
                      xp::format_fixed(it1 / it2, 2) + "x",
-                     std::to_string(r1.trajectory_iterations),
-                     std::to_string(r2.trajectory_iterations)});
+                     std::to_string(r1.iterations),
+                     std::to_string(r2.iterations)});
   }
   table.print_rule();
   std::printf("\nAt low latency both variants are compute-bound and tie; as "

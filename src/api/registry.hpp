@@ -116,8 +116,9 @@ struct PreparedParts {
   const BlockRowPartition* part = nullptr;
   /// Static SpMV communication plan on `part`.
   const SpmvPlan* spmv = nullptr;
-  /// Augmented SpMV plan (ESRP redundancy), built for one specific phi;
-  /// drivers must ignore it when their phi differs.
+  /// Augmented SpMV plan (ESRP redundancy), built only under the esrp
+  /// strategy and for one specific phi; drivers must ignore it when their
+  /// phi differs. Null otherwise.
   const AspmvPlan* aspmv = nullptr;
   /// Factorized preconditioner. Partition-aligned for distributed solvers,
   /// single-domain for sequential ones — the plan cache keys on that.

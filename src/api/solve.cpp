@@ -57,11 +57,12 @@ const Preconditioner& resolve_precond(const SolveContext& ctx,
 
 // ------------------------------------------------- sequential solvers ----
 
-/// pcg_solve and pipelined_pcg_solve share one signature and one result.
-using SequentialSolve = PcgResult (*)(const CsrMatrix&,
-                                      std::span<const real_t>,
-                                      std::span<real_t>, const Preconditioner*,
-                                      const PcgOptions&, SolverObserver*);
+/// pcg_solve and pipelined_pcg_solve share one signature.
+using SequentialSolve = SolveOutcome (*)(const CsrMatrix&,
+                                         std::span<const real_t>,
+                                         std::span<real_t>,
+                                         const Preconditioner*,
+                                         const PcgOptions&, SolverObserver*);
 
 SolveReport run_sequential(const SolveContext& ctx, SequentialSolve solve) {
   const SolveSpec& spec = ctx.spec;
@@ -70,17 +71,9 @@ SolveReport run_sequential(const SolveContext& ctx, SequentialSolve solve) {
   Vector x(static_cast<std::size_t>(ctx.a.rows()), 0);
   if (!spec.x0.empty()) vec_copy(spec.x0, x);
 
-  PcgOptions opts;
-  opts.rtol = spec.rtol;
-  opts.max_iterations = spec.max_iterations;
-  const PcgResult res = solve(ctx.a, ctx.b, x, &precond, opts, ctx.observer);
-
   SolveReport report;
-  report.converged = res.converged;
-  report.iterations = res.iterations;
-  report.executed_iterations = res.iterations;
-  report.final_relres = res.final_relres;
-  report.flops = res.flops;
+  static_cast<SolveOutcome&>(report) =
+      solve(ctx.a, ctx.b, x, &precond, spec, ctx.observer);
   report.x = std::move(x);
   return report;
 }
@@ -128,15 +121,7 @@ const BlockRowPartition& resolve_partition(
 /// validate_spec before they get here.
 ResilienceOptions resilience_options(const SolveSpec& spec) {
   ResilienceOptions opts;
-  opts.strategy = spec.strategy;
-  opts.interval = spec.interval;
-  opts.phi = spec.phi;
-  opts.queue_capacity = spec.queue_capacity;
-  opts.rtol = spec.rtol;
-  if (spec.max_iterations > 0) opts.max_iterations = spec.max_iterations;
-  opts.precond_formulation = spec.formulation;
-  opts.spare_nodes = spec.spare_nodes;
-  opts.residual_replacement = spec.residual_replacement;
+  static_cast<SolverOptions&>(opts) = spec;
   opts.policy = recovery_policy_from_string(spec.recovery_policy);
   opts.extra_failures = spec.failures;
   opts.sdc_events = spec.sdc_events;
@@ -166,18 +151,9 @@ SolveReport run_distributed(const SolveContext& ctx, Solve solve) {
       ctx.prepared->aspmv->phi() == opts.phi)
     aug = ctx.prepared->aspmv;
   Solver solver(ctx.a, precond, cluster, opts, plan, aug);
-  ResilientSolveResult res = solve(solver);
 
   SolveReport report;
-  report.converged = res.converged;
-  report.iterations = res.trajectory_iterations;
-  report.executed_iterations = res.executed_iterations;
-  report.final_relres = res.final_relres;
-  report.modeled_time = res.modeled_time;
-  report.recoveries = std::move(res.recoveries);
-  report.sdc = std::move(res.sdc);
-  report.x = std::move(res.x);
-  report.r = std::move(res.r);
+  static_cast<SolveOutcome&>(report) = solve(solver);
   report.nodes = ctx.spec.nodes;
   report.drift = residual_drift(ctx.a, ctx.b, report.x, report.r);
   report.true_relres = true_relative_residual(ctx.a, ctx.b, report.x);

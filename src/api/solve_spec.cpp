@@ -109,26 +109,6 @@ RunSpec::~RunSpec() {
   poison(x0_storage_);
 }
 
-index_t SolveReport::wasted_iterations() const {
-  index_t total = 0;
-  for (const RecoveryRecord& rec : recoveries) total += rec.wasted_iterations;
-  return total;
-}
-
-double SolveReport::recovery_modeled_time() const {
-  // Serial fixed-order sum over this report's recovery records (a handful of
-  // entries, single thread); reproducible as-is. esrp-lint: allow(fp-accumulate)
-  double total = 0;
-  for (const RecoveryRecord& rec : recoveries) total += rec.modeled_time;
-  return total;
-}
-
-bool SolveReport::restarted_from_scratch() const {
-  for (const RecoveryRecord& rec : recoveries)
-    if (rec.restarted_from_scratch) return true;
-  return false;
-}
-
 namespace {
 
 [[noreturn]] void invalid(const std::string& what) {
@@ -206,7 +186,7 @@ void validate_spec(const SolveSpec& spec) {
     // all-ranks event is *valid* — it resolves to the scratch rung of the
     // recovery ladder instead of being rejected up front.
     try {
-      merge_failure_schedule({}, spec.failures, spec.nodes);
+      merge_failure_schedule(spec.failures, spec.nodes);
     } catch (const Error& e) {
       invalid(e.what());
     }

@@ -1,8 +1,9 @@
 // The unified solver front door: one declarative `SolveSpec` describing the
 // whole experiment grid point — problem x solver x preconditioner x
 // resilience strategy x failure schedule x threads, all as plain data — and
-// one `SolveReport` subsuming the sequential (`PcgResult`) and distributed
-// (`ResilientSolveResult`) solver results. `esrp::solve(spec)`
+// one `SolveReport`: the SolveOutcome every solver returns
+// (solver/outcome.hpp) plus the report's identity and derived fields.
+// `esrp::solve(spec)`
 // (api/solve.hpp) dispatches through the string-keyed registries in
 // api/registry.hpp, so a new solver, preconditioner, or matrix generator
 // becomes reachable from the CLI, the examples, and the paper benches
@@ -76,18 +77,17 @@ struct ProblemSpec {
   real_t ic0_shift = 0.0;   ///< IC(0) diagonal shift
 };
 
-/// How to iterate on a prepared problem: solver choice, convergence
-/// criteria, the resilience strategy, and cost-model accounting knobs.
-/// Only `phi` and a distributed/sequential solver switch shape the prepared
-/// artifacts, but the plan cache keys on every field: SolveService::solve
-/// replays the prepared config, so a cached handle must carry exactly the
-/// requested one.
-struct SolverConfig {
+/// How to iterate on a prepared problem: solver choice, the options every
+/// solver reads (SolverOptions, resilience/options.hpp: convergence
+/// criteria and the resilience strategy), and cost-model accounting knobs.
+/// Only `phi`, `strategy` and a distributed/sequential solver switch shape
+/// the prepared artifacts, but the plan cache keys on every field:
+/// SolveService::solve replays the prepared config, so a cached handle must
+/// carry exactly the requested one.
+struct SolverConfig : SolverOptions {
   /// Solver registry key: "pcg", "pipelined", "resilient-pcg",
   /// "dist-pipelined".
   std::string solver = "resilient-pcg";
-  real_t rtol = 1e-8;        ///< convergence: ||r||_2 / ||b||_2 < rtol
-  index_t max_iterations = 0; ///< 0 = the solver's own default cap
 
   // --- simulated cluster accounting (distributed solvers only) ----------
   /// Use xp::calibrated_cost (the paper-regime cost model) instead of the
@@ -101,13 +101,6 @@ struct SolverConfig {
   std::string cluster_shape;
 
   // --- resilience (distributed solvers only) ---------------------------
-  Strategy strategy = Strategy::none;
-  index_t interval = 20;          ///< checkpoint interval T (1 = classic ESR)
-  int phi = 1;                    ///< redundant copies / survivable failures
-  std::size_t queue_capacity = 3; ///< ESRP redundancy-queue slots
-  PrecondFormulation formulation = PrecondFormulation::inverse;
-  bool spare_nodes = true;        ///< false: survivors absorb failed ranks
-  index_t residual_replacement = 0; ///< recompute r = b - A x every k iters
   /// Recovery-ladder policy preset (resilience/options.hpp,
   /// recovery_policy_from_string): "ladder" (default; every exact rung,
   /// bitwise-compatible with the historical path), "exact" (reconstruct or
@@ -196,11 +189,10 @@ private:
 /// slices implicitly to each of its three bases.
 struct SolveSpec : ProblemSpec, SolverConfig, RunSpec {};
 
-/// One result type for every solver. Fields a solver does not produce stay
-/// at their defaults: sequential solvers leave `nodes` = 0, `modeled_time`
-/// = 0 and `r` empty; distributed solvers leave `flops` = 0 (their work is
-/// accounted in modeled time instead).
-struct SolveReport {
+/// The facade's result: the solver's SolveOutcome whole (with `x` filled
+/// for every solver), plus identity fields and metrics derived after the
+/// solve. Sequential solvers leave `nodes` = 0.
+struct SolveReport : SolveOutcome {
   std::string solver;  ///< resolved solver key
   std::string precond; ///< resolved preconditioner key
   std::string matrix;  ///< problem name
@@ -208,30 +200,12 @@ struct SolveReport {
   index_t nnz = 0;
   rank_t nodes = 0; ///< simulated cluster size (0 for sequential solvers)
 
-  bool converged = false;
-  index_t iterations = 0;          ///< trajectory iterations at convergence
-  index_t executed_iterations = 0; ///< bodies executed incl. redone ones
-  real_t final_relres = 0;
-  double flops = 0;        ///< total flops (sequential solvers)
-  double modeled_time = 0; ///< cluster modeled time [s]
   /// Host wall time of the driver call (reference only), measured once in
   /// detail::run_resolved: per-solve setup included on the facade path,
   /// the setup a prepared handle amortizes excluded on the service path.
   double wall_seconds = 0;
-
-  std::vector<RecoveryRecord> recoveries;
-  std::vector<SdcRecord> sdc; ///< one record per injected bit-flip
-  Vector x; ///< solution
-  Vector r; ///< recursive residual (distributed solvers; for Eq. 2)
   real_t drift = 0;       ///< residual drift (paper Eq. 2), when r is known
   real_t true_relres = 0; ///< ||b - A x||_2 / ||b||_2 (distributed solvers)
-
-  /// Total rollback distance across all recoveries.
-  index_t wasted_iterations() const;
-  /// Modeled time spent inside recoveries.
-  double recovery_modeled_time() const;
-  /// True iff any recovery fell back to a scratch restart.
-  bool restarted_from_scratch() const;
 };
 
 /// Check every invariant of a spec that can be checked without building the

@@ -26,7 +26,7 @@ DistOperator::DistOperator(const CsrMatrix& a, const Preconditioner& precond,
                        shared_aug->phi() == opts.phi,
                    "shared AspmvPlan does not match the SpMV plan / phi of "
                    "this solve");
-  if (augmented_ && opts.precond_formulation == PrecondFormulation::matrix)
+  if (augmented_ && opts.formulation == PrecondFormulation::matrix)
     ESRP_CHECK_MSG(precond.matrix_form() != nullptr,
                    "the matrix formulation requires "
                    "Preconditioner::matrix_form()");

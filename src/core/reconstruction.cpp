@@ -108,7 +108,7 @@ InnerSolve inner_solve(const CsrMatrix& m, std::span<const real_t> rhs,
   PcgOptions opts;
   opts.rtol = rtol;
   opts.max_iterations = max_iterations;
-  const PcgResult res = pcg_solve(m, rhs, out.solution, &precond, opts);
+  const SolveOutcome res = pcg_solve(m, rhs, out.solution, &precond, opts);
   ESRP_CHECK_MSG(res.converged, "inner reconstruction solve did not reach "
                                     << rtol << " within "
                                     << res.iterations << " iterations");

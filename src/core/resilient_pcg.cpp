@@ -35,7 +35,7 @@ ResilientPcg::ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
       orig_part_(&cluster.partition()),
       op_(a, precond, cluster, opts_, shared_plan, shared_aug),
       resilience_(opts, cluster.partition(), classic_engine_config()) {
-  ESRP_CHECK(opts.rtol > 0 && opts.inner_rtol > 0);
+  ESRP_CHECK(opts.rtol > 0);
   ESRP_CHECK(opts_.residual_replacement >= 0);
   ESRP_CHECK(opts_.sdc_threshold > 0);
   for (const SdcEvent& e : opts_.sdc_events) {
@@ -139,7 +139,7 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   ReconstructionInputs in;
   in.a = &op_.matrix();
   in.p_action = op_.precond().action_matrix();
-  in.formulation = opts_.precond_formulation;
+  in.formulation = opts_.formulation;
   in.p_matrix = op_.precond().matrix_form();
   in.z_star = &stars.vec(2);
   in.part = &part;
@@ -150,9 +150,6 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   in.x_star = &stars.vec(0);
   in.r_star = &stars.vec(1);
   in.b_global = b;
-  in.inner_rtol = opts_.inner_rtol;
-  in.inner_max_iterations = opts_.inner_max_iterations;
-  in.inner_block_size = opts_.inner_block_size;
   const ReconstructionOutput out = reconstruct_state(in, op_.cluster());
   if (!out.ok) return false;
 
@@ -177,7 +174,7 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   return true;
 }
 
-void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result,
+void ResilientPcg::inject_sdc(index_t j, SolveOutcome& result,
                               SolverObserver* observer) {
   static_assert(sizeof(real_t) == sizeof(std::uint64_t),
                 "bit-flip injection assumes 64-bit reals");
@@ -225,9 +222,9 @@ void ResilientPcg::inject_sdc(index_t j, ResilientSolveResult& result,
   }
 }
 
-ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
-                                         std::span<const real_t> x0,
-                                         SolverObserver* observer) {
+SolveOutcome ResilientPcg::solve(std::span<const real_t> b,
+                                 std::span<const real_t> x0,
+                                 SolverObserver* observer) {
   SimCluster& cluster = op_.cluster();
   const BlockRowPartition& part = cluster.partition();
   const index_t n = op_.matrix().rows();
@@ -236,7 +233,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
   const index_t T = opts_.interval;
 
   const double model_t0 = cluster.modeled_time();
-  ResilientSolveResult result;
+  SolveOutcome result;
 
   x_ = std::make_unique<DistVector>(part);
   r_ = std::make_unique<DistVector>(part);
@@ -291,7 +288,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
       result.converged = true;
       break;
     }
-    if (executed >= opts_.max_iterations) break;
+    if (executed >= opts_.cap_or(kDistributedIterationCap)) break;
     if (observer) observer->on_iteration(j, result.final_relres);
 
     if (hook_) hook_(j, *x_, *r_, *z_, *p_);
@@ -408,7 +405,7 @@ ResilientSolveResult ResilientPcg::solve(std::span<const real_t> b,
     ++executed;
   }
 
-  result.trajectory_iterations = j;
+  result.iterations = j;
   result.executed_iterations = executed;
   result.modeled_time = cluster.modeled_time() - model_t0;
   result.x = x_->gather_global();

@@ -11,7 +11,7 @@
 // core/reconstruction.hpp). The Strategy enum and the shared
 // ResilienceOptions / RecoveryRecord types live in resilience/options.hpp;
 // the pipelined solver (pipelined/dist_pipelined_pcg.hpp) consumes the very
-// same surface and returns the same ResilientSolveResult. The two solvers
+// same surface and returns the same SolveOutcome. The two solvers
 // also share one DistOperator (comm/dist_operator.hpp): plans, exchange
 // engine, P apply and the charged rank loops.
 //
@@ -75,9 +75,9 @@ public:
   /// on_failure / on_recovery around every failure event. An injected SDC
   /// bit-flip is reported as on_failure with cause = FailureCause::sdc and
   /// the corrupted entry's owner as the single rank.
-  ResilientSolveResult solve(std::span<const real_t> b,
-                             std::span<const real_t> x0 = {},
-                             SolverObserver* observer = nullptr);
+  SolveOutcome solve(std::span<const real_t> b,
+                     std::span<const real_t> x0 = {},
+                     SolverObserver* observer = nullptr);
 
   void set_iteration_hook(IterationHook hook) { hook_ = std::move(hook); }
 
@@ -100,7 +100,7 @@ private:
   /// Fire any not-yet-injected SdcEvent scheduled for iteration `j`:
   /// flip the bit in the owner's slice, append a record to `result`, and
   /// report it to `observer` (may be null) as an sdc-cause failure.
-  void inject_sdc(index_t j, ResilientSolveResult& result,
+  void inject_sdc(index_t j, SolveOutcome& result,
                   SolverObserver* observer);
 
   /// The SolverState contract with the resilience engine: live vectors

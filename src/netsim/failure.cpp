@@ -72,8 +72,7 @@ void validate_failure_schedule(std::span<const FailureEvent> schedule,
 }
 
 std::vector<FailureEvent> merge_failure_schedule(
-    const FailureEvent& primary, std::span<const FailureEvent> extra,
-    rank_t num_nodes) {
+    std::span<const FailureEvent> events, rank_t num_nodes) {
   // A default-constructed event (iteration -1, no ranks) means "no event";
   // a half-specified one (iteration set XOR ranks set) is kept so the
   // validation below rejects it with a message instead of silently
@@ -82,9 +81,8 @@ std::vector<FailureEvent> merge_failure_schedule(
     return e.iteration < 0 && e.ranks.empty();
   };
   std::vector<FailureEvent> merged;
-  merged.reserve(extra.size() + 1);
-  if (!disabled(primary)) merged.push_back(primary);
-  for (const FailureEvent& e : extra)
+  merged.reserve(events.size());
+  for (const FailureEvent& e : events)
     if (!disabled(e)) merged.push_back(e);
   std::stable_sort(merged.begin(), merged.end(),
                    [](const FailureEvent& a, const FailureEvent& b) {

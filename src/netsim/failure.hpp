@@ -78,11 +78,9 @@ std::vector<rank_t> surviving_ranks(std::span<const rank_t> failed,
 void validate_failure_schedule(std::span<const FailureEvent> schedule,
                                rank_t num_nodes);
 
-/// Merge the convenience single event, the extra events, and any sampled
-/// schedule into one list sorted by iteration, skipping disabled events,
-/// then validate_failure_schedule the result.
+/// Copy `events` into one list sorted by iteration (stable), skipping
+/// disabled events, then validate_failure_schedule the result.
 std::vector<FailureEvent> merge_failure_schedule(
-    const FailureEvent& primary, std::span<const FailureEvent> extra,
-    rank_t num_nodes);
+    std::span<const FailureEvent> events, rank_t num_nodes);
 
 } // namespace esrp

@@ -54,18 +54,18 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
   ESRP_CHECK_MSG(opts_.residual_replacement == 0,
                  "residual replacement is not implemented for the pipelined "
                  "solver");
-  ESRP_CHECK(opts_.rtol > 0 && opts_.inner_rtol > 0);
+  ESRP_CHECK(opts_.rtol > 0);
 }
 
-ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
-                                             SolverObserver* observer) {
+SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
+                                     SolverObserver* observer) {
   SimCluster& cluster = op_.cluster();
   const BlockRowPartition& part = cluster.partition();
   ESRP_CHECK(static_cast<index_t>(b.size()) == op_.matrix().rows());
   const double model_t0 = cluster.modeled_time();
   ExchangeEngine& engine = op_.engine();
 
-  ResilientSolveResult result;
+  SolveOutcome result;
   DistVector x(part), r(part), u(part), w(part), m(part), nv(part);
   DistVector z(part), q(part), s(part), p(part);
   real_t gamma_prev = 0, alpha_prev = 0;
@@ -112,7 +112,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     PipelinedEsrInputs in;
     in.a = &op_.matrix();
     in.p_action = op_.precond().action_matrix();
-    in.formulation = opts_.precond_formulation;
+    in.formulation = opts_.formulation;
     in.p_matrix = op_.precond().matrix_form();
     in.part = &part;
     in.failed = failed;
@@ -121,9 +121,6 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     in.beta = stars.scalar(2);
     in.stars = &stars;
     in.b_global = b;
-    in.inner_rtol = opts_.inner_rtol;
-    in.inner_max_iterations = opts_.inner_max_iterations;
-    in.inner_block_size = opts_.inner_block_size;
     const PipelinedEsrOutput out = reconstruct_pipelined_state(in, cluster);
     if (!out.ok) return false;
 
@@ -149,7 +146,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
   index_t executed = 0;
   Vector spare_copy; // the buffer the queue handed back, for the next capture
 
-  while (executed < opts_.max_iterations) {
+  while (executed < opts_.cap_or(kDistributedIterationCap)) {
     if (resilience_.checkpoint_due(j))
       resilience_.store_checkpoint(j, state());
 
@@ -234,7 +231,7 @@ ResilientSolveResult DistPipelinedPcg::solve(std::span<const real_t> b,
     ++executed;
   }
 
-  result.trajectory_iterations = j;
+  result.iterations = j;
   result.executed_iterations = executed;
   result.modeled_time = cluster.modeled_time() - model_t0;
   result.x = x.gather_global();

@@ -57,8 +57,8 @@ public:
   /// Solve A x = b from the zero initial guess. `observer` (may be null)
   /// gets the same hooks as ResilientPcg::solve (core/resilient_pcg.hpp).
   /// The result's `sdc` stays empty: this solver injects no bit-flips.
-  ResilientSolveResult solve(std::span<const real_t> b,
-                             SolverObserver* observer = nullptr);
+  SolveOutcome solve(std::span<const real_t> b,
+                     SolverObserver* observer = nullptr);
 
 private:
   ResilienceOptions opts_;

@@ -7,19 +7,19 @@
 
 namespace esrp {
 
-PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
-                              std::span<real_t> x,
-                              const Preconditioner* precond,
-                              const PcgOptions& opts,
-                              SolverObserver* observer) {
+SolveOutcome pipelined_pcg_solve(const CsrMatrix& a,
+                                 std::span<const real_t> b,
+                                 std::span<real_t> x,
+                                 const Preconditioner* precond,
+                                 const PcgOptions& opts,
+                                 SolverObserver* observer) {
   const index_t n = a.rows();
   ESRP_CHECK(a.rows() == a.cols());
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
   ESRP_CHECK(static_cast<index_t>(x.size()) == n);
 
-  PcgResult result;
-  const index_t max_iter =
-      opts.max_iterations > 0 ? opts.max_iterations : 10 * std::max<index_t>(n, 1);
+  SolveOutcome result;
+  const index_t max_iter = opts.cap_or(10 * std::max<index_t>(n, 1));
   const real_t bnorm = vec_norm2(b);
   if (bnorm == real_t{0}) {
     vec_zero(x);
@@ -58,7 +58,7 @@ PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
     if (observer) observer->on_iteration(j, result.final_relres);
     if (result.final_relres < opts.rtol) {
       result.converged = true;
-      result.iterations = j;
+      result.iterations = result.executed_iterations = j;
       return result;
     }
 
@@ -87,7 +87,7 @@ PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
     alpha_prev = alpha;
   }
 
-  result.iterations = max_iter;
+  result.iterations = result.executed_iterations = max_iter;
   // Recompute on the cap exit: the loop-top value predates the final
   // iteration's updates (pcg_solve does the same after its loop).
   result.final_relres = vec_norm2(r) / bnorm;

@@ -23,7 +23,7 @@
 #include "common/types.hpp"
 #include "common/vec.hpp"
 #include "precond/preconditioner.hpp"
-#include "solver/pcg.hpp" // PcgOptions, PcgResult
+#include "solver/pcg.hpp" // PcgOptions, SolveOutcome
 #include "sparse/csr.hpp"
 
 namespace esrp {
@@ -31,10 +31,11 @@ namespace esrp {
 /// Sequential reference implementation, with pcg_solve's signature and
 /// contracts: `precond` may be nullptr, `observer` (may be null) sees
 /// on_iteration(j, ||r||/||b||) once per iteration.
-PcgResult pipelined_pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
-                              std::span<real_t> x,
-                              const Preconditioner* precond,
-                              const PcgOptions& opts = {},
-                              SolverObserver* observer = nullptr);
+SolveOutcome pipelined_pcg_solve(const CsrMatrix& a,
+                                 std::span<const real_t> b,
+                                 std::span<real_t> x,
+                                 const Preconditioner* precond,
+                                 const PcgOptions& opts = {},
+                                 SolverObserver* observer = nullptr);
 
 } // namespace esrp

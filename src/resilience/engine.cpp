@@ -20,8 +20,7 @@ ResilienceEngine::ResilienceEngine(ResilienceOptions opts,
   // half-specified events, non-increasing iterations, duplicate or
   // out-of-range ranks all throw here. An event may fail all ranks — the
   // ladder resolves that to a deterministic scratch restart.
-  events_ = merge_failure_schedule(opts_.failure, opts_.extra_failures,
-                                   part.num_nodes());
+  events_ = merge_failure_schedule(opts_.extra_failures, part.num_nodes());
   event_done_.assign(events_.size(), false);
 
   if (opts_.strategy == Strategy::imcr) {

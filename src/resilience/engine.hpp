@@ -1,8 +1,8 @@
 // The solver-agnostic resilience engine: everything a resilient distributed
 // solver needs besides its own recurrences. The engine owns
 //
-//   - the failure schedule (ResilienceOptions::failure + extra_failures),
-//     firing each event once at its iteration;
+//   - the failure schedule (ResilienceOptions::extra_failures), firing each
+//     event once at its iteration;
 //   - the ESRP strategy state: the redundancy queue of search-direction
 //     copies, the periodic storage-stage cadence (paper Alg. 3 lines 4-12)
 //     and the star-state snapshots the survivors roll back to;
@@ -102,7 +102,7 @@ public:
     bool store() const { return first_store || second_store; }
   };
 
-  /// Merges failure + extra_failures through validate_failure_schedule
+  /// Sorts extra_failures through merge_failure_schedule
   /// (ranks in range and distinct per event, strictly increasing
   /// iterations; an event may fail *all* ranks — the ladder resolves it to
   /// a scratch restart) and validates the interval/queue parameters;
@@ -232,7 +232,7 @@ private:
   std::vector<StateSnapshot> snapshots_; ///< oldest first
   index_t last_recoverable_ = -1;
   std::unique_ptr<CheckpointStore> checkpoint_;
-  std::vector<FailureEvent> events_; ///< merged failure + extra_failures
+  std::vector<FailureEvent> events_; ///< sorted, validated extra_failures
   std::vector<bool> event_done_;
   std::vector<rank_t> retired_; ///< ranks idled by shrink/no-spare, ascending
   /// Recoveries since the last storage progress (set_recoverable advance,

@@ -21,19 +21,6 @@ Strategy strategy_from_string(std::string_view name) {
               "\" (valid: none, esrp, imcr)");
 }
 
-std::string to_string(RecoveryRung r) {
-  switch (r) {
-    case RecoveryRung::none: return "none";
-    case RecoveryRung::reconstruct: return "reconstruct";
-    case RecoveryRung::older_snapshot: return "older-snapshot";
-    case RecoveryRung::checkpoint: return "checkpoint";
-    case RecoveryRung::shrink: return "shrink";
-    case RecoveryRung::rejoin: return "rejoin";
-    case RecoveryRung::scratch: return "scratch";
-  }
-  return "?";
-}
-
 RecoveryPolicy recovery_policy_from_string(std::string_view name) {
   RecoveryPolicy p;
   p.name = std::string(name);

@@ -107,8 +107,11 @@ std::shared_ptr<const ProblemHandle> ProblemHandle::build(
         handle->matrix_.rows(), problem.nodes);
     handle->spmv_plan_ =
         std::make_unique<SpmvPlan>(handle->matrix_, *handle->partition_);
-    handle->aspmv_plan_ =
-        std::make_unique<AspmvPlan>(*handle->spmv_plan_, config.phi);
+    // Only the esrp strategy reads the augmented plan (DistOperator
+    // borrows it then); the cache key includes the strategy.
+    if (config.strategy == Strategy::esrp)
+      handle->aspmv_plan_ =
+          std::make_unique<AspmvPlan>(*handle->spmv_plan_, config.phi);
   }
 
   // Factorize exactly as the facade drivers would: partition-aligned for

@@ -6,7 +6,8 @@
 //     built from the matrix registry key) plus its display name,
 //   - the default right-hand side xp::make_rhs builds for experiments,
 //   - for distributed solvers: the BlockRowPartition, the static SpMV
-//     communication plan, and the phi-augmented ASpMV plan,
+//     communication plan, and (esrp strategy only) the phi-augmented ASpMV
+//     plan,
 //   - the factorized preconditioner (partition-aligned for distributed
 //     solvers, single-domain for sequential ones — the two factorizations
 //     differ, which is why the content key includes distributed-ness).
@@ -99,7 +100,7 @@ private:
   std::string key_;
   std::unique_ptr<BlockRowPartition> partition_; ///< distributed only
   std::unique_ptr<SpmvPlan> spmv_plan_;          ///< distributed only
-  std::unique_ptr<AspmvPlan> aspmv_plan_;        ///< distributed only
+  std::unique_ptr<AspmvPlan> aspmv_plan_;        ///< distributed esrp only
   std::unique_ptr<Preconditioner> precond_;
 };
 

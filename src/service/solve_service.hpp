@@ -1,8 +1,10 @@
 // SolveService — the prepare/solve split over the esrp::solve facade.
 //
 //   SolveService svc;
-//   auto [handle, hit] = svc.prepare(ProblemSpec{.matrix = "poisson2d:24,24"},
-//                                    SolverConfig{.solver = "pcg"});
+//   SolverConfig config;
+//   config.solver = "pcg";
+//   auto [handle, hit] =
+//       svc.prepare(ProblemSpec{.matrix = "poisson2d:24,24"}, config);
 //   SolveReport report = svc.solve(*handle, RunSpec{});
 //
 // prepare() amortizes everything that does not depend on the right-hand

@@ -7,18 +7,17 @@
 
 namespace esrp {
 
-PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
-                    std::span<real_t> x, const Preconditioner* precond,
-                    const PcgOptions& opts, SolverObserver* observer) {
+SolveOutcome pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
+                       std::span<real_t> x, const Preconditioner* precond,
+                       const PcgOptions& opts, SolverObserver* observer) {
   const index_t n = a.rows();
   ESRP_CHECK(a.rows() == a.cols());
   ESRP_CHECK(static_cast<index_t>(b.size()) == n);
   ESRP_CHECK(static_cast<index_t>(x.size()) == n);
   if (precond) ESRP_CHECK(precond->dim() == n);
 
-  PcgResult result;
-  const index_t max_iter =
-      opts.max_iterations > 0 ? opts.max_iterations : 10 * std::max<index_t>(n, 1);
+  SolveOutcome result;
+  const index_t max_iter = opts.cap_or(10 * std::max<index_t>(n, 1));
 
   const real_t bnorm = vec_norm2(b);
   if (bnorm == real_t{0}) {
@@ -59,7 +58,7 @@ PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
     if (observer) observer->on_iteration(j, result.final_relres);
     if (result.final_relres < opts.rtol) {
       result.converged = true;
-      result.iterations = j;
+      result.iterations = result.executed_iterations = j;
       return result;
     }
 
@@ -82,7 +81,7 @@ PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
                     12.0 * static_cast<double>(n);
   }
 
-  result.iterations = max_iter;
+  result.iterations = result.executed_iterations = max_iter;
   result.final_relres = rnorm / bnorm;
   return result;
 }

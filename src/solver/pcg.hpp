@@ -10,31 +10,38 @@
 #include "common/types.hpp"
 #include "common/vec.hpp"
 #include "precond/preconditioner.hpp"
+#include "solver/outcome.hpp"
 #include "sparse/csr.hpp"
 
 namespace esrp {
 
-struct PcgOptions {
-  real_t rtol = 1e-8;          ///< convergence: ||r||_2 / ||b||_2 < rtol
-  index_t max_iterations = 0;  ///< 0 = 10 * dim (CG converges in <= dim steps
-                               ///< in exact arithmetic; the slack absorbs
-                               ///< floating-point drift)
-};
+/// The distributed solvers' cap on executed iteration bodies (redone ones
+/// included) when PcgOptions::max_iterations is 0.
+inline constexpr index_t kDistributedIterationCap = 200000;
 
-/// The result of every sequential solver (pcg_solve, pipelined_pcg_solve).
-struct PcgResult {
-  bool converged = false;
-  index_t iterations = 0;
-  real_t final_relres = 0;
-  double flops = 0; ///< total floating-point work, for the cost model
+/// The convergence options every solver reads; the base of the resilient
+/// solvers' and the facade's option sets (resilience/options.hpp).
+struct PcgOptions {
+  real_t rtol = 1e-8; ///< convergence: ||r||_2 / ||b||_2 < rtol
+  /// 0 = the solver's own cap: 10 * dim iterations for the sequential
+  /// solvers (CG converges in <= dim steps in exact arithmetic; the slack
+  /// absorbs floating-point drift), kDistributedIterationCap executed
+  /// bodies for the distributed ones.
+  index_t max_iterations = 0;
+
+  /// max_iterations, or the solver's own cap when it is 0.
+  index_t cap_or(index_t own_cap) const {
+    return max_iterations > 0 ? max_iterations : own_cap;
+  }
 };
 
 /// Solve A x = b with PCG. `x` carries the initial guess in and the solution
 /// out. `precond` may be nullptr (identity). `observer` (may be null) sees
 /// on_iteration(j, ||r||/||b||) once per iteration, converging check included.
-PcgResult pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
-                    std::span<real_t> x, const Preconditioner* precond,
-                    const PcgOptions& opts = {},
-                    SolverObserver* observer = nullptr);
+/// The outcome's `x` stays empty: the solution is written into `x`.
+SolveOutcome pcg_solve(const CsrMatrix& a, std::span<const real_t> b,
+                       std::span<real_t> x, const Preconditioner* precond,
+                       const PcgOptions& opts = {},
+                       SolverObserver* observer = nullptr);
 
 } // namespace esrp

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "../parallel/thread_count_guard.hpp"
+#include "api/registry.hpp"
 #include "api/solve.hpp"
 #include "core/resilient_pcg.hpp"
 #include "netsim/cluster.hpp"
@@ -51,7 +52,7 @@ TEST_F(FacadeParity, SequentialPcg) {
 
     const JacobiPreconditioner precond(a_);
     Vector x(b_.size(), 0);
-    const PcgResult direct = pcg_solve(a_, b_, x, &precond);
+    const SolveOutcome direct = pcg_solve(a_, b_, x, &precond);
 
     SolveSpec spec;
     spec.matrix_data = &a_;
@@ -75,7 +76,7 @@ TEST_F(FacadeParity, SequentialPipelined) {
 
     const BlockJacobiPreconditioner precond(a_, /*max_block_size=*/10);
     Vector x(b_.size(), 0);
-    const PcgResult direct = pipelined_pcg_solve(a_, b_, x, &precond);
+    const SolveOutcome direct = pipelined_pcg_solve(a_, b_, x, &precond);
 
     SolveSpec spec;
     spec.matrix_data = &a_;
@@ -107,9 +108,9 @@ TEST_F(FacadeParity, ResilientPcgWithFailure) {
     opts.strategy = Strategy::esrp;
     opts.interval = 5;
     opts.phi = 2;
-    opts.failure = event;
+    opts.extra_failures.push_back(event);
     ResilientPcg solver(a_, precond, cluster, opts);
-    const ResilientSolveResult direct = solver.solve(b_);
+    const SolveOutcome direct = solver.solve(b_);
 
     SolveSpec spec;
     spec.matrix_data = &a_;
@@ -124,7 +125,7 @@ TEST_F(FacadeParity, ResilientPcgWithFailure) {
     const SolveReport facade = solve(spec);
 
     EXPECT_EQ(direct.converged, facade.converged);
-    EXPECT_EQ(direct.trajectory_iterations, facade.iterations);
+    EXPECT_EQ(direct.iterations, facade.iterations);
     EXPECT_EQ(direct.executed_iterations, facade.executed_iterations);
     EXPECT_EQ(direct.final_relres, facade.final_relres);
     EXPECT_EQ(direct.modeled_time, facade.modeled_time);
@@ -147,7 +148,7 @@ TEST_F(FacadeParity, DistPipelined) {
     SimCluster cluster(part, xp::calibrated_cost(a_, nodes));
     const BlockJacobiPreconditioner precond(a_, part, 10);
     DistPipelinedPcg solver(a_, precond, cluster, ResilienceOptions{});
-    const ResilientSolveResult direct = solver.solve(b_);
+    const SolveOutcome direct = solver.solve(b_);
 
     SolveSpec spec;
     spec.matrix_data = &a_;
@@ -158,7 +159,7 @@ TEST_F(FacadeParity, DistPipelined) {
     const SolveReport facade = solve(spec);
 
     EXPECT_EQ(direct.converged, facade.converged);
-    EXPECT_EQ(direct.trajectory_iterations, facade.iterations);
+    EXPECT_EQ(direct.iterations, facade.iterations);
     EXPECT_EQ(direct.final_relres, facade.final_relres);
     EXPECT_EQ(direct.modeled_time, facade.modeled_time);
     expect_bitwise_equal(direct.x, facade.x, "x");
@@ -183,6 +184,41 @@ TEST_F(FacadeParity, MatrixKeyMatchesMatrixData) {
 
   EXPECT_EQ(key_report.iterations, data_report.iterations);
   expect_bitwise_equal(key_report.x, data_report.x, "x");
+}
+
+/// max_iterations reaches every registered solver through the facade: a cap
+/// below the converged count stops each one short. The distributed solvers
+/// cap executed bodies, redone ones included, so the rollback of the failure
+/// injected here leaves iterations below executed_iterations = cap.
+TEST_F(FacadeParity, IterationCapReachesEverySolver) {
+  struct Case {
+    const char* solver;
+    index_t iterations;
+    index_t executed_iterations;
+  };
+  const Case cases[] = {{"pcg", 12, 12},
+                        {"pipelined", 12, 12},
+                        {"resilient-pcg", 8, 12},
+                        {"dist-pipelined", 7, 12}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.solver);
+    SolveSpec spec;
+    spec.matrix_data = &a_;
+    spec.rhs = b_;
+    spec.solver = c.solver;
+    spec.precond = "block-jacobi";
+    spec.max_iterations = 12;
+    if (solver_registry().get(c.solver).distributed) {
+      spec.nodes = 4;
+      spec.strategy = Strategy::esrp;
+      spec.interval = 5;
+      spec.failures.push_back(FailureEvent{9, {1}});
+    }
+    const SolveReport report = solve(spec);
+    EXPECT_FALSE(report.converged);
+    EXPECT_EQ(report.iterations, c.iterations);
+    EXPECT_EQ(report.executed_iterations, c.executed_iterations);
+  }
 }
 
 } // namespace

@@ -195,7 +195,7 @@ TEST_F(SolveObserver, DirectResilientPcgObserverMatchesFacade) {
   const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
   ResilientPcg solver(a_, precond, cluster, options_for(spec));
   RecordingObserver direct;
-  const ResilientSolveResult res = solver.solve(b_, {}, &direct);
+  const SolveOutcome res = solver.solve(b_, {}, &direct);
   ASSERT_TRUE(res.converged);
   expect_same_sequence(direct, facade);
 }
@@ -220,7 +220,7 @@ TEST_F(SolveObserver, DirectDistPipelinedObserverMatchesFacade) {
   const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
   DistPipelinedPcg solver(a_, precond, cluster, options_for(spec));
   RecordingObserver direct;
-  const ResilientSolveResult res = solver.solve(b_, &direct);
+  const SolveOutcome res = solver.solve(b_, &direct);
   ASSERT_TRUE(res.converged);
   expect_same_sequence(direct, facade);
 }
@@ -240,7 +240,7 @@ TEST_F(SolveObserver, DirectResilientPcgReportsSdcAsFailure) {
   const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
   ResilientPcg solver(a_, precond, cluster, options_for(spec));
   RecordingObserver direct;
-  const ResilientSolveResult res = solver.solve(b_, {}, &direct);
+  const SolveOutcome res = solver.solve(b_, {}, &direct);
   ASSERT_EQ(res.sdc.size(), 1u);
   ASSERT_EQ(direct.failures.size(), 1u);
   EXPECT_EQ(direct.failures[0].cause, FailureCause::sdc);

@@ -61,43 +61,43 @@ TEST_P(EsrpProperty, ConvergesOnReferenceTrajectoryWithSaneBookkeeping) {
   SimCluster ref_cluster(part);
   ResilienceOptions ref_opts;
   ResilientPcg ref_solver(a, precond, ref_cluster, ref_opts);
-  const ResilientSolveResult ref = ref_solver.solve(b);
+  const SolveOutcome ref = ref_solver.solve(b);
   ASSERT_TRUE(ref.converged);
-  const index_t C = ref.trajectory_iterations;
+  const index_t C = ref.iterations;
 
   ResilienceOptions opts;
   opts.strategy = c.strategy;
   opts.interval = c.interval;
   opts.phi = c.phi;
   if (c.psi > 0) {
-    opts.failure.iteration = std::max<index_t>(
-        1, static_cast<index_t>(c.fail_frac * static_cast<double>(C)));
-    opts.failure.ranks =
-        contiguous_ranks(c.fail_start, static_cast<rank_t>(c.psi), kNodes);
-    ASSERT_LT(opts.failure.iteration, C);
+    opts.extra_failures.push_back(FailureEvent{
+        std::max<index_t>(
+            1, static_cast<index_t>(c.fail_frac * static_cast<double>(C))),
+        contiguous_ranks(c.fail_start, static_cast<rank_t>(c.psi), kNodes)});
+    ASSERT_LT(opts.extra_failures[0].iteration, C);
   }
 
   SimCluster cluster(part);
   ResilientPcg solver(a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(b);
+  const SolveOutcome res = solver.solve(b);
 
   ASSERT_TRUE(res.converged);
   // The trajectory (and hence the iteration count) is preserved by every
   // recovery path, including a scratch restart. ESRP reconstruction is
   // exact only to the 1e-14 inner-solve tolerance, so convergence may land
   // within one iteration of the reference.
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
+  EXPECT_NEAR(static_cast<double>(res.iterations),
               static_cast<double>(C), 1);
   // True residual consistent with the convergence tolerance.
   EXPECT_LT(true_relative_residual(a, b, res.x), 1e-6);
 
   if (c.psi == 0) {
     EXPECT_TRUE(res.recoveries.empty());
-    EXPECT_EQ(res.executed_iterations, res.trajectory_iterations);
+    EXPECT_EQ(res.executed_iterations, res.iterations);
   } else {
     ASSERT_EQ(res.recoveries.size(), 1u);
     const RecoveryRecord& rec = res.recoveries[0];
-    EXPECT_EQ(rec.failed_at, opts.failure.iteration);
+    EXPECT_EQ(rec.failed_at, opts.extra_failures[0].iteration);
     EXPECT_LE(rec.restored_to, rec.failed_at);
     EXPECT_EQ(rec.wasted_iterations, rec.failed_at - rec.restored_to);
     EXPECT_GE(rec.modeled_time, 0);
@@ -112,7 +112,7 @@ TEST_P(EsrpProperty, ConvergesOnReferenceTrajectoryWithSaneBookkeeping) {
       }
     }
     EXPECT_EQ(res.executed_iterations,
-              res.trajectory_iterations + rec.wasted_iterations + 1);
+              res.iterations + rec.wasted_iterations + 1);
   }
 }
 

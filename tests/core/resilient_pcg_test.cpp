@@ -26,14 +26,13 @@ struct SolveSystem {
       : a(std::move(matrix)), b(xp::make_rhs(a)), part(a.rows(), nodes) {}
 };
 
-ResilientSolveResult run(SolveSystem& s, const ResilienceOptions& opts,
-                         SimCluster* cluster_out = nullptr,
-                         IterationHook hook = {}) {
+SolveOutcome run(SolveSystem& s, const ResilienceOptions& opts,
+                 SimCluster* cluster_out = nullptr, IterationHook hook = {}) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilientPcg solver(s.a, precond, cluster, opts);
   if (hook) solver.set_iteration_hook(std::move(hook));
-  ResilientSolveResult res = solver.solve(s.b);
+  SolveOutcome res = solver.solve(s.b);
   if (cluster_out) *cluster_out = cluster;
   return res;
 }
@@ -41,23 +40,23 @@ ResilientSolveResult run(SolveSystem& s, const ResilienceOptions& opts,
 TEST(ResilientPcg, PlainDistributedSolveMatchesSequentialPcg) {
   SolveSystem s(poisson2d(10, 10), 8);
   ResilienceOptions opts;
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
 
   BlockJacobiPreconditioner seq_precond(s.a, s.part, 10);
   Vector x_seq(s.b.size(), 0);
-  const PcgResult seq = pcg_solve(s.a, s.b, x_seq, &seq_precond);
+  const SolveOutcome seq = pcg_solve(s.a, s.b, x_seq, &seq_precond);
   ASSERT_TRUE(seq.converged);
   // Same operator, same preconditioner, same trajectory: iteration counts
   // match and iterates agree to rounding.
-  EXPECT_EQ(res.trajectory_iterations, seq.iterations);
+  EXPECT_EQ(res.iterations, seq.iterations);
   EXPECT_LT(vec_rel_diff_inf(res.x, x_seq), 1e-10);
 }
 
 TEST(ResilientPcg, SolutionSatisfiesTrueResidualTolerance) {
   SolveSystem s(poisson3d(5, 5, 4), 10);
   ResilienceOptions opts;
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   EXPECT_LT(true_relative_residual(s.a, s.b, res.x), 1e-7);
 }
@@ -65,16 +64,16 @@ TEST(ResilientPcg, SolutionSatisfiesTrueResidualTolerance) {
 TEST(ResilientPcg, EsrpFailureFreeFollowsSameTrajectory) {
   SolveSystem s(poisson2d(12, 12), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult ref = run(s, plain);
+  const SolveOutcome ref = run(s, plain);
 
   for (index_t T : {1, 5, 20}) {
     ResilienceOptions opts;
     opts.strategy = Strategy::esrp;
     opts.interval = T;
     opts.phi = 2;
-    const ResilientSolveResult res = run(s, opts);
+    const SolveOutcome res = run(s, opts);
     ASSERT_TRUE(res.converged) << "T=" << T;
-    EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
+    EXPECT_EQ(res.iterations, ref.iterations);
     EXPECT_EQ(res.x, ref.x); // identical arithmetic, bitwise equal
   }
 }
@@ -108,7 +107,7 @@ TEST(ResilientPcg, EsrSingleFailureExactStateReconstruction) {
   // Reference trajectory: record the state at every iteration.
   std::map<index_t, Vector> ref_x, ref_r, ref_p;
   ResilienceOptions plain;
-  const ResilientSolveResult ref =
+  const SolveOutcome ref =
       run(s, plain, nullptr,
           [&](index_t j, const DistVector& x, const DistVector& r,
               const DistVector&, const DistVector& p) {
@@ -117,17 +116,16 @@ TEST(ResilientPcg, EsrSingleFailureExactStateReconstruction) {
             ref_p[j] = p.gather_global();
           });
   ASSERT_TRUE(ref.converged);
-  const index_t c = ref.trajectory_iterations;
+  const index_t c = ref.iterations;
 
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 1; // classic ESR
   opts.phi = 1;
-  opts.failure.iteration = c / 2;
-  opts.failure.ranks = {3};
+  opts.extra_failures.push_back(FailureEvent{c / 2, {3}});
 
   real_t max_dev = 0;
-  const ResilientSolveResult res =
+  const SolveOutcome res =
       run(s, opts, nullptr,
           [&](index_t j, const DistVector& x, const DistVector& r,
               const DistVector&, const DistVector& p) {
@@ -147,31 +145,31 @@ TEST(ResilientPcg, EsrSingleFailureExactStateReconstruction) {
   // The whole trajectory (including every post-recovery state) stays within
   // inner-solve accuracy of the undisturbed run.
   EXPECT_LT(max_dev, 1e-6);
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
+  EXPECT_NEAR(static_cast<double>(res.iterations),
               static_cast<double>(c), 1);
 }
 
 TEST(ResilientPcg, EsrpRollsBackToLastStorageStage) {
   SolveSystem s(poisson2d(12, 12), 8);
   ResilienceOptions plain;
-  const index_t c = run(s, plain).trajectory_iterations;
+  const index_t c = run(s, plain).iterations;
   ASSERT_GT(c, 25);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 18; // inside (10, 20): last stage completed at 11
-  opts.failure.ranks = {1, 2};
-  const ResilientSolveResult res = run(s, opts);
+  // inside (10, 20): last stage completed at 11
+  opts.extra_failures.push_back(FailureEvent{18, {1, 2}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_EQ(res.recoveries[0].restored_to, 11);
   EXPECT_EQ(res.recoveries[0].wasted_iterations, 7);
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
+  EXPECT_NEAR(static_cast<double>(res.iterations),
               static_cast<double>(c), 1);
   // redone iterations + the recovery body itself
-  EXPECT_EQ(res.executed_iterations, res.trajectory_iterations + 7 + 1);
+  EXPECT_EQ(res.executed_iterations, res.iterations + 7 + 1);
 }
 
 TEST(ResilientPcg, FailureDuringStorageStageUsesPreviousStage) {
@@ -182,9 +180,8 @@ TEST(ResilientPcg, FailureDuringStorageStageUsesPreviousStage) {
   opts.phi = 2;
   // j = 20 is a first-storage iteration: p'(20) has been pushed but the
   // stage is incomplete; recovery must reach back to state 11 (Fig. 1).
-  opts.failure.iteration = 20;
-  opts.failure.ranks = {4, 5};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{20, {4, 5}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -198,9 +195,9 @@ TEST(ResilientPcg, FailureAtSecondStorageIterationRecoversInPlace) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 1;
-  opts.failure.iteration = 21; // second storage iteration of stage 2
-  opts.failure.ranks = {6};
-  const ResilientSolveResult res = run(s, opts);
+  // second storage iteration of stage 2
+  opts.extra_failures.push_back(FailureEvent{21, {6}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_EQ(res.recoveries[0].restored_to, 21);
@@ -213,9 +210,9 @@ TEST(ResilientPcg, FailureBeforeFirstStorageStageRestartsFromScratch) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 1;
-  opts.failure.iteration = 5; // first stage completes at iteration 11
-  opts.failure.ranks = {0};
-  const ResilientSolveResult res = run(s, opts);
+  // first stage completes at iteration 11
+  opts.extra_failures.push_back(FailureEvent{5, {0}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -228,9 +225,8 @@ TEST(ResilientPcg, MoreFailuresThanPhiForcesRestart) {
   opts.strategy = Strategy::esrp;
   opts.interval = 1;
   opts.phi = 1;
-  opts.failure.iteration = 20;
-  opts.failure.ranks = {2, 3}; // psi = 2 > phi = 1
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{20, {2, 3}}); // psi = 2 > phi = 1
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged); // still converges, just expensively
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -245,16 +241,16 @@ TEST(ResilientPcg, TwoSlotQueueAblationForcesRestartMidStage) {
   opts.interval = 10;
   opts.phi = 1;
   opts.queue_capacity = 2;
-  opts.failure.iteration = 20; // right after the first push of stage 2
-  opts.failure.ranks = {3};
-  const ResilientSolveResult res = run(s, opts);
+  // right after the first push of stage 2
+  opts.extra_failures.push_back(FailureEvent{20, {3}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
 
   // The 3-slot default recovers from the very same scenario.
   opts.queue_capacity = 3;
-  const ResilientSolveResult ok = run(s, opts);
+  const SolveOutcome ok = run(s, opts);
   ASSERT_EQ(ok.recoveries.size(), 1u);
   EXPECT_FALSE(ok.recoveries[0].restarted_from_scratch);
 }
@@ -263,23 +259,22 @@ TEST(ResilientPcg, ImcrRestoresCheckpointExactly) {
   SolveSystem s(poisson2d(12, 12), 8);
   std::map<index_t, Vector> ref_x;
   ResilienceOptions plain;
-  const ResilientSolveResult ref =
+  const SolveOutcome ref =
       run(s, plain, nullptr,
           [&](index_t j, const DistVector& x, const DistVector&,
               const DistVector&, const DistVector&) {
             ref_x[j] = x.gather_global();
           });
-  const index_t c = ref.trajectory_iterations;
+  const index_t c = ref.iterations;
   ASSERT_GT(c, 25);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {1, 2};
+  opts.extra_failures.push_back(FailureEvent{18, {1, 2}});
   real_t max_dev = 0;
-  const ResilientSolveResult res =
+  const SolveOutcome res =
       run(s, opts, nullptr,
           [&](index_t j, const DistVector& x, const DistVector&,
               const DistVector&, const DistVector&) {
@@ -293,7 +288,7 @@ TEST(ResilientPcg, ImcrRestoresCheckpointExactly) {
   EXPECT_EQ(res.recoveries[0].wasted_iterations, 8);
   // Checkpoint restore is bitwise: zero deviation on the whole trajectory.
   EXPECT_EQ(max_dev, 0);
-  EXPECT_EQ(res.trajectory_iterations, c);
+  EXPECT_EQ(res.iterations, c);
 }
 
 TEST(ResilientPcg, ImcrBeforeFirstCheckpointRestarts) {
@@ -302,9 +297,8 @@ TEST(ResilientPcg, ImcrBeforeFirstCheckpointRestarts) {
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 1;
-  opts.failure.iteration = 4;
-  opts.failure.ranks = {2};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{4, {2}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -313,12 +307,11 @@ TEST(ResilientPcg, ImcrBeforeFirstCheckpointRestarts) {
 TEST(ResilientPcg, StrategyNoneWithFailureRestartsAndStillConverges) {
   SolveSystem s(poisson2d(10, 10), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult ref = run(s, plain);
-  const index_t c = ref.trajectory_iterations;
+  const SolveOutcome ref = run(s, plain);
+  const index_t c = ref.iterations;
   ResilienceOptions opts;
-  opts.failure.iteration = c / 2;
-  opts.failure.ranks = {0};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{c / 2, {0}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
   // Roughly half the solve is thrown away and redone.
@@ -332,12 +325,11 @@ TEST(ResilientPcg, RecoveryCommIsChargedUnderRecoveryCategory) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 1;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {5};
+  opts.extra_failures.push_back(FailureEvent{18, {5}});
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilientPcg solver(s.a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(s.b);
+  const SolveOutcome res = solver.solve(s.b);
   ASSERT_TRUE(res.converged);
   EXPECT_GT(cluster.ledger().totals(CommCategory::recovery).messages, 0u);
   EXPECT_GT(cluster.ledger().totals(CommCategory::aspmv_extra).bytes, 0u);
@@ -364,9 +356,8 @@ TEST(ResilientPcg, ResidualDriftStaysSmallAfterRecovery) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {3, 4};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{18, {3, 4}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   const real_t drift = residual_drift(s.a, s.b, res.x, res.r);
   EXPECT_LT(std::abs(drift), 0.5);
@@ -379,20 +370,19 @@ TEST(ResilientPcg, MatrixFormulationRecoversOnSameTrajectory) {
   base.strategy = Strategy::esrp;
   base.interval = 10;
   base.phi = 2;
-  base.failure.iteration = 18;
-  base.failure.ranks = {1, 2};
+  base.extra_failures.push_back(FailureEvent{18, {1, 2}});
 
-  const ResilientSolveResult inv = run(s, base);
+  const SolveOutcome inv = run(s, base);
   ResilienceOptions mat = base;
-  mat.precond_formulation = PrecondFormulation::matrix;
-  const ResilientSolveResult res = run(s, mat);
+  mat.formulation = PrecondFormulation::matrix;
+  const SolveOutcome res = run(s, mat);
   ASSERT_TRUE(inv.converged && res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   EXPECT_EQ(res.recoveries[0].inner_iterations_precond, 0);
   // Same trajectory, same solution (within reconstruction accuracy).
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
-              static_cast<double>(inv.trajectory_iterations), 1);
+  EXPECT_NEAR(static_cast<double>(res.iterations),
+              static_cast<double>(inv.iterations), 1);
   EXPECT_LT(vec_rel_diff_inf(res.x, inv.x), 1e-6);
   // The matrix formulation's recovery is cheaper (one inner solve fewer).
   EXPECT_LE(res.recoveries[0].modeled_time, inv.recoveries[0].modeled_time);
@@ -407,9 +397,9 @@ TEST(ResilientPcg, IntervalTwoBehavesLikeDensestPeriodicStorage) {
   opts.strategy = Strategy::esrp;
   opts.interval = 2;
   opts.phi = 2;
-  opts.failure.iteration = 17; // odd: a second-storage iteration
-  opts.failure.ranks = {2, 3};
-  const ResilientSolveResult res = run(s, opts);
+  // odd: a second-storage iteration
+  opts.extra_failures.push_back(FailureEvent{17, {2, 3}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -419,29 +409,28 @@ TEST(ResilientPcg, IntervalTwoBehavesLikeDensestPeriodicStorage) {
 TEST(ResilientPcg, TwoFailureEventsBothRecover) {
   SolveSystem s(poisson2d(12, 12), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult ref = run(s, plain);
-  const index_t c = ref.trajectory_iterations;
+  const SolveOutcome ref = run(s, plain);
+  const index_t c = ref.iterations;
   ASSERT_GT(c, 30);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
-  opts.failure.iteration = 13;
-  opts.failure.ranks = {1, 2};
+  opts.extra_failures.push_back(FailureEvent{13, {1, 2}});
   FailureEvent second;
   second.iteration = 28;
   second.ranks = {5, 6};
   opts.extra_failures.push_back(second);
 
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   EXPECT_FALSE(res.recoveries[1].restarted_from_scratch);
   EXPECT_EQ(res.recoveries[0].failed_at, 13);
   EXPECT_EQ(res.recoveries[1].failed_at, 28);
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
+  EXPECT_NEAR(static_cast<double>(res.iterations),
               static_cast<double>(c), 2);
   EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), 1e-5);
 }
@@ -455,13 +444,12 @@ TEST(ResilientPcg, SecondFailureBeforeRedundancyReplenishedRestarts) {
   opts.strategy = Strategy::esrp;
   opts.interval = 20;
   opts.phi = 1;
-  opts.failure.iteration = 23;
-  opts.failure.ranks = {3};
+  opts.extra_failures.push_back(FailureEvent{23, {3}});
   FailureEvent second;
   second.iteration = 24; // between stages: holders of node 4 not refreshed
   second.ranks = {4};    // ring holder of node 3's copies
   opts.extra_failures.push_back(second);
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
   // Either outcome for event 2 is protocol-legal, but the solve must end
@@ -476,8 +464,7 @@ TEST(ResilientPcg, DuplicateEventIterationsRejected) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilienceOptions opts;
-  opts.failure.iteration = 5;
-  opts.failure.ranks = {0};
+  opts.extra_failures.push_back(FailureEvent{5, {0}});
   FailureEvent dup;
   dup.iteration = 5;
   dup.ranks = {1};
@@ -488,10 +475,10 @@ TEST(ResilientPcg, DuplicateEventIterationsRejected) {
 TEST(ResilientPcg, ResidualReplacementImprovesDrift) {
   SolveSystem s(diffusion3d_27pt(6, 6, 6, 1e3, 5, 1e-4), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult raw = run(s, plain);
+  const SolveOutcome raw = run(s, plain);
   ResilienceOptions rr;
   rr.residual_replacement = 50;
-  const ResilientSolveResult replaced = run(s, rr);
+  const SolveOutcome replaced = run(s, rr);
   ASSERT_TRUE(raw.converged && replaced.converged);
   const real_t drift_raw =
       std::abs(residual_drift(s.a, s.b, raw.x, raw.r));
@@ -510,9 +497,8 @@ TEST(ResilientPcg, ResidualReplacementKeepsEsrpRecoveryWorking) {
   opts.interval = 10;
   opts.phi = 2;
   opts.residual_replacement = 15;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {1, 2};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{18, {1, 2}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -522,27 +508,26 @@ TEST(ResilientPcg, ResidualReplacementKeepsEsrpRecoveryWorking) {
 TEST(ResilientPcg, NoSpareRecoveryContinuesOnSurvivors) {
   SolveSystem s(poisson2d(12, 12), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult ref = run(s, plain);
+  const SolveOutcome ref = run(s, plain);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
   opts.spare_nodes = false;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {3, 4};
+  opts.extra_failures.push_back(FailureEvent{18, {3, 4}});
 
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilientPcg solver(s.a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(s.b);
+  const SolveOutcome res = solver.solve(s.b);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   EXPECT_EQ(res.recoveries[0].restored_to, 11);
   // Same trajectory and solution as the undisturbed run.
-  EXPECT_NEAR(static_cast<double>(res.trajectory_iterations),
-              static_cast<double>(ref.trajectory_iterations), 1);
+  EXPECT_NEAR(static_cast<double>(res.iterations),
+              static_cast<double>(ref.iterations), 1);
   EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), 1e-6);
   // The failed ranks retired: their ranges were absorbed by rank 2.
   const BlockRowPartition& np = solver.current_partition();
@@ -559,12 +544,11 @@ TEST(ResilientPcg, NoSpareRecoveryOfLeadingBlock) {
   opts.interval = 10;
   opts.phi = 3;
   opts.spare_nodes = false;
-  opts.failure.iteration = 25;
-  opts.failure.ranks = {0, 1, 2};
+  opts.extra_failures.push_back(FailureEvent{25, {0, 1, 2}});
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilientPcg solver(s.a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(s.b);
+  const SolveOutcome res = solver.solve(s.b);
   ASSERT_TRUE(res.converged);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   // Rank 3 adopts the leading block.
@@ -579,12 +563,12 @@ TEST(ResilientPcg, NoSpareRestartAlsoShrinksThePartition) {
   opts.interval = 10;
   opts.phi = 1;
   opts.spare_nodes = false;
-  opts.failure.iteration = 5; // before the first storage stage
-  opts.failure.ranks = {6};
+  // before the first storage stage
+  opts.extra_failures.push_back(FailureEvent{5, {6}});
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilientPcg solver(s.a, precond, cluster, opts);
-  const ResilientSolveResult res = solver.solve(s.b);
+  const SolveOutcome res = solver.solve(s.b);
   ASSERT_TRUE(res.converged);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
   EXPECT_EQ(solver.current_partition().local_size(6), 0);
@@ -601,13 +585,12 @@ TEST(ResilientPcg, CopiesCapturedBeforeARepartitionFeedTheNextRecovery) {
   opts.interval = 10;
   opts.phi = 2;
   opts.spare_nodes = false;
-  opts.failure.iteration = 15;
-  opts.failure.ranks = {6};
+  opts.extra_failures.push_back(FailureEvent{15, {6}});
   FailureEvent second;
   second.iteration = 18;
   second.ranks = {3, 4};
   opts.extra_failures.push_back(second);
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
   for (const RecoveryRecord& rec : res.recoveries) {
@@ -653,8 +636,8 @@ TEST(ResilientPcg, InvalidFailureRanksRejected) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilienceOptions opts;
-  opts.failure.iteration = 3;
-  opts.failure.ranks = {7}; // out of range for 4 nodes
+  // out of range for 4 nodes
+  opts.extra_failures.push_back(FailureEvent{3, {7}});
   EXPECT_THROW(ResilientPcg(s.a, precond, cluster, opts), Error);
 }
 

@@ -117,7 +117,7 @@ TEST_F(FusedSolverParity, SequentialPcgMatchesPreFusionPin) {
                    << "rows=" << matrix->rows() << " threads=" << g.threads);
       set_num_threads(g.threads);
       Vector x(b->size(), 0);
-      const PcgResult r = pcg_solve(*matrix, *b, x, &precond);
+      const SolveOutcome r = pcg_solve(*matrix, *b, x, &precond);
       EXPECT_EQ(g.converged, r.converged);
       EXPECT_EQ(g.iterations, r.iterations);
       EXPECT_EQ(g.final_relres, r.final_relres);
@@ -137,7 +137,7 @@ TEST_F(FusedSolverParity, SequentialPipelinedMatchesPreFusionPin) {
                    << "rows=" << matrix->rows() << " threads=" << g.threads);
       set_num_threads(g.threads);
       Vector x(b->size(), 0);
-      const PcgResult r = pipelined_pcg_solve(*matrix, *b, x, &precond);
+      const SolveOutcome r = pipelined_pcg_solve(*matrix, *b, x, &precond);
       EXPECT_EQ(g.converged, r.converged);
       EXPECT_EQ(g.iterations, r.iterations);
       EXPECT_EQ(g.final_relres, r.final_relres);
@@ -159,13 +159,14 @@ TEST_F(FusedSolverParity, ResilientEsrpTwoFailureScheduleMatchesPreFusionPin) {
     opts.strategy = Strategy::esrp;
     opts.interval = 5;
     opts.phi = 2;
-    opts.failure = FailureEvent{12, contiguous_ranks(2, 2, nodes)};
+    opts.extra_failures.push_back(
+        FailureEvent{12, contiguous_ranks(2, 2, nodes)});
     opts.extra_failures.push_back(
         FailureEvent{25, contiguous_ranks(5, 1, nodes)});
     ResilientPcg solver(small_, precond, cluster, opts);
-    const ResilientSolveResult r = solver.solve(b_small_);
+    const SolveOutcome r = solver.solve(b_small_);
     EXPECT_EQ(g.converged, r.converged);
-    EXPECT_EQ(g.iterations, r.trajectory_iterations);
+    EXPECT_EQ(g.iterations, r.iterations);
     EXPECT_EQ(g.final_relres, r.final_relres);
     EXPECT_EQ(g.flops_or_executed,
               static_cast<double>(r.executed_iterations));
@@ -190,12 +191,13 @@ TEST_F(FusedSolverParity, ResilientImcrRestartWithX0MatchesPreFusionPin) {
     opts.interval = 6;
     opts.phi = 2;
     opts.residual_replacement = 10;
-    opts.failure = FailureEvent{15, contiguous_ranks(1, 2, nodes)};
+    opts.extra_failures.push_back(
+        FailureEvent{15, contiguous_ranks(1, 2, nodes)});
     ResilientPcg solver(small_, precond, cluster, opts);
     const Vector x0(b_small_.size(), 0.5);
-    const ResilientSolveResult r = solver.solve(b_small_, x0);
+    const SolveOutcome r = solver.solve(b_small_, x0);
     EXPECT_EQ(g.converged, r.converged);
-    EXPECT_EQ(g.iterations, r.trajectory_iterations);
+    EXPECT_EQ(g.iterations, r.iterations);
     EXPECT_EQ(g.final_relres, r.final_relres);
     EXPECT_EQ(g.flops_or_executed,
               static_cast<double>(r.executed_iterations));
@@ -219,12 +221,13 @@ TEST_F(FusedSolverParity, DistPipelinedMatchesPreFusionPin) {
         opts.strategy = Strategy::imcr;
         opts.interval = 10;
         opts.phi = 2;
-        opts.failure = FailureEvent{17, contiguous_ranks(1, 3, nodes)};
+        opts.extra_failures.push_back(
+            FailureEvent{17, contiguous_ranks(1, 3, nodes)});
       }
       DistPipelinedPcg solver(small_, precond, cluster, opts);
-      const ResilientSolveResult r = solver.solve(b_small_);
+      const SolveOutcome r = solver.solve(b_small_);
       EXPECT_EQ(g.converged, r.converged);
-      EXPECT_EQ(g.iterations, r.trajectory_iterations);
+      EXPECT_EQ(g.iterations, r.iterations);
       EXPECT_EQ(g.final_relres, r.final_relres);
       EXPECT_EQ(g.flops_or_executed,
                 static_cast<double>(r.executed_iterations));
@@ -265,13 +268,13 @@ TEST_F(FusedSolverParity, FusedFlopAccountingMatchesUnfusedFormula) {
   const double n = static_cast<double>(a.rows());
 
   Vector x(b.size(), 0);
-  const PcgResult pcg = pcg_solve(a, b, x, nullptr);
+  const SolveOutcome pcg = pcg_solve(a, b, x, nullptr);
   ASSERT_TRUE(pcg.converged);
   const double j = static_cast<double>(pcg.iterations);
   EXPECT_EQ(spmv + 4 * n + j * (spmv + 12 * n), pcg.flops);
 
   Vector xp2(b.size(), 0);
-  const PcgResult pipe = pipelined_pcg_solve(a, b, xp2, nullptr);
+  const SolveOutcome pipe = pipelined_pcg_solve(a, b, xp2, nullptr);
   ASSERT_TRUE(pipe.converged);
   const double jp = static_cast<double>(pipe.iterations);
   EXPECT_EQ(2 * spmv + (jp + 1) * 6 * n + jp * (spmv + 16 * n), pipe.flops);

@@ -55,10 +55,10 @@ TEST(FailureSchedule, RejectsBadRanks) {
 }
 
 TEST(FailureSchedule, MergeSortsAndSkipsDisabledEvents) {
-  FailureEvent primary{20, {1}};
-  std::vector<FailureEvent> extra{{5, {0}}, FailureEvent{}, {30, {2}}};
+  std::vector<FailureEvent> events{
+      {20, {1}}, {5, {0}}, FailureEvent{}, {30, {2}}};
   const std::vector<FailureEvent> merged =
-      merge_failure_schedule(primary, extra, kNodes);
+      merge_failure_schedule(events, kNodes);
   ASSERT_EQ(merged.size(), 3u); // the default-constructed event is dropped
   EXPECT_EQ(merged[0].iteration, 5);
   EXPECT_EQ(merged[1].iteration, 20);
@@ -66,9 +66,10 @@ TEST(FailureSchedule, MergeSortsAndSkipsDisabledEvents) {
 }
 
 TEST(FailureSchedule, MergeWithDisabledPrimaryIsJustTheExtras) {
-  std::vector<FailureEvent> extra{{5, {0}}};
+  // A disabled leading event is skipped like any other disabled slot.
+  std::vector<FailureEvent> events{FailureEvent{}, {5, {0}}};
   const std::vector<FailureEvent> merged =
-      merge_failure_schedule(FailureEvent{}, extra, kNodes);
+      merge_failure_schedule(events, kNodes);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].iteration, 5);
 }
@@ -77,17 +78,14 @@ TEST(FailureSchedule, MergeKeepsHalfSpecifiedEventsForRejection) {
   // A half-specified event is a caller mistake, not a disabled slot: the
   // merge must surface it instead of silently dropping it.
   std::vector<FailureEvent> no_ranks{{7, {}}};
-  EXPECT_THROW(merge_failure_schedule(FailureEvent{}, no_ranks, kNodes),
-               Error);
+  EXPECT_THROW(merge_failure_schedule(no_ranks, kNodes), Error);
   std::vector<FailureEvent> no_iteration{{-1, {2}}};
-  EXPECT_THROW(merge_failure_schedule(FailureEvent{}, no_iteration, kNodes),
-               Error);
+  EXPECT_THROW(merge_failure_schedule(no_iteration, kNodes), Error);
 }
 
 TEST(FailureSchedule, MergeRejectsCollidingPrimaryAndExtra) {
-  std::vector<FailureEvent> extra{{10, {1}}};
-  EXPECT_THROW(
-      merge_failure_schedule(FailureEvent{10, {0}}, extra, kNodes), Error);
+  std::vector<FailureEvent> events{{10, {0}}, {10, {1}}};
+  EXPECT_THROW(merge_failure_schedule(events, kNodes), Error);
 }
 
 } // namespace

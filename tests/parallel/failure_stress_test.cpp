@@ -45,11 +45,11 @@ TEST(ThreadedFailureStress, EsrpReconstructsUnderActivePool) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
-  opts.failure.iteration = 12; // mid-interval: rollback redoes iterations
-  opts.failure.ranks = contiguous_ranks(3, 2, 16);
+  // mid-interval: rollback redoes iterations
+  opts.extra_failures.push_back(FailureEvent{12, contiguous_ranks(3, 2, 16)});
 
   ResilientPcg solver(h.a, h.precond, h.cluster, opts);
-  const ResilientSolveResult res = solver.solve(h.b);
+  const SolveOutcome res = solver.solve(h.b);
 
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
@@ -68,15 +68,14 @@ TEST(ThreadedFailureStress, RepeatedFailuresWithPoolStayConvergent) {
   opts.strategy = Strategy::esrp;
   opts.interval = 4;
   opts.phi = 2;
-  opts.failure.iteration = 9;
-  opts.failure.ranks = contiguous_ranks(0, 2, 16);
+  opts.extra_failures.push_back(FailureEvent{9, contiguous_ranks(0, 2, 16)});
   FailureEvent second;
   second.iteration = 21;
   second.ranks = contiguous_ranks(8, 2, 16);
   opts.extra_failures.push_back(second);
 
   ResilientPcg solver(h.a, h.precond, h.cluster, opts);
-  const ResilientSolveResult res = solver.solve(h.b);
+  const SolveOutcome res = solver.solve(h.b);
 
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
@@ -99,31 +98,30 @@ TEST(ThreadedFailureStress, ThreadedSolveMatchesSerialTrajectory) {
     opts.strategy = Strategy::esrp;
     opts.interval = 5;
     opts.phi = 1;
-    opts.failure.iteration = 11;
-    opts.failure.ranks = contiguous_ranks(5, 1, 16);
+    opts.extra_failures.push_back(FailureEvent{11, contiguous_ranks(5, 1, 16)});
     ResilientPcg solver(h.a, h.precond, h.cluster, opts);
     return solver.solve(h.b);
   };
 
-  const ResilientSolveResult serial = solve_with(1);
-  const ResilientSolveResult threaded = solve_with(4);
-  const ResilientSolveResult threaded_again = solve_with(4);
-  const ResilientSolveResult at2 = solve_with(2);
+  const SolveOutcome serial = solve_with(1);
+  const SolveOutcome threaded = solve_with(4);
+  const SolveOutcome threaded_again = solve_with(4);
+  const SolveOutcome at2 = solve_with(2);
 
   ASSERT_TRUE(serial.converged);
   ASSERT_TRUE(threaded.converged);
   // Run-to-run determinism of the full resilient solve at 4 threads.
-  EXPECT_EQ(threaded.trajectory_iterations,
-            threaded_again.trajectory_iterations);
+  EXPECT_EQ(threaded.iterations,
+            threaded_again.iterations);
   EXPECT_EQ(threaded.x, threaded_again.x);
   // All reductions chunk with fixed grains, so every thread count >= 2
   // follows the same bits — the whole solve included.
   EXPECT_EQ(threaded.x, at2.x);
-  EXPECT_EQ(threaded.trajectory_iterations, at2.trajectory_iterations);
+  EXPECT_EQ(threaded.iterations, at2.iterations);
   // Serial-vs-threaded: same algorithm to rounding.
-  EXPECT_NEAR(static_cast<double>(threaded.trajectory_iterations),
-              static_cast<double>(serial.trajectory_iterations),
-              0.05 * static_cast<double>(serial.trajectory_iterations) + 2);
+  EXPECT_NEAR(static_cast<double>(threaded.iterations),
+              static_cast<double>(serial.iterations),
+              0.05 * static_cast<double>(serial.iterations) + 2);
 }
 
 TEST(ThreadedFailureStress, NoSpareRecoveryRepartitionsUnderPool) {
@@ -136,16 +134,15 @@ TEST(ThreadedFailureStress, NoSpareRecoveryRepartitionsUnderPool) {
   opts.interval = 4;
   opts.phi = 2;
   opts.spare_nodes = false;
-  opts.failure.iteration = 10;
-  opts.failure.ranks = contiguous_ranks(6, 2, 16);
+  opts.extra_failures.push_back(FailureEvent{10, contiguous_ranks(6, 2, 16)});
 
   ResilientPcg solver(h.a, h.precond, h.cluster, opts);
-  const ResilientSolveResult res = solver.solve(h.b);
+  const SolveOutcome res = solver.solve(h.b);
 
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   // Survivors absorbed the failed ranges: those ranks now own nothing.
-  for (const rank_t s : opts.failure.ranks)
+  for (const rank_t s : opts.extra_failures[0].ranks)
     EXPECT_EQ(solver.current_partition().local_size(s), 0);
   EXPECT_LT(true_relative_residual(h.a, h.b, res.x), 1e-7);
 }
@@ -159,11 +156,10 @@ TEST(ThreadedFailureStress, ImcrRestoreWorksUnderPool) {
   opts.strategy = Strategy::imcr;
   opts.interval = 6;
   opts.phi = 2;
-  opts.failure.iteration = 14;
-  opts.failure.ranks = contiguous_ranks(2, 2, 16);
+  opts.extra_failures.push_back(FailureEvent{14, contiguous_ranks(2, 2, 16)});
 
   ResilientPcg solver(h.a, h.precond, h.cluster, opts);
-  const ResilientSolveResult res = solver.solve(h.b);
+  const SolveOutcome res = solver.solve(h.b);
 
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);

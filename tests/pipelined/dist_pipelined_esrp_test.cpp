@@ -27,28 +27,28 @@ struct System {
       : a(std::move(m)), b(xp::make_rhs(a)), part(a.rows(), nodes) {}
 };
 
-ResilientSolveResult run(System& s, const ResilienceOptions& opts,
-                        SimCluster* cluster_out = nullptr) {
+SolveOutcome run(System& s, const ResilienceOptions& opts,
+                 SimCluster* cluster_out = nullptr) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   DistPipelinedPcg solver(s.a, precond, cluster, opts);
-  ResilientSolveResult res = solver.solve(s.b);
+  SolveOutcome res = solver.solve(s.b);
   if (cluster_out) *cluster_out = cluster;
   return res;
 }
 
 TEST(DistPipelinedEsrp, FailureFreeRunFollowsSameTrajectory) {
   System s(poisson2d(12, 12), 8);
-  const ResilientSolveResult ref = run(s, ResilienceOptions{});
+  const SolveOutcome ref = run(s, ResilienceOptions{});
 
   for (index_t T : {1, 5, 20}) {
     ResilienceOptions opts;
     opts.strategy = Strategy::esrp;
     opts.interval = T;
     opts.phi = 2;
-    const ResilientSolveResult res = run(s, opts);
+    const SolveOutcome res = run(s, opts);
     ASSERT_TRUE(res.converged) << "T=" << T;
-    EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
+    EXPECT_EQ(res.iterations, ref.iterations);
     // Storage stages only disseminate copies; the arithmetic is untouched.
     EXPECT_EQ(res.x, ref.x);
   }
@@ -56,24 +56,23 @@ TEST(DistPipelinedEsrp, FailureFreeRunFollowsSameTrajectory) {
 
 TEST(DistPipelinedEsrp, RecoversToFailureFreeTrajectory) {
   System s(poisson2d(12, 12), 8);
-  const ResilientSolveResult ref = run(s, ResilienceOptions{});
+  const SolveOutcome ref = run(s, ResilienceOptions{});
   ASSERT_TRUE(ref.converged);
-  ASSERT_GT(ref.trajectory_iterations, 25);
+  ASSERT_GT(ref.iterations, 25);
 
   for (index_t T : {1, 5, 10}) {
     ResilienceOptions opts;
     opts.strategy = Strategy::esrp;
     opts.interval = T;
     opts.phi = 2;
-    opts.failure.iteration = 17;
-    opts.failure.ranks = {2, 3};
-    const ResilientSolveResult res = run(s, opts);
+    opts.extra_failures.push_back(FailureEvent{17, {2, 3}});
+    const SolveOutcome res = run(s, opts);
     ASSERT_TRUE(res.converged) << "T=" << T;
     ASSERT_EQ(res.recoveries.size(), 1u);
     EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
     // Exactness: same iteration count to convergence, solution within the
     // reconstruction accuracy of the undisturbed run.
-    EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
+    EXPECT_EQ(res.iterations, ref.iterations);
     EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), kRecoveryTol);
   }
 }
@@ -86,15 +85,15 @@ TEST(DistPipelinedEsrp, RollsBackToFirstStorageIteration) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 17; // stage at (10, 11): target 10
-  opts.failure.ranks = {1, 2};
-  const ResilientSolveResult res = run(s, opts);
+  // stage at (10, 11): target 10
+  opts.extra_failures.push_back(FailureEvent{17, {1, 2}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_EQ(res.recoveries[0].restored_to, 10);
   EXPECT_EQ(res.recoveries[0].wasted_iterations, 7);
   // redone iterations + the recovery body itself
-  EXPECT_EQ(res.executed_iterations, res.trajectory_iterations + 7 + 1);
+  EXPECT_EQ(res.executed_iterations, res.iterations + 7 + 1);
 }
 
 TEST(DistPipelinedEsrp, ClassicEsrIntervalOneRollsBackOneIteration) {
@@ -103,9 +102,8 @@ TEST(DistPipelinedEsrp, ClassicEsrIntervalOneRollsBackOneIteration) {
   opts.strategy = Strategy::esrp;
   opts.interval = 1;
   opts.phi = 1;
-  opts.failure.iteration = 20;
-  opts.failure.ranks = {4};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{20, {4}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -117,17 +115,16 @@ TEST(DistPipelinedEsrp, ClassicEsrIntervalOneRollsBackOneIteration) {
 
 TEST(DistPipelinedEsrp, TwoEventScheduleBothRecover) {
   System s(poisson2d(12, 12), 8);
-  const ResilientSolveResult ref = run(s, ResilienceOptions{});
-  ASSERT_GT(ref.trajectory_iterations, 30);
+  const SolveOutcome ref = run(s, ResilienceOptions{});
+  ASSERT_GT(ref.iterations, 30);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
-  opts.failure.iteration = 13;
-  opts.failure.ranks = {1, 2};
+  opts.extra_failures.push_back(FailureEvent{13, {1, 2}});
   opts.extra_failures.push_back(FailureEvent{28, {5, 6}});
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 2u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -137,7 +134,7 @@ TEST(DistPipelinedEsrp, TwoEventScheduleBothRecover) {
   EXPECT_EQ(res.recoveries[1].failed_at, 28);
   // The second stage's redundancy was replenished after the first rollback.
   EXPECT_EQ(res.recoveries[1].restored_to, 25);
-  EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
+  EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), kRecoveryTol);
 }
 
@@ -147,9 +144,9 @@ TEST(DistPipelinedEsrp, PhiTwoSurvivesContiguousBlockOfTwo) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 22;
-  opts.failure.ranks = contiguous_ranks(5, 2, 8); // psi = phi
-  const ResilientSolveResult res = run(s, opts);
+  // psi = phi
+  opts.extra_failures.push_back(FailureEvent{22, contiguous_ranks(5, 2, 8)});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -163,9 +160,9 @@ TEST(DistPipelinedEsrp, FailureBeforeFirstStageRestartsFromScratch) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 1;
-  opts.failure.iteration = 5; // first stage completes at iteration 11
-  opts.failure.ranks = {0};
-  const ResilientSolveResult res = run(s, opts);
+  // first stage completes at iteration 11
+  opts.extra_failures.push_back(FailureEvent{5, {0}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -178,10 +175,9 @@ TEST(DistPipelinedEsrp, StorageStagesChargeRedundancyTraffic) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 17;
-  opts.failure.ranks = {3};
+  opts.extra_failures.push_back(FailureEvent{17, {3}});
   SimCluster cluster(s.part);
-  const ResilientSolveResult res = run(s, opts, &cluster);
+  const SolveOutcome res = run(s, opts, &cluster);
   ASSERT_TRUE(res.converged);
   // The dedicated p-copy dissemination (the pipelined SpMV input is m, so
   // nothing rides the regular exchange) and the recovery gathers.
@@ -196,18 +192,17 @@ TEST(DistPipelinedEsrp, MatrixFormulationRecoversOnSameTrajectory) {
   base.strategy = Strategy::esrp;
   base.interval = 10;
   base.phi = 2;
-  base.failure.iteration = 17;
-  base.failure.ranks = {1, 2};
-  const ResilientSolveResult inv = run(s, base);
+  base.extra_failures.push_back(FailureEvent{17, {1, 2}});
+  const SolveOutcome inv = run(s, base);
 
   ResilienceOptions mat = base;
-  mat.precond_formulation = PrecondFormulation::matrix;
-  const ResilientSolveResult res = run(s, mat);
+  mat.formulation = PrecondFormulation::matrix;
+  const SolveOutcome res = run(s, mat);
   ASSERT_TRUE(inv.converged && res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   EXPECT_EQ(res.recoveries[0].inner_iterations_precond, 0);
-  EXPECT_EQ(res.trajectory_iterations, inv.trajectory_iterations);
+  EXPECT_EQ(res.iterations, inv.iterations);
   EXPECT_LT(vec_rel_diff_inf(res.x, inv.x), 1e-6);
 }
 
@@ -219,13 +214,12 @@ TEST(DistPipelinedEsrp, FacadeDrivenEsrpSolveMatchesDirectApi) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.phi = 2;
-  opts.failure.iteration = 13;
-  opts.failure.ranks = {1, 2};
+  opts.extra_failures.push_back(FailureEvent{13, {1, 2}});
   opts.extra_failures.push_back(FailureEvent{28, {5, 6}});
   SimCluster cluster(s.part, xp::calibrated_cost(s.a, 8));
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   DistPipelinedPcg solver(s.a, precond, cluster, opts);
-  const ResilientSolveResult direct = solver.solve(s.b);
+  const SolveOutcome direct = solver.solve(s.b);
   ASSERT_TRUE(direct.converged);
   ASSERT_EQ(direct.recoveries.size(), 2u);
 
@@ -242,7 +236,7 @@ TEST(DistPipelinedEsrp, FacadeDrivenEsrpSolveMatchesDirectApi) {
   spec.failures.push_back(FailureEvent{28, {5, 6}});
   const SolveReport facade = solve(spec);
   EXPECT_TRUE(facade.converged);
-  EXPECT_EQ(facade.iterations, direct.trajectory_iterations);
+  EXPECT_EQ(facade.iterations, direct.iterations);
   EXPECT_EQ(facade.executed_iterations, direct.executed_iterations);
   EXPECT_EQ(facade.final_relres, direct.final_relres);
   EXPECT_EQ(facade.modeled_time, direct.modeled_time);

@@ -20,8 +20,8 @@ struct System {
       : a(std::move(m)), b(xp::make_rhs(a)), part(a.rows(), nodes) {}
 };
 
-ResilientSolveResult run(System& s, ResilienceOptions opts,
-                        CostParams cost = CostParams{}) {
+SolveOutcome run(System& s, ResilienceOptions opts,
+                 CostParams cost = CostParams{}) {
   SimCluster cluster(s.part, cost);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   DistPipelinedPcg solver(s.a, precond, cluster, opts);
@@ -31,7 +31,7 @@ ResilientSolveResult run(System& s, ResilienceOptions opts,
 TEST(DistPipelined, ConvergesToCorrectSolution) {
   System s(poisson2d(12, 12), 8);
   ResilienceOptions opts;
-  const ResilientSolveResult res = run(s, opts);
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   EXPECT_LT(true_relative_residual(s.a, s.b, res.x), 1e-7);
 }
@@ -39,13 +39,13 @@ TEST(DistPipelined, ConvergesToCorrectSolution) {
 TEST(DistPipelined, MatchesSequentialPipelinedTrajectory) {
   System s(poisson2d(10, 10), 5);
   ResilienceOptions opts;
-  const ResilientSolveResult dist = run(s, opts);
+  const SolveOutcome dist = run(s, opts);
 
   BlockJacobiPreconditioner seq_p(s.a, s.part, 10);
   Vector x(s.b.size(), 0);
-  const PcgResult seq = pipelined_pcg_solve(s.a, s.b, x, &seq_p);
+  const SolveOutcome seq = pipelined_pcg_solve(s.a, s.b, x, &seq_p);
   ASSERT_TRUE(dist.converged && seq.converged);
-  EXPECT_NEAR(static_cast<double>(dist.trajectory_iterations),
+  EXPECT_NEAR(static_cast<double>(dist.iterations),
               static_cast<double>(seq.iterations), 2);
   EXPECT_LT(vec_rel_diff_inf(dist.x, x), 1e-8);
 }
@@ -57,13 +57,13 @@ TEST(DistPipelined, HidesReductionLatency) {
   System s(poisson2d(16, 16), 16);
   CostParams slow;
   slow.alpha_s = 1e-3; // 1 ms latency: reduction-bound regime
-  const ResilientSolveResult piped = run(s, ResilienceOptions{}, slow);
+  const SolveOutcome piped = run(s, ResilienceOptions{}, slow);
 
   SimCluster cluster(s.part, slow);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilienceOptions classic_opts;
   ResilientPcg classic(s.a, precond, cluster, classic_opts);
-  const ResilientSolveResult classic_res = classic.solve(s.b);
+  const SolveOutcome classic_res = classic.solve(s.b);
 
   ASSERT_TRUE(piped.converged && classic_res.converged);
   const double per_iter_piped =
@@ -77,23 +77,22 @@ TEST(DistPipelined, HidesReductionLatency) {
 TEST(DistPipelined, ImcrCheckpointRecoversExactly) {
   System s(poisson2d(12, 12), 8);
   ResilienceOptions plain;
-  const ResilientSolveResult ref = run(s, plain);
-  ASSERT_GT(ref.trajectory_iterations, 25);
+  const SolveOutcome ref = run(s, plain);
+  ASSERT_GT(ref.iterations, 25);
 
   ResilienceOptions opts;
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 17;
-  opts.failure.ranks = {2, 3};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{17, {2, 3}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
   EXPECT_EQ(res.recoveries[0].restored_to, 10);
   EXPECT_EQ(res.recoveries[0].wasted_iterations, 7);
   // Checkpoint restore is bitwise: same trajectory end as the plain run.
-  EXPECT_EQ(res.trajectory_iterations, ref.trajectory_iterations);
+  EXPECT_EQ(res.iterations, ref.iterations);
   EXPECT_EQ(res.x, ref.x);
 }
 
@@ -103,9 +102,9 @@ TEST(DistPipelined, ImcrSurvivesContiguousBlockEqualToPhi) {
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 3;
-  opts.failure.iteration = 22;
-  opts.failure.ranks = contiguous_ranks(5, 3, 8); // psi = phi block
-  const ResilientSolveResult res = run(s, opts);
+  // psi = phi block
+  opts.extra_failures.push_back(FailureEvent{22, contiguous_ranks(5, 3, 8)});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_FALSE(res.recoveries[0].restarted_from_scratch);
@@ -118,9 +117,8 @@ TEST(DistPipelined, ImcrAllBuddiesDeadFallsBackToRestart) {
   opts.strategy = Strategy::imcr;
   opts.interval = 10;
   opts.phi = 1; // single buddy: killing rank s and s+1 destroys both copies
-  opts.failure.iteration = 22;
-  opts.failure.ranks = {4, 5};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{22, {4, 5}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -129,9 +127,8 @@ TEST(DistPipelined, ImcrAllBuddiesDeadFallsBackToRestart) {
 TEST(DistPipelined, FailureWithoutCheckpointRestarts) {
   System s(poisson2d(12, 12), 8);
   ResilienceOptions opts;
-  opts.failure.iteration = 15;
-  opts.failure.ranks = {1};
-  const ResilientSolveResult res = run(s, opts);
+  opts.extra_failures.push_back(FailureEvent{15, {1}});
+  const SolveOutcome res = run(s, opts);
   ASSERT_TRUE(res.converged);
   ASSERT_EQ(res.recoveries.size(), 1u);
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
@@ -201,8 +198,7 @@ TEST(DistPipelined, DuplicateEventIterationsRejected) {
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
   ResilienceOptions opts;
-  opts.failure.iteration = 5;
-  opts.failure.ranks = {0};
+  opts.extra_failures.push_back(FailureEvent{5, {0}});
   opts.extra_failures.push_back(FailureEvent{5, {1}});
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
 }

@@ -17,7 +17,7 @@ TEST(PipelinedPcg, SolvesLaplaceToTolerance) {
   const CsrMatrix a = laplace1d(60);
   const Vector b(60, 1);
   Vector x(60, 0);
-  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pipelined_pcg_solve(a, b, x, nullptr);
   ASSERT_TRUE(res.converged);
   Vector ax(60);
   a.spmv(x, ax);
@@ -30,8 +30,8 @@ TEST(PipelinedPcg, MatchesClassicPcgIterationCount) {
   const CsrMatrix a = poisson2d(15, 15);
   const Vector b(225, 1);
   Vector x1(225, 0), x2(225, 0);
-  const PcgResult classic = pcg_solve(a, b, x1, nullptr);
-  const PcgResult piped = pipelined_pcg_solve(a, b, x2, nullptr);
+  const SolveOutcome classic = pcg_solve(a, b, x1, nullptr);
+  const SolveOutcome piped = pipelined_pcg_solve(a, b, x2, nullptr);
   ASSERT_TRUE(classic.converged && piped.converged);
   EXPECT_NEAR(static_cast<double>(piped.iterations),
               static_cast<double>(classic.iterations), 3);
@@ -46,7 +46,7 @@ TEST(PipelinedPcg, MatchesDenseSolve) {
   Vector x(30, 0);
   PcgOptions opts;
   opts.rtol = 1e-12;
-  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
+  const SolveOutcome res = pipelined_pcg_solve(a, b, x, nullptr, opts);
   ASSERT_TRUE(res.converged);
   const Vector x_ref = dense_solve(DenseMatrix::from_csr(a), b);
   for (std::size_t i = 0; i < 30; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
@@ -59,8 +59,8 @@ TEST(PipelinedPcg, PreconditioningReducesIterations) {
   for (auto& v : b) v = rng.uniform(-1, 1);
   BlockJacobiPreconditioner p(a, 10);
   Vector x1(b.size(), 0), x2(b.size(), 0);
-  const PcgResult plain = pipelined_pcg_solve(a, b, x1, nullptr);
-  const PcgResult prec = pipelined_pcg_solve(a, b, x2, &p);
+  const SolveOutcome plain = pipelined_pcg_solve(a, b, x1, nullptr);
+  const SolveOutcome prec = pipelined_pcg_solve(a, b, x2, &p);
   ASSERT_TRUE(plain.converged && prec.converged);
   EXPECT_LT(prec.iterations, plain.iterations);
 }
@@ -69,7 +69,7 @@ TEST(PipelinedPcg, ZeroRhsGivesZeroSolution) {
   const CsrMatrix a = laplace1d(8);
   const Vector b(8, 0);
   Vector x(8, 3);
-  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pipelined_pcg_solve(a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   for (real_t v : x) EXPECT_DOUBLE_EQ(v, 0);
 }
@@ -80,7 +80,7 @@ TEST(PipelinedPcg, MaxIterationCapHonored) {
   Vector x(400, 0);
   PcgOptions opts;
   opts.max_iterations = 4;
-  const PcgResult res = pipelined_pcg_solve(a, b, x, nullptr, opts);
+  const SolveOutcome res = pipelined_pcg_solve(a, b, x, nullptr, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 4);
 }

@@ -42,8 +42,8 @@ TEST(Ssor, AcceleratesPcgOnLaplacian) {
   const Vector b(200, 1);
   SsorPreconditioner p(a, 1.5);
   Vector x1(200, 0), x2(200, 0);
-  const PcgResult plain = pcg_solve(a, b, x1, nullptr);
-  const PcgResult ssor = pcg_solve(a, b, x2, &p);
+  const SolveOutcome plain = pcg_solve(a, b, x1, nullptr);
+  const SolveOutcome ssor = pcg_solve(a, b, x2, &p);
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(ssor.converged);
   EXPECT_LT(ssor.iterations, plain.iterations);
@@ -88,8 +88,8 @@ TEST(Ic0, StrongestOfTheSimplePreconditioners) {
   const Vector b(400, 1);
   Ic0Preconditioner p(a);
   Vector x1(400, 0), x2(400, 0);
-  const PcgResult plain = pcg_solve(a, b, x1, nullptr);
-  const PcgResult ic = pcg_solve(a, b, x2, &p);
+  const SolveOutcome plain = pcg_solve(a, b, x1, nullptr);
+  const SolveOutcome ic = pcg_solve(a, b, x2, &p);
   ASSERT_TRUE(plain.converged && ic.converged);
   EXPECT_LT(ic.iterations, plain.iterations * 0.7);
 }

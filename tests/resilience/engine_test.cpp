@@ -115,7 +115,7 @@ TEST_F(EngineFixture, StoragePlanMatchesAlg3Cadence) {
 
 TEST_F(EngineFixture, PendingEventFiresExactlyOnce) {
   ResilienceOptions opts;
-  opts.failure = FailureEvent{3, {1}};
+  opts.extra_failures.push_back(FailureEvent{3, {1}});
   opts.extra_failures.push_back(FailureEvent{7, {2, 3}});
   ResilienceEngine engine = make_engine(opts);
   EXPECT_EQ(engine.pending_event(2), nullptr);
@@ -132,11 +132,11 @@ TEST_F(EngineFixture, PendingEventFiresExactlyOnce) {
 
 TEST_F(EngineFixture, InvalidEventSchedulesRejected) {
   ResilienceOptions out_of_range;
-  out_of_range.failure = FailureEvent{3, {kNodes}};
+  out_of_range.extra_failures.push_back(FailureEvent{3, {kNodes}});
   EXPECT_THROW(ResilienceEngine(out_of_range, part_, config()), Error);
 
   ResilienceOptions duplicate;
-  duplicate.failure = FailureEvent{3, {1}};
+  duplicate.extra_failures.push_back(FailureEvent{3, {1}});
   duplicate.extra_failures.push_back(FailureEvent{3, {2}});
   EXPECT_THROW(ResilienceEngine(duplicate, part_, config()), Error);
 
@@ -144,7 +144,7 @@ TEST_F(EngineFixture, InvalidEventSchedulesRejected) {
   // resolves deterministically to the scratch rung instead of being
   // rejected up front.
   ResilienceOptions all_fail;
-  all_fail.failure = FailureEvent{3, {0, 1, 2, 3, 4, 5}};
+  all_fail.extra_failures.push_back(FailureEvent{3, {0, 1, 2, 3, 4, 5}});
   EXPECT_NO_THROW(ResilienceEngine(all_fail, part_, config()));
 
   ResilienceOptions no_spare_imcr;
@@ -195,7 +195,7 @@ TEST_F(EngineFixture, ImcrRecoveryRestoresCheckpointState) {
   opts.strategy = Strategy::imcr;
   opts.interval = 4;
   opts.phi = 2;
-  opts.failure = FailureEvent{6, {2}};
+  opts.extra_failures.push_back(FailureEvent{6, {2}});
   ResilienceEngine engine = make_engine(opts);
 
   Vector filled(kRows, 3.5);
@@ -220,7 +220,7 @@ TEST_F(EngineFixture, EsrpRecoveryHandsSnapshotAndCopyPairToClient) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {2, 3}};
+  opts.extra_failures.push_back(FailureEvent{8, {2, 3}});
   ResilienceEngine engine = make_engine(opts);
 
   engine.push_copy(make_copy(5));
@@ -247,7 +247,7 @@ TEST_F(EngineFixture, LeadingPairingConsumesForwardCopyPair) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {1}};
+  opts.extra_failures.push_back(FailureEvent{8, {1}});
   ResilienceEngine::Config cfg = config();
   cfg.pairing = ResilienceEngine::CopyPairing::leading;
   ResilienceEngine engine = make_engine(opts, cfg);
@@ -269,7 +269,8 @@ TEST_F(EngineFixture, ScratchRestartClearsStrategyState) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{3, {1}}; // before any storage stage
+  // Before any storage stage.
+  opts.extra_failures.push_back(FailureEvent{3, {1}});
   ResilienceEngine engine = make_engine(opts);
 
   RecoveryRecord record;
@@ -288,7 +289,7 @@ TEST_F(EngineFixture, FailedReconstructionFallsBackToScratch) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));
@@ -313,7 +314,7 @@ TEST_F(EngineFixture, StorageStagesReplenishTheQueueAfterRecovery) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.queue_capacity = 3;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   opts.extra_failures.push_back(FailureEvent{13, {4}});
   ResilienceEngine engine = make_engine(opts);
 
@@ -347,7 +348,7 @@ TEST_F(EngineFixture, StorageStagesReplenishTheQueueAfterRecovery) {
 
 TEST_F(EngineFixture, CallbacksFireAroundRecovery) {
   ResilienceOptions opts;
-  opts.failure = FailureEvent{4, {1}};
+  opts.extra_failures.push_back(FailureEvent{4, {1}});
   ResilienceEngine engine = make_engine(opts);
   struct Counter final : SolverObserver {
     void on_failure(const FailureEvent& e) override {
@@ -372,7 +373,7 @@ TEST_F(EngineFixture, AllRanksFailingLandsOnScratchDeterministically) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {0, 1, 2, 3, 4, 5}};
+  opts.extra_failures.push_back(FailureEvent{8, {0, 1, 2, 3, 4, 5}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));
@@ -396,7 +397,7 @@ TEST_F(EngineFixture, ScratchPolicySkipsExactRungs) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy = recovery_policy_from_string("scratch");
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));
@@ -421,7 +422,7 @@ TEST_F(EngineFixture, OlderSnapshotRungRecoversWhenNewestPairIsGone) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{13, {2}};
+  opts.extra_failures.push_back(FailureEvent{13, {2}});
   ResilienceEngine::Config cfg = config();
   cfg.snapshot_slots = 2;
   ResilienceEngine engine = make_engine(opts, cfg);
@@ -455,7 +456,7 @@ TEST_F(EngineFixture, ExactPolicyRefusesOlderSnapshots) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy = recovery_policy_from_string("exact");
-  opts.failure = FailureEvent{13, {2}};
+  opts.extra_failures.push_back(FailureEvent{13, {2}});
   ResilienceEngine::Config cfg = config();
   cfg.snapshot_slots = 2;
   ResilienceEngine engine = make_engine(opts, cfg);
@@ -484,7 +485,7 @@ TEST_F(EngineFixture, RetryBudgetCollapsesCascadesToScratch) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy.max_attempts = 1;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   opts.extra_failures.push_back(FailureEvent{9, {4}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
@@ -513,7 +514,7 @@ TEST_F(EngineFixture, StorageProgressResetsTheRetryBudget) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy.max_attempts = 1;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   opts.extra_failures.push_back(FailureEvent{13, {4}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
@@ -546,7 +547,8 @@ TEST_F(EngineFixture, ShrinkPolicyRepartitionsOnUnrecoverableFailure) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy = recovery_policy_from_string("shrink");
-  opts.failure = FailureEvent{3, {1}}; // before any storage stage
+  // Before any storage stage.
+  opts.extra_failures.push_back(FailureEvent{3, {1}});
   ResilienceEngine engine = make_engine(opts);
 
   int repartitions = 0;
@@ -572,7 +574,7 @@ TEST_F(EngineFixture, RejoinRungReExpandsAtTheNextStorageStage) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy = recovery_policy_from_string("shrink");
-  opts.failure = FailureEvent{3, {1}};
+  opts.extra_failures.push_back(FailureEvent{3, {1}});
   ResilienceEngine engine = make_engine(opts);
 
   int rejoins = 0;
@@ -609,7 +611,7 @@ TEST_F(EngineFixture, RecoveryZeroesFailedRanksBeforeReconstruction) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));

@@ -198,7 +198,7 @@ TEST_F(IntegrityEngineFixture, CorruptQueueCopyIsDetectedAndDemoted) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));
@@ -236,7 +236,7 @@ TEST_F(IntegrityEngineFixture, CorruptCheckpointIsDetectedAndDemoted) {
   opts.strategy = Strategy::imcr;
   opts.interval = 4;
   opts.phi = 2;
-  opts.failure = FailureEvent{6, {2}};
+  opts.extra_failures.push_back(FailureEvent{6, {2}});
   ResilienceEngine engine = make_engine(opts);
 
   solver_.v.set_from_global(Vector(kRows, 3.5));
@@ -270,7 +270,7 @@ TEST_F(IntegrityEngineFixture, IntactStateVerifiesAndRecordsCounts) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
-  opts.failure = FailureEvent{8, {2}};
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
   engine.push_copy(make_copy(5));
   engine.push_copy(make_copy(6));

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "../parallel/thread_count_guard.hpp"
 #include "api/solve.hpp"
@@ -127,6 +128,39 @@ TEST_F(ServiceParity, DistPipelinedEsrp) {
   spec.phi = 1;
   spec.failures.push_back(FailureEvent{25, {0}});
   check_parity(spec);
+}
+
+// The ASpMV plan is prepared only for the esrp strategy, the one strategy
+// that reads it, at the config's phi. Solves under every strategy still
+// match the facade bitwise.
+TEST_F(ServiceParity, AspmvPlanPreparedOnlyForEsrp) {
+  for (const char* solver : {"resilient-pcg", "dist-pipelined"}) {
+    for (const Strategy strategy :
+         {Strategy::none, Strategy::esrp, Strategy::imcr}) {
+      SCOPED_TRACE(std::string(solver) + " " + to_string(strategy));
+      SolveSpec spec;
+      spec.matrix = "poisson2d:24,24";
+      spec.solver = solver;
+      spec.precond = "block-jacobi";
+      spec.nodes = 8;
+      spec.strategy = strategy;
+      spec.interval = 10;
+      spec.phi = 2;
+      spec.failures.push_back(FailureEvent{25, {0, 1}});
+
+      SolveService service;
+      const PrepareResult prep = service.prepare(spec);
+      const PreparedParts parts = prep.handle->parts();
+      EXPECT_NE(parts.spmv, nullptr);
+      if (strategy == Strategy::esrp) {
+        ASSERT_NE(parts.aspmv, nullptr);
+        EXPECT_EQ(parts.aspmv->phi(), spec.phi);
+      } else {
+        EXPECT_EQ(parts.aspmv, nullptr);
+      }
+      check_parity(spec);
+    }
+  }
 }
 
 // A problem larger than the reduction grain (2^14 entries), so the 4-thread

@@ -17,7 +17,7 @@ TEST(Pcg, SolvesLaplace1dToTolerance) {
   const CsrMatrix a = laplace1d(50);
   const Vector b(50, 1);
   Vector x(50, 0);
-  const PcgResult res = pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   Vector ax(50);
   a.spmv(x, ax);
@@ -32,7 +32,7 @@ TEST(Pcg, MatchesDenseSolve) {
   Vector x(25, 0);
   PcgOptions opts;
   opts.rtol = 1e-12;
-  const PcgResult res = pcg_solve(a, b, x, nullptr, opts);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr, opts);
   ASSERT_TRUE(res.converged);
   const Vector x_ref = dense_solve(DenseMatrix::from_csr(a), b);
   for (std::size_t i = 0; i < 25; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
@@ -42,7 +42,7 @@ TEST(Pcg, ExactArithmeticConvergesWithinDimensionIterations) {
   const CsrMatrix a = laplace1d(30);
   const Vector b(30, 1);
   Vector x(30, 0);
-  const PcgResult res = pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr);
   // CG terminates in <= n steps in exact arithmetic; float drift allows a
   // small margin.
   EXPECT_LE(res.iterations, 35);
@@ -52,7 +52,7 @@ TEST(Pcg, ZeroRhsGivesZeroSolution) {
   const CsrMatrix a = laplace1d(10);
   const Vector b(10, 0);
   Vector x(10, 5); // nonzero initial guess must be wiped
-  const PcgResult res = pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   for (real_t v : x) EXPECT_DOUBLE_EQ(v, 0);
 }
@@ -64,7 +64,7 @@ TEST(Pcg, WarmStartFromExactSolutionTakesZeroIterations) {
   Vector b(20);
   a.spmv(x_true, b);
   Vector x = x_true;
-  const PcgResult res = pcg_solve(a, b, x, nullptr);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
 }
@@ -90,8 +90,8 @@ TEST(Pcg, BlockJacobiReducesIterationsOnIllConditionedProblem) {
   for (auto& v : b) v = rhs_rng.uniform(-1, 1);
   BlockJacobiPreconditioner p(a, 10);
   Vector x1(b.size(), 0), x2(b.size(), 0);
-  const PcgResult plain = pcg_solve(a, b, x1, nullptr);
-  const PcgResult prec = pcg_solve(a, b, x2, &p);
+  const SolveOutcome plain = pcg_solve(a, b, x1, nullptr);
+  const SolveOutcome prec = pcg_solve(a, b, x2, &p);
   ASSERT_TRUE(plain.converged && prec.converged);
   EXPECT_LT(prec.iterations, plain.iterations);
 }
@@ -102,7 +102,7 @@ TEST(Pcg, MaxIterationsCapIsHonored) {
   Vector x(900, 0);
   PcgOptions opts;
   opts.max_iterations = 5;
-  const PcgResult res = pcg_solve(a, b, x, nullptr, opts);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr, opts);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 5);
   EXPECT_GT(res.final_relres, 0);
@@ -114,7 +114,7 @@ TEST(Pcg, TightToleranceReachesNearMachinePrecision) {
   Vector x(60, 0);
   PcgOptions opts;
   opts.rtol = 1e-14; // the paper's inner-reconstruction tolerance
-  const PcgResult res = pcg_solve(a, b, x, nullptr, opts);
+  const SolveOutcome res = pcg_solve(a, b, x, nullptr, opts);
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.final_relres, 1e-14);
 }
@@ -143,8 +143,8 @@ TEST(Pcg, FlopsAccountingIsPositiveAndGrowsWithIterations) {
   PcgOptions few, many;
   few.max_iterations = 2;
   many.max_iterations = 20;
-  const PcgResult r1 = pcg_solve(a, b, x1, nullptr, few);
-  const PcgResult r2 = pcg_solve(a, b, x2, nullptr, many);
+  const SolveOutcome r1 = pcg_solve(a, b, x1, nullptr, few);
+  const SolveOutcome r2 = pcg_solve(a, b, x2, nullptr, many);
   EXPECT_GT(r1.flops, 0);
   EXPECT_GT(r2.flops, r1.flops);
 }

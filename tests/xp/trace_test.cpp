@@ -75,13 +75,12 @@ TEST(ConvergenceTrace, HookCapturesResilientSolveWithRollback) {
   opts.strategy = Strategy::esrp;
   opts.interval = 10;
   opts.phi = 2;
-  opts.failure.iteration = 18;
-  opts.failure.ranks = {1, 2};
+  opts.extra_failures.push_back(FailureEvent{18, {1, 2}});
   ResilientPcg solver(a, precond, cluster, opts);
 
   ConvergenceTrace trace;
   solver.set_iteration_hook(trace.hook(vec_norm2(b)));
-  const ResilientSolveResult res = solver.solve(b);
+  const SolveOutcome res = solver.solve(b);
   ASSERT_TRUE(res.converged);
   // One point per executed iteration body.
   EXPECT_EQ(static_cast<index_t>(trace.points().size()),
