@@ -141,7 +141,7 @@ struct RunSpec {
   std::vector<SdcEvent> sdc_events;
   /// Relative recursive-vs-recomputed residual-norm gap above which a
   /// residual-replacement step flags a corruption.
-  real_t sdc_threshold = 1e-3;
+  real_t sdc_threshold = kDefaultSdcThreshold;
 
   /// Kernel threads for this solve: -1 = keep the current global setting,
   /// 0 = all hardware threads, n = exactly n. Through the facade the

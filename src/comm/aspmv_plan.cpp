@@ -127,7 +127,8 @@ HolderLayout::HolderLayout(std::span<const IndexSet> held) {
   first_run_.reserve(held.size() + 1);
   std::size_t total = 0;
   for (const IndexSet& set : held) {
-    ESRP_CHECK(is_index_set(set));
+    // Non-negative: the holder index below numbers entries from 0.
+    ESRP_CHECK(is_index_set(set) && (set.empty() || set.front() >= 0));
     first_run_.push_back(runs_.size());
     for (std::size_t k = 0; k < set.size(); ++k, ++total) {
       if (k > 0 && set[k] == set[k - 1] + 1) {
@@ -140,6 +141,44 @@ HolderLayout::HolderLayout(std::span<const IndexSet> held) {
   }
   first_run_.push_back(runs_.size());
   run_offset_.push_back(total);
+
+  // Mark every run's first and one-past-last index as a cut, then number
+  // the pieces in one pass: rank[i] counts the cuts at or before i, so a
+  // run covers pieces [rank[begin] - 1, rank[end] - 1). Count every
+  // piece's holders, then fill holder after holder, so every piece's
+  // holders come out ascending.
+  index_t extent = 0;
+  for (const IndexRun& run : runs_)
+    extent = std::max(extent, run.begin + run.length);
+  std::vector<std::size_t> rank(static_cast<std::size_t>(extent) + 1, 0);
+  for (const IndexRun& run : runs_) {
+    rank[static_cast<std::size_t>(run.begin)] = 1;
+    rank[static_cast<std::size_t>(run.begin + run.length)] = 1;
+  }
+  for (index_t i = 0; i <= extent; ++i) {
+    std::size_t& r = rank[static_cast<std::size_t>(i)];
+    if (r != 0) cuts_.push_back(i);
+    r = cuts_.size();
+  }
+  const auto pieces_of = [&](const IndexRun& run) {
+    return std::pair(rank[static_cast<std::size_t>(run.begin)] - 1,
+                     rank[static_cast<std::size_t>(run.begin + run.length)] - 1);
+  };
+  piece_holders_.assign(cuts_.size() + 1, 0);
+  for (const IndexRun& run : runs_) {
+    const auto [first, last] = pieces_of(run);
+    for (std::size_t g = first; g < last; ++g) ++piece_holders_[g + 1];
+  }
+  for (std::size_t g = 1; g < piece_holders_.size(); ++g)
+    piece_holders_[g] += piece_holders_[g - 1];
+  holders_.resize(piece_holders_.back());
+  std::vector<std::size_t> next(piece_holders_.begin(),
+                                piece_holders_.end() - 1);
+  for (rank_t h = 0; h < num_holders(); ++h)
+    for (const IndexRun& run : runs(h)) {
+      const auto [first, last] = pieces_of(run);
+      for (std::size_t g = first; g < last; ++g) holders_[next[g]++] = h;
+    }
 }
 
 IndexSet HolderLayout::held(rank_t h) const {

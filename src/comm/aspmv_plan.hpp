@@ -83,8 +83,8 @@ public:
 
   /// Buffer position of entry i among holder h's values: a binary search
   /// over h's run starts. nullopt if h does not hold i. Inline because a
-  /// reconstruction's gather (RedundantCopy::find_surviving) asks every
-  /// holder below the surviving one, for every lost entry.
+  /// reconstruction's gather (RedundantCopy::find_surviving) asks it for
+  /// every lost entry.
   std::optional<std::size_t> slot(rank_t h, index_t i) const {
     const std::span<const IndexRun> mine = runs(h);
     // The last run starting at or before i is the only one that can hold it.
@@ -98,6 +98,16 @@ public:
     return run_offset_[r] + static_cast<std::size_t>(i - run.begin);
   }
 
+  /// The holders of entry i, ascending; empty if nobody holds i. A binary
+  /// search over the pieces the run boundaries cut the indices into.
+  std::span<const rank_t> holders_of(index_t i) const {
+    const auto after = std::upper_bound(cuts_.begin(), cuts_.end(), i);
+    if (after == cuts_.begin() || after == cuts_.end()) return {};
+    const auto g = static_cast<std::size_t>(after - cuts_.begin()) - 1;
+    return std::span<const rank_t>(holders_).subspan(
+        piece_holders_[g], piece_holders_[g + 1] - piece_holders_[g]);
+  }
+
   /// Holder h's held set, expanded from its runs.
   IndexSet held(rank_t h) const;
 
@@ -105,6 +115,13 @@ private:
   std::vector<IndexRun> runs_;
   std::vector<std::size_t> first_run_;  ///< [h] -> h's first run; [H] = #runs
   std::vector<std::size_t> run_offset_; ///< [r] -> buffer position; [#runs] = total
+  /// The inverse, piece by piece: every run's first and one-past-last index,
+  /// sorted and distinct, cut the indices into pieces [cuts_[g],
+  /// cuts_[g + 1]) whose entries all have the same holders:
+  /// holders_[piece_holders_[g] .. piece_holders_[g + 1]), ascending.
+  std::vector<index_t> cuts_;
+  std::vector<std::size_t> piece_holders_;
+  std::vector<rank_t> holders_;
 };
 
 class AspmvPlan {

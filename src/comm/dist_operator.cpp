@@ -1,6 +1,6 @@
 #include "comm/dist_operator.hpp"
 
-#include "common/vec.hpp"
+#include <algorithm>
 
 namespace esrp {
 
@@ -55,28 +55,53 @@ void DistOperator::rebuild_on_partition(const BlockRowPartition& np) {
 }
 
 void DistOperator::apply_precond(const DistVector& in, DistVector& out) {
-  const BlockRowPartition& part = partition();
-  const auto nodes = static_cast<index_t>(part.num_nodes());
   const auto p_ptr = precond_->action_matrix()->row_ptr();
-  parallel_for(index_t{0}, nodes, adaptive_grain(nodes),
-               [&](index_t lo, index_t hi) {
-                 for (index_t i = lo; i < hi; ++i) {
-                   const auto s = static_cast<rank_t>(i);
-                   const index_t begin = part.begin(s), end = part.end(s);
-                   precond_->apply_local(begin, end, in.local(s),
-                                         out.local(s));
-                   cluster_->add_compute(
-                       s, static_cast<double>(2 * (p_ptr[end] - p_ptr[begin])));
-                 }
-               });
+  const BlockRowPartition& part = partition();
+  for_each_range(
+      [&](rank_t, rank_t, RowRange rows) {
+        precond_->apply_local(rows.begin, rows.end, in.rows(rows),
+                              out.rows(rows));
+      },
+      [&](rank_t s) {
+        return static_cast<double>(2 *
+                                   (p_ptr[part.end(s)] - p_ptr[part.begin(s)]));
+      });
 }
 
 real_t DistOperator::dot(const DistVector& u, const DistVector& v) {
-  const real_t total = reduce_ranks<1>(2.0, [&](rank_t s, auto& acc) {
-    acc[0] += vec_dot(u.local(s), v.local(s));
-  })[0];
+  const real_t total = reduce_ranks<1>(2.0, {{{u, v}}})[0];
   cluster_->allreduce(1, CommCategory::allreduce);
   return total;
+}
+
+void DistOperator::reduce_dots(double flops_per_row,
+                               std::span<const DotPair> dots,
+                               std::span<real_t> sums) {
+  constexpr std::size_t kMaxPairs = 3;
+  const std::size_t width = dots.size();
+  ESRP_CHECK(1 <= width && width <= kMaxPairs && sums.size() == width);
+  const BlockRowPartition& part = partition();
+  const std::span<const index_t> offsets = part.offsets();
+  partials_.resize(static_cast<std::size_t>(part.num_nodes()) * width);
+  for_each_range(
+      [&](rank_t lo, rank_t hi, RowRange rows) {
+        std::array<DotOperands, kMaxPairs> operands;
+        for (std::size_t k = 0; k < width; ++k)
+          operands[k] = {dots[k].u.rows(rows), dots[k].v.rows(rows)};
+        const auto first = static_cast<std::size_t>(lo);
+        const auto count = static_cast<std::size_t>(hi - lo);
+        vec_dot_segments(std::span(operands).first(width),
+                         offsets.subspan(first, count + 1),
+                         std::span(partials_).subspan(first * width,
+                                                      count * width));
+      },
+      [&](rank_t s) {
+        return flops_per_row * static_cast<double>(part.local_size(s));
+      });
+  // The rank-ordered combine: ((0 + partial_0) + partial_1) + ...
+  std::fill(sums.begin(), sums.end(), real_t{0});
+  for (std::size_t s = 0; s < partials_.size(); s += width)
+    for (std::size_t k = 0; k < width; ++k) sums[k] += partials_[s + k];
 }
 
 } // namespace esrp

@@ -88,7 +88,7 @@ bool RedundantCopy::verify(std::span<const rank_t> failed) const {
 
 rank_t RedundantCopy::corrupt(index_t i, int bit) {
   ESRP_CHECK(bit >= 0 && bit < 64);
-  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
+  for (rank_t h : layout_->holders_of(i)) {
     const auto k = slot(h, i);
     if (!k) continue;
     real_t& v = values_[*k];
@@ -101,7 +101,7 @@ rank_t RedundantCopy::corrupt(index_t i, int bit) {
 
 std::optional<std::pair<rank_t, real_t>> RedundantCopy::find_surviving(
     index_t i, std::span<const rank_t> failed) const {
-  for (rank_t h = 0; h < layout_->num_holders(); ++h) {
+  for (rank_t h : layout_->holders_of(i)) {
     if (rank_in(failed, h)) continue;
     if (const auto k = slot(h, i)) return std::make_pair(h, values_[*k]);
   }

@@ -89,6 +89,33 @@ std::array<real_t, 3> vec_dot3(std::span<const real_t> x1,
       });
 }
 
+void vec_dot_segments(std::span<const DotOperands> pairs,
+                      std::span<const index_t> bounds,
+                      std::span<real_t> partials) {
+  ESRP_CHECK(!bounds.empty());
+  const std::size_t width = pairs.size();
+  ESRP_CHECK(partials.size() == (bounds.size() - 1) * width);
+  const index_t origin = bounds.front();
+  const auto length = static_cast<std::size_t>(bounds.back() - origin);
+  for (const DotOperands& d : pairs)
+    ESRP_CHECK(d.x.size() == length && d.y.size() == length);
+  for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+    const index_t lo = bounds[s] - origin, hi = bounds[s + 1] - origin;
+    ESRP_CHECK(lo <= hi);
+    const auto at = static_cast<std::size_t>(lo);
+    const auto n = static_cast<std::size_t>(hi - lo);
+    real_t* out = partials.data() + s * width;
+    for (std::size_t k = 0; k < width; ++k) {
+      const DotOperands& d = pairs[k];
+      // vec_dot's value: at or below the grain it is one chunk added to its
+      // zero init; a longer segment takes its fixed-grain chunking.
+      out[k] = hi - lo <= kReduceGrain
+                   ? real_t{0} + simd_dot_chunk(d.x.data(), d.y.data(), lo, hi)
+                   : vec_dot(d.x.subspan(at, n), d.y.subspan(at, n));
+    }
+  }
+}
+
 // Elementwise fused kernels vectorize statement-wise in stripes of
 // kSimdLanes indices: each statement is applied (and its result stored) for
 // the whole stripe before the next statement runs. Per index this performs

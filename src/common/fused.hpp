@@ -44,6 +44,24 @@ std::array<real_t, 3> vec_dot3(std::span<const real_t> x1,
                                std::span<const real_t> x3,
                                std::span<const real_t> y3);
 
+/// The operands of one dot product x^T y.
+struct DotOperands {
+  std::span<const real_t> x;
+  std::span<const real_t> y;
+};
+
+/// Per-segment dot products of several operand pairs, from one call over
+/// one range: the range [bounds.front(), bounds.back()) is cut into the
+/// consecutive segments [bounds[s], bounds[s+1]), and every pair's x and y
+/// hold the whole range. partials[s * pairs.size() + k] is pair k's dot
+/// over segment s, bitwise vec_dot on that segment's slices at every
+/// thread count (an empty segment gives +0). This is how the distributed
+/// operator reduces the consecutive ranks of one task without a call per
+/// rank.
+void vec_dot_segments(std::span<const DotOperands> pairs,
+                      std::span<const index_t> bounds,
+                      std::span<real_t> partials);
+
 /// z := x - y. `z` may alias `x` or `y` (each index is read before it is
 /// written); the residual kernel r = b - Ax uses z == y.
 void vec_sub(std::span<const real_t> x, std::span<const real_t> y,

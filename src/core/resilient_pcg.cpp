@@ -92,10 +92,7 @@ void ResilientPcg::rejoin_full_cluster() {
 
 std::array<real_t, 2> ResilientPcg::rz_and_rr() {
   const std::array<real_t, 2> sums =
-      op_.reduce_ranks<2>(4.0, [&](rank_t s, auto& acc) {
-        acc[0] += vec_dot(r_->local(s), z_->local(s));
-        acc[1] += vec_dot(r_->local(s), r_->local(s));
-      });
+      op_.reduce_ranks<2>(4.0, {{{*r_, *z_}, {*r_, *r_}}});
   op_.cluster().allreduce(2, CommCategory::allreduce);
   return sums;
 }
@@ -104,11 +101,10 @@ void ResilientPcg::residual(std::span<const real_t> b, const DistVector& ax,
                             DistVector& r) {
   // Index b by global offset: a no-spare recovery may have changed the
   // partition since the solve began.
-  const BlockRowPartition& part = op_.partition();
-  op_.for_each_rank(1.0, [&](rank_t s) {
-    auto rs = r.local(s);
-    vec_sub(b.subspan(static_cast<std::size_t>(part.begin(s)), rs.size()),
-            ax.local(s), rs);
+  op_.for_each_rank(1.0, [&](RowRange rows) {
+    vec_sub(b.subspan(static_cast<std::size_t>(rows.begin),
+                      static_cast<std::size_t>(rows.size())),
+            ax.rows(rows), r.rows(rows));
   });
 }
 
@@ -357,17 +353,17 @@ SolveOutcome ResilientPcg::solve(std::span<const real_t> b,
     const real_t pap = op_.dot(*p_, *ap_);
     ESRP_CHECK_MSG(pap > 0, "p^T A p <= 0 at iteration " << j);
     const real_t alpha = rz / pap;
-    op_.for_each_rank(4.0, [&](rank_t s) {
-      fused_axpy2(x_->local(s), alpha, p_->local(s), r_->local(s), -alpha,
-                  ap_->local(s));
+    op_.for_each_rank(4.0, [&](RowRange rows) {
+      fused_axpy2(x_->rows(rows), alpha, p_->rows(rows), r_->rows(rows),
+                  -alpha, ap_->rows(rows));
     });
     op_.apply_precond(*r_, *z_);
     const auto [rz_next, rr] = rz_and_rr();
     beta_ = rz_next / rz;
     rz = rz_next;
     rnorm = std::sqrt(rr);
-    op_.for_each_rank(2.0, [&](rank_t s) {
-      vec_xpby(p_->local(s), z_->local(s), beta_);
+    op_.for_each_rank(2.0, [&](RowRange rows) {
+      vec_xpby(p_->rows(rows), z_->rows(rows), beta_);
     });
     if (opts_.strategy == Strategy::esrp && T > 1 && stores.first_store)
       beta_dstar_ = beta_; // the paper's beta** = beta^(mT)

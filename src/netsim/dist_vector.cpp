@@ -14,13 +14,25 @@ DistVector::DistVector(const BlockRowPartition& part,
 }
 
 std::span<real_t> DistVector::local(rank_t rank) {
-  return std::span(data_).subspan(static_cast<std::size_t>(part_->begin(rank)),
-                                  static_cast<std::size_t>(part_->local_size(rank)));
+  return rows(RowRange{part_->begin(rank), part_->end(rank)});
 }
 
 std::span<const real_t> DistVector::local(rank_t rank) const {
-  return all().subspan(static_cast<std::size_t>(part_->begin(rank)),
-                       static_cast<std::size_t>(part_->local_size(rank)));
+  return rows(RowRange{part_->begin(rank), part_->end(rank)});
+}
+
+std::span<real_t> DistVector::rows(RowRange range) {
+  ESRP_CHECK(0 <= range.begin && range.begin <= range.end &&
+             range.end <= part_->global_size());
+  return std::span(data_).subspan(static_cast<std::size_t>(range.begin),
+                                  static_cast<std::size_t>(range.size()));
+}
+
+std::span<const real_t> DistVector::rows(RowRange range) const {
+  ESRP_CHECK(0 <= range.begin && range.begin <= range.end &&
+             range.end <= part_->global_size());
+  return all().subspan(static_cast<std::size_t>(range.begin),
+                       static_cast<std::size_t>(range.size()));
 }
 
 void DistVector::zero_ranks(std::span<const rank_t> ranks) {

@@ -2,9 +2,11 @@
 // by the block-row partition. The slices sit back to back, in global order,
 // in one allocation, so slice s starts at global offset begin(s).
 //
-// Algorithms may only touch a node's slice via `local()`. The global
-// accessors exist for initialization, tests, and diagnostics (a real cluster
-// could not call them). One read-only exception: the exchange engine
+// Algorithms may only touch a node's slice via `local()`, or the slices of
+// consecutive nodes via `rows()` (one kernel call for a task of a rank
+// loop, comm/dist_operator.hpp). The global accessors exist for
+// initialization, tests, and diagnostics (a real cluster could not call
+// them). One read-only exception: the exchange engine
 // (comm/exchange.hpp) reads halo entries in place through `all()` instead of
 // copying them into per-node buffers. That is exact because node l's rows
 // only reference columns in owned(l) ∪ ghosts(l) (comm/spmv_plan.hpp), and
@@ -20,6 +22,14 @@
 
 namespace esrp {
 
+/// Global rows [begin, end). The rows of consecutive ranks form one such
+/// range, since their slices sit back to back.
+struct RowRange {
+  index_t begin = 0;
+  index_t end = 0;
+  index_t size() const { return end - begin; }
+};
+
 class DistVector {
 public:
   explicit DistVector(const BlockRowPartition& part);
@@ -31,6 +41,11 @@ public:
   /// Node-local slice (mutable / const).
   std::span<real_t> local(rank_t rank);
   std::span<const real_t> local(rank_t rank) const;
+
+  /// The slices of the consecutive ranks that own `range`, back to back
+  /// (mutable / const): what one task of a rank loop touches in one call.
+  std::span<real_t> rows(RowRange range);
+  std::span<const real_t> rows(RowRange range) const;
 
   /// Every slice, back to back: entry i is global entry i. Read-only; only
   /// the exchange engine reads other nodes' entries through it (see the

@@ -4,6 +4,7 @@
 // extra row.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,6 +33,8 @@ public:
   index_t end(rank_t rank) const;
   /// Number of indices owned by `rank`.
   index_t local_size(rank_t rank) const { return end(rank) - begin(rank); }
+  /// The boundaries: rank s owns [offsets()[s], offsets()[s+1]).
+  std::span<const index_t> offsets() const { return offsets_; }
 
   /// Owner of global index i (O(log N)).
   rank_t owner(index_t i) const;

@@ -165,18 +165,11 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
         resilience_.set_recoverable(j - 1);
     }
 
-    // Local dot contributions (one fused sweep), then post the allreduce
-    // and overlap it with the preconditioner application and the SpMV.
-    // The gamma/delta/||r||^2 triple in one sweep over every rank's slices.
+    // Local dot contributions, then post the allreduce and overlap it with
+    // the preconditioner application and the SpMV. The gamma/delta/||r||^2
+    // triple comes from one segmented-dot call per task range.
     const auto [gamma, delta, rr] =
-        op_.reduce_ranks<3>(6.0, [&](rank_t sr, auto& acc) {
-          const auto [g, d, n2] =
-              vec_dot3(r.local(sr), u.local(sr), w.local(sr), u.local(sr),
-                       r.local(sr), r.local(sr));
-          acc[0] += g;
-          acc[1] += d;
-          acc[2] += n2;
-        });
+        op_.reduce_ranks<3>(6.0, {{{r, u}, {w, u}, {r, r}}});
     op_.apply_precond(w, m);
     engine.spmv(m, nv, /*complete_step=*/false);
     cluster.allreduce_overlapped(3, CommCategory::allreduce);
@@ -217,11 +210,11 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
       resilience_.set_snapshot_scalar(j, 2, beta);
 
     // The z/q/s/p xpby quartet and the x/r/u/w axpy quartet in one sweep.
-    op_.for_each_rank(16.0, [&](rank_t sr) {
-      fused_pipelined_update(z.local(sr), nv.local(sr), q.local(sr),
-                             m.local(sr), s.local(sr), w.local(sr),
-                             p.local(sr), u.local(sr), x.local(sr),
-                             r.local(sr), alpha, beta);
+    op_.for_each_rank(16.0, [&](RowRange rows) {
+      fused_pipelined_update(z.rows(rows), nv.rows(rows), q.rows(rows),
+                             m.rows(rows), s.rows(rows), w.rows(rows),
+                             p.rows(rows), u.rows(rows), x.rows(rows),
+                             r.rows(rows), alpha, beta);
     });
     cluster.complete_step();
 

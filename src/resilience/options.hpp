@@ -99,6 +99,11 @@ struct SolverOptions : PcgOptions {
   index_t residual_replacement = 0;
 };
 
+/// Default relative recursive-vs-recomputed residual-norm gap above which a
+/// residual-replacement step flags a silent data corruption. Benign drift
+/// near convergence sits orders of magnitude below it.
+inline constexpr real_t kDefaultSdcThreshold = 1e-3;
+
 /// What the distributed solvers consume: the shared options plus the
 /// parsed recovery policy and the fault schedule.
 struct ResilienceOptions : SolverOptions {
@@ -121,9 +126,8 @@ struct ResilienceOptions : SolverOptions {
   /// event stays undetected (and is reported as such).
   std::vector<SdcEvent> sdc_events;
   /// Relative recursive-vs-recomputed residual-norm gap above which a
-  /// residual-replacement step flags a corruption. Benign drift near
-  /// convergence sits orders of magnitude below this default.
-  real_t sdc_threshold = 1e-3;
+  /// residual-replacement step flags a corruption.
+  real_t sdc_threshold = kDefaultSdcThreshold;
 };
 
 /// The benchmark's spelling of SolveOutcome; the benchmark-only change that

@@ -72,15 +72,15 @@ protected:
     return spec;
   }
 
-  /// The ResilienceOptions the facade derives from `spec`.
+  /// The ResilienceOptions the facade derives from `spec`: the shared
+  /// SolverOptions whole, then the policy and the run-time fault fields.
   static ResilienceOptions options_for(const SolveSpec& spec) {
     ResilienceOptions opts;
-    opts.strategy = spec.strategy;
-    opts.interval = spec.interval;
-    opts.phi = spec.phi;
-    opts.residual_replacement = spec.residual_replacement;
+    static_cast<SolverOptions&>(opts) = spec;
+    opts.policy = recovery_policy_from_string(spec.recovery_policy);
     opts.extra_failures = spec.failures;
     opts.sdc_events = spec.sdc_events;
+    opts.sdc_threshold = spec.sdc_threshold;
     return opts;
   }
 

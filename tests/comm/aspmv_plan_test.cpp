@@ -55,6 +55,17 @@ TEST(AspmvPlan, PhiMustBeBelowNodeCount) {
   EXPECT_NO_THROW(AspmvPlan(base, 3));
 }
 
+TEST(HolderLayout, RejectsUnsortedOrNegativeHeldSets) {
+  const std::vector<IndexSet> unsorted = {{0, 1}, {3, 2}};
+  const std::vector<IndexSet> negative = {{-1, 0}, {2}};
+  const std::vector<IndexSet> valid = {{0, 1}, {}, {2, 5}};
+  EXPECT_THROW(HolderLayout{unsorted}, Error);
+  EXPECT_THROW(HolderLayout{negative}, Error);
+  const HolderLayout layout(valid);
+  EXPECT_EQ(layout.holders_of(1).size(), 1u);
+  EXPECT_TRUE(layout.holders_of(3).empty());
+}
+
 TEST(AspmvPlan, ExtraSendsAvoidRegularDuplicates) {
   const CsrMatrix a = poisson2d(6, 6);
   const BlockRowPartition part(36, 6);
@@ -347,6 +358,29 @@ TEST_P(AspmvRedundancyProperty, RunLookupsMatchASearchOfTheExpandedSet) {
       failed.push_back(h);
     }
   }
+}
+
+// holders_of() is the inverse of the held sets: entry i's holders,
+// ascending, and nothing outside the matrix's rows.
+TEST_P(AspmvRedundancyProperty, HoldersOfInvertsTheHeldSets) {
+  const RedundancyCase& c = GetParam();
+  const CsrMatrix a = make_matrix(c.matrix);
+  const BlockRowPartition part(a.rows(), c.nodes);
+  const SpmvPlan base(a, part);
+  const AspmvPlan aug(base, c.phi);
+  const auto layout = aug.holder_layout();
+  std::vector<std::vector<rank_t>> expected(static_cast<std::size_t>(a.rows()));
+  for (rank_t h = 0; h < c.nodes; ++h)
+    for (index_t i : layout->held(h))
+      expected[static_cast<std::size_t>(i)].push_back(h);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const std::span<const rank_t> got = layout->holders_of(i);
+    EXPECT_EQ(std::vector<rank_t>(got.begin(), got.end()),
+              expected[static_cast<std::size_t>(i)])
+        << "entry " << i;
+  }
+  EXPECT_TRUE(layout->holders_of(-1).empty());
+  EXPECT_TRUE(layout->holders_of(a.rows()).empty());
 }
 
 std::string case_name(const ::testing::TestParamInfo<RedundancyCase>& info) {

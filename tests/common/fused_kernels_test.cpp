@@ -6,7 +6,10 @@
 // optimization that cannot perturb a trajectory.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "../parallel/thread_count_guard.hpp"
 #include "common/fused.hpp"
@@ -207,6 +210,47 @@ TEST(FusedKernels, SpmvDotMatchesSpmvThenDot) {
       EXPECT_EQ(pap_ref, pap);
       expect_bitwise_equal(y_ref, y, "y");
     }
+  }
+}
+
+TEST(FusedKernels, DotSegmentsMatchVecDotPerSegment) {
+  ThreadCountGuard guard;
+  // Absolute bounds starting past 0, as a task's partition offsets do:
+  // two empty segments, short ragged ones, one whose products are all -0,
+  // and one past kReduceGrain that takes vec_dot's chunked path.
+  const index_t g = kReduceGrain;
+  const std::vector<index_t> bounds = {7,  7,  10, 75, 75,
+                                       83, 84, 84 + 2 * g + 5, 84 + 2 * g + 18};
+  const index_t neg_lo = 75 - 7, neg_hi = 83 - 7; // the -0 segment
+  const auto n = static_cast<std::size_t>(bounds.back() - bounds.front());
+  Vector x = random_vector(n, 35), y = random_vector(n, 36);
+  for (index_t i = neg_lo; i < neg_hi; ++i) {
+    x[static_cast<std::size_t>(i)] = -0.0;
+    y[static_cast<std::size_t>(i)] = 1.0;
+  }
+  const std::size_t segments = bounds.size() - 1;
+  // Pair 0 reads x.y, pair 1 aliases x with itself.
+  const DotOperands pairs[] = {{x, y}, {x, x}};
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    set_num_threads(threads);
+    std::vector<real_t> partials(segments * 2, -1);
+    vec_dot_segments(pairs, bounds, partials);
+    for (std::size_t s = 0; s < segments; ++s) {
+      const auto at = static_cast<std::size_t>(bounds[s] - bounds[0]);
+      const auto len = static_cast<std::size_t>(bounds[s + 1] - bounds[s]);
+      const std::span<const real_t> xs = std::span(x).subspan(at, len);
+      const std::span<const real_t> ys = std::span(y).subspan(at, len);
+      SCOPED_TRACE(testing::Message() << "segment " << s << " len " << len);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(partials[2 * s]),
+                std::bit_cast<std::uint64_t>(vec_dot(xs, ys)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(partials[2 * s + 1]),
+                std::bit_cast<std::uint64_t>(vec_dot(xs, xs)));
+    }
+    // Empty segments give +0, and all -0 products sum to +0 as in vec_dot.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(partials[0]), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(partials[2 * 3]), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(partials[2 * 4]), 0u);
   }
 }
 

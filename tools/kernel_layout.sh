@@ -31,6 +31,7 @@ kernels=(
   "esrp::CsrMatrix::spmv_dot"
   "esrp::vec_dot"
   "esrp::vec_dot2"
+  "esrp::vec_dot_segments"
   "esrp::fused_axpy2"
   "esrp::BlockJacobiPreconditioner::apply"
   "esrp::BlockJacobiPreconditioner::apply_local"
