@@ -172,14 +172,15 @@ void BM_SpmvPlanBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvPlanBuild)->Arg(16)->Arg(128);
 
-/// Block Jacobi setup (blocks of <= 10, P and M as CSR) on one node (a
-/// single domain) and on 128 nodes.
+/// Block Jacobi setup (blocks of <= 10: P as dense inverse blocks, M as
+/// CSR) on one node (a single domain) and on 128 nodes. P's CSR is built
+/// only on a first action_matrix() call, which this leaves out.
 void BM_BlockJacobiBuild(benchmark::State& state) {
   const CsrMatrix& a = test_matrix();
   const BlockRowPartition part(a.rows(), static_cast<rank_t>(state.range(0)));
   for (auto _ : state) {
     const BlockJacobiPreconditioner precond(a, part);
-    benchmark::DoNotOptimize(precond.action_matrix()->nnz());
+    benchmark::DoNotOptimize(precond.apply_flops());
   }
   state.SetItemsProcessed(state.iterations() * a.rows());
 }
@@ -283,12 +284,13 @@ void BM_Reconstruction(benchmark::State& state) {
   const RedundantCopy prev(9, layout, std::move(prev_vals));
   const RedundantCopy cur(10, layout, std::move(cur_vals));
   DistVector x_star(part, x), r_star(part, r);
+  const CsrMatrix* p_action = precond.action_matrix(); // built once, untimed
 
   for (auto _ : state) {
     SimCluster cluster(part);
     ReconstructionInputs in;
     in.a = &a;
-    in.p_action = precond.action_matrix();
+    in.p_action = p_action;
     in.part = &part;
     in.failed = failed;
     in.p_prev = &prev;

@@ -47,6 +47,10 @@ void DistOperator::build(const SpmvPlan* shared_plan,
                                  : &owned_aug_.emplace(*plan_, phi_);
   engine_.emplace(*a_, *plan_, *cluster_);
   check_node_local(*precond_, part);
+  precond_flops_.resize(static_cast<std::size_t>(part.num_nodes()));
+  for (rank_t s = 0; s < part.num_nodes(); ++s)
+    precond_flops_[static_cast<std::size_t>(s)] =
+        precond_->apply_local_flops(part.begin(s), part.end(s));
 }
 
 void DistOperator::rebuild_on_partition(const BlockRowPartition& np) {
@@ -55,17 +59,12 @@ void DistOperator::rebuild_on_partition(const BlockRowPartition& np) {
 }
 
 void DistOperator::apply_precond(const DistVector& in, DistVector& out) {
-  const auto p_ptr = precond_->action_matrix()->row_ptr();
-  const BlockRowPartition& part = partition();
   for_each_range(
       [&](rank_t, rank_t, RowRange rows) {
         precond_->apply_local(rows.begin, rows.end, in.rows(rows),
                               out.rows(rows));
       },
-      [&](rank_t s) {
-        return static_cast<double>(2 *
-                                   (p_ptr[part.end(s)] - p_ptr[part.begin(s)]));
-      });
+      [&](rank_t s) { return precond_flops_[static_cast<std::size_t>(s)]; });
 }
 
 real_t DistOperator::dot(const DistVector& u, const DistVector& v) {

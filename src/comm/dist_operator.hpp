@@ -44,9 +44,9 @@ namespace esrp {
 
 class DistOperator {
 public:
-  /// `precond` must expose an action matrix that is node-local on the
-  /// cluster's partition (check_node_local). The AspmvPlan exists only
-  /// under the esrp strategy (with `opts.phi`).
+  /// `precond` must be node-local on the cluster's partition
+  /// (check_node_local). The AspmvPlan exists only under the esrp strategy
+  /// (with `opts.phi`).
   ///
   /// `shared_plan` / `shared_aug` (optional, service layer) inject plans a
   /// prepared ProblemHandle built for this (matrix, partition, phi): the
@@ -76,7 +76,7 @@ public:
 
   /// out := P in, one apply_local per task range (P is node-local, so a
   /// union of node ranges couples nothing outside it either), charging
-  /// each node 2 flops per stored entry of its rows of P.
+  /// each node its apply_local_flops, computed once per build.
   void apply_precond(const DistVector& in, DistVector& out);
 
   /// Global u^T v: a rank-ordered reduction plus its allreduce(1).
@@ -133,6 +133,8 @@ private:
   const SpmvPlan* plan_ = nullptr;
   const AspmvPlan* aug_ = nullptr;
   std::optional<ExchangeEngine> engine_;
+  /// Rank s's apply_precond charge: apply_local_flops on its rows.
+  std::vector<double> precond_flops_;
   /// reduce_dots' per-rank partials, [s * pairs + k]; reused across calls.
   std::vector<real_t> partials_;
 };

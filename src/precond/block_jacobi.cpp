@@ -51,19 +51,35 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
 
 namespace {
 
-/// Cholesky(block).inverse(), with a non-SPD block named by its rows.
-DenseMatrix invert_block(const DenseMatrix& block, index_t lo, index_t hi) {
-  try {
-    return Cholesky(block).inverse();
-  } catch (const Error& e) {
-    throw Error("block Jacobi: diagonal block of rows [" + std::to_string(lo) +
-                ", " + std::to_string(hi) + ") is not SPD: " + e.what());
+/// z[0, L) := B r[0, L) for the row-major L x L block B, each row summed
+/// from +0 in ascending column order, two independent rows at a time; L is
+/// known at compile time, so r stays in registers.
+template <index_t L>
+void apply_fixed_block(const real_t* b, const real_t* r, real_t* z) {
+  real_t rr[L];
+  for (index_t j = 0; j < L; ++j) rr[j] = r[j];
+  index_t i = 0;
+  for (; i + 2 <= L; i += 2) {
+    const real_t* b0 = b + i * L;
+    const real_t* b1 = b0 + L;
+    real_t acc0 = 0, acc1 = 0;
+    for (index_t j = 0; j < L; ++j) {
+      acc0 += b0[j] * rr[j];
+      acc1 += b1[j] * rr[j];
+    }
+    z[i] = acc0;
+    z[i + 1] = acc1;
+  }
+  if constexpr (L % 2 == 1) {
+    const real_t* bi = b + i * L;
+    real_t acc = 0;
+    for (index_t j = 0; j < L; ++j) acc += bi[j] * rr[j];
+    z[i] = acc;
   }
 }
 
-/// z[0, len) := B r[0, len) for the row-major len x len block B: each row
-/// sums in ascending column order, as its CSR row does, four independent
-/// rows at a time.
+/// apply_fixed_block for a length known only at run time (above the
+/// paper's 10), four independent rows at a time.
 void apply_whole_block(const real_t* b, index_t len, const real_t* r,
                        real_t* z) {
   index_t i = 0;
@@ -93,34 +109,43 @@ void apply_whole_block(const real_t* b, index_t len, const real_t* r,
   }
 }
 
+bool nonzero(real_t v) { return v != real_t{0}; }
+
+/// Whether the dense row `row` (columns [blo, bhi)) has a nonzero entry
+/// outside [lo, hi). Empty scans when [lo, hi) holds the whole block.
+bool couples_outside(const real_t* row, index_t blo, index_t bhi, index_t lo,
+                     index_t hi) {
+  const index_t in_lo = std::clamp(lo, blo, bhi);
+  const index_t in_hi = std::clamp(hi, in_lo, bhi);
+  return std::any_of(row, row + (in_lo - blo), nonzero) ||
+         std::any_of(row + (in_hi - blo), row + (bhi - blo), nonzero);
+}
+
 } // namespace
 
 // The blocks are disjoint, ascending diagonal ranges covering [0, n), so
-// every row of P and M is appended in order with its columns ascending.
-// Exact zeros are not stored, as in every CooBuilder-assembled matrix
-// (reducible blocks have exact zeros in their inverses).
+// every row of M is appended in order with its columns ascending. Exact
+// zeros of A are not stored in M, as in every CooBuilder-assembled matrix.
 void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
   const index_t n = a.rows();
-  std::size_t block_entries = 0;
-  for (std::size_t b = 0; b + 1 < starts_.size(); ++b) {
+  const std::size_t blocks = starts_.size() - 1;
+  offsets_.assign(blocks + 1, 0);
+  for (std::size_t b = 0; b < blocks; ++b) {
     const auto len = static_cast<std::size_t>(starts_[b + 1] - starts_[b]);
-    block_entries += len * len;
+    offsets_[b + 1] = offsets_[b] + len * len;
   }
-  std::vector<index_t> p_ptr{0}, m_ptr{0};
-  std::vector<col_t> p_cols, m_cols;
-  std::vector<real_t> p_vals, m_vals;
-  p_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  inv_.resize(offsets_.back());
+  std::vector<index_t> m_ptr{0};
+  std::vector<col_t> m_cols;
+  std::vector<real_t> m_vals;
   m_ptr.reserve(static_cast<std::size_t>(n) + 1);
-  p_cols.reserve(block_entries);
-  p_vals.reserve(block_entries);
   const std::size_t m_cap =
-      std::min(block_entries, static_cast<std::size_t>(a.nnz()));
+      std::min(offsets_.back(), static_cast<std::size_t>(a.nnz()));
   m_cols.reserve(m_cap);
   m_vals.reserve(m_cap);
-  for (std::size_t b = 0; b + 1 < starts_.size(); ++b) {
+  for (std::size_t b = 0; b < blocks; ++b) {
     const index_t lo = starts_[b], hi = starts_[b + 1];
     const index_t len = hi - lo;
-    if (len == 0) continue;
     DenseMatrix block(len, len);
     for (index_t i = lo; i < hi; ++i) {
       const auto cols = a.row_cols(i);
@@ -136,19 +161,80 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
       }
       m_ptr.push_back(static_cast<index_t>(m_cols.size()));
     }
-    const DenseMatrix inv = invert_block(block, lo, hi);
-    for (index_t bi = 0; bi < len; ++bi) {
-      for (index_t bj = 0; bj < len; ++bj) {
-        const real_t v = inv(bi, bj);
-        if (v == real_t{0}) continue;
-        p_cols.push_back(static_cast<col_t>(lo + bj)); // < hi <= n
-        p_vals.push_back(v);
-      }
-      p_ptr.push_back(static_cast<index_t>(p_cols.size()));
+    try {
+      Cholesky(block).inverse(std::span(inv_).subspan(
+          offsets_[b], offsets_[b + 1] - offsets_[b]));
+    } catch (const Error& e) {
+      throw Error("block Jacobi: diagonal block of rows [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) +
+                  ") is not SPD: " + e.what());
     }
   }
-  p_ = CsrMatrix(n, n, std::move(p_ptr), std::move(p_cols), std::move(p_vals));
+  nnz_ = static_cast<index_t>(std::count_if(inv_.begin(), inv_.end(), nonzero));
   m_ = CsrMatrix(n, n, std::move(m_ptr), std::move(m_cols), std::move(m_vals));
+}
+
+template <class F>
+void BlockJacobiPreconditioner::for_each_row(index_t lo, index_t hi,
+                                             F&& f) const {
+  if (lo >= hi) return;
+  auto b = static_cast<std::size_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), lo) - starts_.begin() -
+      1);
+  for (index_t i = lo; i < hi; ++b) {
+    const index_t blo = starts_[b], bhi = starts_[b + 1];
+    const real_t* vals = inv_.data() + offsets_[b];
+    for (; i < std::min(hi, bhi); ++i)
+      f(i, vals + (i - blo) * (bhi - blo), blo, bhi);
+  }
+}
+
+const CsrMatrix* BlockJacobiPreconditioner::action_matrix() const {
+  // Row by row in ascending order, each row's columns ascending; exact
+  // zeros are not stored, as in every CooBuilder-assembled matrix.
+  std::call_once(p_once_, [this] {
+    const index_t n = dim();
+    std::vector<index_t> ptr{0};
+    std::vector<col_t> cols;
+    std::vector<real_t> vals;
+    ptr.reserve(static_cast<std::size_t>(n) + 1);
+    cols.reserve(static_cast<std::size_t>(nnz_));
+    vals.reserve(static_cast<std::size_t>(nnz_));
+    for_each_row(0, n, [&](index_t, const real_t* row, index_t blo,
+                           index_t bhi) {
+      for (index_t j = blo; j < bhi; ++j) {
+        const real_t v = row[j - blo];
+        if (v == real_t{0}) continue;
+        cols.push_back(static_cast<col_t>(j)); // < bhi <= n
+        vals.push_back(v);
+      }
+      ptr.push_back(static_cast<index_t>(cols.size()));
+    });
+    p_ = CsrMatrix(n, n, std::move(ptr), std::move(cols), std::move(vals));
+  });
+  return &p_;
+}
+
+double BlockJacobiPreconditioner::apply_local_flops(index_t lo,
+                                                    index_t hi) const {
+  ESRP_CHECK(0 <= lo && lo <= hi && hi <= dim());
+  index_t stored = 0;
+  for_each_row(lo, hi, [&](index_t, const real_t* row, index_t blo,
+                           index_t bhi) {
+    stored += std::count_if(row, row + (bhi - blo), nonzero);
+  });
+  return 2.0 * static_cast<double>(stored);
+}
+
+index_t BlockJacobiPreconditioner::first_row_coupled_outside(
+    index_t lo, index_t hi) const {
+  ESRP_CHECK(0 <= lo && lo <= hi && hi <= dim());
+  index_t first = hi;
+  for_each_row(lo, hi, [&](index_t i, const real_t* row, index_t blo,
+                           index_t bhi) {
+    if (first == hi && couples_outside(row, blo, bhi, lo, hi)) first = i;
+  });
+  return first;
 }
 
 void BlockJacobiPreconditioner::apply(std::span<const real_t> r,
@@ -161,7 +247,7 @@ void BlockJacobiPreconditioner::apply(std::span<const real_t> r,
   const index_t blocks = num_blocks();
   const index_t grain = std::max<index_t>(32, adaptive_grain(blocks, 8));
   parallel_for(index_t{0}, blocks, grain, [&](index_t b_lo, index_t b_hi) {
-    apply_blocks(b_lo, b_hi, 0, n, r, z);
+    apply_blocks(b_lo, b_hi, 0, r, z);
   });
 }
 
@@ -170,36 +256,59 @@ void BlockJacobiPreconditioner::apply_local(index_t lo, index_t hi,
                                             std::span<real_t> z) const {
   ESRP_CHECK(0 <= lo && lo <= hi && hi <= dim());
   ESRP_CHECK(static_cast<index_t>(r.size()) == hi - lo && r.size() == z.size());
+  // The rows of a block [lo, hi) cuts: the part of each dense row inside
+  // [lo, hi), every entry outside it an exact zero.
+  const auto cut_rows = [&](index_t row_begin, index_t row_end) {
+    for_each_row(row_begin, row_end, [&](index_t i, const real_t* row,
+                                         index_t blo, index_t bhi) {
+      ESRP_CHECK_MSG(!couples_outside(row, blo, bhi, lo, hi),
+                     "preconditioner action row " << i << " couples outside ["
+                                                  << lo << ", " << hi << ")");
+      real_t acc = 0;
+      for (index_t j = std::max(lo, blo); j < std::min(hi, bhi); ++j)
+        acc += row[j - blo] * r[static_cast<std::size_t>(j - lo)];
+      z[static_cast<std::size_t>(i - lo)] = acc;
+    });
+  };
   // The blocks from *first up to *last lie wholly inside [lo, hi); rows
   // before *first and from *last on belong to blocks the range cuts.
   const auto first = std::lower_bound(starts_.begin(), starts_.end(), lo);
   const auto last = std::upper_bound(starts_.begin(), starts_.end(), hi) - 1;
   if (first >= last) {
-    spmv_rows_in_range(p_, lo, hi, lo, hi, r, z);
+    cut_rows(lo, hi);
     return;
   }
-  spmv_rows_in_range(p_, lo, hi, lo, *first, r, z);
-  apply_blocks(first - starts_.begin(), last - starts_.begin(), lo, hi, r, z);
-  spmv_rows_in_range(p_, lo, hi, *last, hi, r, z);
+  cut_rows(lo, *first);
+  apply_blocks(first - starts_.begin(), last - starts_.begin(), lo, r, z);
+  cut_rows(*last, hi);
 }
 
 void BlockJacobiPreconditioner::apply_blocks(index_t b_begin, index_t b_end,
-                                             index_t lo, index_t hi,
+                                             index_t lo,
                                              std::span<const real_t> r,
                                              std::span<real_t> z) const {
-  const index_t* row_ptr = p_.row_ptr().data();
   const index_t* starts = starts_.data();
-  const real_t* vals = p_.values().data();
+  const real_t* vals =
+      inv_.data() + offsets_[static_cast<std::size_t>(b_begin)];
   for (index_t b = b_begin; b < b_end; ++b) {
-    const index_t blo = starts[b], bhi = starts[b + 1];
-    const index_t len = bhi - blo;
-    const index_t off = row_ptr[blo];
-    if (row_ptr[bhi] - off == len * len) {
-      const auto at = static_cast<std::size_t>(blo - lo);
-      apply_whole_block(vals + off, len, r.data() + at, z.data() + at);
-    } else {
-      spmv_rows_in_range(p_, lo, hi, blo, bhi, r, z);
+    const index_t len = starts[b + 1] - starts[b];
+    const auto at = static_cast<std::size_t>(starts[b] - lo);
+    const real_t* rb = r.data() + at;
+    real_t* zb = z.data() + at;
+    switch (len) {
+    case 1: apply_fixed_block<1>(vals, rb, zb); break;
+    case 2: apply_fixed_block<2>(vals, rb, zb); break;
+    case 3: apply_fixed_block<3>(vals, rb, zb); break;
+    case 4: apply_fixed_block<4>(vals, rb, zb); break;
+    case 5: apply_fixed_block<5>(vals, rb, zb); break;
+    case 6: apply_fixed_block<6>(vals, rb, zb); break;
+    case 7: apply_fixed_block<7>(vals, rb, zb); break;
+    case 8: apply_fixed_block<8>(vals, rb, zb); break;
+    case 9: apply_fixed_block<9>(vals, rb, zb); break;
+    case 10: apply_fixed_block<10>(vals, rb, zb); break;
+    default: apply_whole_block(vals, len, rb, zb);
     }
+    vals += len * len;
   }
 }
 

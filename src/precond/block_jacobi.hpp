@@ -1,23 +1,31 @@
 // Block Jacobi preconditioner (the paper's choice, §5): non-overlapping
 // diagonal blocks, every block contained within a single node's index range,
 // uniformly sized with as few blocks as possible under a maximum block size
-// (paper: 10). Each block of A is inverted densely (Cholesky), so the
-// preconditioner action P = blockdiag(B_1^{-1}, ..., B_m^{-1}) is available
-// as an explicit sparse matrix — which is what the ESR/ESRP reconstruction
-// (Alg. 2) requires, and which makes P_{I_f, I\I_f} = 0 whenever whole nodes
-// fail. P and M are assembled in place as CSR, block after block, without
-// exact zeros; a diagonal block that is not SPD throws esrp::Error naming
-// its rows.
+// (paper: 10). Each block of A is inverted densely (Cholesky), and the
+// action P = blockdiag(B_1^{-1}, ..., B_m^{-1}) is stored as exactly that:
+// one contiguous array of row-major len x len inverse blocks, exact zeros
+// included, each written straight from the factorization into its slot.
+// The matrix form M (the blocks of A) is kept as CSR. A diagonal block that
+// is not SPD throws esrp::Error naming its rows.
 //
-// P is applied block by block from its CSR arrays. A block stored whole
-// (len^2 entries: its inverse has no exact zero) is a row-major len x len
-// run of values, applied from its values alone without reading a column
-// index; the rows of any other block are applied as CSR rows. Every row
-// sums in ascending column order either way, so apply() is bitwise
-// p_.spmv and apply_local() bitwise the extracted node block's spmv.
+// apply() and apply_local() multiply every block the range does not cut
+// with one dense kernel (specialized by length up to the paper's 10), and
+// the rows of a block apply_local's range cuts with the part of each dense
+// row inside the range. Every row sums from +0 in ascending column order.
+// Such a sum is never -0, so the ±0 products of the stored zeros leave it
+// unchanged: for finite r, z is bitwise the spmv of the CSR P without
+// exact zeros. (An infinite or NaN r entry makes 0 * r NaN where the CSR
+// row skips the zero.)
+//
+// The ESR/ESRP reconstruction (Alg. 2) needs P as an explicit sparse matrix
+// (P_{I_f,I_f}, P_{I_f,I\I_f}; P_{I_f,I\I_f} = 0 whenever whole nodes fail).
+// action_matrix() assembles that CSR, without exact zeros, on its first
+// call and keeps it: only a recovery, a test or a probe pays for it. The
+// flops and the node-locality check the distributed solvers ask for come
+// from the blocks.
 #pragma once
 
-#include <optional>
+#include <mutex>
 #include <vector>
 
 #include "partition/partition.hpp"
@@ -36,17 +44,21 @@ public:
   BlockJacobiPreconditioner(const CsrMatrix& a, index_t max_block_size = 10);
 
   std::string name() const override { return "block_jacobi"; }
-  index_t dim() const override { return p_.rows(); }
+  index_t dim() const override { return starts_.back(); }
   void apply(std::span<const real_t> r, std::span<real_t> z) const override;
-  /// The block kernel on a node range; rows of a block that [lo, hi) cuts
-  /// are applied as CSR rows.
   void apply_local(index_t lo, index_t hi, std::span<const real_t> r,
                    std::span<real_t> z) const override;
-  const CsrMatrix* action_matrix() const override { return &p_; }
+  double apply_local_flops(index_t lo, index_t hi) const override;
+  index_t first_row_coupled_outside(index_t lo, index_t hi) const override;
+  /// P as CSR without exact zeros, assembled from the blocks on the first
+  /// call (thread-safe) and kept for the preconditioner's lifetime.
+  const CsrMatrix* action_matrix() const override;
   /// The block Jacobi matrix M = blockdiag(B_1, ..., B_m) (the diagonal
   /// blocks of A themselves): the "preconditioner itself" formulation.
   const CsrMatrix* matrix_form() const override { return &m_; }
-  double apply_flops() const override { return 2.0 * static_cast<double>(p_.nnz()); }
+  double apply_flops() const override {
+    return 2.0 * static_cast<double>(nnz_);
+  }
 
   /// Block boundaries: blocks are [starts[k], starts[k+1]).
   const std::vector<index_t>& block_starts() const { return starts_; }
@@ -54,13 +66,21 @@ public:
 
 private:
   void build(const CsrMatrix& a);
-  /// Blocks [b_begin, b_end), all inside [lo, hi), of apply_local(lo, hi).
-  void apply_blocks(index_t b_begin, index_t b_end, index_t lo, index_t hi,
+  /// Blocks [b_begin, b_end), all inside the range starting at row `lo`.
+  void apply_blocks(index_t b_begin, index_t b_end, index_t lo,
                     std::span<const real_t> r, std::span<real_t> z) const;
+  /// f(i, row, blo, bhi) for rows i of [lo, hi) in order: `row` is row i's
+  /// dense values, columns [blo, bhi) of its block.
+  template <class F>
+  void for_each_row(index_t lo, index_t hi, F&& f) const;
 
   std::vector<index_t> starts_;
-  CsrMatrix p_; ///< inverse blocks (the action, z = P r)
+  std::vector<std::size_t> offsets_; ///< block b starts at inv_[offsets_[b]]
+  std::vector<real_t> inv_;          ///< the inverse blocks, row-major
+  index_t nnz_ = 0;                  ///< nonzero entries of P
   CsrMatrix m_; ///< original blocks (the matrix form, M z = r)
+  mutable std::once_flag p_once_;
+  mutable CsrMatrix p_; ///< action_matrix(), once assembled
 };
 
 /// Split [lo, hi) into the fewest uniformly sized pieces of size <=

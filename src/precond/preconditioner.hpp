@@ -33,13 +33,25 @@ public:
 
   /// z := P[lo:hi, lo:hi) r on slices: r and z hold entries [lo, hi) of the
   /// global vectors. This is one node's share of apply() when P does not
-  /// couple [lo, hi) to the rest (check_node_local). Each row sums its
-  /// stored entries in ascending column order, so the result is bitwise
-  /// action_matrix()->extract(range, range).spmv. A stored entry outside
-  /// [lo, hi) throws esrp::Error. The default walks the rows of
-  /// action_matrix(), which it requires.
+  /// couple [lo, hi) to the rest (check_node_local). A nonzero entry of P
+  /// outside [lo, hi) in rows [lo, hi) throws esrp::Error. For finite r the
+  /// result is bitwise action_matrix()->extract(range, range).spmv: each row
+  /// sums its nonzero entries in ascending column order from +0, and an
+  /// implementation may add exact zeros' ±0 products on the way, which
+  /// leave such a sum unchanged (with an infinite or NaN r the product
+  /// 0 * r is NaN where the CSR row skips the zero). The default walks the
+  /// rows of action_matrix(), which it requires.
   virtual void apply_local(index_t lo, index_t hi, std::span<const real_t> r,
                            std::span<real_t> z) const;
+
+  /// The cost-model flops of apply_local(lo, hi): 2 per nonzero entry of
+  /// rows [lo, hi) of P. The default counts action_matrix()'s entries.
+  virtual double apply_local_flops(index_t lo, index_t hi) const;
+
+  /// The first row in [lo, hi) with a nonzero entry of P outside [lo, hi),
+  /// or hi when P couples [lo, hi) to nothing outside it. The default scans
+  /// the rows of action_matrix(), which it requires.
+  virtual index_t first_row_coupled_outside(index_t lo, index_t hi) const;
 
   /// Explicit CSR of the action (z = action_matrix() * r), or nullptr when
   /// the action is only available as an algorithm. This is the "inverse
@@ -56,17 +68,11 @@ public:
   virtual double apply_flops() const = 0;
 };
 
-/// The CSR-row path of apply_local: z[i - lo] := sum_j p(i, j) r[j - lo] for
-/// rows [row_begin, row_end) of p, a subrange of [lo, hi) whose stored
-/// columns all lie in [lo, hi) (else esrp::Error).
-void spmv_rows_in_range(const CsrMatrix& p, index_t lo, index_t hi,
-                        index_t row_begin, index_t row_end,
-                        std::span<const real_t> r, std::span<real_t> z);
-
 /// Throws esrp::Error unless the preconditioner action is block diagonal
 /// with respect to `part`: every row's entries stay within the owner's
 /// range. This is what makes its application communication-free (one
-/// apply_local per node) and P_{I_f, I\I_f} = 0. Requires action_matrix().
+/// apply_local per node) and P_{I_f, I\I_f} = 0. Asks
+/// first_row_coupled_outside of every node range.
 void check_node_local(const Preconditioner& precond,
                       const BlockRowPartition& part);
 

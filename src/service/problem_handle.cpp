@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/fnv.hpp"
-#include "xp/experiment.hpp"
 
 namespace esrp {
 
@@ -98,8 +97,6 @@ std::shared_ptr<const ProblemHandle> ProblemHandle::build(
     throw Error("prepare requires a square matrix, got " +
                 std::to_string(handle->matrix_.rows()) + " x " +
                 std::to_string(handle->matrix_.cols()));
-
-  handle->default_rhs_ = xp::make_rhs(handle->matrix_);
 
   const bool distributed = solver_registry().get(config.solver).distributed;
   if (distributed) {

@@ -4,7 +4,6 @@
 //
 //   - the assembled CsrMatrix (copied from ProblemSpec::matrix_data, or
 //     built from the matrix registry key) plus its display name,
-//   - the default right-hand side xp::make_rhs builds for experiments,
 //   - for distributed solvers: the BlockRowPartition, the static SpMV
 //     communication plan, and (esrp strategy only) the phi-augmented ASpMV
 //     plan,
@@ -21,7 +20,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 
 #include "api/registry.hpp"
@@ -54,9 +52,6 @@ public:
 
   const CsrMatrix& matrix() const { return matrix_; }
   const std::string& name() const { return name_; }
-  /// The experiment-standard rhs (xp::make_rhs) used when a RunSpec leaves
-  /// `rhs` empty.
-  std::span<const real_t> default_rhs() const { return default_rhs_; }
   /// The problem spec this handle was prepared from, with matrix_data
   /// re-pointed at the handle's own copy (the caller's buffer is not
   /// retained past build()).
@@ -94,7 +89,6 @@ private:
 
   CsrMatrix matrix_;
   std::string name_;
-  Vector default_rhs_;
   ProblemSpec problem_;
   SolverConfig config_;
   std::string key_;

@@ -6,6 +6,7 @@
 #include "api/solve.hpp"
 #include "common/error.hpp"
 #include "parallel/parallel.hpp"
+#include "xp/experiment.hpp"
 
 namespace esrp {
 
@@ -71,8 +72,12 @@ SolveReport SolveService::solve(const ProblemHandle& handle, const RunSpec& run,
                                 SolverObserver* observer) const {
   const SolveSpec spec = assemble(handle, run);
   validate_spec(spec);
-  const std::span<const real_t> b =
-      spec.rhs.empty() ? handle.default_rhs() : spec.rhs;
+  Vector rhs_storage;
+  std::span<const real_t> b = spec.rhs;
+  if (b.empty()) {
+    rhs_storage = xp::make_rhs(handle.matrix());
+    b = rhs_storage;
+  }
   const ThreadBudget budget(resolve_budget(run.threads));
   const PreparedParts parts = handle.parts();
   return detail::run_resolved(spec, handle.matrix(), handle.name(), b,

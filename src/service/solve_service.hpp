@@ -76,8 +76,8 @@ public:
   PrepareResult prepare(const SolveSpec& spec) { return prepare(spec, spec); }
 
   /// Run one solve against a prepared handle. `run.rhs` empty means the
-  /// handle's default rhs (xp::make_rhs). Validates the assembled spec,
-  /// applies the RunSpec thread budget, and dispatches through
+  /// experiment-standard rhs, drawn per solve (xp::make_rhs). Validates the
+  /// assembled spec, applies the RunSpec thread budget, and dispatches through
   /// detail::run_resolved with the handle's prepared parts. Thread-safe:
   /// any number of threads may solve against the same handle.
   SolveReport solve(const ProblemHandle& handle, const RunSpec& run,

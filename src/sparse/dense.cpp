@@ -117,26 +117,31 @@ Vector Cholesky::solve(std::span<const real_t> b) const {
   return y;
 }
 
-DenseMatrix Cholesky::inverse() const {
+void Cholesky::inverse(std::span<real_t> out) const {
   const index_t n = dim();
   const auto un = static_cast<std::size_t>(n);
+  ESRP_CHECK(out.size() == un * un);
   // Row-major n x n: row i holds y[i] (then x[i]) of every right-hand side,
-  // so each update below streams over all columns at once.
-  std::vector<real_t> y(un * un, 0);
-  for (std::size_t j = 0; j < un; ++j) y[j * un + j] = 1;
+  // so each update below streams over the columns at once.
+  std::fill(out.begin(), out.end(), real_t{0});
+  for (std::size_t j = 0; j < un; ++j) out[j * un + j] = 1;
   const auto row = [&](index_t i) {
-    return y.data() + static_cast<std::size_t>(i) * un;
+    return out.data() + static_cast<std::size_t>(i) * un;
   };
-  // Forward substitution L Y = I, row by row as in solve().
+  // Forward substitution L Y = I, row by row as in solve(). Y = L^{-1} is
+  // lower triangular: row k is +0 beyond column k, so only columns j <= k
+  // of row i change when row k is subtracted, and only j <= i when row i is
+  // divided. Barring underflow no entry is ever -0, so the skipped
+  // subtractions of +0 products and divisions of +0 would change nothing.
   for (index_t i = 0; i < n; ++i) {
     real_t* yi = row(i);
     for (index_t k = 0; k < i; ++k) {
       const real_t lik = l_(i, k);
       const real_t* yk = row(k);
-      for (std::size_t j = 0; j < un; ++j) yi[j] -= lik * yk[j];
+      for (index_t j = 0; j <= k; ++j) yi[j] -= lik * yk[j];
     }
     const real_t lii = l_(i, i);
-    for (std::size_t j = 0; j < un; ++j) yi[j] /= lii;
+    for (index_t j = 0; j <= i; ++j) yi[j] /= lii;
   }
   // Backward substitution L^T X = Y.
   for (index_t i = n - 1; i >= 0; --i) {
@@ -149,11 +154,17 @@ DenseMatrix Cholesky::inverse() const {
     const real_t lii = l_(i, i);
     for (std::size_t j = 0; j < un; ++j) yi[j] /= lii;
   }
+}
+
+DenseMatrix Cholesky::inverse() const {
+  const index_t n = dim();
+  std::vector<real_t> y(static_cast<std::size_t>(n) *
+                        static_cast<std::size_t>(n));
+  inverse(y);
   DenseMatrix inv(n, n);
-  for (index_t i = 0; i < n; ++i) {
-    const real_t* yi = row(i);
-    for (index_t j = 0; j < n; ++j) inv(i, j) = yi[static_cast<std::size_t>(j)];
-  }
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j)
+      inv(i, j) = y[static_cast<std::size_t>(i * n + j)];
   return inv;
 }
 

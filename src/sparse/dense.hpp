@@ -62,10 +62,14 @@ public:
   /// Solve A x = b.
   Vector solve(std::span<const real_t> b) const;
 
-  /// Dense inverse A^{-1} (used to materialize block Jacobi actions). All n
-  /// unit right-hand sides advance together, row by row, through one
-  /// scratch buffer; column j goes through exactly solve(e_j)'s operations
-  /// in solve's order, so inverse()(i, j) is bitwise equal to solve(e_j)[i].
+  /// Dense inverse A^{-1}, written row-major into `out` (n * n entries):
+  /// block Jacobi's inverse blocks. All n unit right-hand sides advance
+  /// together, row by row; column j goes through solve(e_j)'s operations in
+  /// solve's order, less the subtractions of exact +0 entries of L^{-1},
+  /// which change nothing, so out[i * n + j] is bitwise solve(e_j)[i].
+  void inverse(std::span<real_t> out) const;
+
+  /// inverse(out) as a DenseMatrix.
   DenseMatrix inverse() const;
 
   /// log(det(A)) from the factor (sanity metric in tests).

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "../parallel/thread_count_guard.hpp"
 #include "common/error.hpp"
@@ -82,8 +85,10 @@ Vector random_vector(index_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Blocks of p stored whole: len^2 entries, no exact zero dropped.
-index_t whole_blocks(const BlockJacobiPreconditioner& p) {
+/// Blocks whose inverse holds no exact zero: the ones the CSR action
+/// matrix stores whole (len^2 entries). The dense kernel multiplies the
+/// zeros of the others too.
+index_t zero_free_blocks(const BlockJacobiPreconditioner& p) {
   const auto row_ptr = p.action_matrix()->row_ptr();
   const auto& starts = p.block_starts();
   index_t whole = 0;
@@ -289,18 +294,19 @@ TEST(BlockJacobi, InPlaceBuildMatchesCooReferenceBitwise) {
 
 TEST(BlockJacobi, ApplyMatchesActionMatrixSpmvBitwise) {
   {
-    // Single domain, each block one grid line: every block is stored whole.
+    // Single domain, each block one grid line: no inverse holds a zero.
     const CsrMatrix a = poisson3d(10, 10, 10);
     const BlockJacobiPreconditioner p(a);
-    EXPECT_EQ(whole_blocks(p), p.num_blocks());
+    EXPECT_EQ(zero_free_blocks(p), p.num_blocks());
     expect_apply_matches_spmv(p);
   }
   {
-    // emilia's reducible blocks drop exact zeros: both paths run.
+    // emilia's reducible blocks hold exact zeros, which the CSR drops and
+    // the dense kernel multiplies: the sums still agree bit for bit.
     const CsrMatrix a = emilia_like(20, 20, 20).matrix;
     const BlockJacobiPreconditioner p(a, BlockRowPartition(a.rows(), 128));
-    EXPECT_GT(whole_blocks(p), 0);
-    EXPECT_LT(whole_blocks(p), p.num_blocks());
+    EXPECT_GT(zero_free_blocks(p), 0);
+    EXPECT_LT(zero_free_blocks(p), p.num_blocks());
     expect_apply_matches_spmv(p);
   }
   {
@@ -317,6 +323,17 @@ TEST(BlockJacobi, ApplyMatchesActionMatrixSpmvBitwise) {
     const CsrMatrix a = emilia_like(6, 6, 6).matrix; // 216 rows
     const BlockRowPartition part({0, 0, 50, 50, 123, 216, 216});
     expect_apply_matches_spmv(BlockJacobiPreconditioner(a, part));
+  }
+  {
+    // Every block length from 1 to 12: the kernels specialized by length
+    // and, above 10, the one for any length. 1000 rows make several
+    // parallel chunks of blocks at 4 threads.
+    const CsrMatrix a = emilia_like(10, 10, 10).matrix;
+    for (index_t size = 1; size <= 12; ++size) {
+      const BlockJacobiPreconditioner p(a, size);
+      ASSERT_EQ(p.block_starts()[1], size);
+      expect_apply_matches_spmv(p);
+    }
   }
 }
 
@@ -363,6 +380,109 @@ TEST(BlockJacobi, ApplyLocalMatchesExtractedBlockBitwise) {
     Vector z(5);
     EXPECT_THROW(p.apply_local(0, 5, r, z), Error);
   }
+}
+
+/// The base class's CSR-scan defaults over another preconditioner's action
+/// matrix: the reference for block Jacobi's answers from its blocks.
+class CsrScan final : public Preconditioner {
+public:
+  explicit CsrScan(const Preconditioner& p) : p_(*p.action_matrix()) {}
+  std::string name() const override { return "csr_scan"; }
+  index_t dim() const override { return p_.rows(); }
+  void apply(std::span<const real_t> r, std::span<real_t> z) const override {
+    p_.spmv(r, z);
+  }
+  const CsrMatrix* action_matrix() const override { return &p_; }
+  double apply_flops() const override {
+    return 2.0 * static_cast<double>(p_.nnz());
+  }
+
+private:
+  const CsrMatrix& p_;
+};
+
+/// On every range [lo, hi) of p, apply_local_flops and
+/// first_row_coupled_outside equal the CSR scan's.
+void expect_range_queries_match_csr_scan(const Preconditioner& p) {
+  const CsrScan scan(p);
+  EXPECT_EQ(p.apply_flops(), scan.apply_flops());
+  for (index_t lo = 0; lo <= p.dim(); ++lo)
+    for (index_t hi = lo; hi <= p.dim(); ++hi) {
+      ASSERT_EQ(p.apply_local_flops(lo, hi), scan.apply_local_flops(lo, hi))
+          << "[" << lo << ", " << hi << ")";
+      ASSERT_EQ(p.first_row_coupled_outside(lo, hi),
+                scan.first_row_coupled_outside(lo, hi))
+          << "[" << lo << ", " << hi << ")";
+    }
+}
+
+TEST(BlockJacobi, RangeQueriesMatchCsrScan) {
+  {
+    // Reducible blocks: rows whose inverse has exact zeros at the columns
+    // a cut falls between.
+    const CsrMatrix a = emilia_like(4, 4, 4).matrix; // 64 rows
+    expect_range_queries_match_csr_scan(BlockJacobiPreconditioner(a, 10));
+    expect_range_queries_match_csr_scan(
+        BlockJacobiPreconditioner(a, BlockRowPartition({0, 0, 13, 40, 64})));
+  }
+  {
+    const CsrMatrix a = audikw_like(2, 2, 3).matrix; // 36 rows, 3 dof
+    expect_range_queries_match_csr_scan(BlockJacobiPreconditioner(a, 12));
+  }
+  {
+    // The decoupled 2x2 pairs of ApplyLocalMatchesExtractedBlockBitwise.
+    CooBuilder b(8, 8);
+    for (index_t i = 0; i < 8; i += 2) {
+      b.add(i, i, 4.0);
+      b.add(i + 1, i + 1, 3.0);
+      b.add_sym(i, i + 1, 1.0);
+    }
+    expect_range_queries_match_csr_scan(
+        BlockJacobiPreconditioner(b.to_csr(), 4));
+  }
+}
+
+TEST(BlockJacobi, SingleDomainBlocksAcrossRanksAreRejected) {
+  // Single-domain blocks of 10, 9, 9, ... on 64 rows. The block [10, 19)
+  // is reducible: rows 10..15 (the grid line pair y = 2, 3 of plane z = 0)
+  // couple only among themselves, so the plane boundary at 16 cuts
+  // nothing, but a rank boundary at 12 does.
+  const CsrMatrix a = poisson3d(4, 4, 4);
+  const BlockJacobiPreconditioner p(a, 10);
+  ASSERT_EQ(p.block_starts()[1], 10);
+  check_node_local(p, BlockRowPartition(a.rows(), 4));
+  const BlockRowPartition part({0, 12, 64});
+  EXPECT_EQ(p.first_row_coupled_outside(0, 12), 10);
+  EXPECT_EQ(p.first_row_coupled_outside(12, 64), 12);
+  try {
+    check_node_local(p, part);
+    FAIL() << "expected esrp::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("row 10 crosses the boundary of node 0"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(check_node_local(CsrScan(p), part), Error);
+}
+
+TEST(BlockJacobi, ConcurrentFirstActionMatrixCallsBuildOnce) {
+  const CsrMatrix a = emilia_like(10, 10, 10).matrix;
+  const BlockJacobiPreconditioner p(a, BlockRowPartition(a.rows(), 16));
+  constexpr int kThreads = 4;
+  std::vector<const CsrMatrix*> got(kThreads, nullptr);
+  std::latch start(kThreads);
+  // Naked threads, not the pool: every first call must race the others.
+  std::vector<std::thread> workers; // esrp-lint: allow(raw-thread)
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = p.action_matrix();
+    });
+  for (std::thread& w : workers) w.join(); // esrp-lint: allow(raw-thread)
+  for (const CsrMatrix* m : got) EXPECT_EQ(m, got[0]);
+  ASSERT_NE(got[0], nullptr);
+  expect_bitwise_equal(*got[0], coo_reference(a, p.block_starts()).p);
 }
 
 TEST(BlockJacobi, NonSpdBlockNamesItsRows) {

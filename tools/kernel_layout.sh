@@ -35,6 +35,7 @@ kernels=(
   "esrp::fused_axpy2"
   "esrp::BlockJacobiPreconditioner::apply"
   "esrp::BlockJacobiPreconditioner::apply_local"
+  "esrp::BlockJacobiPreconditioner::apply_blocks"
   "esrp::ExchangeEngine::spmv"
   "esrp::ExchangeEngine::capture"
   "esrp::RedundantCopy::RedundantCopy"
