@@ -3,7 +3,7 @@
 // the upward jump where the solver rolls back to the last storage stage and
 // replays the lost iterations on the original trajectory.
 //
-// The trace rides on the facade's SolverObserver: on_iteration() receives
+// The trace is the solve's SolverObserver: on_iteration() receives
 // (trajectory iteration, relres) at the top of every executed body, so the
 // rollback appears as a decrease in the recorded iteration number.
 //
@@ -13,22 +13,6 @@
 
 #include "api/solve.hpp"
 #include "xp/trace.hpp"
-
-namespace {
-
-/// Adapter: feed every executed iteration into a ConvergenceTrace.
-class TraceObserver final : public esrp::SolverObserver {
-public:
-  void on_iteration(esrp::index_t iteration, esrp::real_t relres) override {
-    trace_.record(iteration, relres);
-  }
-  esrp::xp::ConvergenceTrace& trace() { return trace_; }
-
-private:
-  esrp::xp::ConvergenceTrace trace_;
-};
-
-} // namespace
 
 int main(int argc, char** argv) {
   using namespace esrp;
@@ -42,9 +26,8 @@ int main(int argc, char** argv) {
   spec.phi = 3;
   spec.failures.push_back(FailureEvent{40, contiguous_ranks(6, 3, 16)});
 
-  TraceObserver observer;
-  const SolveReport res = solve(spec, &observer);
-  const xp::ConvergenceTrace& trace = observer.trace();
+  xp::ConvergenceTrace trace;
+  const SolveReport res = solve(spec, &trace);
 
   std::printf("ESRP solve of a %lld-unknown Poisson system; 3 nodes killed "
               "at iteration 40:\n\n", static_cast<long long>(res.rows));

@@ -32,8 +32,7 @@
 namespace esrp {
 
 class BlockRowPartition;
-class SpmvPlan;
-class AspmvPlan;
+class ProblemHandle;
 
 /// Error text for a failed lookup: names the kind, suggests the closest
 /// valid key (edit distance) when one is plausibly a typo, and lists every
@@ -104,35 +103,14 @@ private:
 
 // ---------------------------------------------------------------- solvers --
 
-/// Amortized artifacts a prepared ProblemHandle (service/problem_handle.hpp)
-/// injects into a solver driver. Every pointer is optional: when set, the
-/// driver uses the prepared object instead of rebuilding it; when null it
-/// builds exactly what it always built, so the facade path is untouched.
-/// All prepared objects are deterministic functions of the same spec
-/// fields the drivers would use, which is what makes a service-routed solve
-/// bitwise identical to a facade solve (pinned by tests/service/).
-struct PreparedParts {
-  /// Node partition for distributed solvers (the handle owns it).
-  const BlockRowPartition* part = nullptr;
-  /// Static SpMV communication plan on `part`.
-  const SpmvPlan* spmv = nullptr;
-  /// Augmented SpMV plan (ESRP redundancy), built only under the esrp
-  /// strategy and for one specific phi; drivers must ignore it when their
-  /// phi differs. Null otherwise.
-  const AspmvPlan* aspmv = nullptr;
-  /// Factorized preconditioner. Partition-aligned for distributed solvers,
-  /// single-domain for sequential ones — the plan cache keys on that.
-  const Preconditioner* precond = nullptr;
-};
-
-/// Everything a solver driver needs, resolved from a validated SolveSpec.
+/// Everything a solver driver needs: the prepared handle (matrix, partition,
+/// plans, factorized preconditioner; service/problem_handle.hpp) plus the
+/// validated spec of this run and its resolved rhs.
 struct SolveContext {
-  const CsrMatrix& a;
+  const ProblemHandle& handle;
   std::span<const real_t> b;
   const SolveSpec& spec;
   SolverObserver* observer = nullptr; ///< may be null
-  /// Set by the service layer when a prepared handle backs this solve.
-  const PreparedParts* prepared = nullptr;
 };
 
 /// A registered solver: the driver plus the capability flags validate_spec
@@ -141,13 +119,9 @@ struct SolveContext {
 struct SolverEntry {
   std::function<SolveReport(const SolveContext&)> run;
   /// Distributed solvers run on the simulated cluster (nodes, strategy and
-  /// the failure schedule apply); sequential ones ignore nodes/strategy and
-  /// take no failure events.
+  /// the failure schedule apply, every strategy included); sequential ones
+  /// ignore nodes/strategy and take no failure events.
   bool distributed = false;
-  /// How many failure events the solver's schedule supports.
-  std::size_t max_failure_events = 0;
-  /// Whether Strategy::esrp is implemented (distributed solvers only).
-  bool supports_esrp = false;
   /// Whether no-spare recovery (SolveSpec::spare_nodes = false: survivors
   /// absorb the failed ranks' ranges) is implemented.
   bool supports_no_spare = false;

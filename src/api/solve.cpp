@@ -1,7 +1,5 @@
 #include "api/solve.hpp"
 
-#include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -14,6 +12,7 @@
 #include "pipelined/dist_pipelined_pcg.hpp"
 #include "pipelined/pipelined_pcg.hpp"
 #include "scenario/cluster_shape.hpp"
+#include "service/problem_handle.hpp"
 #include "solver/pcg.hpp"
 #include "xp/experiment.hpp"
 
@@ -41,20 +40,6 @@ private:
   int saved_ = -1;
 };
 
-/// The preconditioner for this solve: the prepared handle's factorization
-/// when one was injected, else a fresh factorization (stored in `owned`).
-/// Both paths factorize from the same inputs, so they are interchangeable
-/// bitwise — the service's warm path just skips the work.
-const Preconditioner& resolve_precond(const SolveContext& ctx,
-                                      const BlockRowPartition* part,
-                                      std::unique_ptr<Preconditioner>& owned) {
-  if (ctx.prepared != nullptr && ctx.prepared->precond != nullptr)
-    return *ctx.prepared->precond;
-  owned = precond_registry().get(ctx.spec.precond).make(
-      PrecondContext{ctx.a, part, ctx.spec});
-  return *owned;
-}
-
 // ------------------------------------------------- sequential solvers ----
 
 /// pcg_solve and pipelined_pcg_solve share one signature.
@@ -66,14 +51,13 @@ using SequentialSolve = SolveOutcome (*)(const CsrMatrix&,
 
 SolveReport run_sequential(const SolveContext& ctx, SequentialSolve solve) {
   const SolveSpec& spec = ctx.spec;
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner& precond = resolve_precond(ctx, nullptr, owned);
-  Vector x(static_cast<std::size_t>(ctx.a.rows()), 0);
+  const CsrMatrix& a = ctx.handle.matrix();
+  Vector x(static_cast<std::size_t>(a.rows()), 0);
   if (!spec.x0.empty()) vec_copy(spec.x0, x);
 
   SolveReport report;
   static_cast<SolveOutcome&>(report) =
-      solve(ctx.a, ctx.b, x, &precond, spec, ctx.observer);
+      solve(a, ctx.b, x, &ctx.handle.precond(), spec, ctx.observer);
   report.x = std::move(x);
   return report;
 }
@@ -89,8 +73,9 @@ SolveReport run_pipelined(const SolveContext& ctx) {
 // ------------------------------------------------ distributed solvers ----
 
 CostParams cluster_cost(const SolveContext& ctx) {
-  return ctx.spec.calibrated_cost ? xp::calibrated_cost(ctx.a, ctx.spec.nodes)
-                                  : CostParams{};
+  return ctx.spec.calibrated_cost
+             ? xp::calibrated_cost(ctx.handle.matrix(), ctx.spec.nodes)
+             : CostParams{};
 }
 
 /// Base cost parameters shaped by the spec's cluster-shape key (empty =
@@ -98,22 +83,6 @@ CostParams cluster_cost(const SolveContext& ctx) {
 HeterogeneousCostModel cluster_model(const SolveContext& ctx) {
   return resolve_cluster_shape(ctx.spec.cluster_shape, cluster_cost(ctx),
                                ctx.spec.nodes);
-}
-
-/// Partition for a distributed solve: the prepared handle's (so the shared
-/// plans' partition identity checks hold) or a locally built one. Both are
-/// the same deterministic block-row split of (rows, nodes).
-const BlockRowPartition& resolve_partition(
-    const SolveContext& ctx, std::optional<BlockRowPartition>& local) {
-  if (ctx.prepared != nullptr && ctx.prepared->part != nullptr) {
-    ESRP_CHECK_MSG(ctx.prepared->part->num_nodes() == ctx.spec.nodes &&
-                       ctx.prepared->part->global_size() == ctx.a.rows(),
-                   "prepared partition does not match this spec's "
-                   "(rows, nodes)");
-    return *ctx.prepared->part;
-  }
-  local.emplace(ctx.a.rows(), ctx.spec.nodes);
-  return *local;
 }
 
 /// The one SolveSpec -> ResilienceOptions mapping both distributed solvers
@@ -129,34 +98,22 @@ ResilienceOptions resilience_options(const SolveSpec& spec) {
   return opts;
 }
 
-/// Shared body of the distributed drivers: build the cluster, the
-/// preconditioner and the solver (borrowing the prepared plans when they
-/// match this solve's phi), run `solve` on it, and report — including the
-/// residual-accuracy metrics.
+/// Shared body of the distributed drivers: build the cluster and the solver
+/// on the handle's partition, plans and preconditioner, run `solve` on it,
+/// and report — including the residual-accuracy metrics.
 template <typename Solver, typename Solve>
 SolveReport run_distributed(const SolveContext& ctx, Solve solve) {
-  std::optional<BlockRowPartition> local_part;
-  const BlockRowPartition& part = resolve_partition(ctx, local_part);
-  SimCluster cluster(part, cluster_model(ctx));
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner& precond = resolve_precond(ctx, &part, owned);
-  const ResilienceOptions opts = resilience_options(ctx.spec);
-
-  // Shared plans ride along only when they match this solve (same phi);
-  // otherwise the solver builds its own, exactly as before.
-  const SpmvPlan* plan =
-      ctx.prepared != nullptr ? ctx.prepared->spmv : nullptr;
-  const AspmvPlan* aug = nullptr;
-  if (plan != nullptr && ctx.prepared->aspmv != nullptr &&
-      ctx.prepared->aspmv->phi() == opts.phi)
-    aug = ctx.prepared->aspmv;
-  Solver solver(ctx.a, precond, cluster, opts, plan, aug);
+  const ProblemHandle& handle = ctx.handle;
+  const CsrMatrix& a = handle.matrix();
+  SimCluster cluster(*handle.partition(), cluster_model(ctx));
+  Solver solver(a, handle.precond(), cluster, resilience_options(ctx.spec),
+                handle.spmv_plan(), handle.aspmv_plan());
 
   SolveReport report;
   static_cast<SolveOutcome&>(report) = solve(solver);
   report.nodes = ctx.spec.nodes;
-  report.drift = residual_drift(ctx.a, ctx.b, report.x, report.r);
-  report.true_relres = true_relative_residual(ctx.a, ctx.b, report.x);
+  report.drift = residual_drift(a, ctx.b, report.x, report.r);
+  report.true_relres = true_relative_residual(a, ctx.b, report.x);
   return report;
 }
 
@@ -188,8 +145,6 @@ Registry<SolverEntry>& solver_registry() {
            "recovery (paper Alg. 3)",
            SolverEntry{.run = run_resilient,
                        .distributed = true,
-                       .max_failure_events = SIZE_MAX,
-                       .supports_esrp = true,
                        .supports_no_spare = true,
                        .supports_sdc = true,
                        .supports_shrink = true});
@@ -198,8 +153,6 @@ Registry<SolverEntry>& solver_registry() {
            "ESRP/IMCR recovery (ref. [16])",
            SolverEntry{.run = run_dist_pipelined,
                        .distributed = true,
-                       .max_failure_events = SIZE_MAX,
-                       .supports_esrp = true,
                        .supports_no_spare = false,
                        .supports_residual_replacement = false,
                        .supports_x0 = false});
@@ -210,12 +163,22 @@ Registry<SolverEntry>& solver_registry() {
 
 namespace detail {
 
-SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
-                         const std::string& name, std::span<const real_t> b,
-                         SolverObserver* observer,
-                         const PreparedParts* prepared) {
-  const SolverEntry& entry = solver_registry().get(spec.solver);
-  ESRP_CHECK_MSG(a.rows() == a.cols(), "solve() needs a square matrix");
+SolveReport solve_prepared(const ProblemHandle& handle, const RunSpec& run,
+                           SolverObserver* observer) {
+  SolveSpec spec;
+  static_cast<ProblemSpec&>(spec) = handle.problem();
+  static_cast<SolverConfig&>(spec) = handle.config();
+  static_cast<RunSpec&>(spec) = run; // owning spans re-point (solve_spec.hpp)
+  spec.threads = -1;
+  validate_spec(spec);
+
+  const CsrMatrix& a = handle.matrix();
+  Vector rhs_storage;
+  std::span<const real_t> b = spec.rhs;
+  if (b.empty()) {
+    rhs_storage = xp::make_rhs(a);
+    b = rhs_storage;
+  }
   ESRP_CHECK_MSG(static_cast<index_t>(b.size()) == a.rows(),
                  "rhs size " << b.size() << " does not match matrix dimension "
                              << a.rows());
@@ -225,14 +188,15 @@ SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
                             << " does not match matrix dimension "
                             << a.rows());
 
-  // The one wall-clock measurement of a solve: everything the driver does,
-  // per-solve setup included (a prepared handle has amortized its share).
+  // The one wall-clock measurement of a solve: the driver call, with the
+  // handle's setup (partition, plans, factorization) excluded.
+  const SolverEntry& entry = solver_registry().get(spec.solver);
   const WallTimer timer;
-  SolveReport report = entry.run(SolveContext{a, b, spec, observer, prepared});
+  SolveReport report = entry.run(SolveContext{handle, b, spec, observer});
   report.wall_seconds = timer.seconds();
   report.solver = spec.solver;
   report.precond = spec.precond;
-  report.matrix = name;
+  report.matrix = handle.name();
   report.rows = a.rows();
   report.nnz = a.nnz();
   return report;
@@ -242,26 +206,9 @@ SolveReport run_resolved(const SolveSpec& spec, const CsrMatrix& a,
 
 SolveReport solve(const SolveSpec& spec, SolverObserver* observer) {
   validate_spec(spec);
-
-  // Resolve the problem: borrowed matrix or registry-built one.
-  TestProblem built;
-  const CsrMatrix* a = spec.matrix_data;
-  std::string name = spec.matrix_name.empty() ? "custom" : spec.matrix_name;
-  if (a == nullptr) {
-    built = resolve_matrix(spec.matrix);
-    a = &built.matrix;
-    name = built.name;
-  }
-
-  Vector rhs_storage;
-  std::span<const real_t> b = spec.rhs;
-  if (b.empty()) {
-    rhs_storage = xp::make_rhs(*a);
-    b = rhs_storage;
-  }
-
   const ThreadOverride threads(spec.threads);
-  return detail::run_resolved(spec, *a, name, b, observer, nullptr);
+  const auto handle = ProblemHandle::borrow(spec, spec);
+  return detail::solve_prepared(*handle, spec, observer);
 }
 
 } // namespace esrp

@@ -207,14 +207,6 @@ void validate_spec(const SolveSpec& spec) {
               "\" (shrink rung) is only defined for the esrp strategy, "
               "like no-spare recovery (ref. [22]); strategy \"" +
               to_string(spec.strategy) + "\" cannot shrink");
-    if (spec.failures.size() > solver.max_failure_events)
-      invalid("\"" + spec.solver + "\" supports at most " +
-              std::to_string(solver.max_failure_events) + " failure event" +
-              (solver.max_failure_events == 1 ? "" : "s"));
-    if (spec.strategy == Strategy::esrp && !solver.supports_esrp)
-      invalid("\"" + spec.solver +
-              "\" supports strategies none and imcr only (no exact state "
-              "reconstruction for its recurrences)");
     if (!spec.spare_nodes && !solver.supports_no_spare)
       invalid("\"" + spec.solver +
               "\" does not support no-spare recovery (spare_nodes = false); "

@@ -58,7 +58,7 @@ struct ProblemSpec {
   std::string matrix;
   /// In-memory matrix (for callers that assembled their own operator);
   /// takes precedence over `matrix`. Borrowed by the facade (must outlive
-  /// solve()); the service layer copies it into the prepared handle.
+  /// solve()); SolveService::prepare copies it into the handle.
   const CsrMatrix* matrix_data = nullptr;
   /// Report label when `matrix_data` is used (defaults to "custom").
   std::string matrix_name;
@@ -201,8 +201,9 @@ struct SolveReport : SolveOutcome {
   rank_t nodes = 0; ///< simulated cluster size (0 for sequential solvers)
 
   /// Host wall time of the driver call (reference only), measured once in
-  /// detail::run_resolved: per-solve setup included on the facade path,
-  /// the setup a prepared handle amortizes excluded on the service path.
+  /// detail::solve_prepared on both the facade and the service path: the
+  /// solve itself, without the handle's setup (matrix, partition, plans,
+  /// factorization).
   double wall_seconds = 0;
   real_t drift = 0;       ///< residual drift (paper Eq. 2), when r is known
   real_t true_relres = 0; ///< ||b - A x||_2 / ||b||_2 (distributed solvers)

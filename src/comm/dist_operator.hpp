@@ -48,9 +48,9 @@ public:
   /// (check_node_local). The AspmvPlan exists only under the esrp strategy
   /// (with `opts.phi`).
   ///
-  /// `shared_plan` / `shared_aug` (optional, service layer) inject plans a
-  /// prepared ProblemHandle built for this (matrix, partition, phi): the
-  /// layer borrows them instead of building its own. They must outlive it,
+  /// `shared_plan` / `shared_aug` (optional; the registry drivers pass their
+  /// ProblemHandle's) inject plans built for this (matrix, partition, phi):
+  /// the layer borrows them instead of building its own. They must outlive it,
   /// be built on `cluster.partition()`, and (aug) sit on `shared_plan` with
   /// `opts.phi`. Plans are deterministic functions of those inputs, so
   /// borrowed and freshly built plans are interchangeable bitwise.

@@ -60,9 +60,10 @@ public:
   /// matrix whose rows are node-local (block Jacobi qualifies); this is
   /// required by both the distributed application and the reconstruction.
   ///
-  /// `shared_plan` / `shared_aug` (optional, service layer) are prepared
-  /// plans the distributed operator borrows (comm/dist_operator.hpp). After
-  /// a no-spare repartition the solver switches to its own rebuilt plans.
+  /// `shared_plan` / `shared_aug` (optional; the registry drivers pass their
+  /// ProblemHandle's) are prepared plans the distributed operator borrows
+  /// (comm/dist_operator.hpp). After a no-spare repartition the solver
+  /// switches to its own rebuilt plans.
   ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
                SimCluster& cluster, ResilienceOptions opts,
                const SpmvPlan* shared_plan = nullptr,

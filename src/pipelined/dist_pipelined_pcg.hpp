@@ -47,8 +47,9 @@ namespace esrp {
 
 class DistPipelinedPcg {
 public:
-  /// `shared_plan` / `shared_aug` (optional, service layer) are prepared
-  /// plans the distributed operator borrows (comm/dist_operator.hpp).
+  /// `shared_plan` / `shared_aug` (optional; the registry drivers pass their
+  /// ProblemHandle's) are prepared plans the distributed operator borrows
+  /// (comm/dist_operator.hpp).
   DistPipelinedPcg(const CsrMatrix& a, const Preconditioner& precond,
                    SimCluster& cluster, ResilienceOptions opts,
                    const SpmvPlan* shared_plan = nullptr,

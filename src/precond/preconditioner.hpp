@@ -91,7 +91,11 @@ public:
 
   const CsrMatrix* action_matrix() const override { return &p_; }
   const CsrMatrix* matrix_form() const override { return &p_; }
+  /// One flop per row (the copy), on the whole range and on a slice alike.
   double apply_flops() const override { return static_cast<double>(n_); }
+  double apply_local_flops(index_t lo, index_t hi) const override {
+    return static_cast<double>(hi - lo);
+  }
 
 private:
   index_t n_;

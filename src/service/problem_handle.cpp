@@ -70,40 +70,52 @@ std::shared_ptr<const ProblemHandle> ProblemHandle::build(
 
 std::shared_ptr<const ProblemHandle> ProblemHandle::build(
     const ProblemSpec& problem, const SolverConfig& config, std::string key) {
+  auto handle = prepare(problem, config, /*copy_matrix_data=*/true);
+  handle->key_ = std::move(key); // content_key validated config.solver
+  return handle;
+}
+
+std::shared_ptr<const ProblemHandle> ProblemHandle::borrow(
+    const ProblemSpec& problem, const SolverConfig& config) {
+  return prepare(problem, config, /*copy_matrix_data=*/false);
+}
+
+std::shared_ptr<ProblemHandle> ProblemHandle::prepare(
+    const ProblemSpec& problem, const SolverConfig& config,
+    bool copy_matrix_data) {
   // make_shared needs a public ctor; the aliasing-free way around the
   // private default ctor is a derived helper local to this function.
   struct Concrete : ProblemHandle {};
   auto handle = std::make_shared<Concrete>();
-
-  handle->key_ = std::move(key); // content_key validated config.solver
   handle->config_ = config;
   handle->problem_ = problem;
 
+  // problem_.matrix_data ends up at the matrix the handle solves: the
+  // handle's own (registry-built or copied) or, when borrowing, the
+  // caller's.
+  ProblemSpec& own = handle->problem_;
   if (problem.matrix_data != nullptr) {
-    handle->matrix_ = *problem.matrix_data;
-    handle->name_ =
-        problem.matrix_name.empty() ? "custom" : problem.matrix_name;
+    if (own.matrix_name.empty()) own.matrix_name = "custom";
+    if (copy_matrix_data) {
+      handle->owned_matrix_ = *problem.matrix_data;
+      own.matrix_data = &handle->owned_matrix_;
+    }
   } else {
     TestProblem tp = resolve_matrix(problem.matrix);
-    handle->matrix_ = std::move(tp.matrix);
-    handle->name_ = std::move(tp.name);
+    handle->owned_matrix_ = std::move(tp.matrix);
+    own.matrix_data = &handle->owned_matrix_;
+    own.matrix_name = std::move(tp.name);
   }
-  // The handle is self-contained: its ProblemSpec points at its own matrix
-  // copy, never the caller's buffer.
-  handle->problem_.matrix_data = &handle->matrix_;
-  handle->problem_.matrix_name = handle->name_;
-
-  if (handle->matrix_.rows() != handle->matrix_.cols())
-    throw Error("prepare requires a square matrix, got " +
-                std::to_string(handle->matrix_.rows()) + " x " +
-                std::to_string(handle->matrix_.cols()));
+  const CsrMatrix& a = handle->matrix();
+  if (a.rows() != a.cols())
+    throw Error("solving requires a square matrix, got " +
+                std::to_string(a.rows()) + " x " + std::to_string(a.cols()));
 
   const bool distributed = solver_registry().get(config.solver).distributed;
   if (distributed) {
-    handle->partition_ = std::make_unique<BlockRowPartition>(
-        handle->matrix_.rows(), problem.nodes);
-    handle->spmv_plan_ =
-        std::make_unique<SpmvPlan>(handle->matrix_, *handle->partition_);
+    handle->partition_ =
+        std::make_unique<BlockRowPartition>(a.rows(), problem.nodes);
+    handle->spmv_plan_ = std::make_unique<SpmvPlan>(a, *handle->partition_);
     // Only the esrp strategy reads the augmented plan (DistOperator
     // borrows it then); the cache key includes the strategy.
     if (config.strategy == Strategy::esrp)
@@ -111,16 +123,13 @@ std::shared_ptr<const ProblemHandle> ProblemHandle::build(
           std::make_unique<AspmvPlan>(*handle->spmv_plan_, config.phi);
   }
 
-  // Factorize exactly as the facade drivers would: partition-aligned for
-  // distributed solvers (resolve_precond passes the cluster partition),
-  // single-domain for sequential ones (null partition).
+  // Factorize partition-aligned for distributed solvers, single-domain for
+  // sequential ones (null partition).
   SolveSpec factorize_spec;
-  static_cast<ProblemSpec&>(factorize_spec) = handle->problem_;
+  static_cast<ProblemSpec&>(factorize_spec) = own;
   static_cast<SolverConfig&>(factorize_spec) = config;
   handle->precond_ = precond_registry().get(problem.precond).make(
-      PrecondContext{handle->matrix_, handle->partition_.get(),
-                     factorize_spec});
-
+      PrecondContext{a, handle->partition_.get(), factorize_spec});
   return handle;
 }
 

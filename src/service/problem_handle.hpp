@@ -1,9 +1,11 @@
-// ProblemHandle — the "prepare" half of the service-layer prepare/solve
-// split (service/solve_service.hpp). A handle owns every amortizable
-// artifact of a (ProblemSpec, SolverConfig) pair:
+// ProblemHandle — the "prepare" half of the prepare/solve split
+// (service/solve_service.hpp), and the one form in which every solve reaches
+// its driver. A handle holds every amortizable artifact of a
+// (ProblemSpec, SolverConfig) pair:
 //
-//   - the assembled CsrMatrix (copied from ProblemSpec::matrix_data, or
-//     built from the matrix registry key) plus its display name,
+//   - the CsrMatrix (built from the matrix registry key, or the caller's
+//     ProblemSpec::matrix_data: copied by build(), borrowed by borrow())
+//     plus its display name,
 //   - for distributed solvers: the BlockRowPartition, the static SpMV
 //     communication plan, and (esrp strategy only) the phi-augmented ASpMV
 //     plan,
@@ -11,12 +13,12 @@
 //     solvers, single-domain for sequential ones — the two factorizations
 //     differ, which is why the content key includes distributed-ness).
 //
-// Handles are immutable after build() and shared by const pointer, so any
+// Handles are immutable once built and shared by const pointer, so any
 // number of concurrent solve sessions can run against one handle without
-// synchronization. Every owned artifact is a deterministic function of the
-// spec fields the facade drivers would otherwise use per solve, so a solve
-// through a handle is bitwise identical to the facade path — pinned by
-// tests/service/service_parity_test.cpp.
+// synchronization. esrp::solve prepares a one-shot handle with borrow() and
+// SolveService::solve takes a cached one; both then run
+// detail::solve_prepared, so a service solve is bitwise identical to a
+// facade solve (tests/service/service_parity_test.cpp).
 #pragma once
 
 #include <memory>
@@ -44,33 +46,35 @@ public:
   static std::string content_key(const ProblemSpec& problem,
                                  const SolverConfig& config);
 
-  /// Assemble the matrix, build the plans, and factorize the
-  /// preconditioner. Throws esrp::Error on unknown registry keys or an
-  /// invalid spec. This is the expensive call the PlanCache amortizes.
+  /// Assemble (or copy) the matrix, build the plans, and factorize the
+  /// preconditioner; key() is content_key(problem, config). Throws
+  /// esrp::Error on unknown registry keys, an invalid spec or a non-square
+  /// matrix. This is the expensive call the PlanCache amortizes.
   static std::shared_ptr<const ProblemHandle> build(const ProblemSpec& problem,
                                                     const SolverConfig& config);
 
-  const CsrMatrix& matrix() const { return matrix_; }
-  const std::string& name() const { return name_; }
+  /// build() for a one-shot solve (esrp::solve): a caller's matrix_data is
+  /// borrowed, not copied, and no content key is computed (key() is empty).
+  /// `problem.matrix_data` must outlive the handle.
+  static std::shared_ptr<const ProblemHandle> borrow(
+      const ProblemSpec& problem, const SolverConfig& config);
+
+  const CsrMatrix& matrix() const { return *problem_.matrix_data; }
+  const std::string& name() const { return problem_.matrix_name; }
   /// The problem spec this handle was prepared from, with matrix_data
-  /// re-pointed at the handle's own copy (the caller's buffer is not
-  /// retained past build()).
+  /// pointed at the handle's matrix and matrix_name set to its name.
   const ProblemSpec& problem() const { return problem_; }
   const SolverConfig& config() const { return config_; }
   const std::string& key() const { return key_; }
 
-  /// True when the configured solver runs on the simulated cluster (the
-  /// handle then carries partition + plans).
-  bool distributed() const { return partition_ != nullptr; }
+  /// Node partition; null for sequential solvers, whose handles carry no
+  /// plans either.
+  const BlockRowPartition* partition() const { return partition_.get(); }
+  /// Static SpMV plan on partition(); null for sequential solvers.
+  const SpmvPlan* spmv_plan() const { return spmv_plan_.get(); }
+  /// Augmented SpMV plan at config().phi; null unless the strategy is esrp.
+  const AspmvPlan* aspmv_plan() const { return aspmv_plan_.get(); }
   const Preconditioner& precond() const { return *precond_; }
-
-  /// The injection view the solver drivers consume (api/registry.hpp).
-  /// Pointers borrow from this handle — keep the handle alive across the
-  /// solve (SolveService holds it by shared_ptr for exactly this reason).
-  PreparedParts parts() const {
-    return PreparedParts{partition_.get(), spmv_plan_.get(), aspmv_plan_.get(),
-                         precond_.get()};
-  }
 
   ProblemHandle(const ProblemHandle&) = delete;
   ProblemHandle& operator=(const ProblemHandle&) = delete;
@@ -86,9 +90,12 @@ private:
   static std::shared_ptr<const ProblemHandle> build(const ProblemSpec& problem,
                                                     const SolverConfig& config,
                                                     std::string key);
+  /// The shared body of build() and borrow().
+  static std::shared_ptr<ProblemHandle> prepare(const ProblemSpec& problem,
+                                                const SolverConfig& config,
+                                                bool copy_matrix_data);
 
-  CsrMatrix matrix_;
-  std::string name_;
+  CsrMatrix owned_matrix_; ///< registry-built or copied; empty when borrowing
   ProblemSpec problem_;
   SolverConfig config_;
   std::string key_;
@@ -97,5 +104,18 @@ private:
   std::unique_ptr<AspmvPlan> aspmv_plan_;        ///< distributed esrp only
   std::unique_ptr<Preconditioner> precond_;
 };
+
+namespace detail {
+
+/// The one solve path under esrp::solve and SolveService::solve: run `run`
+/// against the handle's problem and config through the registered driver.
+/// Validates the assembled spec, draws the experiment-standard rhs
+/// (xp::make_rhs) when `run.rhs` is empty, and fills the report's identity
+/// fields; `wall_seconds` times the driver call alone. `run.threads` is
+/// ignored: callers apply their thread setting around this call.
+SolveReport solve_prepared(const ProblemHandle& handle, const RunSpec& run,
+                           SolverObserver* observer);
+
+} // namespace detail
 
 } // namespace esrp

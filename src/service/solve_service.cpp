@@ -2,11 +2,8 @@
 
 #include <utility>
 
-#include "api/registry.hpp"
-#include "api/solve.hpp"
 #include "common/error.hpp"
 #include "parallel/parallel.hpp"
-#include "xp/experiment.hpp"
 
 namespace esrp {
 
@@ -54,34 +51,10 @@ PrepareResult SolveService::prepare(const ProblemSpec& problem,
   return PrepareResult{handle, false};
 }
 
-SolveSpec SolveService::assemble(const ProblemHandle& handle,
-                                 const RunSpec& run) const {
-  SolveSpec spec;
-  static_cast<ProblemSpec&>(spec) = handle.problem();
-  static_cast<SolverConfig&>(spec) = handle.config();
-  static_cast<RunSpec&>(spec) = run; // owning spans re-point (solve_spec.hpp)
-  // The handle's matrix is the problem; the thread budget is applied by the
-  // caller (never through the facade's global override).
-  spec.matrix_data = &handle.matrix();
-  spec.matrix_name = handle.name();
-  spec.threads = -1;
-  return spec;
-}
-
 SolveReport SolveService::solve(const ProblemHandle& handle, const RunSpec& run,
                                 SolverObserver* observer) const {
-  const SolveSpec spec = assemble(handle, run);
-  validate_spec(spec);
-  Vector rhs_storage;
-  std::span<const real_t> b = spec.rhs;
-  if (b.empty()) {
-    rhs_storage = xp::make_rhs(handle.matrix());
-    b = rhs_storage;
-  }
   const ThreadBudget budget(resolve_budget(run.threads));
-  const PreparedParts parts = handle.parts();
-  return detail::run_resolved(spec, handle.matrix(), handle.name(), b,
-                              observer, &parts);
+  return detail::solve_prepared(handle, run, observer);
 }
 
 std::future<SolveReport> SolveService::submit(

@@ -11,10 +11,11 @@
 // side — matrix assembly, partitioning, SpMV/ASpMV communication plans,
 // preconditioner factorization — into a ProblemHandle stored in a keyed
 // LRU PlanCache; repeat prepares of the same problem are cache hits that
-// do zero re-factorization. solve() then routes the per-run half (rhs, x0,
-// failure schedule, thread budget) through the exact same registry drivers
-// as esrp::solve, injecting the prepared parts, so a service-routed solve
-// is bitwise identical to the facade (tests/service/service_parity_test).
+// do zero re-factorization. solve() then runs the per-run half (rhs, x0,
+// failure schedule, thread budget) against the handle on the one solve path
+// esrp::solve also takes (it prepares a one-shot handle per call), so a
+// service-routed solve is bitwise identical to the facade
+// (tests/service/service_parity_test).
 //
 // Sessions: submit() multiplexes solves onto up to max_sessions service
 // worker threads, each applying a per-session ThreadBudget
@@ -76,10 +77,10 @@ public:
   PrepareResult prepare(const SolveSpec& spec) { return prepare(spec, spec); }
 
   /// Run one solve against a prepared handle. `run.rhs` empty means the
-  /// experiment-standard rhs, drawn per solve (xp::make_rhs). Validates the
-  /// assembled spec, applies the RunSpec thread budget, and dispatches through
-  /// detail::run_resolved with the handle's prepared parts. Thread-safe:
-  /// any number of threads may solve against the same handle.
+  /// experiment-standard rhs, drawn per solve (xp::make_rhs). Applies the
+  /// RunSpec thread budget and runs detail::solve_prepared, the path
+  /// esrp::solve takes too. Thread-safe: any number of threads may solve
+  /// against the same handle.
   SolveReport solve(const ProblemHandle& handle, const RunSpec& run,
                     SolverObserver* observer = nullptr) const;
 
@@ -94,7 +95,6 @@ public:
   void clear_cache() { cache_.clear(); }
 
 private:
-  SolveSpec assemble(const ProblemHandle& handle, const RunSpec& run) const;
   void session_loop();
 
   ServiceOptions opts_;

@@ -85,13 +85,4 @@ std::string ConvergenceTrace::ascii_chart(int width, int height) const {
   return out;
 }
 
-IterationHook ConvergenceTrace::hook(real_t bnorm) {
-  ESRP_CHECK(bnorm > 0);
-  return [this, bnorm](index_t j, const DistVector&, const DistVector& r,
-                       const DistVector&, const DistVector&) {
-    const Vector rg = r.gather_global();
-    record(j, vec_norm2(rg) / bnorm);
-  };
-}
-
 } // namespace esrp::xp

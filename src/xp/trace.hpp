@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/observer.hpp"
 #include "common/types.hpp"
-#include "core/resilient_pcg.hpp"
 
 namespace esrp::xp {
 
@@ -20,9 +20,14 @@ struct TracePoint {
   real_t relres = 0;      ///< ||r||_2 / ||b||_2 at the top of the iteration
 };
 
-class ConvergenceTrace {
+/// A SolverObserver: pass it as a solve's observer and every convergence
+/// check (each executed body plus the final one) becomes a point.
+class ConvergenceTrace final : public SolverObserver {
 public:
   void record(index_t iteration, real_t relres);
+  void on_iteration(index_t iteration, real_t relres) override {
+    record(iteration, relres);
+  }
 
   const std::vector<TracePoint>& points() const { return points_; }
   bool empty() const { return points_.empty(); }
@@ -37,10 +42,6 @@ public:
   /// Log-scale ASCII chart, `width` columns by `height` rows; the x axis is
   /// the execution step, so rollbacks appear as upward jumps of the curve.
   std::string ascii_chart(int width = 72, int height = 14) const;
-
-  /// Adapter for ResilientPcg::set_iteration_hook: records
-  /// ||r||_2 / bnorm at the top of every executed iteration.
-  IterationHook hook(real_t bnorm);
 
 private:
   std::vector<TracePoint> points_;

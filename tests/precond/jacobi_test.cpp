@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.hpp"
 #include "common/error.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/generators.hpp"
@@ -59,6 +60,31 @@ TEST(Jacobi, ApplyFlopsIsLinear) {
   const CsrMatrix a = laplace1d(100);
   JacobiPreconditioner p(a);
   EXPECT_DOUBLE_EQ(p.apply_flops(), 100);
+}
+
+// The distributed solvers charge each rank apply_local_flops of its range;
+// the sequential ones charge apply_flops. For every preconditioner they can
+// both run, the two cost models must agree: the whole range, and the ranks'
+// ranges summed, cost one apply().
+TEST(PrecondCostModel, LocalFlopsOverAllRowsEqualApplyFlops) {
+  const CsrMatrix a = poisson2d(12, 12);
+  const BlockRowPartition part(a.rows(), 4);
+  SolveSpec spec;
+  for (const std::string& key : precond_registry().keys()) {
+    const PrecondEntry& entry = precond_registry().get(key);
+    if (!entry.explicit_action) continue;
+    SCOPED_TRACE(key);
+    const auto single = entry.make(PrecondContext{a, nullptr, spec});
+    EXPECT_EQ(single->apply_local_flops(0, single->dim()),
+              single->apply_flops());
+    const auto aligned = entry.make(PrecondContext{a, &part, spec});
+    EXPECT_EQ(aligned->apply_local_flops(0, aligned->dim()),
+              aligned->apply_flops());
+    double by_rank = 0;
+    for (rank_t s = 0; s < part.num_nodes(); ++s)
+      by_rank += aligned->apply_local_flops(part.begin(s), part.end(s));
+    EXPECT_EQ(by_rank, aligned->apply_flops());
+  }
 }
 
 } // namespace

@@ -127,6 +127,45 @@ TEST(PlanCacheTest, PrecondParametersEnterTheKey) {
             ProblemHandle::content_key(other, pcg_config()));
 }
 
+// esrp::solve's one-shot prepare: borrow() solves the caller's matrix in
+// place and computes no content key, while build() copies and keys it. Both
+// prepare the same partition and plans.
+TEST(PlanCacheTest, BorrowUsesTheCallersMatrixAndComputesNoKey) {
+  const CsrMatrix a = laplace1d(64);
+  ProblemSpec problem;
+  problem.matrix_data = &a;
+  problem.precond = "block-jacobi";
+  problem.nodes = 4;
+  SolverConfig config;
+  config.solver = "resilient-pcg";
+  config.strategy = Strategy::esrp;
+  config.phi = 2;
+
+  const auto borrowed = ProblemHandle::borrow(problem, config);
+  EXPECT_EQ(&borrowed->matrix(), &a);
+  EXPECT_TRUE(borrowed->key().empty());
+  EXPECT_EQ(borrowed->name(), "custom");
+
+  const auto built = ProblemHandle::build(problem, config);
+  EXPECT_NE(&built->matrix(), &a);
+  EXPECT_EQ(built->key(), ProblemHandle::content_key(problem, config));
+
+  for (const ProblemHandle* h : {borrowed.get(), built.get()}) {
+    ASSERT_NE(h->partition(), nullptr);
+    EXPECT_EQ(h->partition()->num_nodes(), 4);
+    ASSERT_NE(h->spmv_plan(), nullptr);
+    EXPECT_EQ(&h->spmv_plan()->partition(), h->partition());
+    ASSERT_NE(h->aspmv_plan(), nullptr);
+    EXPECT_EQ(h->aspmv_plan()->phi(), 2);
+  }
+  // A registry matrix is built by the handle either way.
+  const auto generated = ProblemHandle::borrow(
+      laplace_problem("laplace1d:16"), pcg_config());
+  EXPECT_EQ(generated->matrix().rows(), 16);
+  EXPECT_TRUE(generated->key().empty());
+  EXPECT_EQ(generated->partition(), nullptr);
+}
+
 // The warm-prepare guarantee: the second prepare of an identical problem is
 // a cache hit that returns the same handle object — shared_ptr identity is
 // the proof that nothing was re-assembled or re-factorized.

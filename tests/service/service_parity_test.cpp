@@ -150,13 +150,13 @@ TEST_F(ServiceParity, AspmvPlanPreparedOnlyForEsrp) {
 
       SolveService service;
       const PrepareResult prep = service.prepare(spec);
-      const PreparedParts parts = prep.handle->parts();
-      EXPECT_NE(parts.spmv, nullptr);
+      const ProblemHandle& handle = *prep.handle;
+      EXPECT_NE(handle.spmv_plan(), nullptr);
       if (strategy == Strategy::esrp) {
-        ASSERT_NE(parts.aspmv, nullptr);
-        EXPECT_EQ(parts.aspmv->phi(), spec.phi);
+        ASSERT_NE(handle.aspmv_plan(), nullptr);
+        EXPECT_EQ(handle.aspmv_plan()->phi(), spec.phi);
       } else {
-        EXPECT_EQ(parts.aspmv, nullptr);
+        EXPECT_EQ(handle.aspmv_plan(), nullptr);
       }
       check_parity(spec);
     }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "core/resilient_pcg.hpp"
 #include "precond/block_jacobi.hpp"
 #include "sparse/generators.hpp"
 #include "xp/experiment.hpp"
@@ -79,12 +80,11 @@ TEST(ConvergenceTrace, HookCapturesResilientSolveWithRollback) {
   ResilientPcg solver(a, precond, cluster, opts);
 
   ConvergenceTrace trace;
-  solver.set_iteration_hook(trace.hook(vec_norm2(b)));
-  const SolveOutcome res = solver.solve(b);
+  const SolveOutcome res = solver.solve(b, {}, &trace);
   ASSERT_TRUE(res.converged);
-  // One point per executed iteration body.
+  // One point per executed iteration body, plus the converging check.
   EXPECT_EQ(static_cast<index_t>(trace.points().size()),
-            res.executed_iterations);
+            res.executed_iterations + 1);
   // Exactly one rollback, at the recovery point.
   const auto rb = trace.rollback_steps();
   ASSERT_EQ(rb.size(), 1u);

@@ -141,17 +141,9 @@ void print_solver_registry() {
     if (!e.distributed) {
       caps = "sequential; no failure injection";
     } else {
-      caps = "strategies: none";
-      if (e.supports_esrp) caps += ", esrp";
-      caps += ", imcr";
-      caps += "; failures: ";
-      if (e.max_failure_events == 0) {
-        caps += "none";
-      } else if (e.max_failure_events == 1) {
-        caps += "single event";
-      } else {
-        caps += "multi-event";
-      }
+      // Every distributed solver runs every strategy on a multi-event
+      // failure schedule.
+      caps = "strategies: none, esrp, imcr; failures: multi-event";
       caps += e.supports_no_spare ? "; no-spare recovery" : "; spares only";
       if (!e.supports_residual_replacement) caps += "; no residual replacement";
       if (e.supports_sdc) caps += "; sdc injection";
@@ -220,12 +212,10 @@ int main(int argc, char** argv) {
     check_matrix_key(spec.matrix);
     const SolverEntry& entry = solver_registry().get(spec.solver);
     (void)precond_registry().get(spec.precond);
-    // The default strategy follows the chosen solver's capabilities:
-    // esrp where it is implemented, none elsewhere (sequential solvers
-    // ignore the strategy entirely).
-    spec.strategy = strategy_from_string(get(
-        "--strategy",
-        entry.distributed && entry.supports_esrp ? "esrp" : "none"));
+    // The default strategy is esrp on the distributed solvers and none on
+    // the sequential ones, which ignore the strategy entirely.
+    spec.strategy = strategy_from_string(
+        get("--strategy", entry.distributed ? "esrp" : "none"));
     spec.formulation =
         formulation_from_string(get("--formulation", "inverse"));
   } catch (const Error& e) {
