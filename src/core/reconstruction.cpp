@@ -50,46 +50,9 @@ bool gather_copy(const RedundantCopy& copy, std::span<const index_t> lost,
   return true;
 }
 
-/// Charge the gather of surviving-vector entries the replacement nodes need
-/// to multiply rows I_f of `m` with the surviving part of a vector: one
-/// message per (owner, replacement) pair covering the distinct off-I_f
-/// columns referenced.
-void charge_offblock_gather(const CsrMatrix& m, std::span<const index_t> lost,
-                            const BlockRowPartition& part,
-                            SimCluster& cluster) {
-  std::map<std::pair<rank_t, rank_t>, std::vector<index_t>> needed;
-  for (index_t i : lost) {
-    const rank_t repl = part.owner(i);
-    for (index_t j : m.row_cols(i)) {
-      if (set_contains(lost, j)) continue;
-      needed[{part.owner(j), repl}].push_back(j);
-    }
-  }
-  for (auto& [pair, cols] : needed) {
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    cluster.send(pair.first, pair.second,
-                 cols.size() * CostParams::bytes_per_scalar,
-                 CommCategory::recovery);
-  }
-}
-
-/// Compact vector of surviving entries (complement of `lost`), taken from a
-/// rolled-back distributed vector.
-Vector surviving_compact(const DistVector& v, std::span<const index_t> lost) {
-  const Vector global = v.gather_global();
-  Vector out;
-  out.reserve(global.size() - lost.size());
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    if (k < lost.size() && lost[k] == static_cast<index_t>(i)) {
-      ++k;
-    } else {
-      out.push_back(global[i]);
-    }
-  }
-  return out;
-}
+/// The inner solves' tolerance: tight enough that the recovered state
+/// lands on the failure-free trajectory (the paper's 1e-14).
+constexpr real_t kInnerRtol = 1e-14;
 
 struct InnerSolve {
   Vector solution;
@@ -98,19 +61,17 @@ struct InnerSolve {
 };
 
 /// Inner solve M y = rhs with block-Jacobi-preconditioned PCG at the
-/// reconstruction tolerance.
+/// reconstruction tolerance, under PCG's own iteration cap.
 InnerSolve inner_solve(const CsrMatrix& m, std::span<const real_t> rhs,
-                       real_t rtol, index_t max_iterations,
                        index_t block_size) {
   InnerSolve out;
   out.solution.assign(rhs.size(), 0);
   BlockJacobiPreconditioner precond(m, block_size);
   PcgOptions opts;
-  opts.rtol = rtol;
-  opts.max_iterations = max_iterations;
+  opts.rtol = kInnerRtol;
   const SolveOutcome res = pcg_solve(m, rhs, out.solution, &precond, opts);
   ESRP_CHECK_MSG(res.converged, "inner reconstruction solve did not reach "
-                                    << rtol << " within "
+                                    << kInnerRtol << " within "
                                     << res.iterations << " iterations");
   out.iterations = res.iterations;
   out.flops = res.flops;
@@ -158,23 +119,19 @@ ReconstructionOutput reconstruct_state(const ReconstructionInputs& in,
 
   if (in.formulation == PrecondFormulation::inverse) {
     // Step 5: v = z_f - P_{I_f, I\I_f} r_{I\I_f}.
-    const CsrMatrix p_fc = in.p_action->extract_excluding_cols(lost, lost);
-    charge_offblock_gather(*in.p_action, lost, part, cluster);
+    const LostRowProduct pr =
+        reconstruct_row_product(*in.p_action, lost, part, {}, *in.r_star,
+                                cluster);
     Vector v = out.z_f;
-    if (p_fc.nnz() > 0) {
-      const Vector r_c = surviving_compact(*in.r_star, lost);
-      Vector tmp(nf);
-      p_fc.spmv(r_c, tmp);
-      for (std::size_t k = 0; k < nf; ++k) v[k] -= tmp[k];
-      out.flops += static_cast<double>(p_fc.spmv_flops()) +
+    if (pr.survivor_nnz > 0) {
+      for (std::size_t k = 0; k < nf; ++k) v[k] -= pr.survivors[k];
+      out.flops += 2.0 * static_cast<double>(pr.survivor_nnz) +
                    static_cast<double>(nf);
     }
 
     // Step 6: solve P_{I_f,I_f} r_f = v.
     const CsrMatrix p_ff = in.p_action->extract(lost, lost);
-    const InnerSolve r_solve = inner_solve(p_ff, v, in.inner_rtol,
-                                           in.inner_max_iterations,
-                                           in.inner_block_size);
+    const InnerSolve r_solve = inner_solve(p_ff, v, in.inner_block_size);
     out.r_f = r_solve.solution;
     out.inner_iterations_precond = r_solve.iterations;
     out.flops += r_solve.flops;
@@ -183,37 +140,26 @@ ReconstructionOutput reconstruct_state(const ReconstructionInputs& in,
     // r_f = M_{I_f,I_f} z_f + M_{I_f,I\I_f} z_{I\I_f} — no inner solve.
     ESRP_CHECK_MSG(in.p_matrix && in.z_star,
                    "matrix formulation requires p_matrix and z_star");
-    const CsrMatrix m_ff = in.p_matrix->extract(lost, lost);
-    const CsrMatrix m_fc = in.p_matrix->extract_excluding_cols(lost, lost);
-    charge_offblock_gather(*in.p_matrix, lost, part, cluster);
-    out.r_f.assign(nf, 0);
-    m_ff.spmv(out.z_f, out.r_f);
-    if (m_fc.nnz() > 0) {
-      const Vector z_c = surviving_compact(*in.z_star, lost);
-      Vector tmp(nf);
-      m_fc.spmv(z_c, tmp);
-      for (std::size_t k = 0; k < nf; ++k) out.r_f[k] += tmp[k];
-      out.flops += static_cast<double>(m_fc.spmv_flops());
-    }
-    out.flops += static_cast<double>(m_ff.spmv_flops());
+    const LostRowProduct pr =
+        reconstruct_row_product(*in.p_matrix, lost, part, out.z_f, *in.z_star,
+                                cluster);
+    out.r_f = pr.sum();
+    out.flops += 2.0 * static_cast<double>(pr.lost_nnz + pr.survivor_nnz);
   }
 
   // Step 7: w = b_f - r_f - A_{I_f, I\I_f} x_{I\I_f}.
-  const CsrMatrix a_fc = in.a->extract_excluding_cols(lost, lost);
-  charge_offblock_gather(*in.a, lost, part, cluster);
-  const Vector x_c = surviving_compact(*in.x_star, lost);
+  const LostRowProduct ax =
+      reconstruct_row_product(*in.a, lost, part, {}, *in.x_star, cluster);
   Vector w(nf);
-  a_fc.spmv(x_c, w);
   for (std::size_t k = 0; k < nf; ++k)
-    w[k] = in.b_global[static_cast<std::size_t>(lost[k])] - out.r_f[k] - w[k];
-  out.flops += static_cast<double>(a_fc.spmv_flops()) +
+    w[k] = in.b_global[static_cast<std::size_t>(lost[k])] - out.r_f[k] -
+           ax.survivors[k];
+  out.flops += 2.0 * static_cast<double>(ax.survivor_nnz) +
                2.0 * static_cast<double>(nf);
 
   // Step 8: solve A_{I_f,I_f} x_f = w.
   const CsrMatrix a_ff = in.a->extract(lost, lost);
-  const InnerSolve x_solve = inner_solve(a_ff, w, in.inner_rtol,
-                                         in.inner_max_iterations,
-                                         in.inner_block_size);
+  const InnerSolve x_solve = inner_solve(a_ff, w, in.inner_block_size);
   out.x_f = x_solve.solution;
   out.inner_iterations_matrix = x_solve.iterations;
   out.flops += x_solve.flops;
@@ -232,26 +178,55 @@ ReconstructionOutput reconstruct_state(const ReconstructionInputs& in,
   return out;
 }
 
-Vector reconstruct_row_product(const CsrMatrix& m, const IndexSet& lost,
-                               const BlockRowPartition& part,
-                               std::span<const real_t> v_f,
-                               const DistVector& v_star, SimCluster& cluster,
-                               double& flops) {
-  ESRP_CHECK(v_f.size() == lost.size());
-  const std::size_t nf = lost.size();
-  const CsrMatrix m_ff = m.extract(lost, lost);
-  const CsrMatrix m_fc = m.extract_excluding_cols(lost, lost);
-  charge_offblock_gather(m, lost, part, cluster);
+Vector LostRowProduct::sum() const {
+  Vector out(lost.size());
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = lost[k] + survivors[k];
+  return out;
+}
 
-  Vector out(nf, 0);
-  m_ff.spmv(v_f, out);
-  flops += static_cast<double>(m_ff.spmv_flops());
-  if (m_fc.nnz() > 0) {
-    const Vector v_c = surviving_compact(v_star, lost);
-    Vector tmp(nf);
-    m_fc.spmv(v_c, tmp);
-    for (std::size_t k = 0; k < nf; ++k) out[k] += tmp[k];
-    flops += static_cast<double>(m_fc.spmv_flops()) + static_cast<double>(nf);
+LostRowProduct reconstruct_row_product(const CsrMatrix& m, const IndexSet& lost,
+                                       const BlockRowPartition& part,
+                                       std::span<const real_t> v_f,
+                                       const DistVector& v_star,
+                                       SimCluster& cluster) {
+  ESRP_CHECK(v_f.empty() || v_f.size() == lost.size());
+  ESRP_CHECK(v_star.global_size() == m.cols());
+  const std::span<const real_t> star = v_star.all();
+  LostRowProduct out;
+  out.lost.assign(lost.size(), 0);
+  out.survivors.assign(lost.size(), 0);
+  // (owner, replacement) -> the survivor columns its rows read.
+  std::map<std::pair<rank_t, rank_t>, std::vector<index_t>> needed;
+  const IndexRuns lost_runs(lost);
+  for (std::size_t k = 0; k < lost.size(); ++k) {
+    const rank_t repl = part.owner(lost[k]);
+    const auto cols = m.row_cols(lost[k]);
+    const auto vals = m.row_vals(lost[k]);
+    // Per-row sums in stored order, as CsrMatrix::spmv_rows forms them: one
+    // serial fixed-order sum per output entry. esrp-lint: allow(fp-accumulate)
+    real_t lost_acc = 0, survivor_acc = 0;
+    for (std::size_t e = 0; e < cols.size(); ++e) {
+      const index_t j = cols[e];
+      const index_t pos = lost_runs.position(j);
+      if (pos >= 0) {
+        ++out.lost_nnz;
+        if (!v_f.empty())
+          lost_acc += vals[e] * v_f[static_cast<std::size_t>(pos)];
+      } else {
+        ++out.survivor_nnz;
+        survivor_acc += vals[e] * star[static_cast<std::size_t>(j)];
+        needed[{part.owner(j), repl}].push_back(j);
+      }
+    }
+    out.lost[k] = lost_acc;
+    out.survivors[k] = survivor_acc;
+  }
+  for (auto& [pair, cols] : needed) {
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    cluster.send(pair.first, pair.second,
+                 cols.size() * CostParams::bytes_per_scalar,
+                 CommCategory::recovery);
   }
   return out;
 }

@@ -2,7 +2,8 @@
 // nodes after a failure:
 //
 //   1. retrieve static data A_{I_f,I}, P_{I_f,I}, b_{I_f}   (safe storage)
-//   2. gather surviving r_{I\I_f}, x_{I\I_f}                (rolled-back state)
+//   2. read surviving r_{I\I_f}, x_{I\I_f} in place, charged as gathers
+//                                                          (rolled-back state)
 //   3. retrieve beta^(j-1) and the redundant copies p'^(j-1)_{I_f}, p'^(j)_{I_f}
 //   4. z_{I_f}  = p^(j)_{I_f} - beta^(j-1) p^(j-1)_{I_f}
 //   5. v        = z_{I_f} - P_{I_f,I\I_f} r_{I\I_f}
@@ -14,6 +15,11 @@
 // with node-aligned blocks, in which case P_{I_f,I\I_f} = 0 and both inner
 // systems are SPD). Inner systems are preconditioned with block Jacobi of
 // the extracted submatrix, as in the paper's experiments.
+//
+// Every step that touches the survivors (5 and 7, and the matrix
+// formulation below) is one reconstruct_row_product: a walk over the lost
+// rows that reads the star vectors in place, so a recovery copies no
+// global-length vector.
 //
 // Communication (gathers, scalar retrieval) and computation (inner solves)
 // are charged to the SimCluster under CommCategory::recovery; static-data
@@ -61,13 +67,13 @@ struct ReconstructionInputs {
   const DistVector* x_star = nullptr;    ///< surviving x at the target state
   const DistVector* r_star = nullptr;    ///< surviving r at the target state
   std::span<const real_t> b_global;      ///< right-hand side (static data)
-  real_t inner_rtol = 1e-14;
-  index_t inner_max_iterations = 0;      ///< 0 = PCG default
   index_t inner_block_size = 10;         ///< block Jacobi size, inner solves
 };
 
 struct ReconstructionOutput {
-  bool ok = false;          ///< false: a redundant copy did not survive
+  /// false: a redundant copy did not survive. Only `lost` is set then, and
+  /// nothing but the copies' gathers has been charged.
+  bool ok = false;
   IndexSet lost;            ///< I_f (sorted)
   Vector x_f, r_f, z_f, p_f; ///< reconstructed entries, compact over I_f
   /// The gathered I_f entries of the *older* copy p'^(j*-1). The classic
@@ -83,21 +89,35 @@ struct ReconstructionOutput {
 ReconstructionOutput reconstruct_state(const ReconstructionInputs& in,
                                        SimCluster& cluster);
 
-/// One derived step of the pipelined reconstruction (ref. [16]): rows I_f
-/// of `m` applied to the full vector whose I_f entries are `v_f` (compact
-/// over `lost`) and whose surviving entries come from the rolled-back star
-/// vector `v_star`:
+/// Rows I_f of `m` times the full vector whose I_f entries are `v_f`
+/// (compact over `lost`) and whose surviving entries are those of the
+/// rolled-back star vector `v_star`, kept as two partial sums per lost row:
 ///
-///   out = M_{I_f,I_f} v_f + M_{I_f,I\I_f} v_star_{I\I_f}.
+///   lost[k]      = M_{i,I_f} v_f                 (over the lost columns)
+///   survivors[k] = M_{i,I\I_f} v_star_{I\I_f}    (over the survivor columns)
 ///
-/// Charges the gather of the referenced surviving entries (category
-/// recovery, one message per (owner, replacement) pair) and accumulates the
-/// floating-point work into `flops`; the caller spreads the compute charge
-/// over the replacement nodes.
-Vector reconstruct_row_product(const CsrMatrix& m, const IndexSet& lost,
-                               const BlockRowPartition& part,
-                               std::span<const real_t> v_f,
-                               const DistVector& v_star, SimCluster& cluster,
-                               double& flops);
+/// for i = lost[k]. Each sum starts from +0 and adds its terms in the row's
+/// stored column order, so it is bitwise what an SpMV of the extracted
+/// submatrix gives. An empty `v_f` skips the lost columns (lost[k] = +0):
+/// Alg. 2 steps 5 and 7 need only the survivor term. Survivor entries are
+/// read in place through `v_star.all()`, never entries of `lost`. Charges
+/// the gather of the survivor entries read (category recovery, one message
+/// per (owner, replacement) pair, counting distinct columns); the callers
+/// charge the compute.
+struct LostRowProduct {
+  Vector lost, survivors;
+  index_t lost_nnz = 0;     ///< nnz of M_{I_f,I_f}
+  index_t survivor_nnz = 0; ///< nnz of M_{I_f,I\I_f}
+
+  /// lost + survivors: rows I_f of M times the repaired full vector. A sum
+  /// from +0 is never -0, so adding a row's +0 survivor sum changes nothing.
+  Vector sum() const;
+};
+
+LostRowProduct reconstruct_row_product(const CsrMatrix& m, const IndexSet& lost,
+                                       const BlockRowPartition& part,
+                                       std::span<const real_t> v_f,
+                                       const DistVector& v_star,
+                                       SimCluster& cluster);
 
 } // namespace esrp

@@ -6,12 +6,17 @@
 // consecutive nodes via `rows()` (one kernel call for a task of a rank
 // loop, comm/dist_operator.hpp). The global accessors exist for
 // initialization, tests, and diagnostics (a real cluster could not call
-// them). One read-only exception: the exchange engine
-// (comm/exchange.hpp) reads halo entries in place through `all()` instead of
-// copying them into per-node buffers. That is exact because node l's rows
-// only reference columns in owned(l) ∪ ghosts(l) (comm/spmv_plan.hpp), and
-// the engine charges every ghost's message before it reads: every value l
-// reads is one its own slice holds or the halo delivers.
+// them). Two read-only exceptions read other nodes' entries in place
+// through `all()` instead of copying them into per-node buffers:
+//   - the exchange engine (comm/exchange.hpp) reads halo entries. That is
+//     exact because node l's rows only reference columns in
+//     owned(l) ∪ ghosts(l) (comm/spmv_plan.hpp), and the engine charges
+//     every ghost's message: every value l reads is one its own slice holds
+//     or the halo delivers;
+//   - the reconstruction (core/reconstruction.hpp, reconstruct_row_product)
+//     reads survivor entries of a star vector. That is exact because a
+//     replacement reads only survivor entries whose gather it has charged,
+//     never an entry of the failed slices.
 #pragma once
 
 #include <span>
@@ -48,8 +53,8 @@ public:
   std::span<const real_t> rows(RowRange range) const;
 
   /// Every slice, back to back: entry i is global entry i. Read-only; only
-  /// the exchange engine reads other nodes' entries through it (see the
-  /// file comment).
+  /// the exchange engine and the reconstruction read other nodes' entries
+  /// through it (see the file comment).
   std::span<const real_t> all() const { return data_; }
 
   /// Zero the slices of the given ranks — the data loss of a node failure.

@@ -1,6 +1,7 @@
 #include "partition/index_set.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.hpp"
 
@@ -65,6 +66,25 @@ IndexSet set_complement(std::span<const index_t> a, index_t domain) {
 
 bool set_contains(std::span<const index_t> a, index_t x) {
   return std::binary_search(a.begin(), a.end(), x);
+}
+
+IndexRuns::IndexRuns(std::span<const index_t> set) {
+  for (std::size_t k = 0; k < set.size(); ++k) {
+    if (runs_.empty() || set[k] != runs_.back().end)
+      runs_.push_back({set[k], set[k] + 1, static_cast<index_t>(k)});
+    else
+      ++runs_.back().end;
+  }
+}
+
+index_t IndexRuns::position(index_t x) const {
+  // The last run that starts at or before x.
+  const auto it = std::upper_bound(
+      runs_.begin(), runs_.end(), x,
+      [](index_t v, const Run& r) { return v < r.first; });
+  if (it == runs_.begin()) return -1;
+  const Run& r = *std::prev(it);
+  return x < r.end ? r.pos + (x - r.first) : -1;
 }
 
 } // namespace esrp

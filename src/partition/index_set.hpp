@@ -35,4 +35,24 @@ IndexSet set_complement(std::span<const index_t> a, index_t domain);
 /// Membership test (binary search).
 bool set_contains(std::span<const index_t> a, index_t x);
 
+/// Position lookup in an IndexSet through its maximal runs of consecutive
+/// indices: O(log runs) per lookup, O(runs) memory. I_f is a union of whole
+/// rank ranges, so it has at most one run per failed rank.
+class IndexRuns {
+public:
+  /// `set` must be strictly increasing.
+  explicit IndexRuns(std::span<const index_t> set);
+
+  /// Position of `x` in the set, or -1 if `x` is not in it.
+  index_t position(index_t x) const;
+
+private:
+  struct Run {
+    index_t first; ///< first index of the run
+    index_t end;   ///< one past its last index
+    index_t pos;   ///< position of `first` in the set
+  };
+  std::vector<Run> runs_;
+};
+
 } // namespace esrp

@@ -109,19 +109,19 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
                            const RedundantCopy& cur,
                            std::span<const rank_t> failed,
                            RecoveryRecord& record) {
-    PipelinedEsrInputs in;
+    ReconstructionInputs in;
     in.a = &op_.matrix();
     in.p_action = op_.precond().action_matrix();
     in.formulation = opts_.formulation;
     in.p_matrix = op_.precond().matrix_form();
     in.part = &part;
     in.failed = failed;
-    in.p_cur = &prev; // leading pairing: `prev` is the rollback tag t
-    in.p_next = &cur; // and `cur` is p'^(t+1)
-    in.beta = stars.scalar(2);
-    in.stars = &stars;
+    in.p_prev = &prev; // leading pairing: `prev` is p'^(t), the rollback tag
+    in.p_cur = &cur;   // and `cur` is p'^(t+1)
+    in.beta_prev = stars.scalar(2); // beta^(t)
     in.b_global = b;
-    const PipelinedEsrOutput out = reconstruct_pipelined_state(in, cluster);
+    const PipelinedEsrOutput out =
+        reconstruct_pipelined_state(in, stars, cluster);
     if (!out.ok) return false;
 
     // Survivors roll back to the stars; replacements receive the

@@ -4,35 +4,37 @@
 
 namespace esrp {
 
-PipelinedEsrOutput reconstruct_pipelined_state(const PipelinedEsrInputs& in,
+namespace {
+
+/// One derived step: rows I_f of `m` times the repaired full vector
+/// (reconstructed I_f entries `v_f` + the survivors' star entries).
+Vector derived_rows(const CsrMatrix& m, const IndexSet& lost,
+                    const BlockRowPartition& part, std::span<const real_t> v_f,
+                    const DistVector& v_star, SimCluster& cluster,
+                    double& flops) {
+  const LostRowProduct pr =
+      reconstruct_row_product(m, lost, part, v_f, v_star, cluster);
+  flops += 2.0 * static_cast<double>(pr.lost_nnz);
+  if (pr.survivor_nnz > 0)
+    flops += 2.0 * static_cast<double>(pr.survivor_nnz) +
+             static_cast<double>(lost.size());
+  return pr.sum();
+}
+
+} // namespace
+
+PipelinedEsrOutput reconstruct_pipelined_state(ReconstructionInputs in,
+                                               const StateSnapshot& stars,
                                                SimCluster& cluster) {
-  ESRP_CHECK(in.a && in.p_action && in.part && in.stars);
-  ESRP_CHECK(in.p_cur && in.p_next);
-  ESRP_CHECK(in.p_next->tag() == in.p_cur->tag() + 1);
-  ESRP_CHECK(in.stars->num_vectors() == kPipelinedVectors);
-  const StateSnapshot& stars = *in.stars;
+  ESRP_CHECK(stars.num_vectors() == kPipelinedVectors);
 
   // Steps 1-5: the Alg. 2 core. The pipelined p-update inverts to the
   // preconditioned residual u (classic CG's z role), so reconstruct_state's
   // z_f IS u_f; its p_prev_f is the search direction at the rollback tag.
-  ReconstructionInputs core;
-  core.a = in.a;
-  core.p_action = in.p_action;
-  core.formulation = in.formulation;
-  core.p_matrix = in.p_matrix;
-  core.z_star = &stars.vec(kPipeU);
-  core.part = in.part;
-  core.failed = in.failed;
-  core.p_prev = in.p_cur;
-  core.p_cur = in.p_next;
-  core.beta_prev = in.beta;
-  core.x_star = &stars.vec(kPipeX);
-  core.r_star = &stars.vec(kPipeR);
-  core.b_global = in.b_global;
-  core.inner_rtol = in.inner_rtol;
-  core.inner_max_iterations = in.inner_max_iterations;
-  core.inner_block_size = in.inner_block_size;
-  const ReconstructionOutput base = reconstruct_state(core, cluster);
+  in.x_star = &stars.vec(kPipeX);
+  in.r_star = &stars.vec(kPipeR);
+  in.z_star = &stars.vec(kPipeU);
+  const ReconstructionOutput base = reconstruct_state(in, cluster);
 
   PipelinedEsrOutput out;
   out.lost = base.lost;
@@ -47,15 +49,16 @@ PipelinedEsrOutput reconstruct_pipelined_state(const PipelinedEsrInputs& in,
   // Step 6: the four derived recurrence vectors, each one row-product over
   // the repaired full vector (reconstructed I_f entries + survivors' star
   // entries). Order matters: q needs s, z needs q.
+  const BlockRowPartition& part = *in.part;
   double flops = 0;
-  out.s_f = reconstruct_row_product(*in.a, out.lost, *in.part, out.p_f,
-                                    stars.vec(kPipeP), cluster, flops);
-  out.w_f = reconstruct_row_product(*in.a, out.lost, *in.part, out.u_f,
-                                    stars.vec(kPipeU), cluster, flops);
-  out.q_f = reconstruct_row_product(*in.p_action, out.lost, *in.part, out.s_f,
-                                    stars.vec(kPipeS), cluster, flops);
-  out.z_f = reconstruct_row_product(*in.a, out.lost, *in.part, out.q_f,
-                                    stars.vec(kPipeQ), cluster, flops);
+  out.s_f = derived_rows(*in.a, out.lost, part, out.p_f, stars.vec(kPipeP),
+                         cluster, flops);
+  out.w_f = derived_rows(*in.a, out.lost, part, out.u_f, stars.vec(kPipeU),
+                         cluster, flops);
+  out.q_f = derived_rows(*in.p_action, out.lost, part, out.s_f,
+                         stars.vec(kPipeS), cluster, flops);
+  out.z_f = derived_rows(*in.a, out.lost, part, out.q_f, stars.vec(kPipeQ),
+                         cluster, flops);
 
   // Spread the derived-product compute over the replacement nodes, like
   // reconstruct_state does for the Alg. 2 core.

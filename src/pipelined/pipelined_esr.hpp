@@ -29,20 +29,17 @@
 //   6. s_f = A_{I_f,.} [p_f | p*],  w_f = A_{I_f,.} [u_f | u*],
 //      q_f = P_{I_f,.} [s_f | s*],  z_f = A_{I_f,.} [q_f | q*]
 //
-// (steps 3-4 are reconstruct_state; step 6 is reconstruct_row_product; the
+// (steps 3-4 are reconstruct_state; each product of step 6 is one
+// reconstruct_row_product, which reads the star vectors in place; the
 // matrix formulation of [20] replaces step 3 exactly as in classic ESR).
 // Everything is charged to the SimCluster under CommCategory::recovery,
 // matching the paper's measurement protocol.
 #pragma once
 
-#include <span>
-
-#include "comm/exchange.hpp"
 #include "core/reconstruction.hpp"
 #include "netsim/cluster.hpp"
 #include "partition/index_set.hpp"
 #include "resilience/solver_state.hpp"
-#include "sparse/csr.hpp"
 
 namespace esrp {
 
@@ -60,27 +57,9 @@ enum PipelinedVec : std::size_t {
 };
 inline constexpr std::size_t kPipelinedVectors = 8;
 
-struct PipelinedEsrInputs {
-  const CsrMatrix* a = nullptr;         ///< system matrix (static data)
-  const CsrMatrix* p_action = nullptr;  ///< explicit preconditioner action
-  PrecondFormulation formulation = PrecondFormulation::inverse;
-  const CsrMatrix* p_matrix = nullptr;  ///< M, required for ::matrix
-  const BlockRowPartition* part = nullptr;
-  std::span<const rank_t> failed;       ///< failed = replacement ranks
-  const RedundantCopy* p_cur = nullptr;  ///< p'^(t), the state restored
-  const RedundantCopy* p_next = nullptr; ///< p'^(t+1)
-  real_t beta = 0;                       ///< beta^(t), stored at the stage
-  /// Star snapshot at iteration t: the eight vectors in PipelinedVec order
-  /// (failed ranks' slices may be zeroed; only surviving slices are read).
-  const StateSnapshot* stars = nullptr;
-  std::span<const real_t> b_global;      ///< right-hand side (static data)
-  real_t inner_rtol = 1e-14;
-  index_t inner_max_iterations = 0;      ///< 0 = PCG default
-  index_t inner_block_size = 10;         ///< block Jacobi size, inner solves
-};
-
 struct PipelinedEsrOutput {
-  bool ok = false;           ///< false: a redundant copy did not survive
+  /// false: a redundant copy did not survive; only `lost` is set then.
+  bool ok = false;
   IndexSet lost;             ///< I_f (sorted)
   /// Reconstructed entries, compact over I_f.
   Vector x_f, r_f, u_f, w_f, z_f, q_f, s_f, p_f;
@@ -88,7 +67,14 @@ struct PipelinedEsrOutput {
   index_t inner_iterations_matrix = 0;
 };
 
-PipelinedEsrOutput reconstruct_pipelined_state(const PipelinedEsrInputs& in,
+/// `in` is filled as for reconstruct_state, with the copies of the leading
+/// pairing: p_prev = p'^(t) (the state restored), p_cur = p'^(t+1) and
+/// beta_prev = beta^(t), stored at the stage. Its x_star, r_star and z_star
+/// are ignored: they are pointed into `stars`, the star snapshot at
+/// iteration t (the eight vectors in PipelinedVec order; only the
+/// survivors' slices are read).
+PipelinedEsrOutput reconstruct_pipelined_state(ReconstructionInputs in,
+                                               const StateSnapshot& stars,
                                                SimCluster& cluster);
 
 } // namespace esrp

@@ -42,10 +42,6 @@ const std::string& KvParams::raw(const std::string& key) const {
   return it->second;
 }
 
-double KvParams::get_double(const std::string& key, double fallback) const {
-  return has(key) ? require_double(key) : fallback;
-}
-
 std::int64_t KvParams::get_int(const std::string& key,
                                std::int64_t fallback) const {
   return has(key) ? require_int(key) : fallback;

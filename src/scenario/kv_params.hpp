@@ -23,7 +23,6 @@ public:
            std::vector<std::string> allowed);
 
   bool has(const std::string& key) const;
-  double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "parallel/parallel.hpp"
+#include "partition/index_set.hpp"
 #include "sparse/coo.hpp"
 
 namespace esrp {
@@ -144,28 +145,12 @@ CsrMatrix CsrMatrix::transpose() const {
 }
 
 namespace {
-/// Global-to-local map for an increasing index list: -1 where absent.
-std::vector<index_t> build_map(index_t domain,
-                               std::span<const index_t> selected) {
-  std::vector<index_t> map(static_cast<std::size_t>(domain), -1);
+/// Checks that `set` is strictly increasing within [0, bound).
+void check_increasing(std::span<const index_t> set, index_t bound) {
   index_t prev = -1;
-  for (std::size_t k = 0; k < selected.size(); ++k) {
-    const index_t g = selected[k];
+  for (index_t g : set) {
     ESRP_CHECK_MSG(g > prev, "index set must be strictly increasing");
-    ESRP_CHECK(g >= 0 && g < domain);
-    map[static_cast<std::size_t>(g)] = static_cast<index_t>(k);
-    prev = g;
-  }
-  return map;
-}
-} // namespace
-
-namespace {
-void check_increasing_rows(std::span<const index_t> rowset, index_t rows) {
-  index_t prev = -1;
-  for (index_t g : rowset) {
-    ESRP_CHECK_MSG(g > prev, "row index set must be strictly increasing");
-    ESRP_CHECK(g >= 0 && g < rows);
+    ESRP_CHECK(g >= 0 && g < bound);
     prev = g;
   }
 }
@@ -173,8 +158,9 @@ void check_increasing_rows(std::span<const index_t> rowset, index_t rows) {
 
 CsrMatrix CsrMatrix::extract(std::span<const index_t> rowset,
                              std::span<const index_t> colset) const {
-  check_increasing_rows(rowset, rows_);
-  const std::vector<index_t> col_map = build_map(cols_, colset);
+  check_increasing(rowset, rows_);
+  check_increasing(colset, cols_);
+  const IndexRuns col_runs(colset);
   std::vector<index_t> row_ptr(rowset.size() + 1, 0);
   std::vector<col_t> col_idx;
   std::vector<real_t> values;
@@ -183,12 +169,10 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rowset,
   col_idx.reserve(nnz_bound);
   values.reserve(nnz_bound);
   for (std::size_t r = 0; r < rowset.size(); ++r) {
-    const index_t gi = rowset[r];
-    ESRP_CHECK(gi >= 0 && gi < rows_);
-    const auto cols = row_cols(gi);
-    const auto vals = row_vals(gi);
+    const auto cols = row_cols(rowset[r]);
+    const auto vals = row_vals(rowset[r]);
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      const index_t lj = col_map[static_cast<std::size_t>(cols[k])];
+      const index_t lj = col_runs.position(cols[k]);
       if (lj >= 0) {
         col_idx.push_back(static_cast<col_t>(lj)); // lj < colset.size()
         values.push_back(vals[k]);
@@ -199,46 +183,6 @@ CsrMatrix CsrMatrix::extract(std::span<const index_t> rowset,
   return CsrMatrix(static_cast<index_t>(rowset.size()),
                    static_cast<index_t>(colset.size()), std::move(row_ptr),
                    std::move(col_idx), std::move(values));
-}
-
-CsrMatrix CsrMatrix::extract_excluding_cols(
-    std::span<const index_t> rowset, std::span<const index_t> excluded) const {
-  check_increasing_rows(rowset, rows_);
-  // Local index of a kept column = global index minus the number of excluded
-  // columns before it.
-  const std::vector<index_t> excl_map = build_map(cols_, excluded);
-  std::vector<index_t> shift(static_cast<std::size_t>(cols_), 0);
-  index_t removed = 0;
-  for (index_t j = 0; j < cols_; ++j) {
-    if (excl_map[static_cast<std::size_t>(j)] >= 0) ++removed;
-    shift[static_cast<std::size_t>(j)] = removed;
-  }
-
-  std::vector<index_t> row_ptr(rowset.size() + 1, 0);
-  std::vector<col_t> col_idx;
-  std::vector<real_t> values;
-  std::size_t nnz_bound = 0;
-  for (index_t gi : rowset) nnz_bound += row_cols(gi).size();
-  col_idx.reserve(nnz_bound);
-  values.reserve(nnz_bound);
-  for (std::size_t r = 0; r < rowset.size(); ++r) {
-    const index_t gi = rowset[r];
-    ESRP_CHECK(gi >= 0 && gi < rows_);
-    const auto cols = row_cols(gi);
-    const auto vals = row_vals(gi);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      const index_t gj = cols[k];
-      if (excl_map[static_cast<std::size_t>(gj)] >= 0) continue;
-      // gj - shift[gj] is gj's rank among the kept columns, so < the new cols.
-      col_idx.push_back(
-          static_cast<col_t>(gj - shift[static_cast<std::size_t>(gj)]));
-      values.push_back(vals[k]);
-    }
-    row_ptr[r + 1] = static_cast<index_t>(col_idx.size());
-  }
-  return CsrMatrix(static_cast<index_t>(rowset.size()),
-                   cols_ - static_cast<index_t>(excluded.size()),
-                   std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
 Vector CsrMatrix::diagonal() const {

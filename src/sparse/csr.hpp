@@ -66,14 +66,12 @@ public:
   CsrMatrix transpose() const;
 
   /// Extract the submatrix A[rowset, colset] as a compact
-  /// |rowset| x |colset| CSR. Both index lists must be strictly increasing.
+  /// |rowset| x |colset| CSR. Both index lists must be strictly increasing
+  /// and in range. Columns are looked up through colset's runs of
+  /// consecutive indices (IndexRuns), so the work is O(nnz of the rows *
+  /// log runs) and no array of length cols is built.
   CsrMatrix extract(std::span<const index_t> rowset,
                     std::span<const index_t> colset) const;
-
-  /// Extract A[rowset, all columns NOT in colset_complement]: convenience
-  /// for A_{I_f, I \ I_f}. `excluded` must be strictly increasing.
-  CsrMatrix extract_excluding_cols(std::span<const index_t> rowset,
-                                   std::span<const index_t> excluded) const;
 
   /// Diagonal entries (0 where not stored); requires a square matrix.
   Vector diagonal() const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace esrp {
@@ -63,6 +65,19 @@ TEST(SetAlgebra, ComplementOfComplementIsIdentity) {
 TEST(SetAlgebra, UnionWithComplementIsDomain) {
   const IndexSet s{2, 5};
   EXPECT_EQ(set_union(s, set_complement(s, 6)), index_range(0, 6));
+}
+
+TEST(IndexRuns, PositionMatchesBinarySearchOverTheDomain) {
+  // Two runs of rank ranges plus singletons at both ends of the domain.
+  const IndexSet s{0, 4, 5, 6, 10, 11, 12, 13, 19};
+  const IndexRuns runs(s);
+  for (index_t x = -2; x < 22; ++x) {
+    const auto it = std::lower_bound(s.begin(), s.end(), x);
+    const index_t expected =
+        it != s.end() && *it == x ? static_cast<index_t>(it - s.begin()) : -1;
+    EXPECT_EQ(runs.position(x), expected) << "x = " << x;
+  }
+  EXPECT_EQ(IndexRuns(IndexSet{}).position(0), -1);
 }
 
 } // namespace
