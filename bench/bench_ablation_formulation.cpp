@@ -2,82 +2,62 @@
 // (paper reference [20]). The inverse formulation solves
 // P_{I_f,I_f} r_f = v with an inner CG; the matrix formulation computes
 // r_f = M_{I_f,I} z directly. Both then solve the A_{I_f,I_f} system for x.
-// Compares recovery cost for both formulations across phi.
+// Compares recovery cost for both formulations across phi: one scenario
+// sweep per formulation, psi = phi ranks failing at the Center location.
 #include <cstdio>
 
-#include "api/solve.hpp"
-#include "core/resilient_pcg.hpp"
-#include "precond/block_jacobi.hpp"
-#include "table_grid.hpp"
+#include "scenario/sweep.hpp"
 #include "xp/table.hpp"
-
-namespace {
-
-using namespace esrp;
-
-struct Outcome {
-  double recovery = 0;
-  index_t inner_precond = 0;
-  index_t inner_matrix = 0;
-};
-
-Outcome run_one(const CsrMatrix& a, const Vector& b,
-                const BlockRowPartition& part, int phi, index_t fail_at,
-                PrecondFormulation form) {
-  SimCluster cluster(part, xp::calibrated_cost(a, part.num_nodes()));
-  BlockJacobiPreconditioner precond(a, part, 10);
-  ResilienceOptions opts;
-  opts.strategy = Strategy::esrp;
-  opts.interval = 20;
-  opts.phi = phi;
-  opts.formulation = form;
-  opts.extra_failures.push_back(FailureEvent{
-      fail_at, contiguous_ranks(part.num_nodes() / 2, static_cast<rank_t>(phi),
-                                part.num_nodes())});
-  ResilientPcg solver(a, precond, cluster, opts);
-  const SolveOutcome res = solver.solve(b);
-  Outcome out;
-  for (const RecoveryRecord& rec : res.recoveries) {
-    out.recovery += rec.modeled_time;
-    out.inner_precond += rec.inner_iterations_precond;
-    out.inner_matrix += rec.inner_iterations_matrix;
-  }
-  return out;
-}
-
-} // namespace
 
 int main() {
   using namespace esrp;
-  const TestProblem prob = emilia_like(16, 16, 16);
-  const CsrMatrix& a = prob.matrix;
-  const Vector b = xp::make_rhs(a);
-  const rank_t nodes = 32;
-  const BlockRowPartition part(a.rows(), nodes);
-  const SolveReport ref = solve(bench::paper_spec(a, b, nodes));
+  SweepOptions opts;
+  opts.base = SolveSpec{};
+  opts.base.matrix = "emilia:16,16,16";
+  opts.base.nodes = 32;
+  opts.repetitions = 1;
+  const ParamGrid grid{
+      {"strategy", {std::string("esrp")}},
+      {"interval", {std::int64_t{20}}},
+      {"phi", {std::int64_t{1}, std::int64_t{3}, std::int64_t{8}}},
+      {"process", {std::string("fixed:it=worst,start=16,count=phi")}},
+      {"cluster", {std::string("homogeneous")}}};
+  std::vector<SweepResult> results;
+  for (const PrecondFormulation form :
+       {PrecondFormulation::inverse, PrecondFormulation::matrix}) {
+    opts.base.formulation = form;
+    results.push_back(run_sweep(grid, opts));
+  }
+  const double t0 = results[0].reference_time.at("homogeneous");
+  const SolveReport& first = results[0].cells[0].runs[0].report;
 
   std::printf("Reconstruction-formulation ablation on %s "
               "(%lld rows, %d nodes, ESRP T = 20, C = %lld)\n\n",
-              prob.name.c_str(), static_cast<long long>(a.rows()),
-              static_cast<int>(nodes),
-              static_cast<long long>(ref.iterations));
+              first.matrix.c_str(), static_cast<long long>(first.rows),
+              static_cast<int>(first.nodes),
+              static_cast<long long>(results[0].horizon));
 
   xp::TablePrinter table({"phi", "formulation", "recovery [s]",
                           "rec overhead", "inner P", "inner A"},
                          {4, 12, 12, 12, 8, 8});
   table.print_header();
-  const index_t fail_at = xp::worst_case_failure_iteration(ref.iterations, 20);
-  for (const int phi : {1, 3, 8}) {
-    for (const PrecondFormulation form :
-         {PrecondFormulation::inverse, PrecondFormulation::matrix}) {
-      const Outcome out = run_one(a, b, part, phi, fail_at, form);
+  for (std::size_t i = 0; i < results[0].cells.size(); ++i) {
+    for (const SweepResult& result : results) {
+      const SweepCell& cell = result.cells[i];
+      const SolveReport& out = cell.runs[0].report;
+      index_t inner_precond = 0, inner_matrix = 0;
+      for (const RecoveryRecord& rec : out.recoveries) {
+        inner_precond += rec.inner_iterations_precond;
+        inner_matrix += rec.inner_iterations_matrix;
+      }
       table.print_row(
-          {std::to_string(phi),
-           form == PrecondFormulation::inverse ? "inverse" : "matrix",
-           xp::format_fixed(out.recovery, 4),
-           xp::format_percent(out.recovery / ref.modeled_time),
-           std::to_string(out.inner_precond),
-           std::to_string(out.inner_matrix)});
+          {std::to_string(cell.phi),
+           result.options.base.formulation == PrecondFormulation::inverse
+               ? "inverse"
+               : "matrix",
+           xp::format_fixed(out.recovery_modeled_time(), 4),
+           xp::format_percent(out.recovery_modeled_time() / t0),
+           std::to_string(inner_precond), std::to_string(inner_matrix)});
     }
   }
   table.print_rule();

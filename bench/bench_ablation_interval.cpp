@@ -8,7 +8,8 @@
 
 #include "api/solve.hpp"
 #include "core/interval.hpp"
-#include "table_grid.hpp"
+#include "sparse/generators.hpp"
+#include "xp/experiment.hpp"
 #include "xp/table.hpp"
 
 int main() {
@@ -17,7 +18,10 @@ int main() {
   const CsrMatrix& a = prob.matrix;
   const Vector b = xp::make_rhs(a);
   const rank_t nodes = 32;
-  const SolveSpec base = bench::paper_spec(a, b, nodes);
+  SolveSpec base; // the paper's §5 run (SolveSpec defaults), no strategy
+  base.matrix_data = &a;
+  base.rhs = b;
+  base.nodes = nodes;
   const SolveReport ref = solve(base);
   const double iter_s = ref.modeled_time / static_cast<double>(ref.iterations);
 

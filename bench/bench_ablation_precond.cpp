@@ -4,52 +4,57 @@
 // the block size and reports global iterations, failure-free ESRP overhead,
 // and the reconstruction cost, showing the trade-off the paper describes:
 // a stronger preconditioner shortens both the solve and the recovery's
-// inner solves.
+// inner solves. One scenario sweep per block size: failure-free and with
+// psi = phi ranks failing at the Center location.
 #include <cstdio>
 
-#include "api/solve.hpp"
-#include "table_grid.hpp"
+#include "scenario/sweep.hpp"
+#include "xp/experiment.hpp"
 #include "xp/table.hpp"
 
 int main() {
   using namespace esrp;
 
-  const TestProblem prob = emilia_like(16, 16, 16);
-  const CsrMatrix& a = prob.matrix;
-  const Vector b = xp::make_rhs(a);
   const rank_t nodes = 32;
   const index_t interval = 20;
   const int phi = 3;
 
+  SweepOptions opts;
+  opts.base = SolveSpec{};
+  opts.base.matrix = "emilia:16,16,16";
+  opts.base.nodes = nodes;
+  opts.base.phi = phi;
+  opts.repetitions = 1;
+  const ParamGrid grid{
+      {"strategy", {std::string("esrp")}},
+      {"interval", {std::int64_t{interval}}},
+      {"process", {std::string("none"),
+                   std::string("fixed:it=worst,start=16,count=phi")}},
+      {"cluster", {std::string("homogeneous")}}};
+
+  const std::vector<index_t> blocks{1, 5, 10, 25, 64};
+  std::vector<SweepResult> results;
+  for (const index_t block : blocks) {
+    opts.base.block_size = block;
+    results.push_back(run_sweep(grid, opts));
+  }
+  const SolveReport& first = results[0].cells[0].runs[0].report;
   std::printf("Preconditioner-strength ablation on %s (%lld rows, "
               "%d nodes, ESRP T = %lld, phi = psi = %d)\n\n",
-              prob.name.c_str(), static_cast<long long>(a.rows()),
+              first.matrix.c_str(), static_cast<long long>(first.rows),
               static_cast<int>(nodes), static_cast<long long>(interval), phi);
 
   xp::TablePrinter table({"block size", "C", "t0 [s]", "ff overhead",
                           "fail overhead", "rec overhead"},
                          {10, 8, 10, 12, 14, 14});
   table.print_header();
-
-  for (const index_t block : {1, 5, 10, 25, 64}) {
-    SolveSpec spec = bench::paper_spec(a, b, nodes);
-    spec.block_size = block;
-    const SolveReport ref = solve(spec);
-    const double t0 = ref.modeled_time;
-
-    spec.strategy = Strategy::esrp;
-    spec.interval = interval;
-    spec.phi = phi;
-    const SolveReport ff_out = solve(spec);
-
-    spec.failures = {
-        FailureEvent{xp::worst_case_failure_iteration(ref.iterations, interval),
-                     contiguous_ranks(nodes / 2, phi, nodes)}};
-    const SolveReport fail_out = solve(spec);
-
+  for (const SweepResult& result : results) {
+    const double t0 = result.reference_time.at("homogeneous");
+    const SolveReport& ff_out = result.cells[0].runs[0].report;
+    const SolveReport& fail_out = result.cells[1].runs[0].report;
     table.print_row(
-        {std::to_string(block), std::to_string(ref.iterations),
-         xp::format_fixed(t0, 3),
+        {std::to_string(result.options.base.block_size),
+         std::to_string(result.horizon), xp::format_fixed(t0, 3),
          xp::format_percent(xp::relative_overhead(ff_out.modeled_time, t0)),
          xp::format_percent(xp::relative_overhead(fail_out.modeled_time, t0)),
          xp::format_percent(fail_out.recovery_modeled_time() / t0)});

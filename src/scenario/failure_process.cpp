@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "scenario/kv_params.hpp"
+#include "xp/experiment.hpp"
 
 namespace esrp {
 
@@ -48,8 +49,14 @@ std::vector<FailureEvent> sample_renewal(const FailureDrawContext& ctx,
   return events;
 }
 
+/// One event of `count` contiguous ranks from `start`. The iteration may be
+/// kWorst (the paper's §5 placement for this run's C and T) and the count
+/// kPhi (this run's phi).
 class FixedProcess final : public FailureProcess {
 public:
+  static constexpr index_t kWorst = -1;
+  static constexpr rank_t kPhi = -1;
+
   FixedProcess(index_t iteration, rank_t start, rank_t count)
       : iteration_(iteration), start_(start), count_(count) {}
 
@@ -58,15 +65,32 @@ public:
     ESRP_CHECK_MSG(start_ < ctx.num_nodes,
                    "fixed process start rank " << start_ << " out of range [0, "
                                                << ctx.num_nodes << ")");
+    ESRP_CHECK_MSG(iteration_ != kWorst || ctx.interval >= 1,
+                   "fixed process it=worst needs the run's interval");
+    ESRP_CHECK_MSG(count_ != kPhi || ctx.phi >= 1,
+                   "fixed process count=phi needs the run's phi");
     FailureEvent e;
-    e.iteration = iteration_;
-    e.ranks = contiguous_ranks(start_, count_, ctx.num_nodes);
+    e.iteration = iteration_ == kWorst
+                      ? xp::worst_case_failure_iteration(ctx.horizon,
+                                                         ctx.interval)
+                      : iteration_;
+    e.ranks = contiguous_ranks(
+        start_, count_ == kPhi ? static_cast<rank_t>(ctx.phi) : count_,
+        ctx.num_nodes);
     return {std::move(e)};
   }
 
 private:
   index_t iteration_;
   rank_t start_, count_;
+};
+
+class NoFailures final : public FailureProcess {
+public:
+  std::vector<FailureEvent> sample(const FailureDrawContext&,
+                                   Rng&) const override {
+    return {};
+  }
 };
 
 class ExponentialProcess final : public FailureProcess {
@@ -126,18 +150,30 @@ private:
 };
 
 void register_processes(Registry<FailureProcessFactory>& reg) {
+  reg.add("none", "no failure (the failure-free run of a grid)",
+          [](const std::string& arg) -> std::unique_ptr<FailureProcess> {
+            const KvParams kv(arg, "failure process \"none\"", {});
+            return std::make_unique<NoFailures>();
+          });
   reg.add("fixed",
-          "single event at a fixed iteration: it=<iter>[,start=0][,count=1] "
-          "(the paper's §5 protocol)",
+          "single event at a fixed iteration: "
+          "it=<iter>|worst[,start=0][,count=<n>|phi] (the paper's §5 "
+          "protocol; worst = two iterations before the end of the "
+          "interval T containing C/2, phi = the run's phi)",
           [](const std::string& arg) -> std::unique_ptr<FailureProcess> {
             const KvParams kv(arg, "failure process \"fixed\"",
                               {"it", "start", "count"});
-            const auto it = static_cast<index_t>(kv.require_int("it"));
+            const bool worst = kv.get_string("it", "") == "worst";
+            const bool per_phi = kv.get_string("count", "") == "phi";
+            const auto it = worst ? FixedProcess::kWorst
+                                  : static_cast<index_t>(kv.require_int("it"));
             const auto start = static_cast<rank_t>(kv.get_int("start", 0));
-            const auto count = static_cast<rank_t>(kv.get_int("count", 1));
-            if (it < 1)
+            const auto count =
+                per_phi ? FixedProcess::kPhi
+                        : static_cast<rank_t>(kv.get_int("count", 1));
+            if (!worst && it < 1)
               throw Error("failure process \"fixed\": it must be >= 1");
-            if (start < 0 || count < 1)
+            if (start < 0 || (!per_phi && count < 1))
               throw Error(
                   "failure process \"fixed\": start >= 0 and count >= 1");
             return std::make_unique<FixedProcess>(it, start, count);
@@ -212,15 +248,7 @@ std::unique_ptr<FailureProcess> resolve_failure_process(
 }
 
 void check_failure_process_key(const std::string& spec) {
-  const auto [key, arg] = split_spec(spec);
-  const Registry<FailureProcessFactory>& reg = failure_process_registry();
-  if (!reg.contains(key))
-    throw Error(unknown_key_message(reg.kind(), key, reg.keys()));
-  if (key == "rack") {
-    const std::size_t slash = arg.find('/');
-    if (slash != std::string::npos && slash + 1 < arg.size())
-      check_failure_process_key(arg.substr(slash + 1));
-  }
+  (void)resolve_failure_process(spec);
 }
 
 double exponential_interarrival(double mean, Rng& rng) {
@@ -233,17 +261,16 @@ double weibull_interarrival(double shape, double scale, Rng& rng) {
   return scale * std::pow(-std::log(1.0 - rng.next_double()), 1.0 / shape);
 }
 
-std::vector<FailureEvent> sample_failure_schedule(const std::string& spec,
-                                                  rank_t num_nodes,
-                                                  index_t horizon,
-                                                  std::uint64_t seed) {
-  const std::unique_ptr<FailureProcess> process =
-      resolve_failure_process(spec);
+std::vector<FailureEvent> sample_failure_schedule(
+    const std::string& spec, rank_t num_nodes, index_t horizon,
+    std::uint64_t seed, index_t interval, int phi) {
   FailureDrawContext ctx;
   ctx.num_nodes = num_nodes;
   ctx.horizon = horizon;
+  ctx.interval = interval;
+  ctx.phi = phi;
   Rng rng(seed);
-  return process->sample(ctx, rng);
+  return resolve_failure_process(spec)->sample(ctx, rng);
 }
 
 } // namespace esrp

@@ -5,10 +5,13 @@
 // processes so survival-probability and expected-overhead curves can be
 // swept instead of hand-picked:
 //
-//   failure_process_registry() — "fixed", "exponential", "weibull", "rack"
+//   failure_process_registry() — "none", "fixed", "exponential", "weibull",
+//                                "rack"
 //
 // Parameterized keys take an argument after a colon, mirroring the matrix
-// registry: "fixed:it=17,start=2,count=2", "exponential:mean=30",
+// registry: "fixed:it=17,start=2,count=2", the paper's placement
+// "fixed:it=worst,start=64,count=phi" (resolved per run from C, T and phi),
+// "exponential:mean=30",
 // "weibull:k=1.5,scale=40", and the correlation decorator
 // "rack:4/exponential:mean=30" (every arrival takes out a contiguous block
 // of 4 ranks — a switch fault on one fat-tree branch).
@@ -36,6 +39,10 @@ struct FailureDrawContext {
   rank_t num_nodes = 0;
   /// Reference trajectory length C: events are scheduled in [1, horizon).
   index_t horizon = 0;
+  /// The run's storage interval T and phi, read by "fixed:it=worst" and
+  /// "fixed:count=phi"; 0 = unknown (those spellings then throw).
+  index_t interval = 0;
+  int phi = 0;
 };
 
 /// A named failure process: samples one run's full event schedule. Events
@@ -60,9 +67,8 @@ Registry<FailureProcessFactory>& failure_process_registry();
 std::unique_ptr<FailureProcess> resolve_failure_process(
     const std::string& spec);
 
-/// Lookup-only variant: validates the base key (and, for "rack", the inner
-/// spec's key) without building anything. Lets the CLI reject typos before
-/// any expensive work.
+/// Validates the whole spec (key, parameters and a rack's inner spec)
+/// without sampling, so callers reject typos before any expensive work.
 void check_failure_process_key(const std::string& spec);
 
 /// One Exp(1/mean) inter-arrival draw by inverse CDF. Exposed so the
@@ -75,9 +81,9 @@ double exponential_interarrival(double mean, Rng& rng);
 double weibull_interarrival(double shape, double scale, Rng& rng);
 
 /// Convenience: resolve `spec`, seed an Rng, sample one schedule.
-std::vector<FailureEvent> sample_failure_schedule(const std::string& spec,
-                                                  rank_t num_nodes,
-                                                  index_t horizon,
-                                                  std::uint64_t seed);
+/// `interval` and `phi` fill the FailureDrawContext fields of that name.
+std::vector<FailureEvent> sample_failure_schedule(
+    const std::string& spec, rank_t num_nodes, index_t horizon,
+    std::uint64_t seed, index_t interval = 0, int phi = 0);
 
 } // namespace esrp

@@ -40,13 +40,15 @@ std::string as_string(const ParamValue& v, const std::string& axis_name) {
               to_string(v));
 }
 
-index_t as_interval(const ParamValue& v) {
+/// A positive integer axis value (interval, phi).
+std::int64_t as_positive(const ParamValue& v, const std::string& axis_name) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    if (*i < 1) throw Error("sweep interval must be >= 1, got " +
-                            std::to_string(*i));
-    return static_cast<index_t>(*i);
+    if (*i < 1)
+      throw Error("sweep " + axis_name + " must be >= 1, got " +
+                  std::to_string(*i));
+    return *i;
   }
-  throw Error("sweep axis \"interval\" expects integer values, got " +
+  throw Error("sweep axis \"" + axis_name + "\" expects integer values, got " +
               to_string(v));
 }
 
@@ -74,13 +76,13 @@ void check_base_leaves_sweep_fields_unset(const SolveSpec& base) {
 std::string to_string(const ParamValue& value) {
   if (const auto* i = std::get_if<std::int64_t>(&value))
     return std::to_string(*i);
-  if (const auto* d = std::get_if<double>(&value)) return format_g(*d);
   return std::get<std::string>(value);
 }
 
 std::string SweepCell::key() const {
-  return strategy + "|T=" + std::to_string(interval) + "|" + process + "|" +
-         cluster;
+  return strategy + "|T=" + std::to_string(interval) +
+         (phi > 0 ? "|phi=" + std::to_string(phi) : "") + "|" + process +
+         "|" + cluster;
 }
 
 SolveSpec default_sweep_spec() {
@@ -91,6 +93,16 @@ SolveSpec default_sweep_spec() {
   spec.nodes = 8;
   spec.phi = 2;
   return spec;
+}
+
+SolveSpec reference_spec(const SolveSpec& spec) {
+  SolveSpec ref = spec;
+  ref.strategy = Strategy::none;
+  ref.failures.clear();
+  ref.sdc_events.clear();
+  ref.spare_nodes = SolveSpec{}.spare_nodes;
+  ref.recovery_policy = SolveSpec{}.recovery_policy;
+  return ref;
 }
 
 std::uint64_t cell_seed(std::uint64_t base, const std::string& cell_key,
@@ -108,21 +120,28 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
   if (opts.repetitions < 1) throw Error("sweep needs repetitions >= 1");
   check_base_leaves_sweep_fields_unset(opts.base);
   for (const auto& [name, values] : grid) {
-    if (name != "strategy" && name != "interval" && name != "process" &&
-        name != "cluster")
+    if (name != "strategy" && name != "interval" && name != "phi" &&
+        name != "process" && name != "cluster")
       throw Error("unknown sweep axis \"" + name +
-                  "\" (valid: strategy, interval, process, cluster)");
+                  "\" (valid: strategy, interval, phi, process, cluster)");
     (void)values;
   }
   const std::vector<ParamValue>& strategies = axis(grid, "strategy");
   const std::vector<ParamValue>& intervals = axis(grid, "interval");
   const std::vector<ParamValue>& processes = axis(grid, "process");
   const std::vector<ParamValue>& clusters = axis(grid, "cluster");
+  // A grid without a phi axis runs every cell at base.phi under
+  // cell.phi = 0, so its cell keys, and so its seeds, do not name phi.
+  const std::vector<ParamValue> phis =
+      grid.count("phi") ? axis(grid, "phi")
+                        : std::vector<ParamValue>{std::int64_t{0}};
 
   // Fail fast on every axis value before the first (expensive) solve.
   for (const ParamValue& v : strategies)
     strategy_from_string(as_string(v, "strategy"));
-  for (const ParamValue& v : intervals) as_interval(v);
+  for (const ParamValue& v : intervals) as_positive(v, "interval");
+  if (grid.count("phi"))
+    for (const ParamValue& v : phis) as_positive(v, "phi");
   for (const ParamValue& v : processes)
     check_failure_process_key(as_string(v, "process"));
   for (const ParamValue& v : clusters)
@@ -144,8 +163,7 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
   for (const ParamValue& cv : clusters) {
     const std::string shape = as_string(cv, "cluster");
     if (result.reference_time.count(shape)) continue;
-    SolveSpec ref = base;
-    ref.strategy = Strategy::none;
+    SolveSpec ref = reference_spec(base);
     ref.cluster_shape = shape;
     const SolveReport report = solve(ref);
     if (!report.converged)
@@ -154,6 +172,7 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
                   "\"");
     if (result.horizon == 0) {
       result.horizon = report.iterations;
+      result.reference_drift = report.drift;
     } else {
       ESRP_CHECK_MSG(report.iterations == result.horizon,
                      "cluster shape \"" << shape
@@ -164,51 +183,60 @@ SweepResult run_sweep(const ParamGrid& grid, const SweepOptions& opts) {
 
   for (const ParamValue& sv : strategies) {
     for (const ParamValue& iv : intervals) {
-      for (const ParamValue& pv : processes) {
-        for (const ParamValue& cv : clusters) {
-          SweepCell cell;
-          cell.strategy = as_string(sv, "strategy");
-          cell.interval = as_interval(iv);
-          cell.process = as_string(pv, "process");
-          cell.cluster = as_string(cv, "cluster");
-          cell.repetitions = opts.repetitions;
-          const double t0 = result.reference_time.at(cell.cluster);
+      for (const ParamValue& fv : phis) {
+        for (const ParamValue& pv : processes) {
+          for (const ParamValue& cv : clusters) {
+            SweepCell cell;
+            cell.strategy = as_string(sv, "strategy");
+            cell.interval = static_cast<index_t>(as_positive(iv, "interval"));
+            cell.phi = static_cast<int>(std::get<std::int64_t>(fv));
+            cell.process = as_string(pv, "process");
+            cell.cluster = as_string(cv, "cluster");
+            cell.repetitions = opts.repetitions;
+            const double t0 = result.reference_time.at(cell.cluster);
 
-          // Serial fixed-order aggregation across repetitions of one sweep
-          // cell; reps run in seed order on one thread, so the sum is
-          // reproducible without routing through parallel_reduce.
-          // esrp-lint: allow(fp-accumulate)
-          double sum_overhead = 0, sum_wasted = 0, sum_failures = 0;
-          for (int rep = 0; rep < opts.repetitions; ++rep) {
-            const std::uint64_t seed =
-                cell_seed(opts.seed, cell.key(), rep);
             SolveSpec spec = base;
             spec.strategy = strategy_from_string(cell.strategy);
             spec.interval = cell.interval;
+            if (cell.phi > 0) spec.phi = cell.phi;
             spec.cluster_shape = cell.cluster;
-            spec.failures = sample_failure_schedule(
-                cell.process, base.nodes, result.horizon, seed);
-            const SolveReport report = solve(spec);
-            sum_failures += static_cast<double>(spec.failures.size());
-            if (report.converged) {
-              ++cell.converged;
-              sum_overhead += xp::relative_overhead(report.modeled_time, t0);
-              sum_wasted += static_cast<double>(report.wasted_iterations());
-              if (!report.restarted_from_scratch()) ++cell.survived;
+            // Serial fixed-order aggregation across repetitions of one
+            // sweep cell; reps run in seed order on one thread, so the sum
+            // is reproducible without routing through parallel_reduce.
+            // esrp-lint: allow(fp-accumulate)
+            double sum_overhead = 0, sum_wasted = 0, sum_failures = 0;
+            for (int rep = 0; rep < opts.repetitions; ++rep) {
+              SweepRun& run = cell.runs.emplace_back();
+              run.failures = sample_failure_schedule(
+                  cell.process, base.nodes, result.horizon,
+                  cell_seed(opts.seed, cell.key(), rep), spec.interval,
+                  spec.phi);
+              spec.failures = run.failures;
+              run.report = solve(spec);
+              run.report.x = Vector();
+              run.report.r = Vector();
+              const SolveReport& report = run.report;
+              sum_failures += static_cast<double>(run.failures.size());
+              if (report.converged) {
+                ++cell.converged;
+                sum_overhead += xp::relative_overhead(report.modeled_time, t0);
+                sum_wasted += static_cast<double>(report.wasted_iterations());
+                if (!report.restarted_from_scratch()) ++cell.survived;
+              }
             }
+            cell.survival_probability =
+                static_cast<double>(cell.survived) /
+                static_cast<double>(cell.repetitions);
+            cell.mean_failures =
+                sum_failures / static_cast<double>(cell.repetitions);
+            if (cell.converged > 0) {
+              cell.mean_overhead =
+                  sum_overhead / static_cast<double>(cell.converged);
+              cell.mean_wasted =
+                  sum_wasted / static_cast<double>(cell.converged);
+            }
+            result.cells.push_back(std::move(cell));
           }
-          cell.survival_probability =
-              static_cast<double>(cell.survived) /
-              static_cast<double>(cell.repetitions);
-          cell.mean_failures =
-              sum_failures / static_cast<double>(cell.repetitions);
-          if (cell.converged > 0) {
-            cell.mean_overhead =
-                sum_overhead / static_cast<double>(cell.converged);
-            cell.mean_wasted =
-                sum_wasted / static_cast<double>(cell.converged);
-          }
-          result.cells.push_back(std::move(cell));
         }
       }
     }

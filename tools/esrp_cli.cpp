@@ -11,12 +11,14 @@
 // registries behind the facade (src/api/registry.hpp) — `--list` prints
 // them, and an unknown key answers with a "did you mean" hint. `--fail-at
 // auto` places the failure with the paper's worst-case rule (two iterations
-// before the end of the interval containing C/2, which requires one extra
-// reference solve).
+// before the end of the interval containing C/2): it runs as the failure
+// process "fixed:it=worst,start=S,count=C", which needs one extra
+// reference solve.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,8 +29,8 @@
 #include "scenario/cluster_shape.hpp"
 #include "scenario/failure_process.hpp"
 #include "scenario/kv_params.hpp"
+#include "scenario/sweep.hpp"
 #include "service/solve_service.hpp"
-#include "xp/experiment.hpp"
 
 namespace {
 
@@ -61,11 +63,15 @@ constexpr OptionSpec kOptions[] = {
     {"--phi", "P", "redundant copies (default 1)"},
     {"--rtol", "X", "convergence tolerance (default 1e-8)"},
     {"--block-size", "B", "block Jacobi block size (default 10)"},
-    {"--fail-at", "J|auto", "inject a failure (default: none)"},
+    {"--fail-at", "J|auto",
+     "inject a failure (default: none); auto = two\n"
+     "                    iterations before the end of the interval\n"
+     "                    containing C/2 (runs one reference solve)"},
     {"--fail-ranks", "S:C", "contiguous ranks, start:count (default 0:phi)"},
     {"--failure-process", "SPEC",
      "sample a stochastic failure schedule instead of\n"
-     "                    --fail-at: fixed:it=J[,start=S][,count=C] |\n"
+     "                    --fail-at: fixed:it=J|worst[,start=S]\n"
+     "                    [,count=C|phi] | none |\n"
      "                    exponential:mean=M | weibull:k=K,scale=S |\n"
      "                    rack:W/<inner> (see --list; runs one reference\n"
      "                    solve for the horizon C)"},
@@ -113,6 +119,31 @@ constexpr OptionSpec kOptions[] = {
     std::fprintf(out, "  %-17s %s\n", label, o.help);
   }
   std::exit(code);
+}
+
+/// A whole-string base-10 integer in [lo, hi]; anything else is a usage
+/// error. The default range fits every int-typed field.
+std::int64_t parse_int(const std::string& text, const std::string& what,
+                       std::int64_t lo = std::numeric_limits<int>::min(),
+                       std::int64_t hi = std::numeric_limits<int>::max()) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end == nullptr || *end != '\0')
+    usage((what + " needs an integer, got \"" + text + "\"").c_str());
+  if (v < lo || v > hi)
+    usage((what + " must lie in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "], got " + text)
+              .c_str());
+  return v;
+}
+
+/// A whole-string number; anything else is a usage error.
+double parse_double(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0')
+    usage((what + " needs a number, got \"" + text + "\"").c_str());
+  return v;
 }
 
 bool takes_value(const std::string& key) {
@@ -223,37 +254,29 @@ int main(int argc, char** argv) {
   }
 
   if (args.count("--threads")) {
-    const std::string& v = args.at("--threads");
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || end == nullptr || *end != '\0' || n < 0)
-      usage("--threads must be a non-negative integer (0 = hardware)");
-    spec.threads = static_cast<int>(n);
+    const auto n =
+        static_cast<int>(parse_int(args.at("--threads"), "--threads", 0));
+    spec.threads = n;
     // Also apply globally (as the pre-facade CLI did): the --fail-at auto
     // reference solve runs outside esrp::solve's per-solve override, and
     // its trajectory — which places the failure — is only comparable to
     // the main solve's at the same thread count.
-    set_num_threads(static_cast<int>(n));
+    set_num_threads(n);
   }
 
   int repeat = 1;
   if (args.count("--repeat")) {
-    const std::string& v = args.at("--repeat");
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || end == nullptr || *end != '\0' || n < 1)
-      usage("--repeat must be a positive integer");
-    repeat = static_cast<int>(n);
+    repeat = static_cast<int>(parse_int(args.at("--repeat"), "--repeat", 1));
   }
 
-  spec.nodes = static_cast<rank_t>(std::atoi(get("--nodes", "128").c_str()));
-  spec.interval = std::atol(get("--interval", "20").c_str());
-  spec.phi = std::atoi(get("--phi", "1").c_str());
-  spec.rtol = std::atof(get("--rtol", "1e-8").c_str());
-  spec.block_size = std::atol(get("--block-size", "10").c_str());
+  spec.nodes = static_cast<rank_t>(parse_int(get("--nodes", "128"), "--nodes"));
+  spec.interval = parse_int(get("--interval", "20"), "--interval");
+  spec.phi = static_cast<int>(parse_int(get("--phi", "1"), "--phi"));
+  spec.rtol = parse_double(get("--rtol", "1e-8"), "--rtol");
+  spec.block_size = parse_int(get("--block-size", "10"), "--block-size");
   spec.spare_nodes = !no_spares;
   spec.residual_replacement =
-      std::atol(get("--residual-replacement", "0").c_str());
+      parse_int(get("--residual-replacement", "0"), "--residual-replacement");
   spec.cluster_shape = get("--cluster", "");
   spec.recovery_policy = get("--recovery-policy", "ladder");
 
@@ -303,7 +326,7 @@ int main(int argc, char** argv) {
   try {
     double t0 = -1;
     const std::string fail_at = get("--fail-at", "");
-    const std::string process = get("--failure-process", "");
+    std::string process = get("--failure-process", "");
     if (fail_at.empty() && args.count("--fail-ranks"))
       usage("--fail-ranks requires --fail-at");
     if (process.empty() && args.count("--seed"))
@@ -317,6 +340,28 @@ int main(int argc, char** argv) {
              " is sequential")
                 .c_str());
 
+    // --fail-at J injects one event as given; --fail-at auto is the
+    // failure process "fixed:it=worst" below, so it shares the reference
+    // solve of every sampled schedule.
+    if (!fail_at.empty()) {
+      const std::string ranks = get("--fail-ranks",
+                                    ("0:" + std::to_string(spec.phi)).c_str());
+      const std::size_t colon = ranks.find(':');
+      if (colon == std::string::npos) usage("--fail-ranks needs start:count");
+      const auto start = static_cast<rank_t>(parse_int(
+          ranks.substr(0, colon), "--fail-ranks start", 0, spec.nodes - 1));
+      const auto count = static_cast<rank_t>(parse_int(
+          ranks.substr(colon + 1), "--fail-ranks count", 1, spec.nodes));
+      if (fail_at == "auto") {
+        process = "fixed:it=worst,start=" + std::to_string(start) +
+                  ",count=" + std::to_string(count);
+      } else {
+        spec.failures.push_back(FailureEvent{
+            parse_int(fail_at, "--fail-at (an iteration or auto)", 0),
+            contiguous_ranks(start, count, spec.nodes)});
+      }
+    }
+
     if (!process.empty()) {
       try {
         check_failure_process_key(process);
@@ -329,15 +374,12 @@ int main(int argc, char** argv) {
         spec.matrix_name = prob.name;
       }
       // The process samples iterations on [1, C): the horizon C comes from
-      // the same failure-free reference solve --fail-at auto runs, so the
-      // schedule is calibrated to the trajectory it will interrupt.
-      SolveSpec ref_spec = spec;
-      ref_spec.strategy = Strategy::none;
-      ref_spec.failures.clear();
-      ref_spec.sdc_events.clear();
-      const SolveReport ref = esrp::solve(ref_spec);
-      if (!ref.converged)
-        usage("--failure-process: reference run did not converge");
+      // the failure-free reference solve of the *same* spec (solver,
+      // preconditioner, block size, threads), so the schedule is calibrated
+      // to the trajectory it will interrupt and t0 to the solve it is
+      // compared with.
+      const SolveReport ref = esrp::solve(reference_spec(spec));
+      if (!ref.converged) usage("reference run did not converge");
       t0 = ref.modeled_time;
       const std::string seed_text = get("--seed", "1");
       char* seed_end = nullptr;
@@ -345,9 +387,13 @@ int main(int argc, char** argv) {
           std::strtoull(seed_text.c_str(), &seed_end, 10);
       if (seed_text.empty() || seed_end == nullptr || *seed_end != '\0')
         usage("--seed must be a non-negative integer");
-      spec.failures =
-          sample_failure_schedule(process, spec.nodes, ref.iterations, seed);
-      if (!quiet) {
+      spec.failures = sample_failure_schedule(
+          process, spec.nodes, ref.iterations, seed, spec.interval, spec.phi);
+      if (!quiet && fail_at == "auto") {
+        std::printf("reference: C = %lld, t0 = %.3f s; failing at %lld\n",
+                    static_cast<long long>(ref.iterations), t0,
+                    static_cast<long long>(spec.failures[0].iteration));
+      } else if (!quiet) {
         std::printf("reference: C = %lld, t0 = %.3f s; seed %llu sampled "
                     "%zu event(s)\n",
                     static_cast<long long>(ref.iterations), t0,
@@ -358,44 +404,6 @@ int main(int argc, char** argv) {
                       static_cast<long long>(e.iteration), e.ranks.size(),
                       static_cast<int>(e.ranks.empty() ? -1 : e.ranks.front()));
       }
-    }
-    if (!fail_at.empty()) {
-      index_t iteration;
-      if (fail_at == "auto") {
-        if (spec.matrix_data == nullptr) { // mm: path — build and reuse
-          prob = resolve_matrix(spec.matrix);
-          spec.matrix_data = &prob.matrix;
-          spec.matrix_name = prob.name;
-        }
-        // The reference run is the failure-free, non-resilient solve of
-        // the *same* spec (solver, preconditioner, block size, threads),
-        // so C and t0 describe the trajectory the failure actually lands
-        // on — not a fixed block-Jacobi baseline.
-        SolveSpec ref_spec = spec;
-        ref_spec.strategy = Strategy::none;
-        ref_spec.failures.clear();
-        const SolveReport ref = esrp::solve(ref_spec);
-        if (!ref.converged) usage("--fail-at auto: reference run did not converge");
-        iteration =
-            xp::worst_case_failure_iteration(ref.iterations, spec.interval);
-        t0 = ref.modeled_time;
-        if (!quiet)
-          std::printf("reference: C = %lld, t0 = %.3f s; failing at %lld\n",
-                      static_cast<long long>(ref.iterations), t0,
-                      static_cast<long long>(iteration));
-      } else {
-        iteration = std::atol(fail_at.c_str());
-      }
-      const std::string ranks = get("--fail-ranks",
-                                    ("0:" + std::to_string(spec.phi)).c_str());
-      const std::size_t colon = ranks.find(':');
-      if (colon == std::string::npos) usage("--fail-ranks needs start:count");
-      spec.failures.push_back(FailureEvent{
-          iteration,
-          contiguous_ranks(
-              static_cast<rank_t>(std::atoi(ranks.substr(0, colon).c_str())),
-              static_cast<rank_t>(std::atoi(ranks.substr(colon + 1).c_str())),
-              spec.nodes)});
     }
 
     SolveReport res;

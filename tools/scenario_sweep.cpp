@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   for (const std::string& s : axis_values("--strategy", {"esrp", "imcr"}))
     grid["strategy"].push_back(s);
   for (const std::string& t : axis_values("--interval", {"10", "25"}))
-    grid["interval"].push_back(parse_int(t, "--interval"));
+    grid["interval"].emplace_back(parse_int(t, "--interval"));
   for (const std::string& p : axis_values(
            "--process",
            {"exponential:mean=40", "rack:2/exponential:mean=40"}))
