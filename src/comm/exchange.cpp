@@ -130,13 +130,33 @@ ExchangeEngine::ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan,
                                SimCluster& cluster)
     : a_(&a), plan_(&plan), cluster_(&cluster) {
   ESRP_CHECK(&plan.partition() == &cluster.partition());
+  for (rank_t s = 0; s < plan.partition().num_nodes(); ++s)
+    price_lists(halo_, s, plan.sends(s), CommCategory::spmv_halo);
 }
 
-void ExchangeEngine::send_lists(rank_t s, const std::vector<SendList>& lists,
-                                CommCategory cat) {
+void ExchangeEngine::price_lists(MessageTable& table, rank_t s,
+                                 const std::vector<SendList>& lists,
+                                 CommCategory cat) const {
   for (const SendList& sl : lists)
-    cluster_->send(s, sl.to, sl.indices.size() * CostParams::bytes_per_scalar,
-                   cat);
+    cluster_->price(table, s, sl.to,
+                    sl.indices.size() * CostParams::bytes_per_scalar, cat);
+}
+
+const ExchangeEngine::AugTables& ExchangeEngine::aug_tables(
+    const AspmvPlan& aug) {
+  ESRP_CHECK(&aug.base() == plan_);
+  if (aug_.layout == aug.holder_layout()) return aug_;
+  aug_ = AugTables{aug.holder_layout(), {}, {}};
+  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s) {
+    price_lists(aug_.extra, s, aug.extra_sends(s), CommCategory::aspmv_extra);
+    // Halo lists first, then the augmentation top-up: the same coverage as
+    // an aspmv() capture, but every send is a dedicated redundancy message.
+    price_lists(aug_.disseminate, s, plan_->sends(s),
+                CommCategory::aspmv_extra);
+    price_lists(aug_.disseminate, s, aug.extra_sends(s),
+                CommCategory::aspmv_extra);
+  }
+  return aug_;
 }
 
 RedundantCopy ExchangeEngine::capture(const AspmvPlan& aug,
@@ -179,8 +199,7 @@ void ExchangeEngine::local_products(const DistVector& p, DistVector& y) {
 
 void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
                           bool complete_step) {
-  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
-    send_lists(s, plan_->sends(s), CommCategory::spmv_halo);
+  cluster_->replay(halo_);
   local_products(p, y);
   if (complete_step) cluster_->complete_step();
 }
@@ -188,11 +207,10 @@ void ExchangeEngine::spmv(const DistVector& p, DistVector& y,
 RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
                                     index_t tag, DistVector& y,
                                     Vector buffer) {
-  ESRP_CHECK(&aug.base() == plan_);
+  const AugTables& tables = aug_tables(aug);
   spmv(p, y, /*complete_step=*/false);
   // Augmentation traffic: pure redundancy, never read by the local products.
-  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s)
-    send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
+  cluster_->replay(tables.extra);
   cluster_->complete_step();
   return capture(aug, p, tag, std::move(buffer));
 }
@@ -200,13 +218,7 @@ RedundantCopy ExchangeEngine::aspmv(const AspmvPlan& aug, const DistVector& p,
 RedundantCopy ExchangeEngine::disseminate(const AspmvPlan& aug,
                                           const DistVector& p, index_t tag,
                                           Vector buffer) {
-  ESRP_CHECK(&aug.base() == plan_);
-  // Halo lists first, then the augmentation top-up — the same coverage as an
-  // aspmv() capture, but every send is a dedicated redundancy message here.
-  for (rank_t s = 0; s < plan_->partition().num_nodes(); ++s) {
-    send_lists(s, plan_->sends(s), CommCategory::aspmv_extra);
-    send_lists(s, aug.extra_sends(s), CommCategory::aspmv_extra);
-  }
+  cluster_->replay(aug_tables(aug).disseminate);
   cluster_->complete_step();
   return capture(aug, p, tag, std::move(buffer));
 }

@@ -87,9 +87,10 @@ private:
 };
 
 /// Drives halo exchanges and local products for one matrix on one cluster.
-/// The exchange is charged from the plan's send lists; the products then
-/// read the halo entries in place from their owners' slices (the read-only
-/// exception of netsim/dist_vector.hpp), so the engine holds no buffers.
+/// The exchange is charged from message tables priced once from the plans'
+/// send lists (SimCluster::replay); the products then read the halo entries
+/// in place from their owners' slices (the read-only exception of
+/// netsim/dist_vector.hpp), so the engine holds no value buffers.
 class ExchangeEngine {
 public:
   ExchangeEngine(const CsrMatrix& a, const SpmvPlan& plan, SimCluster& cluster);
@@ -121,11 +122,23 @@ public:
                             index_t tag, Vector buffer = {});
 
 private:
+  /// The message tables of one augmentation plan.
+  struct AugTables {
+    /// The plan's holder layout: it identifies the plan (copies of a plan
+    /// share it), and holding it keeps a later plan from reusing its address.
+    std::shared_ptr<const HolderLayout> layout;
+    MessageTable extra;       ///< aspmv: every rank's augmentation lists
+    MessageTable disseminate; ///< rank by rank: halo lists, then augmentation
+  };
+
   /// Every node's rows of y := A p, read straight from p's slices.
   void local_products(const DistVector& p, DistVector& y);
-  /// Charge node s's transfer lists as messages of category `cat`.
-  void send_lists(rank_t s, const std::vector<SendList>& lists,
-                  CommCategory cat);
+  /// Price node s's transfer lists into `table` as messages of category
+  /// `cat`, in list order.
+  void price_lists(MessageTable& table, rank_t s,
+                   const std::vector<SendList>& lists, CommCategory cat) const;
+  /// `aug`'s tables, priced on its first use after another plan's.
+  const AugTables& aug_tables(const AspmvPlan& aug);
   /// The values `aug`'s holder layout places, copied run by run from p's
   /// slices into `buffer`: ghosts and augmentation receipts alike.
   RedundantCopy capture(const AspmvPlan& aug, const DistVector& p,
@@ -134,6 +147,8 @@ private:
   const CsrMatrix* a_;
   const SpmvPlan* plan_;
   SimCluster* cluster_;
+  MessageTable halo_; ///< spmv: every rank's halo lists, rank by rank
+  AugTables aug_;
 };
 
 } // namespace esrp

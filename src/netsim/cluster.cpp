@@ -49,15 +49,46 @@ void SimCluster::add_compute(rank_t rank, double flops) {
   step_dirty_.store(true, std::memory_order_relaxed);
 }
 
-void SimCluster::send(rank_t from, rank_t to, std::size_t bytes,
-                      CommCategory cat) {
+double SimCluster::checked_message_time(rank_t from, rank_t to,
+                                        std::size_t bytes) const {
   ESRP_CHECK(from >= 0 && from < num_nodes());
   ESRP_CHECK(to >= 0 && to < num_nodes());
   ESRP_CHECK_MSG(from != to, "node " << from << " attempted a self-send");
-  const double t = cost_.message_time(from, to, bytes);
+  return cost_.message_time(from, to, bytes);
+}
+
+void SimCluster::send(rank_t from, rank_t to, std::size_t bytes,
+                      CommCategory cat) {
+  const double t = checked_message_time(from, to, bytes);
   step_[static_cast<std::size_t>(from)].send_time += t;
   step_[static_cast<std::size_t>(to)].recv_time += t;
   ledger_.record(cat, bytes);
+  step_dirty_.store(true, std::memory_order_relaxed);
+}
+
+void SimCluster::price(MessageTable& table, rank_t from, rank_t to,
+                       std::size_t bytes, CommCategory cat) const {
+  ESRP_CHECK(table.messages_.empty() || table.num_nodes_ == num_nodes());
+  table.num_nodes_ = num_nodes();
+  table.messages_.push_back({from, to, checked_message_time(from, to, bytes)});
+  auto& t = table.totals_[static_cast<std::size_t>(cat)];
+  ++t.messages;
+  t.bytes += bytes;
+}
+
+void SimCluster::replay(const MessageTable& table) {
+  if (table.messages_.empty()) return;
+  ESRP_CHECK_MSG(table.num_nodes_ == num_nodes(),
+                 "message table priced for " << table.num_nodes_
+                                             << " nodes, replayed on "
+                                             << num_nodes());
+  for (const MessageTable::Message& m : table.messages_) {
+    step_[static_cast<std::size_t>(m.from)].send_time += m.seconds;
+    step_[static_cast<std::size_t>(m.to)].recv_time += m.seconds;
+  }
+  for (std::size_t c = 0; c < kNumCommCategories; ++c)
+    if (table.totals_[c].messages > 0)
+      ledger_.record(static_cast<CommCategory>(c), table.totals_[c]);
   step_dirty_.store(true, std::memory_order_relaxed);
 }
 

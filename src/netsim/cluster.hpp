@@ -1,8 +1,10 @@
 // The simulated cluster: N nodes executing in BSP-style supersteps.
 //
-// Algorithms report their activity through three calls:
+// Algorithms report their activity through these calls:
 //   add_compute(rank, flops)            — local floating-point work
 //   send(from, to, bytes, category)     — one point-to-point message
+//   replay(table)                       — a fixed sequence of messages,
+//                                         priced once into a MessageTable
 //   complete_step()                     — barrier; advances modeled time by
 //                                         the slowest node of this superstep
 //   allreduce(num_scalars, category)    — synchronizing reduction (implies a
@@ -12,6 +14,7 @@
 // of the host process is measured separately by the experiment harness.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <vector>
 
@@ -21,6 +24,23 @@
 #include "partition/partition.hpp"
 
 namespace esrp {
+
+/// A fixed sequence of point-to-point messages, priced once on one cluster
+/// (SimCluster::price). An exchange that repeats every iteration with the
+/// same lists — the SpMV halo, the ASpMV augmentation — charges its table
+/// with SimCluster::replay instead of one send() per message.
+class MessageTable {
+  friend class SimCluster;
+  struct Message {
+    rank_t from = 0;
+    rank_t to = 0;
+    double seconds = 0; ///< the cluster's message_time(from, to, bytes)
+  };
+  std::vector<Message> messages_; ///< in send order
+  /// What a replay records in the ledger, per category.
+  std::array<CategoryTotals, kNumCommCategories> totals_{};
+  rank_t num_nodes_ = 0; ///< node count of the cluster that priced it
+};
 
 class SimCluster {
 public:
@@ -60,6 +80,18 @@ public:
   /// rejected: a node never messages itself in any of the algorithms.
   void send(rank_t from, rank_t to, std::size_t bytes, CommCategory cat);
 
+  /// Append one message to `table`, checked and priced as send() would
+  /// check and charge it. The cost model is fixed at construction, so the
+  /// price holds for every later replay on this cluster.
+  void price(MessageTable& table, rank_t from, rank_t to, std::size_t bytes,
+             CommCategory cat) const;
+
+  /// Charge `table` into this superstep: bitwise the send() calls it was
+  /// priced from. Each message's seconds are added onto its endpoints'
+  /// counters in table order, over whatever the superstep already holds,
+  /// and the ledger records each category's totals once.
+  void replay(const MessageTable& table);
+
   /// Barrier: charge max-over-nodes (compute + send + recv) time for the
   /// current superstep and reset the per-step counters.
   void complete_step();
@@ -95,6 +127,9 @@ private:
     double send_time = 0;
     double recv_time = 0;
   };
+
+  /// send()'s endpoint checks, then the message's modeled time.
+  double checked_message_time(rank_t from, rank_t to, std::size_t bytes) const;
 
   const BlockRowPartition* part_;
   HeterogeneousCostModel cost_;

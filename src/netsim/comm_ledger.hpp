@@ -39,6 +39,13 @@ public:
     t.bytes += bytes;
   }
 
+  /// Record a batch of messages at once: `add` counts them and their bytes.
+  void record(CommCategory cat, const CategoryTotals& add) {
+    auto& t = totals_[static_cast<std::size_t>(cat)];
+    t.messages += add.messages;
+    t.bytes += add.bytes;
+  }
+
   const CategoryTotals& totals(CommCategory cat) const {
     return totals_[static_cast<std::size_t>(cat)];
   }

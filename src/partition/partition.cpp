@@ -51,13 +51,6 @@ rank_t BlockRowPartition::owner(index_t i) const {
   return static_cast<rank_t>(it - offsets_.begin() - 1);
 }
 
-rank_t BlockRowPartition::active_nodes() const {
-  rank_t active = 0;
-  for (rank_t s = 0; s < num_nodes_; ++s)
-    if (local_size(s) > 0) ++active;
-  return active;
-}
-
 index_t BlockRowPartition::to_global(rank_t rank, index_t k) const {
   ESRP_CHECK(k >= 0 && k < local_size(rank));
   return begin(rank) + k;

@@ -51,9 +51,6 @@ public:
   /// I \ I_f for the given ranks.
   IndexSet complement_of(std::span<const rank_t> ranks) const;
 
-  /// Number of ranks with a non-empty range.
-  rank_t active_nodes() const;
-
 private:
   index_t global_size_;
   rank_t num_nodes_;

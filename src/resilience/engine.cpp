@@ -67,9 +67,23 @@ ResilienceEngine::StoragePlan ResilienceEngine::storage_plan(index_t j) const {
 
 void ResilienceEngine::save_snapshot(index_t tag, const SolverState& state) {
   ESRP_CHECK(cluster_ != nullptr);
+  // Snapshot lifetime: with the trailing pairing and one slot, snapshot
+  // `tag` is replaced by the next iteration's second store, so only a
+  // failure at iteration `tag` itself can read it — and until that failure
+  // the live vectors are the ones saved here. Their copy is deferred to
+  // recover(); every other configuration copies now.
+  const bool defer = cfg_.pairing == CopyPairing::trailing &&
+                     cfg_.snapshot_slots == 1 &&
+                     storage_plan(tag + 1).second_store;
+  const auto capture = [&](StateSnapshot& s) {
+    if (defer)
+      s.defer(tag, state);
+    else
+      s.recapture(tag, state);
+  };
   for (StateSnapshot& s : snapshots_) {
     if (s.tag() == tag) {
-      s.recapture(tag, state); // rollback re-execution: replace in place
+      capture(s); // rollback re-execution: replace in place
       return;
     }
   }
@@ -78,10 +92,8 @@ void ResilienceEngine::save_snapshot(index_t tag, const SolverState& state) {
     snapshots_.erase(snapshots_.begin());
     // Reuse the evicted slot's allocation when it still matches the live
     // layout (it does except right after a no-spare repartition).
-    if (oldest.num_vectors() == state.vectors.size() &&
-        oldest.num_vectors() > 0 &&
-        &oldest.vec(0).partition() == &cluster_->partition()) {
-      oldest.recapture(tag, state);
+    if (oldest.fits(state, cluster_->partition())) {
+      capture(oldest);
       snapshots_.push_back(std::move(oldest));
       return;
     }
@@ -195,6 +207,9 @@ index_t ResilienceEngine::recover(const FailureEvent& event, index_t j_fail,
   // failed ranks were holding for other nodes. (The IMCR store models the
   // holder loss through the surviving-buddy check.)
   const SolverState st = client.state();
+  // A deferred snapshot (save_snapshot) takes its vectors first: the live
+  // state has not moved since it was saved.
+  for (StateSnapshot& s : snapshots_) s.capture_vectors(st);
   for (DistVector* v : st.vectors) v->zero_ranks(failed);
   for (DistVector* v : st.scratch) v->zero_ranks(failed);
   for (StateSnapshot& s : snapshots_) s.zero_ranks(failed);

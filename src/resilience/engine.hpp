@@ -142,7 +142,11 @@ public:
 
   /// Capture the star snapshot for iteration `tag` (evicting the oldest
   /// beyond Config::snapshot_slots; re-capturing an existing tag replaces
-  /// it in place).
+  /// it in place). With the trailing pairing, one slot and a second store
+  /// at tag + 1 (classic ESR, T = 1), only the tag and scalars are taken:
+  /// the vectors are copied by recover(), which a failure at iteration
+  /// `tag` reaches before the live state moves. The solver must not change
+  /// `state`'s vectors between this call and that iteration's failure check.
   void save_snapshot(index_t tag, const SolverState& state);
   bool has_snapshot(index_t tag) const { return find_snapshot(tag) != nullptr; }
   /// Amend an extra scalar slot of snapshot `tag` (no-op if the snapshot

@@ -19,28 +19,48 @@ StateSnapshot::StateSnapshot(index_t tag, const SolverState& state,
     scalars_[k] = *state.scalars[k];
 }
 
+bool StateSnapshot::fits(const SolverState& state,
+                         const BlockRowPartition& part) const {
+  return vecs_.size() == state.vectors.size() && !vecs_.empty() &&
+         &vecs_[0].partition() == &part;
+}
+
 void StateSnapshot::recapture(index_t tag, const SolverState& state) {
+  defer(tag, state);
+  capture_vectors(state);
+}
+
+void StateSnapshot::defer(index_t tag, const SolverState& state) {
   ESRP_CHECK(state.vectors.size() == vecs_.size());
   ESRP_CHECK(state.scalars.size() == live_scalars_);
   tag_ = tag;
-  for (std::size_t k = 0; k < vecs_.size(); ++k)
-    vecs_[k].copy_from(*state.vectors[k]);
+  deferred_ = true;
   for (std::size_t k = 0; k < live_scalars_; ++k)
     scalars_[k] = *state.scalars[k];
   for (std::size_t k = live_scalars_; k < scalars_.size(); ++k) scalars_[k] = 0;
 }
 
+void StateSnapshot::capture_vectors(const SolverState& state) {
+  if (!deferred_) return;
+  ESRP_CHECK(state.vectors.size() == vecs_.size());
+  for (std::size_t k = 0; k < vecs_.size(); ++k)
+    vecs_[k].copy_from(*state.vectors[k]);
+  deferred_ = false;
+}
+
 void StateSnapshot::restore_vectors(const SolverState& state) const {
   ESRP_CHECK(state.vectors.size() == vecs_.size());
   for (std::size_t k = 0; k < vecs_.size(); ++k)
-    state.vectors[k]->copy_from(vecs_[k]);
+    state.vectors[k]->copy_from(vec(k));
 }
 
 void StateSnapshot::zero_ranks(std::span<const rank_t> ranks) {
+  require_captured();
   for (DistVector& v : vecs_) v.zero_ranks(ranks);
 }
 
 std::vector<Vector> StateSnapshot::gather_all() const {
+  require_captured();
   std::vector<Vector> out;
   out.reserve(vecs_.size());
   for (const DistVector& v : vecs_) out.push_back(v.gather_global());

@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "netsim/dist_vector.hpp"
 
@@ -34,6 +35,10 @@ struct SolverState {
 /// slots beyond the live scalars for values only the recovery math needs
 /// (e.g. the pipelined solver's beta^(t), amended after the snapshot is
 /// taken — see ResilienceEngine::set_snapshot_scalar).
+///
+/// A snapshot's vectors may be deferred (defer()): the tag and scalars are
+/// taken, the vectors are still the live ones and are copied only when
+/// capture_vectors() runs. Reading a deferred snapshot's vectors throws.
 class StateSnapshot {
 public:
   /// Deep-copies `state` (vectors and scalars) on `part`; the extra scalar
@@ -45,14 +50,34 @@ public:
   std::size_t num_vectors() const { return vecs_.size(); }
   std::size_t num_scalars() const { return scalars_.size(); }
 
-  const DistVector& vec(std::size_t k) const { return vecs_[k]; }
-  DistVector& vec(std::size_t k) { return vecs_[k]; }
+  const DistVector& vec(std::size_t k) const {
+    require_captured();
+    return vecs_[k];
+  }
+  DistVector& vec(std::size_t k) {
+    require_captured();
+    return vecs_[k];
+  }
   real_t scalar(std::size_t k) const { return scalars_[k]; }
   void set_scalar(std::size_t k, real_t v) { scalars_[k] = v; }
+
+  /// True when the allocated vectors can take `state` on `part`: the same
+  /// number of vectors, on that very partition.
+  bool fits(const SolverState& state, const BlockRowPartition& part) const;
 
   /// Re-capture `state` under a new tag, reusing the allocated vectors
   /// (shapes must match — the snapshot was built from the same state).
   void recapture(index_t tag, const SolverState& state);
+
+  /// recapture() without the vectors: take the tag and scalars now and
+  /// leave the vectors deferred. The caller guarantees that `state`'s
+  /// vectors do not change before capture_vectors() runs or the snapshot is
+  /// re-captured or dropped.
+  void defer(index_t tag, const SolverState& state);
+
+  /// Copy a deferred snapshot's vectors from `state` (the state defer() was
+  /// given); no-op when none are deferred.
+  void capture_vectors(const SolverState& state);
 
   /// Copy the snapshot's vectors back into the live state (the survivors'
   /// rollback). Scalars are left to the caller: which live scalars a
@@ -71,7 +96,12 @@ public:
   void rebuild(const BlockRowPartition& part, const std::vector<Vector>& data);
 
 private:
+  void require_captured() const {
+    ESRP_CHECK_MSG(!deferred_, "snapshot " << tag_ << " was not captured");
+  }
+
   index_t tag_ = -1;
+  bool deferred_ = false; ///< the vectors are the live ones (defer())
   std::vector<DistVector> vecs_;
   std::vector<real_t> scalars_;
   std::size_t live_scalars_ = 0; ///< scalars_ = live values + extra slots

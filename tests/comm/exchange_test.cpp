@@ -15,6 +15,14 @@
 namespace esrp {
 namespace {
 
+/// Ranks that own at least one row.
+rank_t active_ranks(const BlockRowPartition& p) {
+  rank_t active = 0;
+  for (rank_t s = 0; s < p.num_nodes(); ++s)
+    if (p.local_size(s) > 0) ++active;
+  return active;
+}
+
 Vector random_vector(index_t n, std::uint64_t seed) {
   Rng rng(seed);
   Vector v(static_cast<std::size_t>(n));
@@ -206,7 +214,7 @@ TEST(Exchange, SpmvOnShrunkPartitionIsBitwiseSequential) {
   const rank_t failed[] = {0, 2, 3, 6};
   const BlockRowPartition part =
       absorb_ranks(BlockRowPartition(a.rows(), 8), failed);
-  ASSERT_EQ(part.active_nodes(), 4);
+  ASSERT_EQ(active_ranks(part), 4);
   SimCluster cluster(part);
   const SpmvPlan plan(a, part);
   ExchangeEngine engine(a, plan, cluster);
@@ -319,6 +327,144 @@ TEST(CaptureGrid, HasHoldersWithAndWithoutReceipts) {
   }
   EXPECT_GT(with_receipts, 0u);
   EXPECT_GT(ghosts_only, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Message tables: each exchange charges the cluster exactly what one send()
+// per transfer list, in plan order, charges: the modeled time bitwise and
+// the same ledger totals. Checked on a homogeneous cluster and on
+// heterogeneous ones, on a clean superstep and on one that already holds
+// charges.
+// ---------------------------------------------------------------------------
+
+/// Price draw 0 is the homogeneous cluster. Draw k > 0 takes per-rank link
+/// and gamma multipliers from seed k: with irregular prices, adding a
+/// rank's messages in another order changes their rounding, and over many
+/// draws the slowest rank of some step is one whose order changed.
+SimCluster make_cluster(const BlockRowPartition& part, int draw) {
+  if (draw == 0) return SimCluster(part);
+  Rng rng(static_cast<std::uint64_t>(draw));
+  HeterogeneousCostModel model{CostParams{}};
+  for (rank_t s = 0; s < part.num_nodes(); ++s) {
+    model.set_link_multiplier(s, rng.uniform(1, 4));
+    model.set_gamma_multiplier(s, rng.uniform(1, 2));
+  }
+  return SimCluster(part, model);
+}
+
+/// Charges of odd sizes on every rank, so the exchange's additions land on
+/// counters that are not zero.
+void precharge(SimCluster& c) {
+  const rank_t n = c.num_nodes();
+  for (rank_t s = 0; s < n; ++s) {
+    c.add_compute(s, 1234.5 * (s + 1));
+    c.send(s, (s + 1) % n, 8 * static_cast<std::size_t>(s + 3),
+           CommCategory::other);
+  }
+}
+
+void send_lists(SimCluster& c, rank_t s, const std::vector<SendList>& lists,
+                CommCategory cat) {
+  for (const SendList& sl : lists)
+    c.send(s, sl.to, sl.indices.size() * CostParams::bytes_per_scalar, cat);
+}
+
+void expect_same_charges(const SimCluster& got, const SimCluster& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.modeled_time()),
+            std::bit_cast<std::uint64_t>(want.modeled_time()));
+  for (std::size_t c = 0; c < kNumCommCategories; ++c) {
+    const auto cat = static_cast<CommCategory>(c);
+    EXPECT_EQ(got.ledger().totals(cat).messages,
+              want.ledger().totals(cat).messages)
+        << to_string(cat);
+    EXPECT_EQ(got.ledger().totals(cat).bytes, want.ledger().totals(cat).bytes)
+        << to_string(cat);
+  }
+}
+
+/// spmv, aspmv and disseminate on price draw `draw`, each against its
+/// send() sequence on a twin cluster.
+void check_exchanges(int draw, bool precharged) {
+  SCOPED_TRACE("price draw " + std::to_string(draw));
+  const CsrMatrix a = emilia_like(6, 6, 6).matrix;
+  const BlockRowPartition part(a.rows(), 12);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug(plan, 3);
+  SimCluster cluster = make_cluster(part, draw);
+  SimCluster sends = make_cluster(part, draw); // the send() reference
+  ExchangeEngine engine(a, plan, cluster);
+  DistVector p(part, random_vector(a.rows(), 41)), y(part);
+  const auto open_steps = [&] {
+    if (!precharged) return;
+    precharge(cluster);
+    precharge(sends);
+  };
+  const auto products = [&] {
+    for (rank_t s = 0; s < part.num_nodes(); ++s)
+      sends.add_compute(s, 2.0 * static_cast<double>(plan.local_nnz(s)));
+  };
+
+  open_steps();
+  engine.spmv(p, y);
+  for (rank_t s = 0; s < part.num_nodes(); ++s)
+    send_lists(sends, s, plan.sends(s), CommCategory::spmv_halo);
+  products();
+  sends.complete_step();
+  expect_same_charges(cluster, sends);
+
+  open_steps();
+  engine.aspmv(aug, p, 0, y);
+  for (rank_t s = 0; s < part.num_nodes(); ++s)
+    send_lists(sends, s, plan.sends(s), CommCategory::spmv_halo);
+  products();
+  for (rank_t s = 0; s < part.num_nodes(); ++s)
+    send_lists(sends, s, aug.extra_sends(s), CommCategory::aspmv_extra);
+  sends.complete_step();
+  expect_same_charges(cluster, sends);
+
+  open_steps();
+  engine.disseminate(aug, p, 1);
+  for (rank_t s = 0; s < part.num_nodes(); ++s) {
+    send_lists(sends, s, plan.sends(s), CommCategory::aspmv_extra);
+    send_lists(sends, s, aug.extra_sends(s), CommCategory::aspmv_extra);
+  }
+  sends.complete_step();
+  expect_same_charges(cluster, sends);
+  EXPECT_GT(cluster.ledger().totals(CommCategory::aspmv_extra).messages, 0u);
+}
+
+TEST(MessageTable, HomogeneousClusterChargesAsSends) {
+  check_exchanges(0, /*precharged=*/false);
+  check_exchanges(0, /*precharged=*/true);
+}
+
+TEST(MessageTable, HeterogeneousClustersChargeAsSends) {
+  for (int draw = 1; draw <= 24; ++draw) {
+    check_exchanges(draw, /*precharged=*/false);
+    check_exchanges(draw, /*precharged=*/true);
+  }
+}
+
+TEST(MessageTable, NewAugmentationPlanIsPricedAfresh) {
+  // One engine, two augmentation plans in turn: each call charges its own
+  // plan's lists, not the tables of the plan used before.
+  const CsrMatrix a = poisson2d(8, 8);
+  const BlockRowPartition part(a.rows(), 8);
+  const SpmvPlan plan(a, part);
+  const AspmvPlan aug1(plan, 1), aug3(plan, 3);
+  ASSERT_NE(aug1.total_extra_entries(), aug3.total_extra_entries());
+  SimCluster cluster(part);
+  ExchangeEngine engine(a, plan, cluster);
+  DistVector p(part, random_vector(a.rows(), 42)), y(part);
+  const auto extra = [&] {
+    return cluster.ledger().totals(CommCategory::aspmv_extra).bytes;
+  };
+  for (const AspmvPlan* aug : {&aug1, &aug3, &aug1}) {
+    const std::uint64_t before = extra();
+    engine.aspmv(*aug, p, 0, y);
+    EXPECT_EQ(extra() - before,
+              aug->total_extra_entries() * CostParams::bytes_per_scalar);
+  }
 }
 
 } // namespace

@@ -60,6 +60,28 @@ TEST(SimCluster, ComputePlusCommAccumulatePerNode) {
   EXPECT_DOUBLE_EQ(c.modeled_time(), 4);
 }
 
+TEST(SimCluster, ReplayChargesThePricedMessages) {
+  const BlockRowPartition part(8, 4);
+  SimCluster c(part, unit_cost());
+  MessageTable t;
+  EXPECT_THROW(c.price(t, 1, 1, 2, CommCategory::other), Error);
+  EXPECT_THROW(c.price(t, 0, 4, 2, CommCategory::other), Error);
+  c.price(t, 0, 1, 2, CommCategory::spmv_halo);   // 2 s each side
+  c.price(t, 2, 1, 4, CommCategory::aspmv_extra); // 3 s each side
+  EXPECT_EQ(c.ledger().total_messages(), 0u); // pricing charges nothing
+  c.replay(t);
+  c.complete_step();
+  EXPECT_DOUBLE_EQ(c.modeled_time(), 5); // node 1 receives both
+  EXPECT_EQ(c.ledger().totals(CommCategory::spmv_halo).messages, 1u);
+  EXPECT_EQ(c.ledger().totals(CommCategory::spmv_halo).bytes, 2u);
+  EXPECT_EQ(c.ledger().totals(CommCategory::aspmv_extra).messages, 1u);
+  EXPECT_EQ(c.ledger().totals(CommCategory::aspmv_extra).bytes, 4u);
+  // A table holds the node count it was priced for.
+  const BlockRowPartition two(8, 2);
+  SimCluster other(two, unit_cost());
+  EXPECT_THROW(other.replay(t), Error);
+}
+
 TEST(SimCluster, SelfSendThrows) {
   const BlockRowPartition part(8, 2);
   SimCluster c(part);

@@ -634,5 +634,136 @@ TEST_F(EngineFixture, RecoveryZeroesFailedRanksBeforeReconstruction) {
   EXPECT_EQ(engine.recover(*engine.pending_event(8), 8, client, record), 6);
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot lifetime: classic ESR (T = 1, trailing pairing, one slot) defers
+// the copy of the star vectors to the failure that reads them; every other
+// configuration copies them at save_snapshot.
+// ---------------------------------------------------------------------------
+
+/// A reconstruct hook that records the star vector and scalar it was handed.
+ResilienceEngine::Client recording_client(StubSolver& solver, Vector& stars_v,
+                                          real_t& stars_beta) {
+  ResilienceEngine::Client c = solver.client();
+  c.reconstruct = [&stars_v, &stars_beta](
+                      StateSnapshot& stars, const RedundantCopy&,
+                      const RedundantCopy&, std::span<const rank_t>,
+                      RecoveryRecord&) {
+    stars_v = stars.vec(0).gather_global();
+    stars_beta = stars.scalar(0);
+    return true;
+  };
+  return c;
+}
+
+TEST_F(EngineFixture, ClassicEsrFailureReadsTheLiveStateSavedAtIt) {
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 1;
+  opts.extra_failures.push_back(FailureEvent{7, {2}});
+  ResilienceEngine engine = make_engine(opts);
+
+  // Iteration 6's storage stage, then the updates move the live state.
+  solver_.v.set_from_global(Vector(kRows, 1.0));
+  solver_.beta = 0.25;
+  engine.push_copy(make_copy(6));
+  engine.save_snapshot(6, solver_.state());
+  // Iteration 7's storage stage; its failure fires before the next update.
+  solver_.v.set_from_global(Vector(kRows, 3.0));
+  solver_.beta = 0.75;
+  engine.push_copy(make_copy(7));
+  engine.save_snapshot(7, solver_.state());
+  engine.set_recoverable(7);
+  solver_.beta = 9.0; // scalars are taken at the save, not at the failure
+
+  Vector stars_v;
+  real_t stars_beta = 0;
+  RecoveryRecord record;
+  EXPECT_EQ(engine.recover(*engine.pending_event(7), 7,
+                           recording_client(solver_, stars_v, stars_beta),
+                           record),
+            7);
+  ASSERT_EQ(stars_v.size(), static_cast<std::size_t>(kRows));
+  for (index_t i = 0; i < kRows; ++i)
+    EXPECT_EQ(stars_v[static_cast<std::size_t>(i)],
+              part_.owner(i) == 2 ? 0.0 : 3.0)
+        << "entry " << i;
+  EXPECT_EQ(stars_beta, 0.75);
+}
+
+TEST_F(EngineFixture, IntervalTwoSnapshotIsCopiedAtTheSave) {
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 2;
+  opts.extra_failures.push_back(FailureEvent{4, {1}});
+  ResilienceEngine engine = make_engine(opts);
+  ASSERT_TRUE(engine.storage_plan(3).second_store);
+  ASSERT_FALSE(engine.storage_plan(4).second_store);
+
+  // The first save allocates the slot; the one under test reuses it.
+  engine.save_snapshot(1, solver_.state());
+  engine.push_copy(make_copy(2));
+  engine.push_copy(make_copy(3));
+  solver_.v.set_from_global(Vector(kRows, 2.0));
+  engine.save_snapshot(3, solver_.state());
+  engine.set_recoverable(3);
+  solver_.v.set_from_global(Vector(kRows, 5.0)); // iteration 3's updates
+
+  Vector stars_v;
+  real_t stars_beta = 0;
+  RecoveryRecord record;
+  EXPECT_EQ(engine.recover(*engine.pending_event(4), 4,
+                           recording_client(solver_, stars_v, stars_beta),
+                           record),
+            3);
+  for (index_t i = 0; i < kRows; ++i)
+    EXPECT_EQ(stars_v[static_cast<std::size_t>(i)],
+              part_.owner(i) == 1 ? 0.0 : 2.0)
+        << "entry " << i;
+}
+
+TEST_F(EngineFixture, LeadingPairingAndTwoSlotsCopyAtTheSave) {
+  // T = 1 in both, but the snapshot outlives the next iteration's save:
+  // under the leading pairing it becomes recoverable one iteration later,
+  // and a second slot keeps it for the older-snapshot rung.
+  ResilienceEngine::Config leading = config();
+  leading.pairing = ResilienceEngine::CopyPairing::leading;
+  leading.snapshot_slots = 2;
+  ResilienceEngine::Config two_slots = config();
+  two_slots.snapshot_slots = 2;
+  for (const ResilienceEngine::Config& cfg : {leading, two_slots}) {
+    ResilienceOptions opts;
+    opts.strategy = Strategy::esrp;
+    opts.interval = 1;
+    opts.extra_failures.push_back(FailureEvent{7, {3}});
+    ResilienceEngine engine = make_engine(opts, cfg);
+
+    // The first two saves allocate the slots; the one under test reuses
+    // the older one.
+    solver_.v.set_from_global(Vector(kRows, 1.0));
+    engine.save_snapshot(4, solver_.state());
+    engine.save_snapshot(5, solver_.state());
+    engine.push_copy(make_copy(5));
+    engine.push_copy(make_copy(6));
+    solver_.v.set_from_global(Vector(kRows, 2.0));
+    engine.save_snapshot(6, solver_.state());
+    engine.set_recoverable(6);
+    if (cfg.pairing == ResilienceEngine::CopyPairing::leading)
+      engine.push_copy(make_copy(7)); // snapshot 6 consumes copies (6, 7)
+    solver_.v.set_from_global(Vector(kRows, 5.0)); // iteration 6's updates
+
+    Vector stars_v;
+    real_t stars_beta = 0;
+    RecoveryRecord record;
+    EXPECT_EQ(engine.recover(*engine.pending_event(7), 7,
+                             recording_client(solver_, stars_v, stars_beta),
+                             record),
+              6);
+    for (index_t i = 0; i < kRows; ++i)
+      EXPECT_EQ(stars_v[static_cast<std::size_t>(i)],
+                part_.owner(i) == 3 ? 0.0 : 2.0)
+          << "entry " << i;
+  }
+}
+
 } // namespace
 } // namespace esrp

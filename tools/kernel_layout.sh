@@ -38,6 +38,7 @@ kernels=(
   "esrp::BlockJacobiPreconditioner::apply_blocks"
   "esrp::ExchangeEngine::spmv"
   "esrp::ExchangeEngine::capture"
+  "esrp::SimCluster::replay"
   "esrp::RedundantCopy::RedundantCopy"
 )
 
