@@ -122,24 +122,14 @@ struct SolverEntry {
   /// the failure schedule apply, every strategy included); sequential ones
   /// ignore nodes/strategy and take no failure events.
   bool distributed = false;
-  /// Whether no-spare recovery (SolveSpec::spare_nodes = false: survivors
-  /// absorb the failed ranks' ranges) is implemented.
-  bool supports_no_spare = false;
   /// Whether periodic residual replacement (SolveSpec::residual_replacement
   /// > 0) is implemented (distributed solvers only; sequential solvers
   /// ignore the field).
   bool supports_residual_replacement = true;
-  /// Whether a non-empty SolveSpec::x0 initial guess is honored.
-  bool supports_x0 = true;
   /// Whether SDC injection (SolveSpec::sdc_events) is implemented. Requires
   /// the residual-replacement machinery for detection, so only
   /// "resilient-pcg" qualifies today.
   bool supports_sdc = false;
-  /// Whether the shrink and rejoin recovery rungs (the "shrink" policy
-  /// preset: RecoveryPolicy::shrink_on_unrecoverable / rejoin) are
-  /// implemented — the solver must provide the resilience engine's
-  /// repartition and rejoin hooks. True for "resilient-pcg" only.
-  bool supports_shrink = false;
 };
 
 Registry<SolverEntry>& solver_registry();

@@ -98,11 +98,11 @@ ResilienceOptions resilience_options(const SolveSpec& spec) {
   return opts;
 }
 
-/// Shared body of the distributed drivers: build the cluster and the solver
-/// on the handle's partition, plans and preconditioner, run `solve` on it,
-/// and report — including the residual-accuracy metrics.
-template <typename Solver, typename Solve>
-SolveReport run_distributed(const SolveContext& ctx, Solve solve) {
+/// The distributed drivers: build the cluster and the solver on the
+/// handle's partition, plans and preconditioner, solve, and report —
+/// including the residual-accuracy metrics.
+template <typename Solver>
+SolveReport run_distributed(const SolveContext& ctx) {
   const ProblemHandle& handle = ctx.handle;
   const CsrMatrix& a = handle.matrix();
   SimCluster cluster(*handle.partition(), cluster_model(ctx));
@@ -110,23 +110,12 @@ SolveReport run_distributed(const SolveContext& ctx, Solve solve) {
                 handle.spmv_plan(), handle.aspmv_plan());
 
   SolveReport report;
-  static_cast<SolveOutcome&>(report) = solve(solver);
+  static_cast<SolveOutcome&>(report) =
+      solver.solve(ctx.b, ctx.spec.x0, ctx.observer);
   report.nodes = ctx.spec.nodes;
   report.drift = residual_drift(a, ctx.b, report.x, report.r);
   report.true_relres = true_relative_residual(a, ctx.b, report.x);
   return report;
-}
-
-SolveReport run_resilient(const SolveContext& ctx) {
-  return run_distributed<ResilientPcg>(ctx, [&](ResilientPcg& solver) {
-    return solver.solve(ctx.b, ctx.spec.x0, ctx.observer);
-  });
-}
-
-SolveReport run_dist_pipelined(const SolveContext& ctx) {
-  return run_distributed<DistPipelinedPcg>(ctx, [&](DistPipelinedPcg& solver) {
-    return solver.solve(ctx.b, ctx.observer);
-  });
 }
 
 } // namespace
@@ -143,19 +132,15 @@ Registry<SolverEntry>& solver_registry() {
     r->add("resilient-pcg",
            "distributed PCG on the simulated cluster with ESRP/IMCR "
            "recovery (paper Alg. 3)",
-           SolverEntry{.run = run_resilient,
+           SolverEntry{.run = run_distributed<ResilientPcg>,
                        .distributed = true,
-                       .supports_no_spare = true,
-                       .supports_sdc = true,
-                       .supports_shrink = true});
+                       .supports_sdc = true});
     r->add("dist-pipelined",
            "distributed pipelined PCG (communication hiding) with "
            "ESRP/IMCR recovery (ref. [16])",
-           SolverEntry{.run = run_dist_pipelined,
+           SolverEntry{.run = run_distributed<DistPipelinedPcg>,
                        .distributed = true,
-                       .supports_no_spare = false,
-                       .supports_residual_replacement = false,
-                       .supports_x0 = false});
+                       .supports_residual_replacement = false});
     return r;
   }();
   return *reg;

@@ -196,21 +196,11 @@ void validate_spec(const SolveSpec& spec) {
     } catch (const Error& e) {
       invalid(e.what());
     }
-    if ((policy.shrink_on_unrecoverable || policy.rejoin) &&
-        !solver.supports_shrink)
-      invalid("\"" + spec.solver +
-              "\" does not implement the shrink/rejoin recovery rungs "
-              "(recovery_policy \"" + spec.recovery_policy +
-              "\"); use \"resilient-pcg\" or a non-shrink policy");
     if (policy.shrink_on_unrecoverable && spec.strategy != Strategy::esrp)
       invalid("recovery_policy \"" + spec.recovery_policy +
               "\" (shrink rung) is only defined for the esrp strategy, "
               "like no-spare recovery (ref. [22]); strategy \"" +
               to_string(spec.strategy) + "\" cannot shrink");
-    if (!spec.spare_nodes && !solver.supports_no_spare)
-      invalid("\"" + spec.solver +
-              "\" does not support no-spare recovery (spare_nodes = false); "
-              "use \"resilient-pcg\" or keep spare nodes");
     if (!spec.spare_nodes && spec.strategy != Strategy::esrp)
       invalid("no-spare recovery is only defined for the esrp strategy "
               "(ref. [22]); strategy \"" + to_string(spec.strategy) +
@@ -253,8 +243,6 @@ void validate_spec(const SolveSpec& spec) {
     invalid("solver \"" + spec.solver +
             "\" is sequential and cannot inject silent data corruptions");
   }
-  if (!spec.x0.empty() && !solver.supports_x0)
-    invalid("\"" + spec.solver + "\" does not honor an initial guess (x0)");
 }
 
 } // namespace esrp

@@ -105,8 +105,8 @@ struct SolverConfig : SolverOptions {
   /// recovery_policy_from_string): "ladder" (default; every exact rung,
   /// bitwise-compatible with the historical path), "exact" (reconstruct or
   /// scratch), "checkpoint" (IMCR restore or scratch), "scratch", or
-  /// "shrink" (ladder plus repartition-shrink and rank rejoin — needs a
-  /// solver with `supports_shrink`).
+  /// "shrink" (ladder plus repartition-shrink and rank rejoin; esrp only,
+  /// like no-spare recovery). Every distributed solver climbs every rung.
   std::string recovery_policy = "ladder";
 };
 

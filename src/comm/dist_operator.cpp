@@ -73,6 +73,15 @@ real_t DistOperator::dot(const DistVector& u, const DistVector& v) {
   return total;
 }
 
+void DistOperator::residual(std::span<const real_t> b, const DistVector& ax,
+                            DistVector& r) {
+  for_each_rank(1.0, [&](RowRange rows) {
+    vec_sub(b.subspan(static_cast<std::size_t>(rows.begin),
+                      static_cast<std::size_t>(rows.size())),
+            ax.rows(rows), r.rows(rows));
+  });
+}
+
 void DistOperator::reduce_dots(double flops_per_row,
                                std::span<const DotPair> dots,
                                std::span<real_t> sums) {

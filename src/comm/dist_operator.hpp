@@ -82,6 +82,11 @@ public:
   /// Global u^T v: a rank-ordered reduction plus its allreduce(1).
   real_t dot(const DistVector& u, const DistVector& v);
 
+  /// r := b - ax on every node (`ax` may alias `r`), 1 flop per row. `b`
+  /// is indexed by global offset, so it holds on any partition.
+  void residual(std::span<const real_t> b, const DistVector& ax,
+                DistVector& r);
+
   /// body(rows) once per task, `rows` being the rows of the task's
   /// consecutive ranks; every rank is charged `flops_per_row` per owned row.
   /// The body must treat rows independently (elementwise updates).

@@ -32,7 +32,6 @@ ResilientPcg::ResilientPcg(const CsrMatrix& a, const Preconditioner& precond,
                            const SpmvPlan* shared_plan,
                            const AspmvPlan* shared_aug)
     : opts_(opts),
-      orig_part_(&cluster.partition()),
       op_(a, precond, cluster, opts_, shared_plan, shared_aug),
       resilience_(opts, cluster.partition(), classic_engine_config()) {
   ESRP_CHECK(opts.rtol > 0);
@@ -58,54 +57,11 @@ SolverState ResilientPcg::solver_state() {
                      {&beta_}};
 }
 
-void ResilientPcg::rebuild_on_partition(const BlockRowPartition& np) {
-  op_.rebuild_on_partition(np);
-  // Re-seat the live state, gathered from the old partition's slices.
-  for (std::unique_ptr<DistVector>* v : {&x_, &r_, &z_, &p_})
-    *v = std::make_unique<DistVector>(np, (*v)->gather_global());
-  ap_ = std::make_unique<DistVector>(np);
-}
-
-void ResilientPcg::repartition(std::span<const rank_t> failed) {
-  // Absorb the failed ranks' ranges into their surviving neighbors and
-  // rebuild everything partition-dependent. The accounting approximation:
-  // adopters already received the reconstructed entries during the recovery
-  // gather, so no extra migration messages are charged (DESIGN.md). The
-  // engine's star snapshots migrate around this hook
-  // (ResilienceEngine::recover).
-  auto shrunk = std::make_unique<BlockRowPartition>(
-      absorb_ranks(op_.partition(), failed));
-  rebuild_on_partition(*shrunk);
-  // The previous owned partition (if any) stays referenced until the
-  // rebuild above re-seated everything onto the new one.
-  owned_part_ = std::move(shrunk);
-}
-
-void ResilientPcg::rejoin_full_cluster() {
-  // The retired ranks came back: redistribute the live state onto the
-  // construction-time partition and continue the trajectory exactly. The
-  // engine drops its strategy state around this hook (try_rejoin) — the
-  // following storage stages replenish it on the re-expanded map.
-  rebuild_on_partition(*orig_part_);
-  owned_part_.reset();
-}
-
 std::array<real_t, 2> ResilientPcg::rz_and_rr() {
   const std::array<real_t, 2> sums =
       op_.reduce_ranks<2>(4.0, {{{*r_, *z_}, {*r_, *r_}}});
   op_.cluster().allreduce(2, CommCategory::allreduce);
   return sums;
-}
-
-void ResilientPcg::residual(std::span<const real_t> b, const DistVector& ax,
-                            DistVector& r) {
-  // Index b by global offset: a no-spare recovery may have changed the
-  // partition since the solve began.
-  op_.for_each_rank(1.0, [&](RowRange rows) {
-    vec_sub(b.subspan(static_cast<std::size_t>(rows.begin),
-                      static_cast<std::size_t>(rows.size())),
-            ax.rows(rows), r.rows(rows));
-  });
 }
 
 void ResilientPcg::initialize_state(std::span<const real_t> b,
@@ -117,7 +73,7 @@ void ResilientPcg::initialize_state(std::span<const real_t> b,
   } else {
     x_->set_from_global(x0);
     op_.engine().spmv(*x_, *r_);
-    residual(b, *r_, *r_);
+    op_.residual(b, *r_, *r_);
   }
   op_.apply_precond(*r_, *z_);
   p_->copy_from(*z_);
@@ -248,10 +204,9 @@ SolveOutcome ResilientPcg::solve(std::span<const real_t> b,
     initialize_state(b, x0);
     beta_dstar_ = 0;
   };
-  client.repartition = [this](std::span<const rank_t> failed) {
-    repartition(failed);
+  client.set_partition = [this](const BlockRowPartition& np) {
+    op_.rebuild_on_partition(np);
   };
-  client.rejoin = [this] { rejoin_full_cluster(); };
   client.reconstruct = [this, b](StateSnapshot& stars,
                                  const RedundantCopy& prev,
                                  const RedundantCopy& cur,
@@ -372,7 +327,7 @@ SolveOutcome ResilientPcg::solve(std::span<const real_t> b,
     if (opts_.residual_replacement > 0 &&
         (j + 1) % opts_.residual_replacement == 0) {
       op_.engine().spmv(*x_, *ap_); // ap_ reused as scratch for A x
-      residual(b, *ap_, *r_);
+      op_.residual(b, *ap_, *r_);
       op_.apply_precond(*r_, *z_);
       const auto [rz_new, rr_new] = rz_and_rr();
       rz = rz_new;

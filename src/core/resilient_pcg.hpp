@@ -92,10 +92,6 @@ private:
   /// {<r,z>, ||r||^2}: one sweep over every node's slices and one
   /// 2-scalar allreduce.
   std::array<real_t, 2> rz_and_rr();
-  /// r := b - ax on every node (`ax` may alias `r`).
-  void residual(std::span<const real_t> b, const DistVector& ax,
-                DistVector& r);
-
   void initialize_state(std::span<const real_t> b, std::span<const real_t> x0);
 
   /// Fire any not-yet-injected SdcEvent scheduled for iteration `j`:
@@ -108,19 +104,6 @@ private:
   /// {x, r, z, p}, scratch {ap}, scalars {beta}.
   SolverState solver_state();
 
-  /// Rebuild the operator and the state vectors on the repartitioned
-  /// cluster (no-spare / shrink recovery; the resilience engine migrates
-  /// its own snapshots around this hook).
-  void repartition(std::span<const rank_t> failed);
-
-  /// Rejoin hook: re-expand onto the construction-time partition — retired
-  /// ranks come back and the live state is redistributed exactly.
-  void rejoin_full_cluster();
-
-  /// Shared tail of repartition()/rejoin_full_cluster(): rebuild the
-  /// operator on `np` and re-seat the live state on it.
-  void rebuild_on_partition(const BlockRowPartition& np);
-
   /// ESRP reconstruction hook (Alg. 2): rebuild the failed entries at the
   /// star snapshot from the two consecutive redundant copies and roll the
   /// live state back to the repaired snapshot.
@@ -130,10 +113,6 @@ private:
                         std::span<const real_t> b, RecoveryRecord& record);
 
   ResilienceOptions opts_;
-  /// Construction-time partition (caller-owned, outlives the solver): the
-  /// rejoin rung re-expands back onto it.
-  const BlockRowPartition* orig_part_ = nullptr;
-  std::unique_ptr<BlockRowPartition> owned_part_; ///< set after repartition
   DistOperator op_;
   ResilienceEngine resilience_;
 

@@ -54,6 +54,12 @@ void DistVector::copy_from(const DistVector& other) {
   vec_copy(other.data_, data_);
 }
 
+void DistVector::rebind(const BlockRowPartition& part) {
+  ESRP_CHECK(part.global_size() == part_->global_size());
+  ESRP_CHECK(part.num_nodes() == part_->num_nodes());
+  part_ = &part;
+}
+
 real_t DistVector::at(index_t i) const {
   ESRP_CHECK(i >= 0 && i < part_->global_size());
   return data_[static_cast<std::size_t>(i)];

@@ -72,6 +72,12 @@ public:
   /// Copy all slices from another DistVector on the same partition.
   void copy_from(const DistVector& other);
 
+  /// Re-point the vector at `part`, which must have the same global size
+  /// and node count (it throws otherwise). The entries stay where they are:
+  /// slices sit in global order, so a repartition moves no data, only the
+  /// slice boundaries.
+  void rebind(const BlockRowPartition& part);
+
   /// Entry access by global index (diagnostic/test use only).
   real_t at(index_t i) const;
   void set(index_t i, real_t v);

@@ -40,14 +40,6 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
     : opts_(opts),
       op_(a, precond, cluster, opts_, shared_plan, shared_aug),
       resilience_(opts, cluster.partition(), pipelined_engine_config()) {
-  ESRP_CHECK_MSG(opts_.spare_nodes,
-                 "no-spare recovery is not implemented for the pipelined "
-                 "recurrences (the solver has no repartition hook yet); "
-                 "keep spare_nodes = true");
-  ESRP_CHECK_MSG(!opts_.policy.shrink_on_unrecoverable && !opts_.policy.rejoin,
-                 "the shrink and rejoin recovery rungs are not implemented "
-                 "for the pipelined recurrences (the solver has no "
-                 "repartition hook yet)");
   ESRP_CHECK_MSG(opts_.sdc_events.empty(),
                  "SDC injection (sdc_events) is not implemented for the "
                  "pipelined solver");
@@ -58,10 +50,13 @@ DistPipelinedPcg::DistPipelinedPcg(const CsrMatrix& a,
 }
 
 SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
+                                     std::span<const real_t> x0,
                                      SolverObserver* observer) {
   SimCluster& cluster = op_.cluster();
   const BlockRowPartition& part = cluster.partition();
-  ESRP_CHECK(static_cast<index_t>(b.size()) == op_.matrix().rows());
+  const index_t n = op_.matrix().rows();
+  ESRP_CHECK(static_cast<index_t>(b.size()) == n);
+  ESRP_CHECK(x0.empty() || static_cast<index_t>(x0.size()) == n);
   const double model_t0 = cluster.modeled_time();
   ExchangeEngine& engine = op_.engine();
 
@@ -84,8 +79,14 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
   ESRP_CHECK_MSG(bnorm > 0, "right-hand side must be non-zero");
 
   auto initialize = [&] {
-    x.zero_all();
-    r.set_from_global(b); // zero initial guess
+    if (x0.empty()) {
+      x.zero_all();
+      r.set_from_global(b); // zero initial guess: no SpMV needed
+    } else {
+      x.set_from_global(x0);
+      engine.spmv(x, r);
+      op_.residual(b, r, r);
+    }
     op_.apply_precond(r, u);
     engine.spmv(u, w);
     z.zero_all();
@@ -97,14 +98,15 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
   initialize();
   resilience_.begin_solve(cluster, observer);
 
-  // Recovery-ladder hooks: this solver supplies reconstruct and restart
-  // only. It leaves `repartition` and `rejoin` unset, which is why the
-  // constructor rejects shrink and rejoin policies; all other rungs —
-  // reconstruct, older-snapshot (real here: pipelined storage keeps two
-  // snapshot slots), IMCR checkpoint, scratch — apply unchanged.
+  // Recovery-ladder hooks. The engine rebinds the recurrence vectors
+  // (reached through `state`) after set_partition, so no-spare, shrink and
+  // rejoin need nothing else from this solver.
   ResilienceEngine::Client client;
   client.state = state;
   client.restart = initialize;
+  client.set_partition = [this](const BlockRowPartition& np) {
+    op_.rebuild_on_partition(np);
+  };
   client.reconstruct = [&](StateSnapshot& stars, const RedundantCopy& prev,
                            const RedundantCopy& cur,
                            std::span<const rank_t> failed,
@@ -114,7 +116,7 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
     in.p_action = op_.precond().action_matrix();
     in.formulation = opts_.formulation;
     in.p_matrix = op_.precond().matrix_form();
-    in.part = &part;
+    in.part = &op_.partition();
     in.failed = failed;
     in.p_prev = &prev; // leading pairing: `prev` is p'^(t), the rollback tag
     in.p_cur = &cur;   // and `cur` is p'^(t+1)
@@ -147,6 +149,13 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
   Vector spare_copy; // the buffer the queue handed back, for the next capture
 
   while (executed < opts_.cap_or(kDistributedIterationCap)) {
+    // Rejoin rung: at a storage-cadence iteration, retired ranks come back
+    // and the solve re-expands onto the full cluster (policy-gated).
+    {
+      RecoveryRecord rejoin_rec;
+      if (resilience_.try_rejoin(j, client, rejoin_rec))
+        result.recoveries.push_back(rejoin_rec);
+    }
     if (resilience_.checkpoint_due(j))
       resilience_.store_checkpoint(j, state());
 

@@ -20,10 +20,11 @@
 //          first storage iteration; recovery inverts the p-recurrence into
 //          u, runs the standard Alg. 2 inner solves for r and x, and
 //          derives w, s, q, z by row products (pipelined/pipelined_esr.hpp).
-// Not supported here, and rejected by the constructor: no-spare recovery
-// and the shrink/rejoin policy rungs (the solver has no repartition hook
-// yet — ResilienceOptions::spare_nodes must stay true), SDC injection
-// (sdc_events), and residual replacement. Initial guesses are not taken.
+// No-spare recovery and the shrink/rejoin rungs are the engine's partition
+// change (ResilienceEngine::Client::set_partition): it reaches the
+// recurrence vectors through the SolverState and rebinds them. Not
+// supported here, and rejected by the constructor: SDC injection
+// (sdc_events) and residual replacement.
 //
 // The partition-bound machinery — plans, exchange engine, P apply and the
 // charged rank loops — is the DistOperator it shares with ResilientPcg
@@ -55,10 +56,12 @@ public:
                    const SpmvPlan* shared_plan = nullptr,
                    const AspmvPlan* shared_aug = nullptr);
 
-  /// Solve A x = b from the zero initial guess. `observer` (may be null)
-  /// gets the same hooks as ResilientPcg::solve (core/resilient_pcg.hpp).
-  /// The result's `sdc` stays empty: this solver injects no bit-flips.
+  /// Solve A x = b from the zero initial guess (or `x0` when given).
+  /// `observer` (may be null) gets the same hooks as ResilientPcg::solve
+  /// (core/resilient_pcg.hpp). The result's `sdc` stays empty: this solver
+  /// injects no bit-flips.
   SolveOutcome solve(std::span<const real_t> b,
+                     std::span<const real_t> x0 = {},
                      SolverObserver* observer = nullptr);
 
 private:

@@ -8,7 +8,8 @@ namespace esrp {
 
 ResilienceEngine::ResilienceEngine(ResilienceOptions opts,
                                    const BlockRowPartition& part, Config cfg)
-    : opts_(std::move(opts)), cfg_(cfg), queue_(opts_.queue_capacity) {
+    : opts_(std::move(opts)), cfg_(cfg), base_part_(&part),
+      queue_(opts_.queue_capacity) {
   ESRP_CHECK_MSG(opts_.interval >= 1, "checkpoint interval must be >= 1");
   ESRP_CHECK_MSG(opts_.spare_nodes || opts_.strategy == Strategy::esrp,
                  "no-spare recovery is only defined for ESR/ESRP (ref. [22])");
@@ -88,15 +89,13 @@ void ResilienceEngine::save_snapshot(index_t tag, const SolverState& state) {
     }
   }
   if (snapshots_.size() >= cfg_.snapshot_slots) {
+    // Reuse the evicted slot's allocation: every snapshot lives on the
+    // current partition.
     StateSnapshot oldest = std::move(snapshots_.front());
     snapshots_.erase(snapshots_.begin());
-    // Reuse the evicted slot's allocation when it still matches the live
-    // layout (it does except right after a no-spare repartition).
-    if (oldest.fits(state, cluster_->partition())) {
-      capture(oldest);
-      snapshots_.push_back(std::move(oldest));
-      return;
-    }
+    capture(oldest);
+    snapshots_.push_back(std::move(oldest));
+    return;
   }
   snapshots_.emplace_back(tag, state, cluster_->partition(),
                           cfg_.snapshot_extra_scalars);
@@ -107,7 +106,7 @@ void ResilienceEngine::set_snapshot_scalar(index_t tag, std::size_t k,
   if (StateSnapshot* s = find_snapshot(tag)) s->set_scalar(k, v);
 }
 
-const StateSnapshot* ResilienceEngine::find_snapshot(index_t tag) const {
+const StateSnapshot* ResilienceEngine::snapshot(index_t tag) const {
   for (const StateSnapshot& s : snapshots_)
     if (s.tag() == tag) return &s;
   return nullptr;
@@ -133,26 +132,36 @@ void ResilienceEngine::store_checkpoint(index_t j, const SolverState& state) {
   checkpoint_->store(j, state, *cluster_);
 }
 
-void ResilienceEngine::repartition_with_snapshots(
-    std::span<const rank_t> failed, const Client& client,
-    RecoveryRecord& record) {
-  ESRP_CHECK_MSG(client.repartition,
-                 "no-spare recovery needs a repartition hook");
-  // Extract the snapshots before the client replaces the partition objects
-  // their DistVectors reference.
-  std::vector<std::vector<Vector>> saved;
-  saved.reserve(snapshots_.size());
-  for (const StateSnapshot& s : snapshots_) saved.push_back(s.gather_all());
-  client.repartition(failed);
-  const BlockRowPartition& np = cluster_->partition();
-  for (std::size_t i = 0; i < snapshots_.size(); ++i)
-    snapshots_[i].rebuild(np, saved[i]);
-  // The IMCR store's slices (and its partition pointer) describe the old
-  // ownership map; rebuild it empty on the new one.
+void ResilienceEngine::move_to(const BlockRowPartition& np,
+                               const Client& client) {
+  ESRP_CHECK(client.set_partition);
+  // A partition change is a global synchronization point: it ends the
+  // superstep (a no-op where the last exchange already ended it, as in
+  // ResilientPcg; the pipelined solver recovers mid-superstep).
+  cluster_->complete_step();
+  client.set_partition(np);
+  ESRP_CHECK(&cluster_->partition() == &np);
+  const SolverState st = client.state();
+  for (DistVector* v : st.vectors) v->rebind(np);
+  for (DistVector* v : st.scratch) v->rebind(np);
+  for (StateSnapshot& s : snapshots_) s.rebind(np);
   if (checkpoint_) {
     checkpoint_ = std::make_unique<CheckpointStore>(
         np, opts_.phi, cfg_.checkpoint_vectors, cfg_.checkpoint_scalars);
   }
+}
+
+void ResilienceEngine::absorb(std::span<const rank_t> failed,
+                              const Client& client, RecoveryRecord& record) {
+  // The accounting approximation: adopters already received the
+  // reconstructed entries during the recovery gather, so no migration
+  // messages are charged.
+  auto np = std::make_unique<BlockRowPartition>(
+      absorb_ranks(cluster_->partition(), failed));
+  move_to(*np, client);
+  // The previous owned partition (if any) goes only now, after every
+  // vector has been rebound off it.
+  owned_part_ = std::move(np);
   record.ranks_absorbed += static_cast<index_t>(failed.size());
   for (rank_t s : failed)
     if (!rank_in(retired_, s)) retired_.push_back(s);
@@ -268,24 +277,20 @@ index_t ResilienceEngine::recover(const FailureEvent& event, index_t j_fail,
   if (recovered && !opts_.spare_nodes) {
     // No spare nodes (ref. [22]): surviving neighbors absorb the failed
     // ranks' ranges; the solve continues on the repartitioned cluster.
-    repartition_with_snapshots(failed, client, record);
+    absorb(failed, client, record);
   }
 
   if (!recovered) {
     // Rung 4 — repartition-shrink: no recoverable redundant state, but the
     // survivors can absorb the failed ranges and restart the solve on the
-    // shrunken ownership map (repeatable across events). Needs survivors
-    // and a client that can repartition.
-    const bool shrink = !exhausted && policy.shrink_on_unrecoverable &&
-                        client.repartition != nullptr && any_survivor;
-    if (shrink) {
-      repartition_with_snapshots(failed, client, record);
-    } else if (!opts_.spare_nodes && any_survivor) {
-      // Historical no-spare scratch path: the restart also runs on the
-      // shrunken map. With no survivors at all the repartition is
-      // impossible — the restart runs on the full cluster instead.
-      repartition_with_snapshots(failed, client, record);
-    }
+    // shrunken ownership map (repeatable across events). Needs survivors.
+    const bool shrink =
+        !exhausted && policy.shrink_on_unrecoverable && any_survivor;
+    // Without spare nodes the restart also runs on the shrunken map. With
+    // no survivors at all the repartition is impossible — the restart runs
+    // on the full cluster instead.
+    if (shrink || (!opts_.spare_nodes && any_survivor))
+      absorb(failed, client, record);
     // Rung 5 — scratch restart, the deterministic floor of the ladder (the
     // fate of an unprotected solver, paper §1). Always reachable: an
     // all-ranks failure or an exhausted retry budget lands here.
@@ -309,25 +314,21 @@ index_t ResilienceEngine::recover(const FailureEvent& event, index_t j_fail,
 
 bool ResilienceEngine::try_rejoin(index_t j, const Client& client,
                                   RecoveryRecord& record) {
-  if (!opts_.policy.rejoin || retired_.empty() || !client.rejoin ||
-      j <= 0 || j % opts_.interval != 0) {
+  if (!opts_.policy.rejoin || retired_.empty() || j <= 0 ||
+      j % opts_.interval != 0) {
     return false;
   }
   ESRP_CHECK(cluster_ != nullptr);
   const double t0 = cluster_->modeled_time();
-  client.rejoin();
   // The strategy state captured on the shrunken partition is stale; drop
   // it and let the following storage stages / checkpoints replenish it on
-  // the re-expanded map.
+  // the re-expanded map. The live state continues the trajectory exactly.
   queue_.clear();
   snapshots_.clear();
   last_recoverable_ = -1;
   retry_count_ = 0;
-  if (checkpoint_) {
-    checkpoint_ = std::make_unique<CheckpointStore>(
-        cluster_->partition(), opts_.phi, cfg_.checkpoint_vectors,
-        cfg_.checkpoint_scalars);
-  }
+  move_to(*base_part_, client);
+  owned_part_.reset();
   record.failed_at = j;
   record.restored_to = j;
   record.wasted_iterations = 0;

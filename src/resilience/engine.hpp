@@ -10,15 +10,19 @@
 //   - recovery orchestration: data loss, the policy-driven recovery ladder
 //     (reconstruct → older snapshot → checkpoint → shrink → scratch, plus
 //     the rejoin rung at storage stages) over checksum-verified redundant
-//     state, the no-spare repartitioning path, bounded retry for cascading
-//     events, and the RecoveryRecord + SolverObserver failure/recovery
-//     notifications.
+//     state, bounded retry for cascading events, and the RecoveryRecord +
+//     SolverObserver failure/recovery notifications;
+//   - the partition: the construction-time one and, after a no-spare or
+//     shrink recovery, the absorbed one. A partition change (no-spare,
+//     shrink, rejoin) is one engine operation: the client rebuilds its
+//     plans on the new partition and the engine rebinds every live, scratch
+//     and snapshot vector to it (DistVector::rebind), moving no data.
 //
 // A solver participates through the SolverState concept
 // (resilience/solver_state.hpp) plus a small Client of hooks for the steps
 // only it can perform: exposing its live state, reinitializing from
-// scratch, rebuilding its plans on a repartitioned cluster, and — for ESRP
-// — reconstructing the failed entries of a snapshot from two consecutive
+// scratch, rebuilding its plans on a new partition, and — for ESRP —
+// reconstructing the failed entries of a snapshot from two consecutive
 // redundant copies (the recurrence-specific math of Alg. 2 for classic PCG,
 // of reference [16] for pipelined PCG).
 //
@@ -77,15 +81,10 @@ public:
     std::function<SolverState()> state;
     /// Reinitialize the live state to iteration 0 (scratch restart).
     std::function<void()> restart;
-    /// No-spare / shrink recovery: absorb the failed ranks' index ranges
-    /// into their surviving neighbors and rebuild every partition-dependent
-    /// structure (plans, live vectors). May be null when the solver rejects
-    /// no-spare; the shrink rung is skipped then.
-    std::function<void(std::span<const rank_t>)> repartition;
-    /// Rejoin rung: re-expand the ownership map back onto the original
-    /// full cluster (the retired ranks came back), redistributing the live
-    /// state. May be null when the solver cannot re-expand.
-    std::function<void()> rejoin;
+    /// No-spare, shrink and rejoin: point the cluster at `np` and rebuild
+    /// every plan on it (DistOperator::rebuild_on_partition). The engine
+    /// rebinds the state's vectors afterwards; `np` outlives the next call.
+    std::function<void(const BlockRowPartition& np)> set_partition;
     /// ESRP: reconstruct the failed entries at snapshot `stars` from the
     /// two consecutive redundant copies, roll the live state back to the
     /// (repaired) snapshot, and fill the record's inner-iteration counts.
@@ -107,7 +106,8 @@ public:
   /// iterations; an event may fail *all* ranks — the ladder resolves it to
   /// a scratch restart) and validates the interval/queue parameters;
   /// creates the IMCR store when the strategy asks for one. Throws
-  /// esrp::Error on invalid options.
+  /// esrp::Error on invalid options. `part` must outlive the engine: the
+  /// rejoin rung returns to it.
   ResilienceEngine(ResilienceOptions opts, const BlockRowPartition& part,
                    Config cfg);
 
@@ -148,7 +148,9 @@ public:
   /// `tag` reaches before the live state moves. The solver must not change
   /// `state`'s vectors between this call and that iteration's failure check.
   void save_snapshot(index_t tag, const SolverState& state);
-  bool has_snapshot(index_t tag) const { return find_snapshot(tag) != nullptr; }
+  bool has_snapshot(index_t tag) const { return snapshot(tag) != nullptr; }
+  /// Snapshot `tag`, or null when none is kept.
+  const StateSnapshot* snapshot(index_t tag) const;
   /// Amend an extra scalar slot of snapshot `tag` (no-op if the snapshot
   /// was already evicted).
   void set_snapshot_scalar(index_t tag, std::size_t k, real_t v);
@@ -178,8 +180,8 @@ public:
   /// walk the rungs the RecoveryPolicy enables —
   ///   reconstruct → older snapshot → checkpoint → shrink → scratch —
   /// each gated on checksum-verified inputs (a corrupt copy or checkpoint
-  /// demotes to the next rung and is counted in the record), with the
-  /// no-spare repartitioning when configured. Re-entrant: a failure landing
+  /// demotes to the next rung and is counted in the record); without spare
+  /// nodes the survivors absorb the failed ranges. Re-entrant: a failure landing
   /// inside an earlier recovery's replay window simply recovers again; the
   /// bounded-retry counter (RecoveryPolicy::max_attempts recoveries with
   /// no storage progress) forces the scratch rung instead of thrashing.
@@ -188,9 +190,9 @@ public:
   index_t recover(const FailureEvent& event, index_t j_fail,
                   const Client& client, RecoveryRecord& record);
 
-  /// Rejoin rung: when the policy allows it, retired ranks exist, the
-  /// client can re-expand, and j is a storage-cadence iteration, rebuild
-  /// onto the original full cluster and emit a rung=rejoin record (also to
+  /// Rejoin rung: when the policy allows it, retired ranks exist and j is
+  /// a storage-cadence iteration, move back onto the construction-time
+  /// partition and emit a rung=rejoin record (also to
   /// the observer's on_recovery). The strategy state (queue, snapshots,
   /// checkpoint) is dropped — the following storage stages replenish it on
   /// the re-expanded partition. Call at the top of the storage phase.
@@ -210,15 +212,17 @@ public:
   rank_t corrupt_redundant_state(const SdcEvent& e);
 
 private:
-  const StateSnapshot* find_snapshot(index_t tag) const;
   StateSnapshot* find_snapshot(index_t tag);
-  /// Gather the snapshots, run the client's repartition, rebuild the
-  /// snapshots on the cluster's new partition, and retire the failed
-  /// ranks. The IMCR store (if any) is rebuilt empty on the new partition:
-  /// its stored slices describe the old ownership map.
-  void repartition_with_snapshots(std::span<const rank_t> failed,
-                                  const Client& client,
-                                  RecoveryRecord& record);
+  /// The survivors absorb the failed ranks' ranges (absorb_ranks on the
+  /// current partition), which become the engine's owned partition; the
+  /// failed ranks retire.
+  void absorb(std::span<const rank_t> failed, const Client& client,
+              RecoveryRecord& record);
+  /// The one partition change: the client's set_partition, then every
+  /// live, scratch and snapshot vector rebound to `np`. The IMCR store (if
+  /// any) is rebuilt empty on `np`: its slices describe the old ownership
+  /// map.
+  void move_to(const BlockRowPartition& np, const Client& client);
   /// One reconstruct-shaped rung: require the adjacent copy pair and the
   /// star snapshot for `target`, checksum-verify both copies (corrupt ones
   /// demote), then run the client's reconstruction. On success sets
@@ -230,6 +234,10 @@ private:
 
   ResilienceOptions opts_;
   Config cfg_;
+  const BlockRowPartition* base_part_; ///< construction-time; rejoin target
+  /// The absorbed partition after a no-spare or shrink recovery; null on
+  /// the construction-time partition.
+  std::unique_ptr<BlockRowPartition> owned_part_;
   SimCluster* cluster_ = nullptr;       ///< bound by begin_solve
   SolverObserver* observer_ = nullptr;  ///< bound by begin_solve; may be null
   RedundancyQueue queue_;

@@ -19,12 +19,6 @@ StateSnapshot::StateSnapshot(index_t tag, const SolverState& state,
     scalars_[k] = *state.scalars[k];
 }
 
-bool StateSnapshot::fits(const SolverState& state,
-                         const BlockRowPartition& part) const {
-  return vecs_.size() == state.vectors.size() && !vecs_.empty() &&
-         &vecs_[0].partition() == &part;
-}
-
 void StateSnapshot::recapture(index_t tag, const SolverState& state) {
   defer(tag, state);
   capture_vectors(state);
@@ -59,20 +53,8 @@ void StateSnapshot::zero_ranks(std::span<const rank_t> ranks) {
   for (DistVector& v : vecs_) v.zero_ranks(ranks);
 }
 
-std::vector<Vector> StateSnapshot::gather_all() const {
-  require_captured();
-  std::vector<Vector> out;
-  out.reserve(vecs_.size());
-  for (const DistVector& v : vecs_) out.push_back(v.gather_global());
-  return out;
-}
-
-void StateSnapshot::rebuild(const BlockRowPartition& part,
-                            const std::vector<Vector>& data) {
-  ESRP_CHECK(data.size() == vecs_.size());
-  for (std::size_t k = 0; k < vecs_.size(); ++k) {
-    vecs_[k] = DistVector(part, data[k]);
-  }
+void StateSnapshot::rebind(const BlockRowPartition& part) {
+  for (DistVector& v : vecs_) v.rebind(part);
 }
 
 void write_lost_entries(DistVector& v, std::span<const index_t> lost,

@@ -61,10 +61,6 @@ public:
   real_t scalar(std::size_t k) const { return scalars_[k]; }
   void set_scalar(std::size_t k, real_t v) { scalars_[k] = v; }
 
-  /// True when the allocated vectors can take `state` on `part`: the same
-  /// number of vectors, on that very partition.
-  bool fits(const SolverState& state, const BlockRowPartition& part) const;
-
   /// Re-capture `state` under a new tag, reusing the allocated vectors
   /// (shapes must match — the snapshot was built from the same state).
   void recapture(index_t tag, const SolverState& state);
@@ -87,13 +83,9 @@ public:
   /// A node failure also destroys the failed ranks' snapshot slices.
   void zero_ranks(std::span<const rank_t> ranks);
 
-  /// Gather every vector (no-spare recovery: state must be extracted
-  /// before the partition objects it references are replaced).
-  std::vector<Vector> gather_all() const;
-
-  /// Rebuild the snapshot's vectors on a new partition from a gather_all()
-  /// result (the adopters' copies after a no-spare repartition).
-  void rebuild(const BlockRowPartition& part, const std::vector<Vector>& data);
+  /// Re-point every vector at `part` (DistVector::rebind): after a
+  /// repartition the adopters hold the absorbed entries where they were.
+  void rebind(const BlockRowPartition& part);
 
 private:
   void require_captured() const {

@@ -220,7 +220,7 @@ TEST_F(SolveObserver, DirectDistPipelinedObserverMatchesFacade) {
   const BlockJacobiPreconditioner precond(a_, part, spec.block_size);
   DistPipelinedPcg solver(a_, precond, cluster, options_for(spec));
   RecordingObserver direct;
-  const SolveOutcome res = solver.solve(b_, &direct);
+  const SolveOutcome res = solver.solve(b_, {}, &direct);
   ASSERT_TRUE(res.converged);
   expect_same_sequence(direct, facade);
 }

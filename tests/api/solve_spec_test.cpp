@@ -7,6 +7,7 @@
 
 #include "api/solve.hpp"
 #include "common/error.hpp"
+#include "common/vec.hpp"
 #include "netsim/failure.hpp"
 
 namespace esrp {
@@ -137,11 +138,12 @@ TEST(SolveSpecValidation, RecoveryPolicyNamesAndCapabilities) {
   spec.recovery_policy = "lader";
   expect_invalid(spec, "recovery policy");
 
-  // dist-pipelined has no repartition/rejoin hooks -> no shrink policy.
+  // Both distributed solvers climb the shrink and rejoin rungs.
   spec = distributed_spec();
   spec.solver = "dist-pipelined";
+  spec.strategy = Strategy::esrp;
   spec.recovery_policy = "shrink";
-  expect_invalid(spec, "shrink");
+  EXPECT_NO_THROW(validate_spec(spec));
 
   // The shrink rung is esrp-only, like no-spare recovery.
   spec = distributed_spec();
@@ -219,13 +221,15 @@ TEST(SolveSpecValidation, DistPipelinedTakesMultiEventSchedulesAndEsrp) {
 }
 
 TEST(SolveSpecValidation, NoSpareRecoveryNeedsACapableSolver) {
+  // Every distributed solver is capable: the partition change is the
+  // resilience engine's.
   SolveSpec spec = distributed_spec();
-  spec.solver = "resilient-pcg";
   spec.strategy = Strategy::esrp;
   spec.spare_nodes = false;
-  EXPECT_NO_THROW(validate_spec(spec));
-  spec.solver = "dist-pipelined";
-  expect_invalid(spec, "does not support no-spare recovery");
+  for (const char* solver : {"resilient-pcg", "dist-pipelined"}) {
+    spec.solver = solver;
+    EXPECT_NO_THROW(validate_spec(spec)) << solver;
+  }
 }
 
 TEST(SolveSpecValidation, NoSpareRecoveryNeedsEsrpStrategy) {
@@ -247,14 +251,25 @@ TEST(SolveSpecValidation, ResidualReplacementNeedsACapableSolver) {
   expect_invalid(spec, "does not implement residual replacement");
 }
 
-TEST(SolveSpecValidation, DistPipelinedRejectsInitialGuess) {
+TEST(SolveSpecValidation, DistPipelinedHonoursInitialGuess) {
   const Vector x0(64, 0.5); // poisson2d:8,8 has 64 rows
   SolveSpec spec = distributed_spec();
   spec.solver = "dist-pipelined";
+  spec.precond = "jacobi"; // the same P on the sequential path
+  const SolveReport zero_guess = solve(spec);
   spec.x0 = x0;
-  expect_invalid(spec, "initial guess");
-  spec.solver = "resilient-pcg";
   EXPECT_NO_THROW(validate_spec(spec));
+  const SolveReport dist = solve(spec);
+
+  // The sequential pipelined solver from the same guess: the trajectory of
+  // DistPipelined.MatchesSequentialPipelinedTrajectory, to its tolerance.
+  spec.solver = "pipelined";
+  const SolveReport seq = solve(spec);
+  ASSERT_TRUE(dist.converged && seq.converged && zero_guess.converged);
+  EXPECT_NEAR(static_cast<double>(dist.iterations),
+              static_cast<double>(seq.iterations), 2);
+  EXPECT_LT(vec_rel_diff_inf(dist.x, seq.x), 1e-8);
+  EXPECT_NE(dist.x, zero_guess.x); // the guess changed the trajectory
 }
 
 TEST(SolveSpecValidation, UnknownKeysGetDidYouMean) {

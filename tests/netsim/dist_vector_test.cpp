@@ -152,5 +152,39 @@ TEST(DistVector, ZeroRanksLeavesNeighbouringSlicesBitwiseIntact) {
   }
 }
 
+TEST(DistVector, RebindKeepsTheBytesAndFollowsTheNewPartition) {
+  const BlockRowPartition part(17, 5);
+  const std::vector<rank_t> failed{1, 3};
+  const BlockRowPartition absorbed = absorb_ranks(part, failed);
+  const Vector g = distinct_values(17);
+  DistVector v(part, g);
+  const real_t* data = v.all().data();
+  v.rebind(absorbed);
+  EXPECT_EQ(&v.partition(), &absorbed);
+  EXPECT_EQ(v.all().data(), data); // no reallocation, no copy
+  expect_bitwise_equal(v.all(), g);
+  for (rank_t s = 0; s < absorbed.num_nodes(); ++s) {
+    const auto offset = static_cast<std::size_t>(absorbed.begin(s));
+    EXPECT_EQ(v.local(s).data(), data + offset) << "rank " << s;
+    EXPECT_EQ(v.local(s).size(),
+              static_cast<std::size_t>(absorbed.local_size(s)))
+        << "rank " << s;
+  }
+  for (rank_t s : failed) EXPECT_TRUE(v.local(s).empty());
+  v.rebind(part);
+  EXPECT_EQ(v.local(1).size(), static_cast<std::size_t>(part.local_size(1)));
+  expect_bitwise_equal(v.all(), g);
+}
+
+TEST(DistVector, RebindRejectsAMismatchedShape) {
+  const BlockRowPartition part(17, 5);
+  DistVector v(part);
+  const BlockRowPartition other_size(18, 5);
+  const BlockRowPartition other_nodes(17, 4);
+  EXPECT_THROW(v.rebind(other_size), Error);
+  EXPECT_THROW(v.rebind(other_nodes), Error);
+  EXPECT_EQ(&v.partition(), &part);
+}
+
 } // namespace
 } // namespace esrp

@@ -134,16 +134,34 @@ TEST(DistPipelined, FailureWithoutCheckpointRestarts) {
   EXPECT_TRUE(res.recoveries[0].restarted_from_scratch);
 }
 
-TEST(DistPipelined, NoSpareRecoveryRejected) {
-  // ESRP itself is supported (tests/pipelined/dist_pipelined_esrp_test.cpp);
-  // the no-spare repartitioning path is not defined for the pipelined plans.
-  System s(poisson2d(6, 6), 4);
-  SimCluster cluster(s.part);
-  BlockJacobiPreconditioner precond(s.a, s.part, 10);
+TEST(DistPipelined, NoSpareRecoveryContinuesOnSurvivors) {
+  // ResilientPcg.NoSpareRecoveryContinuesOnSurvivors on the pipelined
+  // recurrences: the engine rebinds the eight recurrence vectors.
+  System s(poisson2d(12, 12), 8);
+  const SolveOutcome ref = run(s, ResilienceOptions{});
+
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
+  opts.interval = 10;
+  opts.phi = 2;
   opts.spare_nodes = false;
-  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
+  opts.extra_failures.push_back(FailureEvent{18, {3, 4}});
+  SimCluster cluster(s.part);
+  BlockJacobiPreconditioner precond(s.a, s.part, 10);
+  DistPipelinedPcg solver(s.a, precond, cluster, opts);
+  const SolveOutcome res = solver.solve(s.b);
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 1u);
+  EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(res.recoveries[0].ranks_absorbed, 2);
+  EXPECT_NEAR(static_cast<double>(res.iterations),
+              static_cast<double>(ref.iterations), 1);
+  EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), 1e-6);
+  // The failed ranks retired: their ranges were absorbed by rank 2.
+  const BlockRowPartition& np = cluster.partition();
+  EXPECT_EQ(np.local_size(3), 0);
+  EXPECT_EQ(np.local_size(4), 0);
+  EXPECT_EQ(np.local_size(2), 3 * s.part.local_size(2));
 }
 
 TEST(DistPipelined, SdcEventsRejected) {
@@ -157,20 +175,29 @@ TEST(DistPipelined, SdcEventsRejected) {
   EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, opts), Error);
 }
 
-TEST(DistPipelined, ShrinkPolicyRejected) {
-  // Without a repartition hook the engine would quietly fall back to a
-  // scratch restart instead of shrinking or rejoining.
-  System s(poisson2d(6, 6), 4);
+TEST(DistPipelined, ShrinkPolicyShrinksThenRejoins) {
+  // A failure before the first storage stage is unrecoverable: the
+  // survivors absorb rank 2's range and restart, and rank 2 rejoins at the
+  // next storage-stage boundary, back on the construction partition.
+  System s(poisson2d(12, 12), 8);
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 20;
+  opts.phi = 2;
+  opts.policy = recovery_policy_from_string("shrink");
+  opts.extra_failures.push_back(FailureEvent{5, {2}});
   SimCluster cluster(s.part);
   BlockJacobiPreconditioner precond(s.a, s.part, 10);
-  ResilienceOptions shrink;
-  shrink.strategy = Strategy::esrp;
-  shrink.policy.shrink_on_unrecoverable = true;
-  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, shrink), Error);
-  ResilienceOptions rejoin;
-  rejoin.strategy = Strategy::esrp;
-  rejoin.policy.rejoin = true;
-  EXPECT_THROW(DistPipelinedPcg(s.a, precond, cluster, rejoin), Error);
+  DistPipelinedPcg solver(s.a, precond, cluster, opts);
+  const SolveOutcome res = solver.solve(s.b);
+  ASSERT_TRUE(res.converged);
+  ASSERT_EQ(res.recoveries.size(), 2u);
+  EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::shrink);
+  EXPECT_EQ(res.recoveries[0].ranks_absorbed, 1);
+  EXPECT_EQ(res.recoveries[1].rung, RecoveryRung::rejoin);
+  EXPECT_EQ(res.recoveries[1].ranks_rejoined, 1);
+  EXPECT_EQ(&cluster.partition(), &s.part);
+  EXPECT_LT(true_relative_residual(s.a, s.b, res.x), 1e-7);
 }
 
 TEST(DistPipelined, ResidualReplacementRejected) {

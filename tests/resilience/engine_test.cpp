@@ -27,16 +27,23 @@ RedundantCopy make_copy(index_t tag, real_t value = 1.0) {
                        Vector(kRows, value));
 }
 
-/// A stub solver: one state vector + one scalar, hooks that count calls.
+/// A stub solver: one state vector, one scratch vector and one scalar,
+/// hooks that count calls.
 struct StubSolver {
-  explicit StubSolver(const BlockRowPartition& part) : v(part) {}
+  StubSolver(const BlockRowPartition& part, SimCluster& cluster)
+      : v(part), w(part), cluster(&cluster) {}
 
-  SolverState state() { return SolverState{{&v}, {}, {&beta}}; }
+  SolverState state() { return SolverState{{&v}, {&w}, {&beta}}; }
 
   ResilienceEngine::Client client() {
     ResilienceEngine::Client c;
     c.state = [this] { return state(); };
     c.restart = [this] { ++restarts; };
+    // What DistOperator::rebuild_on_partition does besides the plans.
+    c.set_partition = [this](const BlockRowPartition& np) {
+      ++partition_changes;
+      cluster->set_partition(np);
+    };
     c.reconstruct = [this](StateSnapshot& stars, const RedundantCopy& prev,
                            const RedundantCopy& cur,
                            std::span<const rank_t> failed, RecoveryRecord&) {
@@ -45,6 +52,7 @@ struct StubSolver {
       last_cur_tag = cur.tag();
       last_failed.assign(failed.begin(), failed.end());
       last_beta_star = stars.scalar(0);
+      last_stars_part = &stars.vec(0).partition();
       if (!reconstruct_ok) return false;
       // Roll the live vector back to the snapshot, as a real solver would.
       stars.restore_vectors(state());
@@ -55,9 +63,13 @@ struct StubSolver {
   }
 
   DistVector v;
+  DistVector w; ///< scratch
+  SimCluster* cluster;
   real_t beta = 0;
   int restarts = 0;
   int reconstructions = 0;
+  int partition_changes = 0;
+  const BlockRowPartition* last_stars_part = nullptr;
   bool reconstruct_ok = true;
   index_t last_prev_tag = -1;
   index_t last_cur_tag = -1;
@@ -67,7 +79,8 @@ struct StubSolver {
 
 class EngineFixture : public ::testing::Test {
 protected:
-  EngineFixture() : part_(kRows, kNodes), cluster_(part_), solver_(part_) {}
+  EngineFixture()
+      : part_(kRows, kNodes), cluster_(part_), solver_(part_, cluster_) {}
 
   static ResilienceEngine::Config config() {
     ResilienceEngine::Config cfg;
@@ -547,26 +560,103 @@ TEST_F(EngineFixture, ShrinkPolicyRepartitionsOnUnrecoverableFailure) {
   opts.strategy = Strategy::esrp;
   opts.interval = 5;
   opts.policy = recovery_policy_from_string("shrink");
-  // Before any storage stage.
+  // Before any storage stage, then after the (5, 6) stage.
   opts.extra_failures.push_back(FailureEvent{3, {1}});
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
   ResilienceEngine engine = make_engine(opts);
-
-  int repartitions = 0;
-  ResilienceEngine::Client client = solver_.client();
-  client.repartition = [&](std::span<const rank_t> failed) {
-    ++repartitions;
-    EXPECT_EQ(failed.size(), 1u);
-  };
 
   RecoveryRecord record;
   const index_t resume =
-      engine.recover(*engine.pending_event(3), 3, client, record);
+      engine.recover(*engine.pending_event(3), 3, solver_.client(), record);
   EXPECT_EQ(resume, 0);
-  EXPECT_EQ(repartitions, 1);
+  EXPECT_EQ(solver_.partition_changes, 1);
   EXPECT_EQ(record.rung, RecoveryRung::shrink);
   EXPECT_TRUE(record.restarted_from_scratch); // restart on the shrunken map
   EXPECT_EQ(record.ranks_absorbed, 1);
   EXPECT_EQ(engine.retired_ranks(), (std::vector<rank_t>{1}));
+
+  // The state and scratch vectors sit on the engine's absorbed partition,
+  // on which rank 1 owns nothing.
+  const BlockRowPartition& np = cluster_.partition();
+  EXPECT_NE(&np, &part_);
+  EXPECT_EQ(np.local_size(1), 0);
+  EXPECT_EQ(&solver_.v.partition(), &np);
+  EXPECT_EQ(&solver_.w.partition(), &np);
+
+  // A snapshot taken on the shrunken map lives there too and feeds the
+  // next reconstruction, which keeps the map (spare nodes replace rank 2).
+  engine.push_copy(make_copy(5));
+  engine.push_copy(make_copy(6));
+  engine.save_snapshot(6, solver_.state());
+  engine.set_recoverable(6);
+  ASSERT_NE(engine.snapshot(6), nullptr);
+  EXPECT_EQ(&engine.snapshot(6)->vec(0).partition(), &np);
+  RecoveryRecord second;
+  EXPECT_EQ(engine.recover(*engine.pending_event(8), 8, solver_.client(),
+                           second),
+            6);
+  EXPECT_EQ(second.rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(solver_.last_stars_part, &np);
+  EXPECT_EQ(solver_.partition_changes, 1);
+}
+
+TEST_F(EngineFixture, NoSpareRecoveryRebindsTheStateAndLiveSnapshots) {
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 5;
+  opts.spare_nodes = false;
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
+  opts.extra_failures.push_back(FailureEvent{9, {4}});
+  ResilienceEngine engine = make_engine(opts);
+
+  Vector values(kRows);
+  for (index_t i = 0; i < kRows; ++i)
+    values[static_cast<std::size_t>(i)] = 1.0 + static_cast<real_t>(i);
+  solver_.v.set_from_global(values);
+  engine.push_copy(make_copy(5));
+  engine.push_copy(make_copy(6));
+  engine.save_snapshot(6, solver_.state());
+  engine.set_recoverable(6);
+
+  RecoveryRecord first;
+  ASSERT_EQ(engine.recover(*engine.pending_event(8), 8, solver_.client(),
+                           first),
+            6);
+  EXPECT_EQ(first.rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(first.ranks_absorbed, 1);
+  EXPECT_EQ(solver_.partition_changes, 1);
+  EXPECT_EQ(solver_.last_stars_part, &part_); // reconstructed before the move
+  {
+    const BlockRowPartition& np = cluster_.partition();
+    EXPECT_EQ(np.local_size(2), 0);
+    EXPECT_EQ(&solver_.v.partition(), &np);
+    EXPECT_EQ(&solver_.w.partition(), &np);
+    const StateSnapshot* stars = engine.snapshot(6);
+    ASSERT_NE(stars, nullptr);
+    EXPECT_EQ(&stars->vec(0).partition(), &np);
+    // The rebind moved no entry: the stub rolled back to the stars, whose
+    // failed slice is lost (the stub reconstructs nothing).
+    Vector expected = values;
+    for (index_t i = part_.begin(2); i < part_.end(2); ++i)
+      expected[static_cast<std::size_t>(i)] = 0;
+    EXPECT_EQ(stars->vec(0).gather_global(), expected);
+    EXPECT_EQ(solver_.v.gather_global(), expected);
+  }
+
+  // The second event reconstructs from the rebound snapshot, then moves
+  // onto a second absorbed partition; the first one goes with the move.
+  RecoveryRecord second;
+  ASSERT_EQ(engine.recover(*engine.pending_event(9), 9, solver_.client(),
+                           second),
+            6);
+  EXPECT_EQ(second.rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(solver_.partition_changes, 2);
+  const BlockRowPartition& np = cluster_.partition();
+  EXPECT_EQ(np.local_size(2), 0);
+  EXPECT_EQ(np.local_size(4), 0);
+  EXPECT_EQ(&solver_.v.partition(), &np);
+  EXPECT_EQ(&engine.snapshot(6)->vec(0).partition(), &np);
+  EXPECT_EQ(engine.retired_ranks(), (std::vector<rank_t>{2, 4}));
 }
 
 TEST_F(EngineFixture, RejoinRungReExpandsAtTheNextStorageStage) {
@@ -577,34 +667,46 @@ TEST_F(EngineFixture, RejoinRungReExpandsAtTheNextStorageStage) {
   opts.extra_failures.push_back(FailureEvent{3, {1}});
   ResilienceEngine engine = make_engine(opts);
 
-  int rejoins = 0;
   ResilienceEngine::Client client = solver_.client();
-  client.repartition = [](std::span<const rank_t>) {};
-  client.rejoin = [&] { ++rejoins; };
-
   RecoveryRecord shrink_record;
   engine.recover(*engine.pending_event(3), 3, client, shrink_record);
   ASSERT_EQ(engine.retired_ranks().size(), 1u);
+  const BlockRowPartition& np = cluster_.partition();
+  EXPECT_EQ(np.local_size(1), 0);
+  EXPECT_EQ(&solver_.v.partition(), &np);
+  engine.save_snapshot(4, solver_.state());
+  EXPECT_EQ(&engine.snapshot(4)->vec(0).partition(), &np);
 
   // Not a storage-stage boundary: no rejoin yet.
   RecoveryRecord r1;
   EXPECT_FALSE(engine.try_rejoin(4, client, r1));
-  EXPECT_EQ(rejoins, 0);
+  EXPECT_EQ(solver_.partition_changes, 1);
 
+  const Vector live = solver_.v.gather_global();
   RecoveryRecord r2;
   ASSERT_TRUE(engine.try_rejoin(5, client, r2));
-  EXPECT_EQ(rejoins, 1);
+  EXPECT_EQ(solver_.partition_changes, 2);
   EXPECT_EQ(r2.rung, RecoveryRung::rejoin);
   EXPECT_EQ(r2.ranks_rejoined, 1);
   EXPECT_EQ(r2.wasted_iterations, 0);
   EXPECT_TRUE(engine.retired_ranks().empty());
-  // Stale shrunken-map strategy state was dropped.
+  // Back on the construction partition, with the live entries in place.
+  EXPECT_EQ(&cluster_.partition(), &part_);
+  EXPECT_EQ(&solver_.v.partition(), &part_);
+  EXPECT_EQ(&solver_.w.partition(), &part_);
+  EXPECT_EQ(solver_.v.gather_global(), live);
+  // Stale shrunken-map strategy state was dropped; new snapshots live on
+  // the construction partition.
   EXPECT_TRUE(engine.queue_tags().empty());
   EXPECT_EQ(engine.last_recoverable(), -1);
+  EXPECT_FALSE(engine.has_snapshot(4));
+  engine.save_snapshot(6, solver_.state());
+  EXPECT_EQ(&engine.snapshot(6)->vec(0).partition(), &part_);
 
   // Nothing retired anymore: the next boundary is a no-op.
   RecoveryRecord r3;
   EXPECT_FALSE(engine.try_rejoin(10, client, r3));
+  EXPECT_EQ(solver_.partition_changes, 2);
 }
 
 TEST_F(EngineFixture, RecoveryZeroesFailedRanksBeforeReconstruction) {

@@ -25,6 +25,9 @@
 #include "api/solve.hpp"
 #include "common/rng.hpp"
 #include "core/metrics.hpp"
+#include "core/resilient_pcg.hpp"
+#include "pipelined/dist_pipelined_pcg.hpp"
+#include "precond/block_jacobi.hpp"
 #include "scenario/failure_process.hpp"
 #include "sparse/generators.hpp"
 #include "xp/experiment.hpp"
@@ -34,6 +37,8 @@ namespace {
 
 constexpr rank_t kNodes = 8;
 constexpr real_t kEsrpRecoveryTol = 1e-7; ///< x deviation after reconstruction
+constexpr const char* kDistributedSolvers[] = {"resilient-pcg",
+                                               "dist-pipelined"};
 
 std::uint64_t fnv1a(const Vector& v) {
   std::uint64_t h = 1469598103934665603ull;
@@ -168,10 +173,10 @@ TEST_P(ScenarioRecoveryProperty, RecoversExactlyOnRandomScenario) {
 
 class CascadingRecovery : public ::testing::Test {
 protected:
-  static SolveSpec base_spec() {
+  static SolveSpec base_spec(const char* solver = "resilient-pcg") {
     SolveSpec spec;
     spec.matrix = "poisson2d:12,12";
-    spec.solver = "resilient-pcg";
+    spec.solver = solver;
     spec.precond = "block-jacobi";
     spec.nodes = kNodes;
     spec.phi = 2;
@@ -180,10 +185,38 @@ protected:
   }
 
   /// Reference trajectory (failure-free, strategy none) of base_spec.
-  static SolveReport reference() {
-    SolveSpec ref = base_spec();
+  static SolveReport reference(const char* solver = "resilient-pcg") {
+    SolveSpec ref = base_spec(solver);
     ref.strategy = Strategy::none;
     return solve(ref);
+  }
+
+  /// The partition a run of `spec` ends on, which the facade report does
+  /// not carry: `spec` rerun directly on its solver, on the partition,
+  /// block Jacobi and right-hand side the facade builds. `x` receives the
+  /// direct run's solution.
+  static BlockRowPartition final_partition(const SolveSpec& spec, Vector& x) {
+    const TestProblem prob = resolve_matrix(spec.matrix);
+    const Vector b = xp::make_rhs(prob.matrix);
+    const BlockRowPartition part(prob.matrix.rows(), spec.nodes);
+    const BlockJacobiPreconditioner precond(prob.matrix, part,
+                                            spec.block_size);
+    SimCluster cluster(part);
+    ResilienceOptions opts;
+    static_cast<SolverOptions&>(opts) = spec;
+    opts.policy = recovery_policy_from_string(spec.recovery_policy);
+    opts.extra_failures = spec.failures;
+    // Copy the partition while the solver, which owns it, is alive.
+    const auto run = [&](auto& solver) {
+      x = solver.solve(b).x;
+      return cluster.partition();
+    };
+    if (spec.solver == "dist-pipelined") {
+      DistPipelinedPcg solver(prob.matrix, precond, cluster, opts);
+      return run(solver);
+    }
+    ResilientPcg solver(prob.matrix, precond, cluster, opts);
+    return run(solver);
   }
 
   /// Rerun `spec` at 4 threads and require a bitwise-identical report.
@@ -284,26 +317,105 @@ TEST_F(CascadingRecovery, ShrinkPolicyShrinksThenRejoins) {
   // A failure before the first storage stage is unrecoverable; under the
   // "shrink" policy the survivors absorb the lost ranges and restart on
   // the shrunken map, and the retired rank rejoins at the next
-  // storage-stage boundary.
-  SolveSpec spec = base_spec();
-  spec.strategy = Strategy::esrp;
-  spec.interval = 20;
-  spec.recovery_policy = "shrink";
-  spec.failures.push_back(FailureEvent{5, {2}});
-  const SolveReport res = solve(spec);
-  ASSERT_TRUE(res.converged);
-  ASSERT_GE(res.recoveries.size(), 2u);
-  EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::shrink);
-  EXPECT_EQ(res.recoveries[0].ranks_absorbed, 1);
-  EXPECT_EQ(res.recoveries[1].rung, RecoveryRung::rejoin);
-  EXPECT_EQ(res.recoveries[1].ranks_rejoined, 1);
-
-  // The ladder never changes the answer, only the route to it.
+  // storage-stage boundary. Both distributed solvers take the engine's
+  // one partition change.
   TestProblem prob = resolve_matrix("poisson2d:12,12");
   const Vector rhs = xp::make_rhs(prob.matrix);
-  EXPECT_LT(true_relative_residual(prob.matrix, rhs, res.x), 1e-7);
+  const BlockRowPartition full(prob.matrix.rows(), kNodes);
+  for (const char* solver : kDistributedSolvers) {
+    SCOPED_TRACE(solver);
+    SolveSpec spec = base_spec(solver);
+    spec.strategy = Strategy::esrp;
+    spec.interval = 20;
+    spec.recovery_policy = "shrink";
+    spec.failures.push_back(FailureEvent{5, {2}});
+    const SolveReport res = solve(spec);
+    ASSERT_TRUE(res.converged);
+    ASSERT_GE(res.recoveries.size(), 2u);
+    EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::shrink);
+    EXPECT_EQ(res.recoveries[0].ranks_absorbed, 1);
+    EXPECT_EQ(res.recoveries[1].rung, RecoveryRung::rejoin);
+    EXPECT_EQ(res.recoveries[1].ranks_rejoined, 1);
 
-  expect_reproducible_at_4_threads(spec, res);
+    // The ladder never changes the answer, only the route to it.
+    EXPECT_LT(true_relative_residual(prob.matrix, rhs, res.x), 1e-7);
+
+    // Rank 2 owns its rows again.
+    Vector x;
+    EXPECT_EQ(final_partition(spec, x).local_size(2), full.local_size(2));
+    EXPECT_EQ(fnv1a(x), fnv1a(res.x));
+
+    expect_reproducible_at_4_threads(spec, res);
+  }
+}
+
+// ------------------------------------------------------ no-spare recovery --
+// The survivors absorb the failed ranks' ranges (ref. [22]) and the solve
+// continues on the repartitioned cluster: ResilientPcg's no-spare cases
+// (tests/core/resilient_pcg_test.cpp) run on both distributed solvers.
+
+using NoSpareRecovery = CascadingRecovery;
+
+TEST_F(NoSpareRecovery, ContinuesOnSurvivors) {
+  for (const char* solver : kDistributedSolvers) {
+    SCOPED_TRACE(solver);
+    const SolveReport ref = reference(solver);
+    ASSERT_TRUE(ref.converged);
+
+    SolveSpec spec = base_spec(solver);
+    spec.strategy = Strategy::esrp;
+    spec.interval = 10;
+    spec.spare_nodes = false;
+    spec.failures.push_back(FailureEvent{18, {3, 4}});
+    const SolveReport res = solve(spec);
+    ASSERT_TRUE(res.converged);
+    ASSERT_EQ(res.recoveries.size(), 1u);
+    EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::reconstruct);
+    EXPECT_EQ(res.recoveries[0].ranks_absorbed, 2);
+    EXPECT_LE(std::llabs(static_cast<long long>(res.iterations) -
+                         static_cast<long long>(ref.iterations)),
+              1);
+    EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), 1e-6);
+
+    // The failed ranks retired.
+    Vector x;
+    const BlockRowPartition np = final_partition(spec, x);
+    EXPECT_EQ(np.local_size(3), 0);
+    EXPECT_EQ(np.local_size(4), 0);
+    EXPECT_EQ(fnv1a(x), fnv1a(res.x));
+
+    expect_reproducible_at_4_threads(spec, res);
+  }
+}
+
+TEST_F(NoSpareRecovery, CopiesCapturedBeforeARepartitionFeedTheNextRecovery) {
+  // The first recovery replaces the solver's plans; the second event
+  // reconstructs again, on the absorbed partition.
+  for (const char* solver : kDistributedSolvers) {
+    SCOPED_TRACE(solver);
+    const SolveReport ref = reference(solver);
+    ASSERT_TRUE(ref.converged);
+
+    SolveSpec spec = base_spec(solver);
+    spec.strategy = Strategy::esrp;
+    spec.interval = 10;
+    spec.spare_nodes = false;
+    spec.failures.push_back(FailureEvent{15, {6}});
+    spec.failures.push_back(FailureEvent{18, {3, 4}});
+    const SolveReport res = solve(spec);
+    ASSERT_TRUE(res.converged);
+    ASSERT_EQ(res.recoveries.size(), 2u);
+    for (const RecoveryRecord& rec : res.recoveries)
+      EXPECT_EQ(rec.rung, RecoveryRung::reconstruct);
+    EXPECT_LT(vec_rel_diff_inf(res.x, ref.x), 1e-6);
+
+    Vector x;
+    const BlockRowPartition np = final_partition(spec, x);
+    for (rank_t s : {3, 4, 6}) EXPECT_EQ(np.local_size(s), 0) << s;
+    EXPECT_EQ(fnv1a(x), fnv1a(res.x));
+
+    expect_reproducible_at_4_threads(spec, res);
+  }
 }
 
 std::vector<PropertyCase> make_cases() {

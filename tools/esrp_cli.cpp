@@ -173,20 +173,12 @@ void print_solver_registry() {
       caps = "sequential; no failure injection";
     } else {
       // Every distributed solver runs every strategy on a multi-event
-      // failure schedule.
+      // failure schedule and climbs every rung of the recovery ladder,
+      // no-spare recovery included.
       caps = "strategies: none, esrp, imcr; failures: multi-event";
-      caps += e.supports_no_spare ? "; no-spare recovery" : "; spares only";
       if (!e.supports_residual_replacement) caps += "; no residual replacement";
       if (e.supports_sdc) caps += "; sdc injection";
-      // The recovery-ladder rungs this solver can climb (the shrink and
-      // rejoin rungs need the repartition/rejoin hooks).
-      caps += e.supports_shrink
-                  ? "; rungs: reconstruct, older-snapshot, checkpoint, "
-                    "shrink, rejoin, scratch"
-                  : "; rungs: reconstruct, older-snapshot, checkpoint, "
-                    "scratch";
     }
-    if (!e.supports_x0) caps += "; no initial guess (x0)";
     std::printf("  %-15s   [%s]\n", "", caps.c_str());
   }
 }
