@@ -181,8 +181,8 @@ public:
   ///   reconstruct → older snapshot → checkpoint → shrink → scratch —
   /// each gated on checksum-verified inputs (a corrupt copy or checkpoint
   /// demotes to the next rung and is counted in the record); without spare
-  /// nodes the survivors absorb the failed ranges. Re-entrant: a failure landing
-  /// inside an earlier recovery's replay window simply recovers again; the
+  /// nodes the survivors absorb the failed ranges. Re-entrant: a failure
+  /// landing inside an earlier recovery's replay window recovers again; the
   /// bounded-retry counter (RecoveryPolicy::max_attempts recoveries with
   /// no storage progress) forces the scratch rung instead of thrashing.
   /// Returns the iteration to resume from; `record` is filled with the
