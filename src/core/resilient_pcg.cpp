@@ -92,7 +92,9 @@ bool ResilientPcg::reconstruct_lost(StateSnapshot& stars,
   in.a = &op_.matrix();
   in.p_action = op_.precond().action_matrix();
   in.formulation = opts_.formulation;
-  in.p_matrix = op_.precond().matrix_form();
+  // Only the matrix formulation reads M; asking for it may assemble it.
+  if (in.formulation == PrecondFormulation::matrix)
+    in.p_matrix = op_.precond().matrix_form();
   in.z_star = &stars.vec(2);
   in.part = &part;
   in.failed = failed;

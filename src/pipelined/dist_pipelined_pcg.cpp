@@ -115,7 +115,9 @@ SolveOutcome DistPipelinedPcg::solve(std::span<const real_t> b,
     in.a = &op_.matrix();
     in.p_action = op_.precond().action_matrix();
     in.formulation = opts_.formulation;
-    in.p_matrix = op_.precond().matrix_form();
+    // Only the matrix formulation reads M; asking for it may assemble it.
+    if (in.formulation == PrecondFormulation::matrix)
+      in.p_matrix = op_.precond().matrix_form();
     in.part = &op_.partition();
     in.failed = failed;
     in.p_prev = &prev; // leading pairing: `prev` is p'^(t), the rollback tag

@@ -30,7 +30,8 @@ std::vector<index_t> uniform_blocks(index_t lo, index_t hi,
 }
 
 BlockJacobiPreconditioner::BlockJacobiPreconditioner(
-    const CsrMatrix& a, const BlockRowPartition& part, index_t max_block_size) {
+    const CsrMatrix& a, const BlockRowPartition& part, index_t max_block_size)
+    : a_(&a) {
   ESRP_CHECK(a.rows() == a.cols());
   ESRP_CHECK(a.rows() == part.global_size());
   starts_ = {0};
@@ -43,7 +44,8 @@ BlockJacobiPreconditioner::BlockJacobiPreconditioner(
 }
 
 BlockJacobiPreconditioner::BlockJacobiPreconditioner(const CsrMatrix& a,
-                                                     index_t max_block_size) {
+                                                     index_t max_block_size)
+    : a_(&a) {
   ESRP_CHECK(a.rows() == a.cols());
   starts_ = uniform_blocks(0, a.rows(), max_block_size);
   build(a);
@@ -123,11 +125,7 @@ bool couples_outside(const real_t* row, index_t blo, index_t bhi, index_t lo,
 
 } // namespace
 
-// The blocks are disjoint, ascending diagonal ranges covering [0, n), so
-// every row of M is appended in order with its columns ascending. Exact
-// zeros of A are not stored in M, as in every CooBuilder-assembled matrix.
 void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
-  const index_t n = a.rows();
   const std::size_t blocks = starts_.size() - 1;
   offsets_.assign(blocks + 1, 0);
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -135,14 +133,6 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
     offsets_[b + 1] = offsets_[b] + len * len;
   }
   inv_.resize(offsets_.back());
-  std::vector<index_t> m_ptr{0};
-  std::vector<col_t> m_cols;
-  std::vector<real_t> m_vals;
-  m_ptr.reserve(static_cast<std::size_t>(n) + 1);
-  const std::size_t m_cap =
-      std::min(offsets_.back(), static_cast<std::size_t>(a.nnz()));
-  m_cols.reserve(m_cap);
-  m_vals.reserve(m_cap);
   for (std::size_t b = 0; b < blocks; ++b) {
     const index_t lo = starts_[b], hi = starts_[b + 1];
     const index_t len = hi - lo;
@@ -154,12 +144,7 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
         const index_t j = cols[k];
         if (j < lo || j >= hi) continue;
         block(i - lo, j - lo) = vals[k];
-        if (vals[k] != real_t{0}) {
-          m_cols.push_back(cols[k]);
-          m_vals.push_back(vals[k]);
-        }
       }
-      m_ptr.push_back(static_cast<index_t>(m_cols.size()));
     }
     try {
       Cholesky(block).inverse(std::span(inv_).subspan(
@@ -171,7 +156,40 @@ void BlockJacobiPreconditioner::build(const CsrMatrix& a) {
     }
   }
   nnz_ = static_cast<index_t>(std::count_if(inv_.begin(), inv_.end(), nonzero));
-  m_ = CsrMatrix(n, n, std::move(m_ptr), std::move(m_cols), std::move(m_vals));
+}
+
+const CsrMatrix* BlockJacobiPreconditioner::matrix_form() const {
+  // The blocks are disjoint, ascending diagonal ranges covering [0, n), so
+  // every row of M is appended in order with its columns ascending. Exact
+  // zeros of A are not stored in M, as in every CooBuilder-assembled matrix.
+  std::call_once(m_once_, [this] {
+    const CsrMatrix& a = *a_;
+    const index_t n = dim();
+    std::vector<index_t> ptr{0};
+    std::vector<col_t> cols;
+    std::vector<real_t> vals;
+    ptr.reserve(static_cast<std::size_t>(n) + 1);
+    const std::size_t cap =
+        std::min(offsets_.back(), static_cast<std::size_t>(a.nnz()));
+    cols.reserve(cap);
+    vals.reserve(cap);
+    for (std::size_t b = 0; b + 1 < starts_.size(); ++b) {
+      const index_t lo = starts_[b], hi = starts_[b + 1];
+      for (index_t i = lo; i < hi; ++i) {
+        const auto a_cols = a.row_cols(i);
+        const auto a_vals = a.row_vals(i);
+        for (std::size_t k = 0; k < a_cols.size(); ++k) {
+          const index_t j = a_cols[k];
+          if (j < lo || j >= hi || a_vals[k] == real_t{0}) continue;
+          cols.push_back(a_cols[k]);
+          vals.push_back(a_vals[k]);
+        }
+        ptr.push_back(static_cast<index_t>(cols.size()));
+      }
+    }
+    m_ = CsrMatrix(n, n, std::move(ptr), std::move(cols), std::move(vals));
+  });
+  return &m_;
 }
 
 template <class F>

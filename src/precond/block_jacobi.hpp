@@ -5,8 +5,7 @@
 // action P = blockdiag(B_1^{-1}, ..., B_m^{-1}) is stored as exactly that:
 // one contiguous array of row-major len x len inverse blocks, exact zeros
 // included, each written straight from the factorization into its slot.
-// The matrix form M (the blocks of A) is kept as CSR. A diagonal block that
-// is not SPD throws esrp::Error naming its rows.
+// A diagonal block that is not SPD throws esrp::Error naming its rows.
 //
 // apply() and apply_local() multiply every block the range does not cut
 // with one dense kernel (specialized by length up to the paper's 10), and
@@ -22,7 +21,11 @@
 // action_matrix() assembles that CSR, without exact zeros, on its first
 // call and keeps it: only a recovery, a test or a probe pays for it. The
 // flops and the node-locality check the distributed solvers ask for come
-// from the blocks.
+// from the blocks. Likewise matrix_form(), the CSR of M = blockdiag(A) that
+// only the matrix formulation of [20] reads, is assembled from A on its
+// first call. The preconditioner therefore keeps a pointer to A: A must
+// outlive every matrix_form() call (constructing from a temporary matrix
+// does not compile).
 #pragma once
 
 #include <mutex>
@@ -43,6 +46,11 @@ public:
   /// Single-domain variant (no partition): blocks tile [0, n).
   BlockJacobiPreconditioner(const CsrMatrix& a, index_t max_block_size = 10);
 
+  /// matrix_form() reads A after construction, so A cannot be a temporary.
+  BlockJacobiPreconditioner(const CsrMatrix&&, const BlockRowPartition&,
+                            index_t = 10) = delete;
+  BlockJacobiPreconditioner(const CsrMatrix&&, index_t = 10) = delete;
+
   std::string name() const override { return "block_jacobi"; }
   index_t dim() const override { return starts_.back(); }
   void apply(std::span<const real_t> r, std::span<real_t> z) const override;
@@ -54,8 +62,10 @@ public:
   /// call (thread-safe) and kept for the preconditioner's lifetime.
   const CsrMatrix* action_matrix() const override;
   /// The block Jacobi matrix M = blockdiag(B_1, ..., B_m) (the diagonal
-  /// blocks of A themselves): the "preconditioner itself" formulation.
-  const CsrMatrix* matrix_form() const override { return &m_; }
+  /// blocks of A themselves, without exact zeros): the "preconditioner
+  /// itself" formulation. Assembled from A on the first call (thread-safe)
+  /// and kept for the preconditioner's lifetime.
+  const CsrMatrix* matrix_form() const override;
   double apply_flops() const override {
     return 2.0 * static_cast<double>(nnz_);
   }
@@ -78,9 +88,11 @@ private:
   std::vector<std::size_t> offsets_; ///< block b starts at inv_[offsets_[b]]
   std::vector<real_t> inv_;          ///< the inverse blocks, row-major
   index_t nnz_ = 0;                  ///< nonzero entries of P
-  CsrMatrix m_; ///< original blocks (the matrix form, M z = r)
+  const CsrMatrix* a_;               ///< the matrix, read by matrix_form()
   mutable std::once_flag p_once_;
   mutable CsrMatrix p_; ///< action_matrix(), once assembled
+  mutable std::once_flag m_once_;
+  mutable CsrMatrix m_; ///< matrix_form(), once assembled
 };
 
 /// Split [lo, hi) into the fewest uniformly sized pieces of size <=

@@ -61,7 +61,9 @@ public:
   /// Explicit CSR of the preconditioner *matrix* M with z defined by
   /// M z = r (the "preconditioner itself" formulation of [20]), or nullptr.
   /// When available, the Alg. 2 reconstruction can recover r without an
-  /// inner solve: r_{I_f} = M_{I_f,I} z (see reconstruction.hpp).
+  /// inner solve: r_{I_f} = M_{I_f,I} z (see reconstruction.hpp). An
+  /// implementation may assemble M on the first call, so callers ask for
+  /// it only under the matrix formulation.
   virtual const CsrMatrix* matrix_form() const { return nullptr; }
 
   /// Floating-point cost of one apply() (for the cost model).

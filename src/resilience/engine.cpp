@@ -156,16 +156,27 @@ void ResilienceEngine::absorb(std::span<const rank_t> failed,
   // The accounting approximation: adopters already received the
   // reconstructed entries during the recovery gather, so no migration
   // messages are charged.
+  const BlockRowPartition& part = cluster_->partition();
+  std::vector<rank_t> retired = retired_;
+  for (rank_t s : failed)
+    if (!rank_in(retired, s)) retired.push_back(s);
+  std::sort(retired.begin(), retired.end());
+  // The retired ranks are absorbed again: their ranges are empty, so that
+  // moves nothing, but it keeps them from adopting. Only when no active
+  // rank survives do they adopt, and an adopter owns rows again.
+  const bool active_left =
+      retired.size() < static_cast<std::size_t>(part.num_nodes());
   auto np = std::make_unique<BlockRowPartition>(
-      absorb_ranks(cluster_->partition(), failed));
+      absorb_ranks(part, active_left ? std::span<const rank_t>(retired)
+                                     : failed));
+  if (!active_left)
+    std::erase_if(retired, [&](rank_t s) { return np->local_size(s) > 0; });
   move_to(*np, client);
   // The previous owned partition (if any) goes only now, after every
   // vector has been rebound off it.
   owned_part_ = std::move(np);
+  retired_ = std::move(retired);
   record.ranks_absorbed += static_cast<index_t>(failed.size());
-  for (rank_t s : failed)
-    if (!rank_in(retired_, s)) retired_.push_back(s);
-  std::sort(retired_.begin(), retired_.end());
 }
 
 bool ResilienceEngine::try_reconstruct_at(index_t target, RecoveryRung rung,

@@ -215,7 +215,8 @@ private:
   StateSnapshot* find_snapshot(index_t tag);
   /// The survivors absorb the failed ranks' ranges (absorb_ranks on the
   /// current partition), which become the engine's owned partition; the
-  /// failed ranks retire.
+  /// failed ranks retire. A retired rank adopts only when no active rank
+  /// survives.
   void absorb(std::span<const rank_t> failed, const Client& client,
               RecoveryRecord& record);
   /// The one partition change: the client's set_partition, then every

@@ -7,6 +7,7 @@
 
 #include <map>
 
+#include "../precond/matrix_form_counter.hpp"
 #include "common/error.hpp"
 #include "core/metrics.hpp"
 #include "precond/block_jacobi.hpp"
@@ -394,6 +395,40 @@ TEST(ResilientPcg, MatrixFormulationRecoversOnSameTrajectory) {
   EXPECT_LT(vec_rel_diff_inf(res.x, inv.x), 1e-6);
   // The matrix formulation's recovery is cheaper (one inner solve fewer).
   EXPECT_LE(res.recoveries[0].modeled_time, inv.recoveries[0].modeled_time);
+}
+
+TEST(ResilientPcg, OnlyMatrixFormulationRecoveryAsksForTheMatrixForm) {
+  SolveSystem s(poisson2d(12, 12), 8);
+  ResilienceOptions inv;
+  inv.strategy = Strategy::esrp;
+  inv.interval = 10;
+  inv.phi = 2;
+  inv.extra_failures.push_back(FailureEvent{18, {1, 2}});
+  ResilienceOptions mat = inv;
+  mat.formulation = PrecondFormulation::matrix;
+
+  for (const ResilienceOptions& opts : {inv, mat}) {
+    SimCluster cluster(s.part);
+    const BlockJacobiPreconditioner block_jacobi(s.a, s.part, 10);
+    const MatrixFormCounter counter(block_jacobi);
+    ResilientPcg solver(s.a, counter, cluster, opts);
+    const int at_setup = counter.matrix_form_calls();
+    const SolveOutcome res = solver.solve(s.b);
+    ASSERT_TRUE(res.converged);
+    ASSERT_EQ(res.recoveries.size(), 1u);
+    EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::reconstruct);
+    // The counter forwards every call, so the solve is bitwise the one on
+    // the bare preconditioner.
+    const SolveOutcome bare = run(s, opts);
+    EXPECT_EQ(res.iterations, bare.iterations);
+    EXPECT_EQ(res.x, bare.x);
+    if (opts.formulation == PrecondFormulation::inverse) {
+      EXPECT_EQ(counter.matrix_form_calls(), 0);
+    } else {
+      EXPECT_EQ(at_setup, 1); // the operator checks that M exists
+      EXPECT_EQ(counter.matrix_form_calls(), 2); // and the recovery reads it
+    }
+  }
 }
 
 TEST(ResilientPcg, IntervalTwoBehavesLikeDensestPeriodicStorage) {

@@ -6,6 +6,7 @@
 // trajectory iterations with a solution within a pinned tolerance.
 #include <gtest/gtest.h>
 
+#include "../precond/matrix_form_counter.hpp"
 #include "api/solve.hpp"
 #include "common/error.hpp"
 #include "core/metrics.hpp"
@@ -204,6 +205,40 @@ TEST(DistPipelinedEsrp, MatrixFormulationRecoversOnSameTrajectory) {
   EXPECT_EQ(res.recoveries[0].inner_iterations_precond, 0);
   EXPECT_EQ(res.iterations, inv.iterations);
   EXPECT_LT(vec_rel_diff_inf(res.x, inv.x), 1e-6);
+}
+
+TEST(DistPipelinedEsrp, OnlyMatrixFormulationRecoveryAsksForTheMatrixForm) {
+  System s(poisson2d(12, 12), 8);
+  ResilienceOptions inv;
+  inv.strategy = Strategy::esrp;
+  inv.interval = 10;
+  inv.phi = 2;
+  inv.extra_failures.push_back(FailureEvent{17, {1, 2}});
+  ResilienceOptions mat = inv;
+  mat.formulation = PrecondFormulation::matrix;
+
+  for (const ResilienceOptions& opts : {inv, mat}) {
+    SimCluster cluster(s.part);
+    const BlockJacobiPreconditioner block_jacobi(s.a, s.part, 10);
+    const MatrixFormCounter counter(block_jacobi);
+    DistPipelinedPcg solver(s.a, counter, cluster, opts);
+    const int at_setup = counter.matrix_form_calls();
+    const SolveOutcome res = solver.solve(s.b);
+    ASSERT_TRUE(res.converged);
+    ASSERT_EQ(res.recoveries.size(), 1u);
+    EXPECT_EQ(res.recoveries[0].rung, RecoveryRung::reconstruct);
+    // The counter forwards every call, so the solve is bitwise the one on
+    // the bare preconditioner.
+    const SolveOutcome bare = run(s, opts);
+    EXPECT_EQ(res.iterations, bare.iterations);
+    EXPECT_EQ(res.x, bare.x);
+    if (opts.formulation == PrecondFormulation::inverse) {
+      EXPECT_EQ(counter.matrix_form_calls(), 0);
+    } else {
+      EXPECT_EQ(at_setup, 1); // the operator checks that M exists
+      EXPECT_EQ(counter.matrix_form_calls(), 2); // and the recovery reads it
+    }
+  }
 }
 
 /// The facade path: `--solver pipelined --strategy esrp` territory. The

@@ -437,8 +437,8 @@ TEST(BlockJacobi, RangeQueriesMatchCsrScan) {
       b.add(i + 1, i + 1, 3.0);
       b.add_sym(i, i + 1, 1.0);
     }
-    expect_range_queries_match_csr_scan(
-        BlockJacobiPreconditioner(b.to_csr(), 4));
+    const CsrMatrix a = b.to_csr();
+    expect_range_queries_match_csr_scan(BlockJacobiPreconditioner(a, 4));
   }
 }
 
@@ -483,6 +483,26 @@ TEST(BlockJacobi, ConcurrentFirstActionMatrixCallsBuildOnce) {
   for (const CsrMatrix* m : got) EXPECT_EQ(m, got[0]);
   ASSERT_NE(got[0], nullptr);
   expect_bitwise_equal(*got[0], coo_reference(a, p.block_starts()).p);
+}
+
+TEST(BlockJacobi, ConcurrentFirstMatrixFormCallsBuildOnce) {
+  const CsrMatrix a = emilia_like(10, 10, 10).matrix;
+  const BlockJacobiPreconditioner p(a, BlockRowPartition(a.rows(), 16));
+  constexpr int kThreads = 4;
+  std::vector<const CsrMatrix*> got(kThreads, nullptr);
+  std::latch start(kThreads);
+  // Naked threads, not the pool: every first call must race the others.
+  std::vector<std::thread> workers; // esrp-lint: allow(raw-thread)
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = p.matrix_form();
+    });
+  for (std::thread& w : workers) w.join(); // esrp-lint: allow(raw-thread)
+  for (const CsrMatrix* m : got) EXPECT_EQ(m, got[0]);
+  ASSERT_NE(got[0], nullptr);
+  expect_bitwise_equal(*got[0], coo_reference(a, p.block_starts()).m);
+  EXPECT_EQ(p.matrix_form(), got[0]);
 }
 
 TEST(BlockJacobi, NonSpdBlockNamesItsRows) {

@@ -659,6 +659,69 @@ TEST_F(EngineFixture, NoSpareRecoveryRebindsTheStateAndLiveSnapshots) {
   EXPECT_EQ(engine.retired_ranks(), (std::vector<rank_t>{2, 4}));
 }
 
+TEST_F(EngineFixture, RetiredRankNeverAdoptsAgain) {
+  // Rank 2 retires onto rank 1; the next failure, of rank 3, must not hand
+  // rank 3's range to the empty rank 2 but to rank 1, the nearest active
+  // rank to its left.
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 5;
+  opts.spare_nodes = false;
+  opts.extra_failures.push_back(FailureEvent{8, {2}});
+  opts.extra_failures.push_back(FailureEvent{9, {3}});
+  ResilienceEngine engine = make_engine(opts);
+  engine.push_copy(make_copy(5));
+  engine.push_copy(make_copy(6));
+  engine.save_snapshot(6, solver_.state());
+  engine.set_recoverable(6);
+
+  RecoveryRecord first, second;
+  ASSERT_EQ(engine.recover(*engine.pending_event(8), 8, solver_.client(),
+                           first),
+            6);
+  ASSERT_EQ(engine.recover(*engine.pending_event(9), 9, solver_.client(),
+                           second),
+            6);
+  EXPECT_EQ(second.rung, RecoveryRung::reconstruct);
+  EXPECT_EQ(second.ranks_absorbed, 1);
+  const BlockRowPartition& np = cluster_.partition();
+  EXPECT_EQ(np.local_size(2), 0);
+  EXPECT_EQ(np.local_size(3), 0);
+  EXPECT_EQ(np.begin(1), part_.begin(1));
+  EXPECT_EQ(np.end(1), part_.end(3));
+  EXPECT_EQ(engine.retired_ranks(), (std::vector<rank_t>{2, 3}));
+}
+
+TEST_F(EngineFixture, RetiredRanksAdoptWhenNoActiveRankSurvives) {
+  // Ranks 1 and 2 retire onto rank 0; then every active rank fails at
+  // once. The retired ranks are the only live nodes left, so they adopt:
+  // rank 1 takes rank 0's range (a leading block goes right) and rank 2
+  // the block 3..5. Both own rows again and leave the retired set.
+  ResilienceOptions opts;
+  opts.strategy = Strategy::esrp;
+  opts.interval = 5;
+  opts.spare_nodes = false;
+  opts.extra_failures.push_back(FailureEvent{8, {1, 2}});
+  opts.extra_failures.push_back(FailureEvent{9, {0, 3, 4, 5}});
+  ResilienceEngine engine = make_engine(opts);
+  engine.push_copy(make_copy(5));
+  engine.push_copy(make_copy(6));
+  engine.save_snapshot(6, solver_.state());
+  engine.set_recoverable(6);
+
+  RecoveryRecord first, second;
+  engine.recover(*engine.pending_event(8), 8, solver_.client(), first);
+  ASSERT_EQ(engine.retired_ranks(), (std::vector<rank_t>{1, 2}));
+  engine.recover(*engine.pending_event(9), 9, solver_.client(), second);
+  EXPECT_EQ(second.ranks_absorbed, 4);
+  const BlockRowPartition& np = cluster_.partition();
+  EXPECT_EQ(np.begin(1), 0);
+  EXPECT_EQ(np.end(1), part_.end(2));
+  EXPECT_EQ(np.begin(2), part_.begin(3));
+  EXPECT_EQ(np.end(2), kRows);
+  EXPECT_EQ(engine.retired_ranks(), (std::vector<rank_t>{0, 3, 4, 5}));
+}
+
 TEST_F(EngineFixture, RejoinRungReExpandsAtTheNextStorageStage) {
   ResilienceOptions opts;
   opts.strategy = Strategy::esrp;
